@@ -38,6 +38,7 @@ __all__ = [
     "serialize_model",
     "ingest_disassembly_export",
     "strip_program",
+    "call_target",
 ]
 
 
@@ -311,3 +312,10 @@ def strip_program(program: BinaryProgram, name: str | None = None) -> BinaryProg
         stripped=True,
         functions=functions,
     )
+
+
+def call_target(operand: str) -> str:
+    """The name a call operand targets. ``strip_program`` marks calls to the
+    program's own functions as ``?<id>``; the marker is dropped. A target
+    that is not a function id of the program is a library symbol."""
+    return operand[1:] if operand.startswith("?") else operand

@@ -38,7 +38,15 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 
-from .binmodel import BasicBlock, BinaryProgram, Function, KeyInstruction, KeyKind, ingest_disassembly_export
+from .binmodel import (
+    BasicBlock,
+    BinaryProgram,
+    Function,
+    KeyInstruction,
+    KeyKind,
+    call_target,
+    ingest_disassembly_export,
+)
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
 from .varsource import SourceTree, scan_unit
@@ -258,10 +266,12 @@ class _FunctionEmitter:
 
     def __init__(self) -> None:
         self.blocks: list[BasicBlock] = []
+        self.by_id: dict[str, BasicBlock] = {}
 
     def new_block(self) -> BasicBlock:
         blk = BasicBlock(id=f"b{len(self.blocks)}")
         self.blocks.append(blk)
+        self.by_id[blk.id] = blk
         return blk
 
     def emit_chain(self, stmts: list) -> tuple[str, list[str]]:
@@ -275,7 +285,7 @@ class _FunctionEmitter:
                 if first is None:
                     first = blk.id
                 for t in tails:
-                    self._block(t).succs.append(blk.id)
+                    self.by_id[t].succs.append(blk.id)
                 tails = [blk.id]
             else:
                 cond = self.new_block()
@@ -284,7 +294,7 @@ class _FunctionEmitter:
                 if first is None:
                     first = cond.id
                 for t in tails:
-                    self._block(t).succs.append(cond.id)
+                    self.by_id[t].succs.append(cond.id)
                 join = self.new_block()
                 t_first, t_tails = self.emit_chain(stmt.then_body)
                 if t_first is None:
@@ -292,7 +302,7 @@ class _FunctionEmitter:
                 else:
                     cond.succs.append(t_first)
                     for t in t_tails:
-                        self._block(t).succs.append(join.id)
+                        self.by_id[t].succs.append(join.id)
                 if stmt.else_body is None:
                     cond.succs.append(join.id)
                 else:
@@ -302,15 +312,10 @@ class _FunctionEmitter:
                     else:
                         cond.succs.append(e_first)
                         for t in e_tails:
-                            self._block(t).succs.append(join.id)
+                            self.by_id[t].succs.append(join.id)
                 tails = [join.id]
         return first, tails
 
-    def _block(self, bid: str) -> BasicBlock:
-        for blk in self.blocks:
-            if blk.id == bid:
-                return blk
-        raise KeyError(bid)
 
 
 _ERROR_DIRECTIVE_RE = re.compile(r"^\s*#\s*error\b\s*(.*)$")
@@ -495,20 +500,9 @@ def _apply_fold(program: BinaryProgram, spec: BuildSpec) -> None:
                 blk.keyins = [ki for ki in blk.keyins if ki.kind is not KeyKind.CONST_REF]
 
 
-def _call_target(operand: str | None, fn_ids: set[str]) -> str | None:
-    if not operand:
-        return None
-    if operand.startswith("?"):
-        target = operand[1:]
-    else:
-        target = operand
-    return target if target in fn_ids else None
-
-
 def _apply_inline(program: BinaryProgram) -> None:
     """Replace calls to small leaf functions with the callee's flattened
     body. Library calls are never inlined and callees stay in the program."""
-    fn_ids = {f.id for f in program.functions}
     leaves: dict[str, list[KeyInstruction]] = {}
     for fn in program.functions:
         if len(fn.blocks) > INLINE_MAX_BLOCKS:
@@ -521,8 +515,10 @@ def _apply_inline(program: BinaryProgram) -> None:
         for blk in fn.blocks:
             new_keyins: list[KeyInstruction] = []
             for ki in blk.keyins:
-                target = _call_target(ki.operand, fn_ids) if ki.kind is KeyKind.CALL else None
-                if target is not None and target in leaves and target != fn.id:
+                target = (
+                    call_target(ki.operand) if ki.kind is KeyKind.CALL and ki.operand else None
+                )
+                if target in leaves and target != fn.id:
                     new_keyins.extend(copy.deepcopy(leaves[target]))
                 else:
                     new_keyins.append(ki)

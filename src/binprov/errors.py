@@ -12,7 +12,9 @@ class SchemaError(BinprovError):
 
 
 class InvariantError(BinprovError):
-    """Input parsed but violates a model invariant (dangling edge, duplicate id)."""
+    """The solver produced a model that violates one of its constraints.
+
+    Malformed models (dangling edges, duplicate ids) raise ``SchemaError``."""
 
 
 class ParseError(BinprovError):

@@ -24,7 +24,7 @@ from enum import Enum
 
 from .binmodel import BasicBlock, BinaryProgram, Function, KeyKind
 from .conditions import Condition, neg, to_text
-from .simdiff import DiffReport
+from .simdiff import DiffReport, FunctionPairDiff
 from .varsource import (
     BranchShape,
     CallSig,
@@ -228,7 +228,7 @@ class ConstraintReport:
 def _fragment_scope(
     fragment: Fragment,
     scan: UnitVariability,
-    diff: DiffReport,
+    pairs: dict[str, FunctionPairDiff],
     crash_fns: dict[str, Function],
 ) -> tuple[str, list[BasicBlock] | None]:
     """The crash-side range a fragment should be matched against: the matched
@@ -239,7 +239,7 @@ def _fragment_scope(
     lo, hi = min(fragment.lines), max(fragment.lines)
     for span in scan.functions.values():
         if span.start <= lo and hi <= span.end:
-            pair = diff.pair_for_left(span.name)
+            pair = pairs.get(span.name)
             if pair is not None and pair.right in crash_fns:
                 return f"function:{pair.right}", crash_fns[pair.right].blocks
             return "binary", None
@@ -260,13 +260,14 @@ def derive_constraints(
     """
     report = ConstraintReport()
     crash_fns = crash.function_map()
+    pairs = {p.left: p for p in diff.pairs}
     whole = PayloadIndex.for_program(crash)
 
     derived: list[tuple[Condition, FragmentDecision]] = []
     for unit_name in sorted(scans):
         scan = scans[unit_name]
         for fragment in scan.conditional_fragments():
-            scope, blocks = _fragment_scope(fragment, scan, diff, crash_fns)
+            scope, blocks = _fragment_scope(fragment, scan, pairs, crash_fns)
             index = whole if blocks is None else PayloadIndex(blocks)
             decision = decide_fragment(fragment, index, scope)
             if blocks is not None and decision.presence is not Presence.PRESENT:

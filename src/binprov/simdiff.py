@@ -18,6 +18,13 @@ Similarity of a matched function pair is the fingerprint-multiset overlap of
 their blocks over the larger block count; program similarity is the sum of
 pair similarities over the larger function count. Both are symmetric, land
 in [0, 1], and hit exactly 1.0 on self-comparison.
+
+Every per-program fact the matcher and the scores read (symbols, call
+edges, block counts, fingerprint signatures and fingerprint multisets) comes
+from a ``ProgramIndex``, built once per program by ``index_program``. A
+caller that scores one program against many holds its index and calls
+``similarity``. Scoring never aligns blocks: ``pair_blocks`` runs only
+inside ``diff_programs``, for the fragment-level diff.
 """
 
 from __future__ import annotations
@@ -25,15 +32,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .binmodel import BasicBlock, BinaryProgram, Function, KeyKind
+from .binmodel import BasicBlock, BinaryProgram, Function, KeyKind, call_target
 
 __all__ = [
     "KIND_PRIMES",
     "spp_fingerprint",
     "function_signature",
+    "ProgramIndex",
+    "index_program",
     "match_functions",
+    "similarity",
     "pair_blocks",
-    "block_overlap_fraction",
     "compare_programs",
     "diff_programs",
     "BlockPair",
@@ -64,35 +73,61 @@ def function_signature(fn: Function) -> tuple[Fingerprint, ...]:
     return tuple(sorted(spp_fingerprint(b) for b in fn.blocks))
 
 
-def _callee_of(operand: str, fn_ids: set[str]) -> tuple[str, bool]:
-    """Resolve a call operand to (target, is_internal)."""
-    if operand.startswith("?"):
-        return operand[1:], True
-    if operand in fn_ids:
-        return operand, True
-    return operand, False
+@dataclass(frozen=True)
+class ProgramIndex:
+    """Per-program facts that matching, scoring and diffing read.
+
+    Built once from a program by ``index_program`` and never updated, so a
+    caller that scores one program against many others indexes it once.
+    ``unique_symbols`` maps each symbol carried by exactly one function to
+    that function's id; every other map is keyed by function id, and edge
+    tuples keep repeats.
+    """
+
+    ids: tuple[str, ...]
+    unique_symbols: dict[str, str]
+    callees: dict[str, tuple[str, ...]]
+    libcalls: dict[str, tuple[str, ...]]
+    callers: dict[str, tuple[str, ...]]
+    nblocks: dict[str, int]
+    signatures: dict[str, tuple[Fingerprint, ...]]
+    fingerprints: dict[str, Counter]
 
 
-def _call_edges(program: BinaryProgram):
-    """callees[fn_id] = internal callee ids (with repeats),
-    libcalls[fn_id] = library symbols (with repeats),
-    callers[fn_id] = ids of functions calling fn_id (with repeats)."""
-    fn_ids = {f.id for f in program.functions}
-    callees: dict[str, list[str]] = {f.id: [] for f in program.functions}
-    libcalls: dict[str, list[str]] = {f.id: [] for f in program.functions}
-    callers: dict[str, list[str]] = {f.id: [] for f in program.functions}
+def index_program(program: BinaryProgram) -> ProgramIndex:
+    """Compute a program's ``ProgramIndex`` in one pass over its blocks."""
+    ids = tuple(f.id for f in program.functions)
+    callees: dict[str, list[str]] = {fid: [] for fid in ids}
+    libcalls: dict[str, list[str]] = {fid: [] for fid in ids}
+    callers: dict[str, list[str]] = {fid: [] for fid in ids}
+    symbol_ids: dict[str, list[str]] = {}
+    signatures: dict[str, tuple[Fingerprint, ...]] = {}
+    fingerprints: dict[str, Counter] = {}
     for fn in program.functions:
+        if fn.symbol:
+            symbol_ids.setdefault(fn.symbol, []).append(fn.id)
+        signatures[fn.id] = signature = function_signature(fn)
+        fingerprints[fn.id] = Counter(signature)
         for blk in fn.blocks:
             for ki in blk.keyins:
                 if ki.kind is not KeyKind.CALL or not ki.operand:
                     continue
-                target, internal = _callee_of(ki.operand, fn_ids)
-                if internal and target in callees:
+                target = call_target(ki.operand)
+                if target in callees:
                     callees[fn.id].append(target)
                     callers[target].append(fn.id)
                 else:
                     libcalls[fn.id].append(target)
-    return callees, libcalls, callers
+    return ProgramIndex(
+        ids=ids,
+        unique_symbols={sym: fids[0] for sym, fids in symbol_ids.items() if len(fids) == 1},
+        callees={fid: tuple(v) for fid, v in callees.items()},
+        libcalls={fid: tuple(v) for fid, v in libcalls.items()},
+        callers={fid: tuple(v) for fid, v in callers.items()},
+        nblocks={f.id: len(f.blocks) for f in program.functions},
+        signatures=signatures,
+        fingerprints=fingerprints,
+    )
 
 
 def _unique_key_matches(
@@ -113,9 +148,23 @@ def _unique_key_matches(
     return sorted(out)
 
 
-def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str, str]]:
-    """Match functions between two programs; returns (left_id, right_id) pairs
-    sorted by left id."""
+def _neighborhood_hash(index: ProgramIndex, fid: str, pair_token) -> object:
+    ctoks = list(index.libcalls[fid])
+    for callee in index.callees[fid]:
+        tok = pair_token(callee)
+        if tok is not None:
+            ctoks.append(tok)
+    rtoks = []
+    for caller in index.callers[fid]:
+        tok = pair_token(caller)
+        if tok is not None:
+            rtoks.append(tok)
+    return (tuple(sorted(ctoks)), tuple(sorted(rtoks)), index.nblocks[fid])
+
+
+def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
+    """The four-pass matcher over two program indexes; returns
+    (left_id, right_id) pairs sorted by left id."""
     matched_lr: dict[str, str] = {}
     matched_rl: dict[str, str] = {}
 
@@ -130,28 +179,13 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
         return added
 
     # Pass 1: symbols, where both sides carry them.
-    lsyms = {f.id: f.symbol for f in left.functions if f.symbol}
-    rsyms = {f.id: f.symbol for f in right.functions if f.symbol}
-    record(_unique_key_matches(lsyms, rsyms))
-
-    l_callees, l_libs, l_callers = _call_edges(left)
-    r_callees, r_libs, r_callers = _call_edges(right)
-    lfns = {f.id: f for f in left.functions}
-    rfns = {f.id: f for f in right.functions}
-
-    def neighborhood_hash(fid: str, callees, libs, callers, pair_token) -> object:
-        ctoks = list(libs[fid])
-        for callee in callees[fid]:
-            tok = pair_token(callee)
-            if tok is not None:
-                ctoks.append(tok)
-        rtoks = []
-        for caller in callers[fid]:
-            tok = pair_token(caller)
-            if tok is not None:
-                rtoks.append(tok)
-        nblocks = len(lfns[fid].blocks) if fid in lfns else len(rfns[fid].blocks)
-        return (tuple(sorted(ctoks)), tuple(sorted(rtoks)), nblocks)
+    record(
+        sorted(
+            (lid, right.unique_symbols[sym])
+            for sym, lid in left.unique_symbols.items()
+            if sym in right.unique_symbols
+        )
+    )
 
     def left_token(fid: str):
         # Matched pairs are identified by the left-side id: stable and equal
@@ -164,35 +198,31 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
 
     def neighborhood_pass() -> bool:
         lkeys = {
-            fid: neighborhood_hash(fid, l_callees, l_libs, l_callers, left_token)
-            for fid in lfns
+            fid: _neighborhood_hash(left, fid, left_token)
+            for fid in left.ids
             if fid not in matched_lr
         }
         rkeys = {
-            fid: neighborhood_hash(fid, r_callees, r_libs, r_callers, right_token)
-            for fid in rfns
+            fid: _neighborhood_hash(right, fid, right_token)
+            for fid in right.ids
             if fid not in matched_rl
         }
         return record(_unique_key_matches(lkeys, rkeys))
 
     def signature_pass() -> bool:
-        lkeys = {
-            fid: function_signature(lfns[fid]) for fid in lfns if fid not in matched_lr
-        }
-        rkeys = {
-            fid: function_signature(rfns[fid]) for fid in rfns if fid not in matched_rl
-        }
+        lkeys = {fid: left.signatures[fid] for fid in left.ids if fid not in matched_lr}
+        rkeys = {fid: right.signatures[fid] for fid in right.ids if fid not in matched_rl}
         return record(_unique_key_matches(lkeys, rkeys))
 
     def positional_pass() -> bool:
         lgroups: dict[tuple, list[str]] = {}
         rgroups: dict[tuple, list[str]] = {}
-        for fid in lfns:
+        for fid in left.ids:
             if fid not in matched_lr:
-                lgroups.setdefault(function_signature(lfns[fid]), []).append(fid)
-        for fid in rfns:
+                lgroups.setdefault(left.signatures[fid], []).append(fid)
+        for fid in right.ids:
             if fid not in matched_rl:
-                rgroups.setdefault(function_signature(rfns[fid]), []).append(fid)
+                rgroups.setdefault(right.signatures[fid], []).append(fid)
         pairs = []
         for sig, lids in lgroups.items():
             rids = rgroups.get(sig)
@@ -214,6 +244,33 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
     if positional_pass():
         converge()
     return sorted(matched_lr.items())
+
+
+def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str, str]]:
+    """Match functions between two programs; returns (left_id, right_id) pairs
+    sorted by left id."""
+    return _match_indexes(index_program(left), index_program(right))
+
+
+def _pair_fraction(left: ProgramIndex, lid: str, right: ProgramIndex, rid: str) -> float:
+    """Fingerprint-multiset overlap of a matched pair over its larger block
+    count."""
+    ca, cb = left.fingerprints[lid], right.fingerprints[rid]
+    overlap = sum(min(ca[fp], cb[fp]) for fp in ca if fp in cb)
+    denom = max(left.nblocks[lid], right.nblocks[rid])
+    if denom == 0:
+        return 1.0
+    return overlap / denom
+
+
+def similarity(left: ProgramIndex, right: ProgramIndex) -> float:
+    """Program similarity from two indexes: matched-pair fractions summed in
+    left-id order over the larger function count. No blocks are aligned."""
+    total = 0.0
+    for lid, rid in _match_indexes(left, right):
+        total += _pair_fraction(left, lid, right, rid)
+    denom = max(len(left.ids), len(right.ids))
+    return 1.0 if denom == 0 else total / denom
 
 
 @dataclass
@@ -242,23 +299,6 @@ class DiffReport:
     pairs: list[FunctionPairDiff] = field(default_factory=list)
     left_only: list[str] = field(default_factory=list)
     right_only: list[str] = field(default_factory=list)
-
-    def pair_for_left(self, left_id: str) -> FunctionPairDiff | None:
-        for p in self.pairs:
-            if p.left == left_id:
-                return p
-        return None
-
-
-def block_overlap_fraction(a: Function, b: Function) -> float:
-    """Fingerprint-multiset overlap over the larger block count."""
-    ca = Counter(spp_fingerprint(blk) for blk in a.blocks)
-    cb = Counter(spp_fingerprint(blk) for blk in b.blocks)
-    overlap = sum(min(ca[fp], cb[fp]) for fp in ca if fp in cb)
-    denom = max(len(a.blocks), len(b.blocks))
-    if denom == 0:
-        return 1.0
-    return overlap / denom
 
 
 def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
@@ -314,7 +354,8 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
     """Full structural diff. ``left`` is conventionally the freshly generated
     binary and ``right`` the crash-report binary, so ``left_only`` holds
     generated-only functions and ``right_only`` crash-only ones."""
-    matches = match_functions(left, right)
+    lidx, ridx = index_program(left), index_program(right)
+    matches = _match_indexes(lidx, ridx)
     lfns = left.function_map()
     rfns = right.function_map()
 
@@ -322,7 +363,7 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
     total = 0.0
     for lid, rid in matches:
         fa, fb = lfns[lid], rfns[rid]
-        fraction = block_overlap_fraction(fa, fb)
+        fraction = _pair_fraction(lidx, lid, ridx, rid)
         bpairs = pair_blocks(fa, fb)
         seen_a = {bp.left for bp in bpairs}
         seen_b = {bp.right for bp in bpairs}
@@ -360,4 +401,4 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
 
 def compare_programs(left: BinaryProgram, right: BinaryProgram) -> float:
     """Similarity score alone, for callers that do not need the diff."""
-    return diff_programs(left, right).score
+    return similarity(index_program(left), index_program(right))

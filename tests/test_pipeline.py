@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 
@@ -157,6 +158,21 @@ def test_run_corpus_parallel_matches_serial(corpus21):
 @pytest.fixture(scope="module")
 def grid0(case0, backend0, specs):
     return similarity_matrix(backend0, case0.seed_config(), specs)
+
+
+def test_matrix_golden_digests(case0, backend0):
+    # Digests of the full grid, recorded before scoring moved to program
+    # indexes; any drift in a single float shows. Every unit compiled
+    # (the `binprov matrix` default), then the hidden configuration, whose
+    # macro-guarded fragments the macro-free builds never contain.
+    golden = {
+        "every-unit": "a230c4e5bfaf73f138922010c7aa1f6b2f09f12ae9f0681c7d481aac8022ab8f",
+        "truth": "7d8ab54ccaec70dd35ceb26746f8988db61c701b0dfcf276d3225953fdf43c50",
+    }
+    configs = {"every-unit": ConfigAssignment(), "truth": case0.truth_config()}
+    for label, config in configs.items():
+        grid = similarity_matrix(backend0, config)
+        assert hashlib.sha256(repr(grid).encode()).hexdigest() == golden[label], label
 
 
 def _cell(grid, specs, a, b):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 
@@ -265,3 +266,64 @@ def test_fraction_counts_shared_fingerprints_over_larger_side():
     diff = diff_programs(pa, pb)
     assert len(diff.pairs) == 1
     assert diff.pairs[0].fraction == 2 / 3
+
+
+def _renamed(fn: Function, new_id: str) -> Function:
+    twin = copy.deepcopy(fn)
+    twin.id = new_id
+    twin.symbol = new_id
+    return twin
+
+
+def _score_only_cases(rng: random.Random):
+    """Acceptance-style random pairs: unstripped, one side stripped, both
+    stripped (overlapping f000... ids), and with duplicate function bodies."""
+    for i in range(150):
+        left = random_program(rng, name="L", max_fns=8)
+        right = random_program(rng, name="R", max_fns=8)
+        if i % 3 == 0:
+            for prog in (left, right):
+                src = rng.choice(prog.functions)
+                prog.functions.append(_renamed(src, f"dup{len(prog.functions)}"))
+        yield left, right
+        yield left, strip_program(right)
+        yield strip_program(left), strip_program(right)
+
+
+def test_score_only_path_equals_diff_score_exactly():
+    rng = random.Random(29)
+    for left, right in _score_only_cases(rng):
+        diff = diff_programs(left, right)
+        assert compare_programs(left, right) == diff.score
+        assert match_functions(left, right) == [(p.left, p.right) for p in diff.pairs]
+
+
+def test_neighborhood_pass_reads_each_sides_own_block_counts():
+    # Both sides stripped, so both use f000..f003. Left's f000/f001 are
+    # one-block workers and f002/f003 two-block pads; right holds them in
+    # the opposite order. Workers share one signature and pads another, so
+    # only the library anchor in each neighbourhood key tells them apart,
+    # and that key must carry each function's own block count.
+    def worker(name: str, lib: str) -> Function:
+        blk = BasicBlock(id="b0", keyins=[KeyInstruction(KeyKind.CALL, operand=lib)])
+        return Function(id=name, entry="b0", blocks=[blk], symbol=name)
+
+    def pad(name: str, lib: str) -> Function:
+        blocks = [
+            BasicBlock(id="b0", keyins=[KeyInstruction(KeyKind.CALL, operand=lib)],
+                       succs=["b1"]),
+            BasicBlock(id="b1", keyins=[KeyInstruction(KeyKind.COMPARE)]),
+        ]
+        return Function(id=name, entry="b0", blocks=blocks, symbol=name)
+
+    left = strip_program(BinaryProgram(name="L", functions=[
+        worker("a", "alpha"), worker("b", "beta"), pad("c", "gamma"), pad("d", "delta"),
+    ]))
+    right = strip_program(BinaryProgram(name="R", functions=[
+        pad("a", "delta"), pad("b", "gamma"), worker("c", "beta"), worker("d", "alpha"),
+    ]))
+    expected = [("f000", "f003"), ("f001", "f002"), ("f002", "f001"), ("f003", "f000")]
+    assert match_functions(left, right) == expected
+    diff = diff_programs(left, right)
+    assert [(p.left, p.right) for p in diff.pairs] == expected
+    assert diff.score == 1.0
