@@ -24,6 +24,12 @@ as distinct blocks, so the version signal is preserved at every level, and
 since the flavor marker also lives there, the cross-compiler distance always
 dominates the largest same-compiler version distance.
 
+The transform chain never mutates its input: ``apply_transforms`` gives the
+output fresh function and block shells and shares the unchanged key
+instructions, which no pass rewrites in place. ``SimulatedToolchain`` builds
+the unoptimized base once per configuration and each source unit is scanned
+once per tree (``SourceTree.scan``), so a probe costs only its transforms.
+
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
 prints.
@@ -31,7 +37,6 @@ prints.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import re
 import shlex
@@ -49,7 +54,9 @@ from .binmodel import (
 )
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
-from .varsource import SourceTree, scan_unit
+# ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
+# attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
+from .varsource import SourceTree, scan_unit  # noqa: F401
 
 __all__ = [
     "COMPILERS",
@@ -342,7 +349,7 @@ def build_unoptimized(
     active_lines: dict[str, tuple[list[str], set[int]]] = {}
     scans = {}
     for uname in selected:
-        scan = scan_unit(uname, unit_map[uname].text)
+        scan = tree.scan(unit_map[uname])
         scans[uname] = scan
         lines = unit_map[uname].text.splitlines()
         active: set[int] = set()
@@ -519,7 +526,7 @@ def _apply_inline(program: BinaryProgram) -> None:
                     call_target(ki.operand) if ki.kind is KeyKind.CALL and ki.operand else None
                 )
                 if target in leaves and target != fn.id:
-                    new_keyins.extend(copy.deepcopy(leaves[target]))
+                    new_keyins.extend(leaves[target])
                 else:
                     new_keyins.append(ki)
             blk.keyins = new_keyins
@@ -551,20 +558,46 @@ def _apply_dedup(program: BinaryProgram) -> None:
     program.functions = [f for f in program.functions if f.id not in remap]
     for fn in program.functions:
         for blk in fn.blocks:
-            for ki in blk.keyins:
-                if ki.kind is not KeyKind.CALL or not ki.operand:
-                    continue
-                marked = ki.operand.startswith("?")
-                target = ki.operand[1:] if marked else ki.operand
-                if target in remap:
-                    target = remap[target]
-                    ki.operand = ("?" + target) if marked else target
+            blk.keyins = [_retarget(ki, remap) for ki in blk.keyins]
+
+
+def _retarget(ki: KeyInstruction, remap: dict[str, str]) -> KeyInstruction:
+    """The call redirected through ``remap``, as a new instruction; any other
+    instruction unchanged."""
+    if ki.kind is not KeyKind.CALL or not ki.operand:
+        return ki
+    marked = ki.operand.startswith("?")
+    target = ki.operand[1:] if marked else ki.operand
+    if target not in remap:
+        return ki
+    target = remap[target]
+    return KeyInstruction(KeyKind.CALL, operand=("?" + target) if marked else target)
 
 
 def apply_transforms(program: BinaryProgram, spec: BuildSpec) -> BinaryProgram:
-    """Apply the full per-spec transform chain to an unoptimized program."""
-    out = copy.deepcopy(program)
-    out.name = f"{program.name}@{spec.text()}"
+    """Apply the full per-spec transform chain to an unoptimized program.
+
+    The input is left untouched: every function and block of the output is a
+    new shell with its own key-instruction and successor lists, and the
+    passes replace key instructions rather than edit them, so the output
+    shares only unchanged instructions with the input.
+    """
+    out = BinaryProgram(
+        name=f"{program.name}@{spec.text()}",
+        stripped=program.stripped,
+        functions=[
+            Function(
+                id=fn.id,
+                entry=fn.entry,
+                blocks=[
+                    BasicBlock(id=blk.id, keyins=list(blk.keyins), succs=list(blk.succs))
+                    for blk in fn.blocks
+                ],
+                symbol=fn.symbol,
+            )
+            for fn in program.functions
+        ],
+    )
     _apply_version_pads(out, spec)
     _apply_flavor(out, spec)
     if spec.level != "O0":
@@ -586,19 +619,27 @@ class SimulatedToolchain:
 
     Builds are cached by (spec, configuration); the cache is shared by the
     option-inference search, which never pays twice for the same probe.
+    The unoptimized base is cached per configuration, and the tree keeps
+    each unit's scan, so a fresh build runs only the transform chain, which
+    never mutates the cached base. ``build_count`` counts fresh builds.
     """
 
     def __init__(self, tree: SourceTree, base_name: str = "prog"):
         self.tree = tree
         self.base_name = base_name
         self._cache: dict[tuple, BinaryProgram] = {}
+        self._bases: dict[tuple, BinaryProgram] = {}
         self.build_count = 0
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         spec.validate()
-        key = (spec, config.key())
+        config_key = config.key()
+        key = (spec, config_key)
         if key not in self._cache:
-            base = build_unoptimized(self.tree, config, name=self.base_name)
+            base = self._bases.get(config_key)
+            if base is None:
+                base = build_unoptimized(self.tree, config, name=self.base_name)
+                self._bases[config_key] = base
             self._cache[key] = apply_transforms(base, spec)
             self.build_count += 1
         return self._cache[key]

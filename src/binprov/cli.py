@@ -304,7 +304,7 @@ def cmd_run_case(args) -> int:
         if not case_dirs:
             raise FileNotFoundError(f"no case directories under {path}")
         cases = [load_case_dir(d) for d in case_dirs]
-        reports = run_corpus(cases, jobs=args.jobs, **_case_kwargs(args))
+        reports = run_corpus(cases, **_case_kwargs(args))
         text = "\n".join(r.to_text() for r in reports)
         payload = {"reports": [_report_payload(r) for r in reports]}
         _emit(args, text, payload)
@@ -389,10 +389,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_backend(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--simulated", action="store_true", default=True,
-                     help="use the simulated toolchain (default)")
     sub.add_argument("--toolchains", metavar="MANIFEST",
-                     help="toolchain manifest for real compiler commands")
+                     help="toolchain manifest for real compiler commands "
+                          "(default: the simulated toolchain)")
 
 
 def _add_infer(sub: argparse.ArgumentParser) -> None:
@@ -453,8 +452,6 @@ def build_parser() -> _Parser:
     p.add_argument("--source-dir")
     p.add_argument("--config-map")
     p.add_argument("--threshold", type=float, default=0.85)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent cases when running a corpus root")
     p.add_argument("--prefer-enabled", action="store_true")
     p.add_argument("--run-trigger", metavar="CMD",
                    help="shell command to run afterwards; its exit status or "
@@ -476,8 +473,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for symmetry; generation is sequential")
     _add_common(p)
     p.set_defaults(func=cmd_gen_corpus)
 

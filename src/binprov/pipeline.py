@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,7 +47,10 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import compare_programs, diff_programs, index_program, similarity
+from .simdiff import ProgramIndex, diff_programs, index_program, similarity
+# ``compare_programs`` is not called here, but stays a module attribute:
+# perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
+from .simdiff import compare_programs  # noqa: F401
 from .solver import Model, Unsatisfiable, solve
 from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
 
@@ -153,7 +155,7 @@ def _config_for_model(
 
 def _refine_free_atoms(
     backend,
-    crash: BinaryProgram,
+    crash_index: ProgramIndex,
     config_map: ConfigMap,
     spec,
     base_units,
@@ -180,7 +182,7 @@ def _refine_free_atoms(
             built = backend.build(spec, config)
         except BinprovError:
             continue
-        sim = compare_programs(built, crash)
+        sim = similarity(index_program(built), crash_index)
         enabled_count = sum(bits)
         key = (sim, enabled_count if prefer_enabled else -enabled_count)
         if best is None or key > best[0]:
@@ -250,6 +252,7 @@ def run_case(
             return report
 
         whole = PayloadIndex.for_program(crash)
+        crash_index = index_program(crash)
         present_units: list[str] = []
         for unit in _optional_units(config_map):
             decision = _decide_unit_presence(scans, unit, whole)
@@ -285,7 +288,7 @@ def run_case(
 
         outcome = _refine_free_atoms(
             backend,
-            crash,
+            crash_index,
             config_map,
             trace.inferred,
             base_units,
@@ -305,7 +308,7 @@ def run_case(
         report.decided_configs = tuple(flags)
 
         rebuilt = backend.build(trace.inferred, final_config)
-        report.similarity = compare_programs(rebuilt, crash)
+        report.similarity = similarity(index_program(rebuilt), crash_index)
 
         env = {m: True for m in final_config.macros}
         holds = all(evaluate(c, env, env) for c in constraint_report.constraints)
@@ -338,11 +341,8 @@ def run_generated_case(case: GeneratedCase, **kwargs) -> CaseReport:
     )
 
 
-def run_corpus(cases: list[GeneratedCase], jobs: int = 1, **kwargs) -> list[CaseReport]:
-    if jobs <= 1:
-        return [run_generated_case(case, **kwargs) for case in cases]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda c: run_generated_case(c, **kwargs), cases))
+def run_corpus(cases: list[GeneratedCase], **kwargs) -> list[CaseReport]:
+    return [run_generated_case(case, **kwargs) for case in cases]
 
 
 def similarity_matrix(

@@ -128,9 +128,22 @@ class SourceUnit:
 @dataclass
 class SourceTree:
     units: list[SourceUnit]
+    # unit name -> (text scanned, scan); see ``scan``.
+    _scans: dict[str, tuple[str, UnitVariability]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def unit_map(self) -> dict[str, SourceUnit]:
         return {u.name: u for u in self.units}
+
+    def scan(self, unit: SourceUnit) -> UnitVariability:
+        """``scan_unit`` of one unit, run once per name and text: the scan is
+        kept until the unit's text changes. Callers treat it as read-only."""
+        memo = self._scans.get(unit.name)
+        if memo is None or memo[0] != unit.text:
+            memo = (unit.text, scan_unit(unit.name, unit.text))
+            self._scans[unit.name] = memo
+        return memo[1]
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> SourceTree:
@@ -245,7 +258,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
 
 
 def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
-    return {u.name: scan_unit(u.name, u.text) for u in tree.units}
+    return {u.name: tree.scan(u) for u in tree.units}
 
 
 _STRING_RE = re.compile(r'"([^"\\]*)"')

@@ -412,7 +412,7 @@ def test_criterion_5_solver_oracle_equivalence(criterion_line, corpus21):
 
 def test_criterion_6_corpus_reproduction(criterion_line, corpus21):
     t0 = time.perf_counter()
-    reports = run_corpus(corpus21, jobs=1)
+    reports = run_corpus(corpus21)
     reproduced = 0
     failures: list[str] = []
     for case, report in zip(corpus21, reports):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from binprov import buildoracle, varsource
 from binprov.binmodel import KeyKind, serialize_model
 from binprov.buildoracle import (
     DEFAULT_VERSIONS,
@@ -27,7 +30,7 @@ from binprov.errors import (
     OracleUnavailableError,
     SchemaError,
 )
-from binprov.varsource import SourceTree
+from binprov.varsource import SourceTree, scan_tree
 
 EMPTY_CONFIG = ConfigAssignment()
 
@@ -214,7 +217,7 @@ def test_unoptimized_corpus_shapes(base0):
 # --- transform chain ---------------------------------------------------------
 
 
-def test_transforms_deterministic_and_pure(fixture_base):
+def test_transforms_deterministic_and_pure(fixture_base, base0, specs):
     spec = BuildSpec("clang", "5.0", "O3")
     before = serialize_model(fixture_base)
     once = serialize_model(apply_transforms(fixture_base, spec))
@@ -222,6 +225,11 @@ def test_transforms_deterministic_and_pure(fixture_base):
     assert once == twice
     assert serialize_model(fixture_base) == before  # input untouched
     assert apply_transforms(fixture_base, spec).name == "t@clang-5.0-O3"
+    # no spec touches its input; base0 holds dup_copy_a/b, so Os retargets calls
+    before0 = serialize_model(base0)
+    for other in specs:
+        apply_transforms(base0, other)
+        assert serialize_model(base0) == before0, other.text()
 
 
 def test_version_pads_scale_with_version(fixture_base, base0):
@@ -402,6 +410,64 @@ def test_simulated_toolchain_caches_builds(case0):
     assert backend.build_count == 3
     with pytest.raises(ConfigError):
         backend.build(BuildSpec("tcc", "1", "O2"), cfg)
+
+
+def test_simulated_builds_match_golden_digest(corpus21, specs):
+    # sha256 over every serialized build: 21 cases x 2 configurations x 50
+    # specs, computed with the deep-copying builder the cached one replaced.
+    digest = hashlib.sha256()
+    for case in corpus21:
+        backend = SimulatedToolchain(case.tree, base_name=case.name)
+        for cfg in (case.seed_config(), EMPTY_CONFIG):
+            for spec in specs:
+                digest.update(serialize_model(backend.build(spec, cfg)).encode())
+    assert digest.hexdigest() == (
+        "6ef4ee7990eaa09b38865d68d1b86d673a71e5404b8fd25a30fcb1abdb42a763"
+    )
+
+
+def test_simulated_toolchain_builds_each_base_once(case0, specs, monkeypatch):
+    calls = []
+
+    def counting(tree, config, name="prog"):
+        calls.append(config.key())
+        return build_unoptimized(tree, config, name=name)
+
+    monkeypatch.setattr(buildoracle, "build_unoptimized", counting)
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    configs = (case0.seed_config(), EMPTY_CONFIG)
+    for cfg in configs:
+        for spec in specs:
+            backend.build(spec, cfg)
+    assert calls == [cfg.key() for cfg in configs]
+    assert backend.build_count == 2 * len(specs)
+
+
+def test_scan_tree_reuses_the_scans_of_builds(case0, monkeypatch):
+    scanned = []
+    scan_unit = varsource.scan_unit
+
+    def counting(name, text):
+        scanned.append(name)
+        return scan_unit(name, text)
+
+    monkeypatch.setattr(varsource, "scan_unit", counting)
+    tree = SourceTree.from_mapping({u.name: u.text for u in case0.tree.units})
+    backend = SimulatedToolchain(tree)
+    for spec in (BuildSpec("gcc", "6", "O0"), BuildSpec("clang", "4.0", "O2")):
+        backend.build(spec, case0.seed_config())
+        backend.build(spec, EMPTY_CONFIG)
+    first = scan_tree(tree)
+    assert sorted(scanned) == sorted(u.name for u in tree.units)
+    assert scan_tree(tree) == first
+    assert len(scanned) == len(tree.units)
+
+    changed = tree.units[0]
+    changed.text += "int added_late(void) {\n    return 1;\n}\n"
+    rescanned = scan_tree(tree)
+    assert scanned[len(tree.units):] == [changed.name]
+    assert "added_late" in rescanned[changed.name].functions
+    assert "added_late" not in first[changed.name].functions
 
 
 def test_external_toolchain_manifest_parsing():

@@ -143,7 +143,7 @@ def test_run_case_on_case_directory(case_dir, corpus21, capsys):
 
 def test_run_case_on_corpus_root(case_dir, capsys):
     _cdir, root = case_dir
-    assert main(["run-case", str(root), "--jobs", "2", "--format", "machine"]) == 0
+    assert main(["run-case", str(root), "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["reports"]) == 2
     assert all(

@@ -19,7 +19,6 @@ from binprov.pipeline import (
     check_matrix_orderings,
     matrix_to_text,
     run_case,
-    run_corpus,
     run_generated_case,
     similarity_matrix,
 )
@@ -140,16 +139,6 @@ def test_threshold_gates_the_verdict(corpus21):
     report = run_generated_case(corpus21[0], threshold=2.0)
     assert report.verification is Verification.LOW_CONFIDENCE
     assert "below threshold" in report.reason
-
-
-def test_run_corpus_parallel_matches_serial(corpus21):
-    head = corpus21[:6]
-    serial = run_corpus(head, jobs=1)
-    parallel = run_corpus(head, jobs=4)
-    assert [r.verification for r in serial] == [r.verification for r in parallel]
-    assert [r.decided_configs for r in serial] == [
-        r.decided_configs for r in parallel
-    ]
 
 
 # --- option landscape ---------------------------------------------------------
