@@ -25,6 +25,7 @@ from .buildoracle import (
     SimulatedToolchain,
     all_option_specs,
 )
+from .conditions import parse_expression
 from .optinfer import InferenceTrace, infer_options
 from .pipeline import (
     CaseReport,
@@ -35,7 +36,7 @@ from .pipeline import (
     similarity_matrix,
 )
 from .simdiff import DiffReport, compare_programs, diff_programs
-from .solver import Model, Unsatisfiable, enumerate_models, parse_expression, solve
+from .solver import Model, Unsatisfiable, enumerate_models, solve
 from .varsource import ConfigMap, SourceTree, scan_tree
 
 __all__ = [

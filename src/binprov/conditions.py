@@ -10,7 +10,9 @@ grammar mirrors what #if lines actually contain:
              | IDENT | INTEGER | comparison
 
 Comparisons (``FOO > 2``) and bare identifiers are kept as opaque atoms: they
-only matter for satisfiability, never for macro decisions.
+only matter for satisfiability, never for macro decisions. Parentheses and
+``!`` may nest at most ``MAX_NESTING`` deep; deeper input raises
+``ParseError`` rather than exhausting the Python stack.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 l = logging.getLogger(__name__)
+
+# Far beyond any real #if; keeps the recursive-descent parser well inside
+# Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -279,13 +286,17 @@ class _Parser:
 
     def parse_unary(self) -> Condition:
         kind, value, col = self.peek()
-        if kind == "not":
+        if kind in ("not", "lp"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", col)
             self.take()
-            return neg(self.parse_unary())
-        if kind == "lp":
-            self.take()
-            inner = self.parse_or()
-            self.expect("rp")
+            if kind == "not":
+                inner = neg(self.parse_unary())
+            else:
+                inner = self.parse_or()
+                self.expect("rp")
+            self.depth -= 1
             return inner
         if kind == "ident" and value == "defined":
             self.take()

@@ -1,8 +1,11 @@
 """Satisfiability over presence conditions.
 
-Constraint sets coming out of the binary diff are small (tens of atoms), so a
-plain DPLL over a distributive CNF conversion is enough. The point of this
-module is not raw speed but a precise contract:
+Each constraint is put in negation normal form and turned into clauses with
+the Plaisted–Greenbaum encoding: an OR disjunct that is more than one clause
+is named by a fresh variable, so clause count grows linearly with formula
+size. A plain DPLL search decides the clauses. Fresh variables are numbered
+below every atom, so the search first decides which disjunct holds and only
+then touches an atom. The point of this module is a precise contract:
 
 * ``solve`` returns either a total ``Model`` over every atom the solver has
   seen, or an ``Unsatisfiable`` carrying a minimal-by-deletion core.
@@ -13,6 +16,7 @@ module is not raw speed but a precise contract:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .conditions import (
@@ -25,7 +29,6 @@ from .conditions import (
     Or,
     atom_keys,
     evaluate,
-    parse_expression,
     to_text,
 )
 from .errors import AtomLimitError, InvariantError
@@ -36,13 +39,13 @@ __all__ = [
     "Unsatisfiable",
     "solve",
     "enumerate_models",
-    "parse_expression",
     "ENUMERATION_ATOM_LIMIT",
 ]
 
 ENUMERATION_ATOM_LIMIT = 20
 
-# Literal = (atom index, polarity). Clause = frozenset of literals.
+# Literal = (variable index, polarity): a table atom's index, or a negative
+# fresh variable of the encoding. Clause = frozenset of literals.
 Literal = tuple[int, bool]
 Clause = frozenset[Literal]
 
@@ -136,8 +139,18 @@ def _atom_key(cond: Condition) -> str:
     raise TypeError(f"not an atom: {cond!r}")
 
 
-def _cnf_clauses(cond: Condition, table: AtomTable) -> list[Clause] | None:
-    """CNF of a single condition in NNF. None means the condition is false."""
+def _cnf_clauses(cond: Condition, table: AtomTable, fresh: Iterator[int]) -> list[Clause] | None:
+    """Plaisted–Greenbaum CNF of a single condition. None means it is false.
+
+    In an OR, a disjunct whose CNF is one clause is merged into the OR
+    clause. Any other disjunct gets a fresh variable ``x`` from ``fresh``:
+    ``x`` joins the OR clause and each clause ``C`` of the disjunct becomes
+    ``¬x ∨ C``. After NNF every subformula occurs positively, so ``x`` only
+    has to imply its disjunct: the clauses are satisfiable exactly when the
+    condition is, and any model of them satisfies it. Clause count is linear
+    in formula size, and a condition with no OR above an AND gets the same
+    clauses a distributive conversion would.
+    """
     nnf = _nnf(cond)
 
     def walk(c: Condition) -> list[Clause] | None:
@@ -156,19 +169,24 @@ def _cnf_clauses(cond: Condition, table: AtomTable) -> list[Clause] | None:
                 out.extend(sub)
             return out
         if isinstance(c, Or):
-            # Distribute: cross product of the operand clause sets. Fragment
-            # guards are shallow, so the blowup stays tiny in practice.
-            product: list[Clause] = [frozenset()]
+            clause: Clause | None = None
+            defs: list[Clause] = []
             for op in c.operands:
                 sub = walk(op)
                 if sub is None:
                     continue
                 if not sub:
                     return []  # one disjunct is trivially true
-                product = [a | b for a in product for b in sub]
-            if product == [frozenset()]:
+                if len(sub) == 1:
+                    lits = sub[0]
+                else:
+                    x = next(fresh)
+                    lits = frozenset({(x, True)})
+                    defs.extend(cl | {(x, False)} for cl in sub)
+                clause = lits if clause is None else clause | lits
+            if clause is None:
                 return None  # every disjunct was false
-            return product
+            return [clause, *defs]
         raise TypeError(f"not a condition: {c!r}")
 
     clauses = walk(nnf)
@@ -184,25 +202,34 @@ def _cnf_clauses(cond: Condition, table: AtomTable) -> list[Clause] | None:
 
 
 def _dpll(clauses: list[Clause], prefer_true: bool = False) -> dict[int, bool] | None:
+    """DPLL search; the assignment it returns satisfies every clause.
+
+    Each step propagates the first unit clause in list order until none is
+    left, then assigns every pure literal, then decides the smallest open
+    index, False first unless ``prefer_true``. Fresh variables have negative
+    indices, so the search picks which disjunct holds before it touches a
+    table atom. Open decisions live on an explicit trail, not the Python
+    stack, so the search depth is not bounded by the recursion limit.
+    """
     assignment: dict[int, bool] = {}
     decision_order = (True, False) if prefer_true else (False, True)
 
     def simplify(cls: list[Clause], idx: int, val: bool) -> list[Clause] | None:
+        lit, opposite = (idx, val), (idx, not val)
         out = []
         for cl in cls:
-            if (idx, val) in cl:
+            if lit in cl:
                 continue
-            if (idx, not val) in cl:
-                reduced = cl - {(idx, not val)}
-                if not reduced:
+            if opposite in cl:
+                if len(cl) == 1:
                     return None
-                out.append(reduced)
-            else:
-                out.append(cl)
+                cl = cl - {opposite}
+            out.append(cl)
         return out
 
-    def recurse(cls: list[Clause]) -> bool:
-        # Unit propagation.
+    def propagate(cls: list[Clause]) -> bool | tuple[list[Clause], int]:
+        """True if every clause holds, False on a conflict, else the
+        remaining clauses and the index to decide next."""
         while True:
             unit = next((cl for cl in cls if len(cl) == 1), None)
             if unit is None:
@@ -216,56 +243,63 @@ def _dpll(clauses: list[Clause], prefer_true: bool = False) -> dict[int, bool] |
             cls = nxt
         if not cls:
             return True
-        # Pure literal elimination.
-        polarity: dict[int, set[bool]] = {}
-        for cl in cls:
-            for idx, val in cl:
-                polarity.setdefault(idx, set()).add(val)
-        pures = [(idx, vals.pop()) for idx, vals in polarity.items() if len(vals) == 1]
+        literals = set().union(*cls)
+        pures = {(idx, val) for idx, val in literals if (idx, not val) not in literals}
         if pures:
-            for idx, val in pures:
-                assignment[idx] = val
-                nxt = simplify(cls, idx, val)
-                if nxt is None:  # cannot happen for a pure literal
-                    return False
-                cls = nxt
+            assignment.update(pures)
+            cls = [cl for cl in cls if cl.isdisjoint(pures)]
             if not cls:
                 return True
-        # Decide on the smallest-index open atom. False first by default so
-        # unconstrained-but-mentioned atoms land disabled.
-        open_atoms = {idx for cl in cls for idx, _ in cl}
-        pick = min(open_atoms)
-        for val in decision_order:
-            assignment[pick] = val
-            nxt = simplify(cls, pick, val)
-            if nxt is not None and recurse(nxt):
-                return True
-            del assignment[pick]
-        return False
+            literals = set().union(*cls)
+        # The smallest open index, as (index, polarity) pairs sort by index.
+        return cls, min(literals)[0]
 
-    ok = recurse(list(clauses))
-    return assignment if ok else None
+    # One frame per open decision: [clauses, index, values tried so far].
+    trail: list[list] = []
+    step = propagate(list(clauses))
+    while step is not True:
+        if step is False:
+            if not trail:
+                return None
+            del assignment[trail[-1][1]]  # the current value failed
+        else:
+            trail.append([*step, 0])
+        frame = trail[-1]
+        cls, pick, tried = frame
+        if tried == len(decision_order):
+            trail.pop()  # both values failed: so did the parent's choice
+            step = False
+            continue
+        frame[2] = tried + 1
+        # False first by default so unconstrained-but-mentioned atoms land
+        # disabled.
+        val = decision_order[tried]
+        assignment[pick] = val
+        nxt = simplify(cls, pick, val)
+        step = False if nxt is None else propagate(nxt)
+    return assignment
 
 
-def _minimize_core(constraints: list[Condition], table: AtomTable) -> tuple[Condition, ...]:
+def _minimize_core(
+    constraints: list[Condition], encoded: list[list[Clause] | None]
+) -> tuple[Condition, ...]:
     """Single deletion pass: drop each constraint that is not needed for UNSAT."""
-    core = list(constraints)
+    core = list(range(len(constraints)))
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1:]
-        if _sat_status(trial, table) is None:
+        if _sat_status([encoded[n] for n in trial]) is None:
             core = trial
         else:
             i += 1
-    return tuple(core)
+    return tuple(constraints[n] for n in core)
 
 
 def _sat_status(
-    constraints: list[Condition], table: AtomTable, prefer_true: bool = False
+    encoded: list[list[Clause] | None], prefer_true: bool = False
 ) -> dict[int, bool] | None:
     clauses: list[Clause] = []
-    for cond in constraints:
-        sub = _cnf_clauses(cond, table)
+    for sub in encoded:
         if sub is None:
             return None
         clauses.extend(sub)
@@ -286,9 +320,11 @@ def solve(constraints, table: AtomTable | None = None, prefer_enabled: bool = Fa
     for cond in constraints:
         table.add_condition(cond)
 
-    partial = _sat_status(constraints, table, prefer_true=prefer_enabled)
+    fresh = itertools.count(-1, -1)
+    encoded = [_cnf_clauses(cond, table, fresh) for cond in constraints]
+    partial = _sat_status(encoded, prefer_true=prefer_enabled)
     if partial is None:
-        return Unsatisfiable(core=_minimize_core(constraints, table))
+        return Unsatisfiable(core=_minimize_core(constraints, encoded))
 
     assignment: dict[str, bool] = {}
     free: set[str] = set()

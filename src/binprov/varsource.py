@@ -21,7 +21,6 @@ from .conditions import (
     Condition,
     DefinedAtom,
     conj,
-    evaluate,
     neg,
     parse_expression,
     to_text,
@@ -43,7 +42,6 @@ __all__ = [
     "ConfigFlag",
     "ConfigMap",
     "resolve_flags",
-    "evaluate",
 ]
 
 

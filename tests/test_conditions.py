@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binprov.conditions import (
+    MAX_NESTING,
     And,
     BoolConst,
     DefinedAtom,
@@ -68,6 +69,26 @@ def test_unclosed_paren_reports_column():
 def test_garbage_token_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_expression("defined(A) &&& defined(B)")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "defined(A)" + ")" * 3000, "!" * 3000 + "defined(A)"],
+    ids=["parentheses", "negations"],
+)
+def test_nesting_past_the_bound_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.column == MAX_NESTING + 1
+
+
+def test_nesting_at_the_bound_parses():
+    deep = "(" * MAX_NESTING + "defined(A)" + ")" * MAX_NESTING
+    assert parse_expression(deep) == DefinedAtom("A")
+    assert parse_expression("!" * MAX_NESTING + "defined(A)") == DefinedAtom("A")
+    pairs = MAX_NESTING // 2
+    mixed = "!(" * pairs + "defined(A)" + ")" * pairs
+    assert parse_expression(mixed) == (Not(DefinedAtom("A")) if pairs % 2 else DefinedAtom("A"))
 
 
 def test_print_parse_fixpoint_on_nested_expression():

@@ -7,14 +7,41 @@ table. Every solve() answer must be contained in (sat) or agree with
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binprov.conditions import atom_keys, evaluate, parse_expression
+from binprov.buildoracle import SimulatedToolchain
+from binprov.conditions import (
+    And,
+    BoolConst,
+    DefinedAtom,
+    Not,
+    Or,
+    atom_keys,
+    evaluate,
+    neg,
+    parse_expression,
+    to_text,
+)
 from binprov.errors import AtomLimitError
-from binprov.solver import Model, Unsatisfiable, enumerate_models, solve
+from binprov.matcher import derive_constraints
+from binprov.simdiff import diff_programs
+from binprov.solver import (
+    AtomTable,
+    Model,
+    Unsatisfiable,
+    _cnf_clauses,
+    enumerate_models,
+    solve,
+)
+from binprov.varsource import scan_tree
 
 # Real libpng guard for floating-point arithmetic (pngpriv.h); eight
 # distinct defined-atoms, sCAL appears in both disjuncts.
@@ -199,3 +226,149 @@ def test_solve_agrees_with_enumeration_on_random_formulas():
         else:
             assert models, "solve found a model but enumeration found none"
             assert _model_satisfies(out, constraints)
+
+
+def _wide_or(width: int):
+    """OR of ``width`` two-atom ANDs over distinct atoms."""
+    return parse_expression(
+        " || ".join(f"(defined(A{i}) && defined(B{i}))" for i in range(width))
+    )
+
+
+@pytest.mark.parametrize("width", [16, 17])
+@pytest.mark.parametrize("prefer_enabled", [False, True])
+def test_wide_or_and_its_negation_are_unsatisfiable(width, prefer_enabled):
+    phi = _wide_or(width)
+    out = solve([phi, neg(phi)], prefer_enabled=prefer_enabled)
+    assert isinstance(out, Unsatisfiable)
+    assert out.core == (phi, neg(phi))
+
+
+def test_cnf_of_wide_or_grows_linearly():
+    table = AtomTable()
+    clauses = _cnf_clauses(_wide_or(64), table, itertools.count(-1, -1))
+    assert len(clauses) <= 3 * 64 + 1
+    # Fresh variables stay out of the atom table.
+    assert len(table) == 128
+
+
+def test_decision_depth_beyond_the_recursion_limit():
+    # False-first decides the fresh variables of phi one at a time, so the
+    # search holds width - 1 open decisions before it backtracks.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        phi = _wide_or(1050)
+        out = solve([phi, neg(phi)])
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert isinstance(out, Unsatisfiable)
+    assert out.core == (phi, neg(phi))
+
+
+def _outcome_record(out) -> list:
+    if isinstance(out, Unsatisfiable):
+        return ["unsat", [to_text(c) for c in out.core]]
+    return ["sat", sorted(out.assignment.items()), sorted(out.free_atoms)]
+
+
+def _needs_fresh_variables(constraints) -> bool:
+    fresh = itertools.count(-1, -1)
+    for cond in constraints:
+        clauses = _cnf_clauses(cond, AtomTable(), fresh) or []
+        if any(idx < 0 for cl in clauses for idx, _ in cl):
+            return True
+    return False
+
+
+def test_corpus_constraint_outcomes_match_golden_digest(corpus21):
+    # Every derive_constraints set of corpus seed 1 (hidden options, seed and
+    # truth configurations), solved both ways over a table holding every
+    # fragment atom of the case: whole, without its single-atom facts, and
+    # with the negation of its last guard added. No guard has an OR above an
+    # AND, so the encoding adds no fresh variable. The digest was computed
+    # with the distributive encoding and recursive search this one replaced.
+    records = []
+    for case in corpus21:
+        backend = SimulatedToolchain(case.tree, base_name=case.name)
+        scans = scan_tree(case.tree)
+        guards = [frag.condition for unit in scans.values() for frag in unit.fragments]
+        for config in (case.seed_config(), case.truth_config()):
+            diff = diff_programs(backend.build(case.hidden_spec, config), case.crash)
+            derived = list(derive_constraints(scans, case.crash, diff).constraints)
+            if not derived:
+                continue
+            compound = [c for c in derived if isinstance(c, (And, Or))]
+            for constraints in (derived, compound, derived + [neg(derived[-1])]):
+                assert not _needs_fresh_variables(constraints)
+                for prefer_enabled in (False, True):
+                    table = AtomTable()
+                    for cond in guards:
+                        table.add_condition(cond)
+                    out = solve(constraints, table, prefer_enabled=prefer_enabled)
+                    records.append(_outcome_record(out))
+    assert len(records) == 228
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "62efeeccfea79cead82a74f78955db935064f8983eb4ea08e940807513571a98"
+
+
+def test_flat_random_outcomes_match_golden_digest():
+    # Random sets whose encoding adds no fresh variable must get the models
+    # and cores the distributive encoding and recursive search gave; the
+    # digest was computed with them. These sets backtrack, so the digest
+    # also pins what the search leaves assigned after a failed branch.
+    rng = random.Random(2024)
+    records = []
+    for _ in range(600):
+        atoms = [f"M{i}" for i in range(rng.randint(2, 8))]
+        constraints = [_random_formula(rng, atoms) for _ in range(rng.randint(1, 4))]
+        if _needs_fresh_variables(constraints):
+            continue
+        for prefer_enabled in (False, True):
+            records.append(_outcome_record(solve(constraints, prefer_enabled=prefer_enabled)))
+    assert len(records) == 298
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "96dfa6fcdc8d52d98aaa7ce7208deee777397d9d075bfcfb9c1fc4f4cdc7caab"
+
+
+_guard_leaves = st.sampled_from(
+    [DefinedAtom(n) for n in "ABCDE"]
+    + [Not(DefinedAtom(n)) for n in "ABCDE"]
+    + [BoolConst(True), BoolConst(False)]
+)
+
+
+def _guard_nodes(children):
+    operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(st.builds(Not, children), st.builds(And, operands), st.builds(Or, operands))
+
+
+_subguards = st.recursive(_guard_leaves, _guard_nodes, max_leaves=8)
+# Every drawn guard is compound, and half are ORs, so about half the sets
+# need fresh variables.
+_guards = st.one_of(
+    st.builds(Or, st.lists(_subguards, min_size=2, max_size=3).map(tuple)),
+    _guard_nodes(_subguards),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_guards, min_size=1, max_size=4))
+def test_solve_agrees_with_enumeration_on_nested_guards(constraints):
+    satisfiable = bool(enumerate_models(constraints, limit=1))
+    keys = {k for c in constraints for k in atom_keys(c)}
+    for prefer_enabled in (False, True):
+        out = solve(constraints, prefer_enabled=prefer_enabled)
+        if isinstance(out, Model):
+            assert satisfiable
+            assert _model_satisfies(out, constraints)
+            # Fresh variables never reach the model.
+            assert set(out.assignment) == keys
+            assert out.free_atoms <= keys
+        else:
+            assert not satisfiable
+            core = list(out.core)
+            assert all(any(c is d for d in constraints) for c in core)
+            assert not enumerate_models(core, limit=1)
+            for i in range(len(core)):
+                assert enumerate_models(core[:i] + core[i + 1:], limit=1)
