@@ -109,8 +109,22 @@ def _validate(program: BinaryProgram) -> None:
                     )
 
 
+_KINDS = {kind.value: kind for kind in KeyKind}
+
+
+def _wrong(what: str, expected: str, value) -> SchemaError:
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    return SchemaError(f"{what} must be {expected}, got {shown}")
+
+
 def ingest_model(text: str) -> BinaryProgram:
-    """Parse a JSON model file into a validated BinaryProgram."""
+    """Parse a JSON model file into a validated BinaryProgram.
+
+    Every field is type-checked: a document of the wrong shape raises
+    ``SchemaError``, never a ``TypeError`` or ``AttributeError``.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,37 +134,61 @@ def ingest_model(text: str) -> BinaryProgram:
     for key in ("name", "stripped", "functions"):
         if key not in raw:
             raise SchemaError(f"model file missing {key!r}")
+    if not isinstance(raw["name"], str):
+        raise _wrong("'name'", "a string", raw["name"])
+    if not isinstance(raw["stripped"], bool):
+        raise _wrong("'stripped'", "a boolean", raw["stripped"])
+    if not isinstance(raw["functions"], list):
+        raise _wrong("'functions'", "an array", raw["functions"])
 
     functions = []
     for fraw in raw["functions"]:
-        blocks = []
-        for braw in fraw.get("blocks", []):
-            keyins = []
-            for kraw in braw.get("keyins", []):
-                kind_text = kraw.get("kind")
-                try:
-                    kind = KeyKind(kind_text)
-                except ValueError:
-                    raise SchemaError(f"unknown key-instruction kind {kind_text!r}") from None
-                keyins.append(KeyInstruction(kind=kind, operand=kraw.get("operand")))
-            if "id" not in braw:
-                raise SchemaError("block missing 'id'")
-            blocks.append(
-                BasicBlock(id=braw["id"], keyins=keyins, succs=list(braw.get("succs", [])))
-            )
+        if not isinstance(fraw, dict):
+            raise _wrong("a function", "an object", fraw)
         if "id" not in fraw or "entry" not in fraw:
             raise SchemaError("function missing 'id' or 'entry'")
-        functions.append(
-            Function(
-                id=fraw["id"],
-                entry=fraw["entry"],
-                blocks=blocks,
-                symbol=fraw.get("symbol"),
-            )
-        )
-    program = BinaryProgram(
-        name=raw["name"], stripped=bool(raw["stripped"]), functions=functions
-    )
+        fid, entry, symbol = fraw["id"], fraw["entry"], fraw.get("symbol")
+        if not isinstance(fid, str):
+            raise _wrong("a function id", "a string", fid)
+        if not isinstance(entry, str):
+            raise _wrong(f"the entry of function {fid!r}", "a string", entry)
+        if symbol is not None and not isinstance(symbol, str):
+            raise _wrong(f"the symbol of function {fid!r}", "a string", symbol)
+        blocks_raw = fraw.get("blocks", [])
+        if not isinstance(blocks_raw, list):
+            raise _wrong(f"the blocks of function {fid!r}", "an array", blocks_raw)
+        blocks = []
+        for braw in blocks_raw:
+            if not isinstance(braw, dict):
+                raise _wrong(f"a block of function {fid!r}", "an object", braw)
+            if "id" not in braw:
+                raise SchemaError("block missing 'id'")
+            bid, keyins_raw, succs = braw["id"], braw.get("keyins", []), braw.get("succs", [])
+            if not isinstance(bid, str):
+                raise _wrong(f"a block id in function {fid!r}", "a string", bid)
+            if not isinstance(keyins_raw, list):
+                raise _wrong(f"the keyins of block {bid!r}", "an array", keyins_raw)
+            if not isinstance(succs, list):
+                raise _wrong(f"the succs of block {bid!r}", "an array", succs)
+            for succ in succs:
+                if not isinstance(succ, str):
+                    raise _wrong(f"a successor of block {bid!r}", "a string", succ)
+            keyins = []
+            for kraw in keyins_raw:
+                if not isinstance(kraw, dict):
+                    raise _wrong(f"a key instruction of block {bid!r}", "an object", kraw)
+                kind_text = kraw.get("kind")
+                try:
+                    kind = _KINDS[kind_text]
+                except (KeyError, TypeError):
+                    raise SchemaError(f"unknown key-instruction kind {kind_text!r}") from None
+                operand = kraw.get("operand")
+                if operand is not None and not isinstance(operand, str):
+                    raise _wrong(f"a {kind.value} operand in block {bid!r}", "a string", operand)
+                keyins.append(KeyInstruction(kind=kind, operand=operand))
+            blocks.append(BasicBlock(id=bid, keyins=keyins, succs=list(succs)))
+        functions.append(Function(id=fid, entry=entry, blocks=blocks, symbol=symbol))
+    program = BinaryProgram(name=raw["name"], stripped=raw["stripped"], functions=functions)
     _validate(program)
     return program
 

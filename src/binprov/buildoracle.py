@@ -41,6 +41,7 @@ import hashlib
 import re
 import shlex
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .binmodel import (
@@ -466,30 +467,31 @@ def _apply_flavor(program: BinaryProgram, spec: BuildSpec) -> None:
 
 
 def _apply_merge(program: BinaryProgram) -> None:
-    """Coalesce single-successor/single-predecessor chains to a fixpoint."""
+    """Coalesce single-successor/single-predecessor chains to a fixpoint.
+
+    A merge changes no block's predecessor count and only the absorbing
+    block's successors, so one pass in block-id order, each block absorbing
+    its chain while it stays eligible, makes the same merges in the same
+    order as rescanning from the first block after every merge.
+    """
     for fn in program.functions:
-        changed = True
-        while changed:
-            changed = False
-            blocks = {b.id: b for b in fn.blocks}
-            preds: dict[str, list[str]] = {bid: [] for bid in blocks}
-            for blk in fn.blocks:
-                for s in blk.succs:
-                    preds[s].append(blk.id)
-            for blk in sorted(fn.blocks, key=lambda b: b.id):
-                if len(blk.succs) != 1:
-                    continue
+        blocks = {b.id: b for b in fn.blocks}
+        preds = Counter(s for b in fn.blocks for s in b.succs)
+        merged: set[str] = set()
+        for bid in sorted(blocks):
+            if bid in merged:
+                continue
+            blk = blocks[bid]
+            while len(blk.succs) == 1:
                 succ_id = blk.succs[0]
-                if succ_id == blk.id or succ_id == fn.entry:
-                    continue
-                if len(preds[succ_id]) != 1:
-                    continue
+                if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
+                    break
                 succ = blocks[succ_id]
                 blk.keyins.extend(succ.keyins)
                 blk.succs = list(succ.succs)
-                fn.blocks.remove(succ)
-                changed = True
-                break
+                merged.add(succ_id)
+        if merged:
+            fn.blocks = [b for b in fn.blocks if b.id not in merged]
 
 
 def _apply_fold(program: BinaryProgram, spec: BuildSpec) -> None:

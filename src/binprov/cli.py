@@ -34,8 +34,6 @@ from .binmodel import (
     strip_program,
 )
 from .buildoracle import (
-    DEFAULT_COMPILER,
-    DEFAULT_VERSIONS,
     BuildSpec,
     ConfigAssignment,
     ExternalToolchain,
@@ -88,15 +86,6 @@ def _backend_for(args, tree: SourceTree, name: str):
     return SimulatedToolchain(tree, base_name=name)
 
 
-def _default_versions(args) -> dict[str, str]:
-    out = dict(DEFAULT_VERSIONS)
-    if getattr(args, "default_gcc", None):
-        out["gcc"] = args.default_gcc
-    if getattr(args, "default_clang", None):
-        out["clang"] = args.default_clang
-    return out
-
-
 def _emit(args, text: str, payload: dict) -> None:
     if args.format == "machine":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -108,7 +97,6 @@ def _trace_payload(trace) -> dict:
     return {
         "inferred": trace.inferred.text(),
         "t_infer": trace.t_infer,
-        "cost_estimate": trace.cost_estimate,
         "probes": [
             {
                 "spec": p.spec.text(),
@@ -123,8 +111,6 @@ def _trace_payload(trace) -> dict:
 
 def _trace_text(trace) -> str:
     lines = [f"inferred: {trace.inferred.text()}", f"t_infer: {trace.t_infer}"]
-    if trace.cost_estimate is not None:
-        lines.append(f"cost_estimate_seconds: {trace.cost_estimate:.2f}")
     for p in trace.probes:
         tag = " (cached)" if p.cached else ""
         lines.append(f"step {p.step}: {p.spec.text()} = {p.score:.4f}{tag}")
@@ -203,16 +189,7 @@ def cmd_infer_options(args) -> int:
     tree = _tree_from_dir(args.source_dir)
     backend = _backend_for(args, tree, crash.name)
     config = ConfigAssignment(macros=frozenset(), units=None)
-    trace = infer_options(
-        backend,
-        crash,
-        config=config,
-        default_compiler=args.default_compiler,
-        default_versions=_default_versions(args),
-        budget=args.budget,
-        exhaustive_versions=args.exhaustive_versions,
-        build_seconds_each=args.build_seconds,
-    )
+    trace = infer_options(backend, crash, config=config, budget=args.budget)
     _emit(args, _trace_text(trace), _trace_payload(trace))
     return 0
 
@@ -289,11 +266,7 @@ def _case_kwargs(args) -> dict:
     return dict(
         threshold=args.threshold,
         prefer_enabled=args.prefer_enabled,
-        default_compiler=args.default_compiler,
-        default_versions=_default_versions(args),
         budget=args.budget,
-        exhaustive_versions=args.exhaustive_versions,
-        build_seconds_each=args.build_seconds,
     )
 
 
@@ -395,16 +368,8 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_infer(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--default-compiler", choices=("gcc", "clang"),
-                     default=DEFAULT_COMPILER)
-    sub.add_argument("--default-gcc", metavar="VER")
-    sub.add_argument("--default-clang", metavar="VER")
     sub.add_argument("--budget", type=int, default=None,
                      help="abort after this many fresh builds")
-    sub.add_argument("--exhaustive-versions", action="store_true",
-                     help="probe every version instead of the guided bracket")
-    sub.add_argument("--build-seconds", type=float, default=None,
-                     help="per-build wall time used for the cost estimate")
 
 
 def build_parser() -> _Parser:

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from .binmodel import BinaryProgram
 from .buildoracle import (
     DEFAULT_COMPILER,
-    DEFAULT_VERSIONS,
     LEVELS,
     VERSIONS,
     BuildSpec,
     ConfigAssignment,
+    default_spec,
 )
 from .errors import BudgetExceededError
 # ``compare_programs`` is not called here, but stays a module attribute:
@@ -54,19 +54,11 @@ class Probe:
 class InferenceTrace:
     inferred: BuildSpec
     probes: list[Probe] = field(default_factory=list)
-    build_seconds_each: float | None = None
 
     @property
     def t_infer(self) -> int:
         """Number of distinct option points actually built and compared."""
         return sum(1 for p in self.probes if not p.cached)
-
-    @property
-    def cost_estimate(self) -> float | None:
-        """Wall-clock estimate: per-build time multiplied by the probe count."""
-        if self.build_seconds_each is None:
-            return None
-        return self.build_seconds_each * self.t_infer
 
     def score_of(self, spec: BuildSpec) -> float:
         for p in self.probes:
@@ -100,38 +92,31 @@ class _Prober:
         return value
 
 
-def _version_at(compiler: str, index: int) -> str:
-    return VERSIONS[compiler][index]
-
-
 def infer_options(
     backend,
     crash: BinaryProgram,
     config: ConfigAssignment | None = None,
-    default_compiler: str = DEFAULT_COMPILER,
-    default_versions: dict[str, str] | None = None,
     budget: int | None = None,
-    exhaustive_versions: bool = False,
-    build_seconds_each: float | None = None,
 ) -> InferenceTrace:
-    """Infer (compiler, version, level) for a crash-report binary."""
+    """Infer (compiler, version, level) for a crash-report binary.
+
+    ``budget`` caps the number of fresh builds; past it the search raises
+    ``BudgetExceededError``.
+    """
     config = config or ConfigAssignment()
-    defaults = dict(DEFAULT_VERSIONS)
-    if default_versions:
-        defaults.update(default_versions)
     prober = _Prober(backend, crash, config, budget)
 
     # Stage 1: unoptimized or not, using the default compiler.
-    first = default_compiler
-    s_o0 = prober.score(BuildSpec(first, defaults[first], "O0"), step=1)
-    s_o2 = prober.score(BuildSpec(first, defaults[first], "O2"), step=1)
+    first = DEFAULT_COMPILER
+    s_o0 = prober.score(default_spec(first, "O0"), step=1)
+    s_o2 = prober.score(default_spec(first, "O2"), step=1)
     hidden_o0 = s_o0 > s_o2
     proxy = "O0" if hidden_o0 else "O2"
     first_score = s_o0 if hidden_o0 else s_o2
 
     # Stage 2: which compiler.
     other = next(c for c in ("gcc", "clang") if c != first)
-    other_score = prober.score(BuildSpec(other, defaults[other], proxy), step=2)
+    other_score = prober.score(default_spec(other, proxy), step=2)
     if other_score > first_score:
         compiler = other
     else:
@@ -141,41 +126,26 @@ def infer_options(
     if hidden_o0:
         level = "O0"
     else:
-        candidates = {"O2": prober.score(BuildSpec(compiler, defaults[compiler], "O2"), step=3)}
+        candidates = {"O2": prober.score(default_spec(compiler, "O2"), step=3)}
         for lv in ("O1", "O3", "Os"):
-            candidates[lv] = prober.score(BuildSpec(compiler, defaults[compiler], lv), step=3)
+            candidates[lv] = prober.score(default_spec(compiler, lv), step=3)
         level = max(sorted(candidates, key=LEVELS.index), key=lambda lv: candidates[lv])
 
     # Stage 4: which version.
-    versions = VERSIONS[compiler]
-    default_index = versions.index(defaults[compiler])
-    if exhaustive_versions:
-        scored = {
-            i: prober.score(BuildSpec(compiler, v, level), step=4)
-            for i, v in enumerate(versions)
-        }
-        v_index = max(sorted(scored), key=lambda i: scored[i])
-    else:
-        v_index = _bracket_version(prober, compiler, level, default_index)
-
-    inferred = BuildSpec(compiler, versions[v_index], level)
-    return InferenceTrace(
-        inferred=inferred, probes=prober.probes, build_seconds_each=build_seconds_each
-    )
+    version = VERSIONS[compiler][_bracket_version(prober, compiler, level)]
+    return InferenceTrace(inferred=BuildSpec(compiler, version, level), probes=prober.probes)
 
 
-def _bracket_version(prober: _Prober, compiler: str, level: str, default_index: int) -> int:
+def _bracket_version(prober: _Prober, compiler: str, level: str) -> int:
     """Two-probe version refinement around the ladder.
 
     Relies on the default sitting at index 1 of five and on the convex
     ladder spacing; under those, comparing the default, its upper neighbor
     and the ladder top separates all five version hypotheses.
     """
-    if default_index != 1 or len(VERSIONS[compiler]) != 5:
-        return _fallback_version_walk(prober, compiler, level, default_index)
 
-    def score_at(i: int, step: int = 4) -> float:
-        return prober.score(BuildSpec(compiler, _version_at(compiler, i), level), step=step)
+    def score_at(i: int) -> float:
+        return prober.score(BuildSpec(compiler, VERSIONS[compiler][i], level), step=4)
 
     s1 = score_at(1)  # cached: every path here has already built the default
     s2 = score_at(2)
@@ -188,25 +158,3 @@ def _bracket_version(prober: _Prober, compiler: str, level: str, default_index: 
     if s4 > s1:
         return 3
     return 2
-
-
-def _fallback_version_walk(prober: _Prober, compiler: str, level: str, start: int) -> int:
-    """Plain hill climb for non-standard ladders: walk while the neighbor
-    improves."""
-    versions = VERSIONS[compiler]
-
-    def score_at(i: int) -> float:
-        return prober.score(BuildSpec(compiler, versions[i], level), step=4)
-
-    best = start
-    best_score = score_at(start)
-    for direction in (1, -1):
-        i = best + direction
-        while 0 <= i < len(versions):
-            s = score_at(i)
-            if s > best_score:
-                best, best_score = i, s
-                i += direction
-            else:
-                break
-    return best

@@ -26,7 +26,6 @@ from enum import Enum
 from .binmodel import BinaryProgram
 from .buildoracle import (
     COMPILERS,
-    DEFAULT_COMPILER,
     LEVELS,
     VERSIONS,
     BuildSpec,
@@ -200,11 +199,7 @@ def run_case(
     base_units: tuple[str, ...] | None = None,
     threshold: float = 0.85,
     prefer_enabled: bool = False,
-    default_compiler: str = DEFAULT_COMPILER,
-    default_versions: dict[str, str] | None = None,
     budget: int | None = None,
-    exhaustive_versions: bool = False,
-    build_seconds_each: float | None = None,
 ) -> CaseReport:
     """Run the full reproduction pipeline for one crash model."""
     name = name or crash.name
@@ -217,16 +212,7 @@ def run_case(
     report = CaseReport(name=name, verification=Verification.FAILED)
 
     try:
-        trace = infer_options(
-            backend,
-            crash,
-            config=seed_config,
-            default_compiler=default_compiler,
-            default_versions=default_versions,
-            budget=budget,
-            exhaustive_versions=exhaustive_versions,
-            build_seconds_each=build_seconds_each,
-        )
+        trace = infer_options(backend, crash, config=seed_config, budget=budget)
         report.option_trace = trace
         report.decided_options = trace.inferred
 

@@ -23,8 +23,8 @@ Every per-program fact the matcher and the scores read (symbols, call
 edges, block counts, fingerprint signatures and fingerprint multisets) comes
 from a ``ProgramIndex``, built once per program by ``index_program``. A
 caller that scores one program against many holds its index and calls
-``similarity``. Scoring never aligns blocks: ``pair_blocks`` runs only
-inside ``diff_programs``, for the fragment-level diff.
+``similarity``. Neither scoring nor ``diff_programs`` aligns blocks: the
+configuration stage reads only which functions pair up.
 """
 
 from __future__ import annotations
@@ -285,9 +285,6 @@ class FunctionPairDiff:
     left: str
     right: str
     fraction: float
-    block_pairs: list[BlockPair] = field(default_factory=list)
-    left_only_blocks: list[str] = field(default_factory=list)
-    right_only_blocks: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -301,13 +298,14 @@ class DiffReport:
     right_only: list[str] = field(default_factory=list)
 
 
+# ``pair_blocks`` and ``BlockPair`` have no caller; they stay only because
+# perfbench's tracer rebinds ``simdiff.pair_blocks`` by name.
 def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
-    """Align blocks of a matched function pair for diffing.
+    """Align blocks of a matched function pair.
 
     Entries pair first; pairs propagate along positionally aligned successor
     edges when fingerprints agree; remaining blocks pair greedily inside
-    fingerprint classes in sorted-id order. The alignment does not influence
-    the similarity score, only the fragment-level diff.
+    fingerprint classes in sorted-id order.
     """
     amap = a.block_map()
     bmap = b.block_map()
@@ -351,32 +349,18 @@ def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
 
 
 def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
-    """Full structural diff. ``left`` is conventionally the freshly generated
-    binary and ``right`` the crash-report binary, so ``left_only`` holds
-    generated-only functions and ``right_only`` crash-only ones."""
+    """Function-level diff: the matched pairs with their overlaps, and the
+    unmatched functions of each side. ``left`` is conventionally the freshly
+    generated binary and ``right`` the crash-report binary, so ``left_only``
+    holds generated-only functions and ``right_only`` crash-only ones."""
     lidx, ridx = index_program(left), index_program(right)
     matches = _match_indexes(lidx, ridx)
-    lfns = left.function_map()
-    rfns = right.function_map()
 
     pairs = []
     total = 0.0
     for lid, rid in matches:
-        fa, fb = lfns[lid], rfns[rid]
         fraction = _pair_fraction(lidx, lid, ridx, rid)
-        bpairs = pair_blocks(fa, fb)
-        seen_a = {bp.left for bp in bpairs}
-        seen_b = {bp.right for bp in bpairs}
-        pairs.append(
-            FunctionPairDiff(
-                left=lid,
-                right=rid,
-                fraction=fraction,
-                block_pairs=bpairs,
-                left_only_blocks=sorted(b.id for b in fa.blocks if b.id not in seen_a),
-                right_only_blocks=sorted(b.id for b in fb.blocks if b.id not in seen_b),
-            )
-        )
+        pairs.append(FunctionPairDiff(left=lid, right=rid, fraction=fraction))
         total += fraction
 
     denom = max(len(left.functions), len(right.functions))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +182,69 @@ def test_ingest_rejects_unknown_kind():
     }
     with pytest.raises(SchemaError):
         ingest_model(json.dumps(doc))
+
+
+_WELL_FORMED = {
+    "name": "x",
+    "stripped": False,
+    "functions": [
+        {
+            "id": "f",
+            "entry": "b0",
+            "blocks": [
+                {"id": "b0", "keyins": [{"kind": "call", "operand": "puts"}], "succs": []}
+            ],
+        }
+    ],
+}
+_FN = ("functions", 0)
+_BLOCK = _FN + ("blocks", 0)
+_KEYIN = _BLOCK + ("keyins", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("name",), 5),
+        (("stripped",), "yes"),
+        (("functions",), 5),
+        (("functions",), ["f"]),
+        (_FN + ("id",), 1),
+        (_FN + ("entry",), 0),
+        (_FN + ("symbol",), 7),
+        (_FN + ("blocks",), {"b0": {}}),
+        (_BLOCK, "b0"),
+        (_BLOCK + ("id",), 0),
+        (_BLOCK + ("succs",), "b1"),
+        (_BLOCK + ("succs",), [1]),
+        (_BLOCK + ("succs",), [["b0"]]),
+        (_BLOCK + ("keyins",), "call"),
+        (_KEYIN, "call"),
+        (_KEYIN + ("kind",), ["call"]),
+        (_KEYIN + ("operand",), ["puts"]),
+        (_KEYIN + ("operand",), 42),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else json.dumps(v),
+)
+def test_ingest_rejects_wrongly_typed_fields(path, value):
+    doc = copy.deepcopy(_WELL_FORMED)
+    ingest_model(json.dumps(doc))  # the unmodified document is accepted
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        ingest_model(json.dumps(doc))
+
+
+def test_readme_model_example_ingests():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(examples) == 1
+    program = ingest_model(examples[0])
+    assert [len(f.blocks) for f in program.functions] == [3]
+    kinds = {ki.kind for f in program.functions for b in f.blocks for ki in b.keyins}
+    assert kinds == set(KeyKind)
 
 
 def _two_fn_program() -> BinaryProgram:

@@ -104,6 +104,27 @@ def test_infer_options_finds_hidden_spec(case_dir, corpus21, capsys):
     assert all(p["step"] in (1, 2, 3, 4) for p in payload["probes"])
 
 
+@pytest.mark.parametrize("command", ["infer-options", "run-case"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--default-compiler", "clang"],
+        ["--default-gcc", "7"],
+        ["--default-clang", "6.0"],
+        ["--exhaustive-versions"],
+        ["--build-seconds", "90"],
+    ],
+)
+def test_removed_search_flags_are_usage_errors(case_dir, command, flag, capsys):
+    cdir, _root = case_dir
+    target = cdir / "crash.model" if command == "infer-options" else cdir
+    argv = [command, str(target), "--source-dir", str(cdir / "src"), *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_infer_config_reports_flags(case_dir, corpus21, capsys):
     cdir, _root = case_dir
     case = corpus21[0]
