@@ -15,15 +15,29 @@ Two on-disk forms are supported:
 ``serialize_model`` is canonical: functions and blocks sorted by id,
 successor lists sorted, key-instruction order preserved, two-space indent,
 trailing newline. Ingesting canonical text and serializing again reproduces
-it byte for byte.
+it byte for byte. The text is the same bytes ``json.dumps(doc, indent=2)``
+writes for the document in that key order, but it is emitted directly:
+with ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder,
+which is several times slower. Strings are quoted by the same C function
+``json.dumps`` uses.
+
+``ingest_model`` (and ``simdiff.diff_programs``) pause the cyclic garbage
+collector while they run. The graphs they build are acyclic (dataclass
+trees, dicts, lists, tuples), so reference counting frees them just as soon,
+and the collector would otherwise rescan the growing graph many times over
+one large model.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .errors import SchemaError
 
@@ -119,6 +133,20 @@ def _wrong(what: str, expected: str, value) -> SchemaError:
     return SchemaError(f"{what} must be {expected}, got {shown}")
 
 
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic collector off for the block's allocation burst, and
+    turn it back on afterwards only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def ingest_model(text: str) -> BinaryProgram:
     """Parse a JSON model file into a validated BinaryProgram.
 
@@ -193,26 +221,68 @@ def ingest_model(text: str) -> BinaryProgram:
     return program
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already-encoded items, laid out as ``indent=2``
+    lays it out when its opening bracket sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
+
+
+_BY_ID = attrgetter("id")
+_KEYIN_OPEN = '{\n              "kind": '
+_KEYIN_CLOSE = "\n            }"
+_BARE_KEYINS = {kind: _KEYIN_OPEN + _quote(kind.value) + _KEYIN_CLOSE for kind in KeyKind}
+_OPERAND_KEYINS = {
+    kind: _KEYIN_OPEN + _quote(kind.value) + ',\n              "operand": ' for kind in KeyKind
+}
+
+
+def _block_text(blk: BasicBlock) -> str:
+    keyins = [
+        _BARE_KEYINS[ki.kind]
+        if ki.operand is None
+        else _OPERAND_KEYINS[ki.kind] + _quote(ki.operand) + _KEYIN_CLOSE
+        for ki in blk.keyins
+    ]
+    succs = [_quote(s) for s in sorted(blk.succs)]
+    return (
+        f'{{\n          "id": {_quote(blk.id)},'
+        f'\n          "keyins": {_json_list(keyins, " " * 10)},'
+        f'\n          "succs": {_json_list(succs, " " * 10)}'
+        "\n        }"
+    )
+
+
+def _function_text(fn: Function) -> str:
+    symbol = "" if fn.symbol is None else f',\n      "symbol": {_quote(fn.symbol)}'
+    blocks = [_block_text(blk) for blk in sorted(fn.blocks, key=_BY_ID)]
+    return (
+        f'{{\n      "id": {_quote(fn.id)}{symbol},'
+        f'\n      "entry": {_quote(fn.entry)},'
+        f'\n      "blocks": {_json_list(blocks, " " * 6)}'
+        "\n    }"
+    )
+
+
 def serialize_model(program: BinaryProgram) -> str:
-    """Canonical JSON text for a program (stable across ingest round-trips)."""
+    """Canonical JSON text for a program (stable across ingest round-trips).
+
+    Byte for byte ``json.dumps(doc, indent=2) + "\\n"`` of the document
+    ``{"name", "stripped", "functions": [{"id", "symbol"?, "entry",
+    "blocks": [{"id", "keyins": [{"kind", "operand"?}], "succs"}]}]}``
+    with functions and blocks sorted by id and successors sorted; the
+    optional keys appear only when set."""
     _validate(program)
-    doc: dict = {"name": program.name, "stripped": program.stripped, "functions": []}
-    for fn in sorted(program.functions, key=lambda f: f.id):
-        fdoc: dict = {"id": fn.id}
-        if fn.symbol is not None:
-            fdoc["symbol"] = fn.symbol
-        fdoc["entry"] = fn.entry
-        fdoc["blocks"] = []
-        for blk in sorted(fn.blocks, key=lambda b: b.id):
-            bdoc: dict = {"id": blk.id, "keyins": [], "succs": sorted(blk.succs)}
-            for ki in blk.keyins:
-                kdoc: dict = {"kind": ki.kind.value}
-                if ki.operand is not None:
-                    kdoc["operand"] = ki.operand
-                bdoc["keyins"].append(kdoc)
-            fdoc["blocks"].append(bdoc)
-        doc["functions"].append(fdoc)
-    return json.dumps(doc, indent=2) + "\n"
+    functions = [_function_text(fn) for fn in sorted(program.functions, key=_BY_ID)]
+    stripped = "true" if program.stripped else "false"
+    return (
+        f'{{\n  "name": {_quote(program.name)},'
+        f'\n  "stripped": {stripped},'
+        f'\n  "functions": {_json_list(functions, "  ")}'
+        "\n}\n"
+    )
 
 
 @dataclass

@@ -75,6 +75,7 @@ __all__ = [
     "apply_transforms",
     "SimulatedToolchain",
     "ExternalToolchain",
+    "EXTERNAL_TIMEOUT_S",
 ]
 
 COMPILERS = ("gcc", "clang")
@@ -118,10 +119,6 @@ class BuildSpec:
     @property
     def version_index(self) -> int:
         return VERSIONS[self.compiler].index(self.version)
-
-    @property
-    def level_index(self) -> int:
-        return LEVELS.index(self.level)
 
     def text(self) -> str:
         return f"{self.compiler}-{self.version}-{self.level}"
@@ -647,6 +644,11 @@ class SimulatedToolchain:
         return self._cache[key]
 
 
+# Seconds an external process (a toolchain command, a run-case trigger) may
+# run before it is killed, so that a hung driver cannot hang the pipeline.
+EXTERNAL_TIMEOUT_S = 600.0
+
+
 class ExternalToolchain:
     """Shells out to real compiler commands listed in a toolchain manifest.
 
@@ -657,7 +659,9 @@ class ExternalToolchain:
 
     The command is invoked with the level (-O2 style), -D<macro> for every
     defined macro, and the selected unit paths; it must print the
-    disassembly export on stdout.
+    disassembly export on stdout. A command that cannot start, exits
+    non-zero or runs past ``EXTERNAL_TIMEOUT_S`` raises
+    ``BuildFailureError``.
     """
 
     def __init__(self, manifest: dict[tuple[str, str], list[str]]):
@@ -700,7 +704,18 @@ class ExternalToolchain:
         argv.extend(f"-D{m}" for m in sorted(config.macros))
         if config.units is not None:
             argv.extend(config.units)
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                argv, capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            raise BuildFailureError(
+                f"toolchain command {shlex.join(command)!r} ran past {EXTERNAL_TIMEOUT_S:g} s"
+            ) from None
+        except OSError as exc:
+            raise BuildFailureError(
+                f"toolchain command {shlex.join(command)!r} could not start: {exc}"
+            ) from exc
         if proc.returncode != 0:
             raise BuildFailureError(
                 f"toolchain command failed ({proc.returncode}): {proc.stderr.strip()}"

@@ -33,6 +33,7 @@ from .binmodel import (
     serialize_model,
     strip_program,
 )
+from . import buildoracle
 from .buildoracle import (
     BuildSpec,
     ConfigAssignment,
@@ -249,17 +250,44 @@ def _run_trigger(command: str, report: CaseReport) -> dict:
     """Run a user command after the report; record how the process ended.
 
     The command runs through the shell as given; no portability guarantees
-    beyond POSIX shells. Exit status is recorded, never interpreted.
+    beyond POSIX shells. Exit status is recorded, never interpreted. A
+    command still running after ``EXTERNAL_TIMEOUT_S`` is killed and
+    recorded as timed out, with whatever output it wrote by then.
     """
-    proc = subprocess.run(command, shell=True, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            command,
+            shell=True,
+            capture_output=True,
+            text=True,
+            timeout=buildoracle.EXTERNAL_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        return {
+            "command": command,
+            "exit_code": None,
+            "signal": None,
+            "timed_out": True,
+            "stdout_tail": _output_text(exc.stdout)[-400:],
+            "stderr_tail": _output_text(exc.stderr)[-400:],
+        }
     signal = -proc.returncode if proc.returncode < 0 else None
     return {
         "command": command,
         "exit_code": proc.returncode if proc.returncode >= 0 else None,
         "signal": signal,
+        "timed_out": False,
         "stdout_tail": proc.stdout[-400:],
         "stderr_tail": proc.stderr[-400:],
     }
+
+
+def _output_text(data: bytes | str | None) -> str:
+    """``TimeoutExpired`` carries the captured output as bytes even when
+    the run asked for text."""
+    if isinstance(data, bytes):
+        return data.decode(errors="replace")
+    return data or ""
 
 
 def _case_kwargs(args) -> dict:
@@ -299,11 +327,12 @@ def cmd_run_case(args) -> int:
     if args.run_trigger:
         trigger = _run_trigger(args.run_trigger, report)
         payload["trigger"] = trigger
-        ended = (
-            f"signal {trigger['signal']}"
-            if trigger["signal"] is not None
-            else f"exit {trigger['exit_code']}"
-        )
+        if trigger["timed_out"]:
+            ended = f"timed out after {buildoracle.EXTERNAL_TIMEOUT_S:g} s"
+        elif trigger["signal"] is not None:
+            ended = f"signal {trigger['signal']}"
+        else:
+            ended = f"exit {trigger['exit_code']}"
         text += f"trigger: {ended}\n"
     _emit(args, text, payload)
     return 0

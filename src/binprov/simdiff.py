@@ -32,7 +32,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .binmodel import BasicBlock, BinaryProgram, Function, KeyKind, call_target
+from .binmodel import (
+    BasicBlock,
+    BinaryProgram,
+    Function,
+    KeyKind,
+    _collector_paused,
+    call_target,
+)
 
 __all__ = [
     "KIND_PRIMES",
@@ -348,11 +355,15 @@ def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
     return out
 
 
+@_collector_paused()
 def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
     """Function-level diff: the matched pairs with their overlaps, and the
     unmatched functions of each side. ``left`` is conventionally the freshly
     generated binary and ``right`` the crash-report binary, so ``left_only``
-    holds generated-only functions and ``right_only`` crash-only ones."""
+    holds generated-only functions and ``right_only`` crash-only ones.
+
+    The cyclic collector is paused throughout: the indexes and the report
+    are acyclic, so it would only rescan them as they grow."""
     lidx, ridx = index_program(left), index_program(right)
     matches = _match_indexes(lidx, ridx)
 

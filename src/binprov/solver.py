@@ -69,17 +69,11 @@ class AtomTable:
             self._keys.append(key)
         return idx
 
-    def index_of(self, key: str) -> int:
-        return self._index[key]
-
     def key_of(self, index: int) -> str:
         return self._keys[index]
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
 
     def keys(self) -> list[str]:
         return list(self._keys)

@@ -1,10 +1,13 @@
-"""Shared fixtures: one generated program and the frozen seed-1 corpus.
+"""Shared fixtures: one generated program, the frozen seed-1 corpus, and
+the caller's collector state.
 
 Session scope keeps the suite fast; every consumer treats these as
 read-only. Tests that mutate programs deep-copy first.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -15,6 +18,16 @@ from binprov.buildoracle import (
     build_unoptimized,
 )
 from binprov.corpusgen import generate_case, generate_corpus
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the caller's cyclic collector on, then off; the
+    state from before the test is restored afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.fixture(scope="session")

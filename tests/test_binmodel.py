@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binprov import binmodel
 from binprov.binmodel import (
     BasicBlock,
     BinaryProgram,
@@ -282,3 +286,92 @@ def test_strip_does_not_mutate_the_input():
     before = serialize_model(prog)
     strip_program(prog)
     assert serialize_model(prog) == before
+
+
+# Characters that make the JSON encoder escape: NUL and other controls,
+# quotes, backslashes, U+2028, lone surrogates, non-ASCII and astral ones.
+_NASTY_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "/", "\u2028", "\xe9", "\U0001f600"]),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+_NASTY_TEXT = st.text(alphabet=_NASTY_CHARS, max_size=5)
+
+
+def _keyins(draw) -> list[KeyInstruction]:
+    keyins = []
+    for kind in draw(st.lists(st.sampled_from(KeyKind), max_size=3)):
+        if kind is KeyKind.CALL:
+            operand = draw(_NASTY_TEXT.filter(bool))
+        else:
+            operand = draw(st.none() | _NASTY_TEXT)
+        keyins.append(KeyInstruction(kind, operand=operand))
+    return keyins
+
+
+@st.composite
+def _valid_programs(draw) -> BinaryProgram:
+    functions = []
+    for fid in draw(st.lists(_NASTY_TEXT, unique=True, max_size=3)):
+        # A valid function has at least its entry block.
+        block_ids = draw(st.lists(_NASTY_TEXT, unique=True, min_size=1, max_size=3))
+        blocks = [
+            BasicBlock(
+                id=bid,
+                keyins=_keyins(draw),
+                succs=draw(st.lists(st.sampled_from(block_ids), max_size=3)),
+            )
+            for bid in block_ids
+        ]
+        functions.append(
+            Function(
+                id=fid,
+                entry=draw(st.sampled_from(block_ids)),
+                blocks=blocks,
+                symbol=draw(st.none() | _NASTY_TEXT),
+            )
+        )
+    return BinaryProgram(name=draw(_NASTY_TEXT), stripped=draw(st.booleans()), functions=functions)
+
+
+def _reference_doc(program: BinaryProgram) -> dict:
+    """The canonical document in its documented key order."""
+    functions = []
+    for fn in sorted(program.functions, key=lambda f: f.id):
+        fdoc: dict = {"id": fn.id}
+        if fn.symbol is not None:
+            fdoc["symbol"] = fn.symbol
+        fdoc["entry"] = fn.entry
+        fdoc["blocks"] = []
+        for blk in sorted(fn.blocks, key=lambda b: b.id):
+            keyins = []
+            for ki in blk.keyins:
+                kdoc = {"kind": ki.kind.value}
+                if ki.operand is not None:
+                    kdoc["operand"] = ki.operand
+                keyins.append(kdoc)
+            fdoc["blocks"].append({"id": blk.id, "keyins": keyins, "succs": sorted(blk.succs)})
+        functions.append(fdoc)
+    return {"name": program.name, "stripped": program.stripped, "functions": functions}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_valid_programs())
+def test_serialize_matches_reference_encoder(program):
+    assert serialize_model(program) == json.dumps(_reference_doc(program), indent=2) + "\n"
+
+
+def test_ingest_pauses_and_restores_the_collector(collector, corpus21, monkeypatch):
+    text = serialize_model(corpus21[0].crash)
+    seen = []
+    validate = binmodel._validate
+    monkeypatch.setattr(binmodel, "_validate", lambda p: seen.append(gc.isenabled()) or validate(p))
+    ingest_model(text)
+    assert seen == [False]
+    assert gc.isenabled() is collector
+    with pytest.raises(SchemaError):
+        ingest_model('{"name": "x"}')
+    assert gc.isenabled() is collector
+    with pytest.raises(SchemaError):
+        ingest_model("{")
+    assert gc.isenabled() is collector

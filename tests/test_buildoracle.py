@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 
 import pytest
 
@@ -519,3 +520,19 @@ def test_external_toolchain_failure_paths(tmp_path):
     tc2 = ExternalToolchain.parse_manifest(f"gcc/7 : python3 {bad}\n")
     with pytest.raises(BuildFailureError, match="boom"):
         tc2.build(BuildSpec("gcc", "7", "O2"), EMPTY_CONFIG)
+
+
+def test_external_toolchain_missing_driver_is_a_build_failure(tmp_path):
+    missing = tmp_path / "no-such-driver"
+    tc = ExternalToolchain.parse_manifest(f"gcc/7 : {missing} --fast\n")
+    with pytest.raises(BuildFailureError, match="no-such-driver --fast"):
+        tc.build(BuildSpec("gcc", "7", "O2"), EMPTY_CONFIG)
+
+
+def test_external_toolchain_hung_driver_times_out(monkeypatch):
+    monkeypatch.setattr(buildoracle, "EXTERNAL_TIMEOUT_S", 0.2)
+    tc = ExternalToolchain.parse_manifest("gcc/7 : sh -c 'exec sleep 5'\n")
+    started = time.monotonic()
+    with pytest.raises(BuildFailureError, match="ran past 0.2 s"):
+        tc.build(BuildSpec("gcc", "7", "O2"), EMPTY_CONFIG)
+    assert time.monotonic() - started < 1.0

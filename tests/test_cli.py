@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from binprov import buildoracle
 from binprov.binmodel import serialize_model
-from binprov.cli import main
+from binprov.cli import _run_trigger, main
 from binprov.corpusgen import write_corpus
 
 
@@ -182,6 +184,19 @@ def test_run_case_records_trigger_exit(case_dir, capsys):
     assert payload["trigger"]["exit_code"] == 7
     assert payload["trigger"]["signal"] is None
     assert payload["trigger"]["command"] == "exit 7"
+
+
+def test_run_case_records_trigger_timeout(case_dir, capsys, monkeypatch):
+    monkeypatch.setattr(buildoracle, "EXTERNAL_TIMEOUT_S", 0.2)
+    cdir, _root = case_dir
+    started = time.monotonic()
+    assert main(["run-case", str(cdir), "--run-trigger", "echo started; exec sleep 5"]) == 0
+    assert time.monotonic() - started < 1.0
+    assert "trigger: timed out after 0.2 s" in capsys.readouterr().out
+    trigger = _run_trigger("echo started; exec sleep 5", None)
+    assert trigger["timed_out"] is True
+    assert trigger["exit_code"] is None and trigger["signal"] is None
+    assert trigger["stdout_tail"] == "started\n"
 
 
 def test_run_case_raw_model_needs_sources(case_dir, capsys):

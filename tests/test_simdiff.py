@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import gc
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binprov import simdiff
 from binprov.binmodel import (
     BasicBlock,
     BinaryProgram,
@@ -327,3 +330,18 @@ def test_neighborhood_pass_reads_each_sides_own_block_counts():
     diff = diff_programs(left, right)
     assert [(p.left, p.right) for p in diff.pairs] == expected
     assert diff.score == 1.0
+
+
+def test_diff_pauses_and_restores_the_collector(collector, monkeypatch):
+    program = random_program(random.Random(5))
+    seen = []
+    index = simdiff.index_program
+    monkeypatch.setattr(
+        simdiff, "index_program", lambda p: seen.append(gc.isenabled()) or index(p)
+    )
+    diff_programs(program, program)
+    assert seen == [False, False]
+    assert gc.isenabled() is collector
+    with pytest.raises(AttributeError):
+        diff_programs(program, "not a program")
+    assert gc.isenabled() is collector
