@@ -15,11 +15,15 @@ Two on-disk forms are supported:
 ``serialize_model`` is canonical: functions and blocks sorted by id,
 successor lists sorted, key-instruction order preserved, two-space indent,
 trailing newline. Ingesting canonical text and serializing again reproduces
-it byte for byte. The text is the same bytes ``json.dumps(doc, indent=2)``
-writes for the document in that key order, but it is emitted directly:
-with ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder,
-which is several times slower. Strings are quoted by the same C function
-``json.dumps`` uses.
+it byte for byte, except where a string holds a lone high surrogate followed
+by a lone low surrogate: ``"\\ud800\\udc00"`` reads back as the one
+character U+10000, which can sort differently and so reorder the text.
+
+The text is the same bytes ``json.dumps(doc, indent=2)`` writes for the
+document in that key order, but it is emitted directly: with ``indent``
+set, ``json.dumps`` runs CPython's pure-Python encoder, which is several
+times slower. Strings are quoted by the same C function ``json.dumps``
+uses.
 
 ``ingest_model`` (and ``simdiff.diff_programs``) pause the cyclic garbage
 collector while they run. The graphs they build are acyclic (dataclass

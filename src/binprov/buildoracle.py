@@ -38,8 +38,10 @@ prints.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import shlex
+import signal
 import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
@@ -76,6 +78,7 @@ __all__ = [
     "SimulatedToolchain",
     "ExternalToolchain",
     "EXTERNAL_TIMEOUT_S",
+    "run_external",
 ]
 
 COMPILERS = ("gcc", "clang")
@@ -649,6 +652,33 @@ class SimulatedToolchain:
 EXTERNAL_TIMEOUT_S = 600.0
 
 
+def run_external(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``argv`` in a session of its own and capture its text output.
+
+    If the wait ends in an exception (``TimeoutExpired`` past
+    ``EXTERNAL_TIMEOUT_S``, ``KeyboardInterrupt`` or any other), the whole
+    process group is killed, so no child the command forked outlives it, and
+    the exception propagates. A ``TimeoutExpired`` carries the output
+    written so far, as bytes.
+    """
+    with subprocess.Popen(
+        argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=EXTERNAL_TIMEOUT_S)
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
+
+
 class ExternalToolchain:
     """Shells out to real compiler commands listed in a toolchain manifest.
 
@@ -661,7 +691,8 @@ class ExternalToolchain:
     defined macro, and the selected unit paths; it must print the
     disassembly export on stdout. A command that cannot start, exits
     non-zero or runs past ``EXTERNAL_TIMEOUT_S`` raises
-    ``BuildFailureError``.
+    ``BuildFailureError``; one that runs past it is killed together with
+    every process it forked.
     """
 
     def __init__(self, manifest: dict[tuple[str, str], list[str]]):
@@ -705,9 +736,7 @@ class ExternalToolchain:
         if config.units is not None:
             argv.extend(config.units)
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S
-            )
+            proc = run_external(argv)
         except subprocess.TimeoutExpired:
             raise BuildFailureError(
                 f"toolchain command {shlex.join(command)!r} ran past {EXTERNAL_TIMEOUT_S:g} s"

@@ -56,7 +56,7 @@ from .pipeline import (
 )
 from .simdiff import diff_programs
 from .solver import Unsatisfiable, solve
-from .varsource import ConfigMap, SourceTree, scan_tree
+from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
 
 l = logging.getLogger(__name__)
 
@@ -204,7 +204,7 @@ def cmd_infer_config(args) -> int:
     diff = diff_programs(generated, crash)
     scans = scan_tree(tree)
     constraint_report = derive_constraints(scans, crash, diff)
-    outcome = solve(constraint_report.constraints, prefer_enabled=args.prefer_enabled)
+    outcome = solve(constraint_report.constraints)
 
     lines = [f"constraint: {to_text(c)}" for c in constraint_report.constraints]
     lines += [f"conflict: {a} <> {b}" for a, b in constraint_report.conflicts]
@@ -222,8 +222,6 @@ def cmd_infer_config(args) -> int:
     payload["model"] = outcome.to_text()
     if args.config_map:
         config_map = ConfigMap.parse(Path(args.config_map).read_text())
-        from .varsource import resolve_flags
-
         flags = resolve_flags(config_map, outcome.enabled(), set())
         lines.append("flags: " + (",".join(flags) if flags else "-"))
         payload["flags"] = flags
@@ -251,17 +249,12 @@ def _run_trigger(command: str, report: CaseReport) -> dict:
 
     The command runs through the shell as given; no portability guarantees
     beyond POSIX shells. Exit status is recorded, never interpreted. A
-    command still running after ``EXTERNAL_TIMEOUT_S`` is killed and
-    recorded as timed out, with whatever output it wrote by then.
+    command still running after ``EXTERNAL_TIMEOUT_S`` is killed with every
+    process it forked, and recorded as timed out, with whatever output it
+    wrote by then.
     """
     try:
-        proc = subprocess.run(
-            command,
-            shell=True,
-            capture_output=True,
-            text=True,
-            timeout=buildoracle.EXTERNAL_TIMEOUT_S,
-        )
+        proc = buildoracle.run_external(["/bin/sh", "-c", command])
     except subprocess.TimeoutExpired as exc:
         return {
             "command": command,
@@ -291,11 +284,7 @@ def _output_text(data: bytes | str | None) -> str:
 
 
 def _case_kwargs(args) -> dict:
-    return dict(
-        threshold=args.threshold,
-        prefer_enabled=args.prefer_enabled,
-        budget=args.budget,
-    )
+    return dict(threshold=args.threshold, budget=args.budget)
 
 
 def cmd_run_case(args) -> int:
@@ -435,8 +424,6 @@ def build_parser() -> _Parser:
     p.add_argument("--options", required=True, metavar="SPEC",
                    help="build options, e.g. gcc-7-O2")
     p.add_argument("--config-map")
-    p.add_argument("--prefer-enabled", action="store_true",
-                   help="default unconstrained macros to enabled")
     _add_common(p)
     _add_backend(p)
     p.set_defaults(func=cmd_infer_config)
@@ -446,7 +433,6 @@ def build_parser() -> _Parser:
     p.add_argument("--source-dir")
     p.add_argument("--config-map")
     p.add_argument("--threshold", type=float, default=0.85)
-    p.add_argument("--prefer-enabled", action="store_true")
     p.add_argument("--run-trigger", metavar="CMD",
                    help="shell command to run afterwards; its exit status or "
                         "terminating signal is recorded (no portability "

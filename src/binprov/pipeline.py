@@ -34,7 +34,7 @@ from .buildoracle import (
     all_option_specs,
     version_theta,
 )
-from .conditions import atom_keys, evaluate, to_text
+from .conditions import evaluate, to_text
 from .corpusgen import GeneratedCase
 from .errors import BinprovError, MapGapError
 from .matcher import (
@@ -50,7 +50,7 @@ from .simdiff import ProgramIndex, diff_programs, index_program, similarity
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
 from .simdiff import compare_programs  # noqa: F401
-from .solver import Model, Unsatisfiable, solve
+from .solver import AtomTable, Model, Unsatisfiable, solve
 from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
 
 l = logging.getLogger(__name__)
@@ -160,12 +160,12 @@ def _refine_free_atoms(
     base_units,
     present_units: set[str],
     model: Model,
-    prefer_enabled: bool,
 ) -> Model:
     """Settle solver-free atoms by rebuilding each candidate assignment and
     keeping the one structurally closest to the crash. Conflict dropping can
     leave an atom unconstrained even though the binary clearly prefers one
-    side; the rebuild comparison is the evidence that remains."""
+    side; the rebuild comparison is the evidence that remains. A tie keeps
+    the candidate with the fewest enabled atoms."""
     free = sorted(model.free_atoms)
     if not free or len(free) > MAX_FREE_ATOM_REFINE:
         return model
@@ -182,8 +182,7 @@ def _refine_free_atoms(
         except BinprovError:
             continue
         sim = similarity(index_program(built), crash_index)
-        enabled_count = sum(bits)
-        key = (sim, enabled_count if prefer_enabled else -enabled_count)
+        key = (sim, -sum(bits))
         if best is None or key > best[0]:
             best = (key, candidate)
     return model if best is None else best[1]
@@ -198,7 +197,6 @@ def run_case(
     name: str | None = None,
     base_units: tuple[str, ...] | None = None,
     threshold: float = 0.85,
-    prefer_enabled: bool = False,
     budget: int | None = None,
 ) -> CaseReport:
     """Run the full reproduction pipeline for one crash model."""
@@ -248,30 +246,16 @@ def run_case(
                     present_units.append(unit)
         report.present_units = tuple(present_units)
 
-        outcome = solve(constraint_report.constraints, prefer_enabled=prefer_enabled)
+        # Atoms of conflict-dropped evidence stay in the model, free to refine.
+        table = AtomTable()
+        for cond in (*constraint_report.constraints, *constraint_report.dropped):
+            table.add_condition(cond)
+        outcome = solve(constraint_report.constraints, table)
         report.t_extract_seconds = time.perf_counter() - t0
         if isinstance(outcome, Unsatisfiable):
             core = "; ".join(to_text(c) for c in outcome.core)
             report.reason = f"constraints unsatisfiable: {core}"
             return report
-        # Atoms that only occurred in conflict-dropped evidence fell out of
-        # the solver's universe entirely; bring them back as free so the
-        # rebuild comparison below can settle them.
-        orphaned = {
-            key
-            for cond in constraint_report.dropped
-            for key in atom_keys(cond)
-            if key not in outcome.assignment
-        }
-        if orphaned:
-            assignment = dict(outcome.assignment)
-            for key in sorted(orphaned):
-                assignment[key] = prefer_enabled
-            outcome = Model(
-                assignment=assignment,
-                free_atoms=outcome.free_atoms | frozenset(orphaned),
-            )
-
         outcome = _refine_free_atoms(
             backend,
             crash_index,
@@ -280,7 +264,6 @@ def run_case(
             base_units,
             set(present_units),
             outcome,
-            prefer_enabled,
         )
         report.model = outcome
 

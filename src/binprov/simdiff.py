@@ -296,8 +296,6 @@ class FunctionPairDiff:
 
 @dataclass
 class DiffReport:
-    left_name: str
-    right_name: str
     score: float
     beta: float
     pairs: list[FunctionPairDiff] = field(default_factory=list)
@@ -384,8 +382,6 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
     matched_l = {lid for lid, _ in matches}
     matched_r = {rid for _, rid in matches}
     return DiffReport(
-        left_name=left.name,
-        right_name=right.name,
         score=score,
         beta=beta,
         pairs=pairs,

@@ -3,12 +3,14 @@
 Each constraint is put in negation normal form and turned into clauses with
 the Plaisted–Greenbaum encoding: an OR disjunct that is more than one clause
 is named by a fresh variable, so clause count grows linearly with formula
-size. A plain DPLL search decides the clauses. Fresh variables are numbered
-below every atom, so the search first decides which disjunct holds and only
-then touches an atom. The point of this module is a precise contract:
+size. A plain DPLL search decides the clauses, trying False before True at
+every decision. Fresh variables are numbered below every atom, so the search
+first decides which disjunct holds and only then touches an atom. The point
+of this module is a precise contract:
 
 * ``solve`` returns either a total ``Model`` over every atom the solver has
-  seen, or an ``Unsatisfiable`` carrying a minimal-by-deletion core.
+  seen, or an ``Unsatisfiable`` carrying a minimal-by-deletion core. An atom
+  no constraint settles is False: no macro is enabled without evidence.
 * ``enumerate_models`` brute-forces every assignment, used as the ground
   truth the DPLL answer is checked against in tests.
 """
@@ -87,9 +89,8 @@ class AtomTable:
 class Model:
     """Total truth assignment over the atom table.
 
-    ``free_atoms`` are atoms no constraint forced either way; they default to
-    disabled (unless solving preferred enablement) so the pipeline never
-    enables a macro without evidence.
+    ``free_atoms`` are atoms no constraint forced either way; they are
+    disabled, so the pipeline never enables a macro without evidence.
     """
 
     assignment: dict[str, bool]
@@ -195,18 +196,18 @@ def _cnf_clauses(cond: Condition, table: AtomTable, fresh: Iterator[int]) -> lis
     return kept
 
 
-def _dpll(clauses: list[Clause], prefer_true: bool = False) -> dict[int, bool] | None:
+def _dpll(clauses: list[Clause]) -> dict[int, bool] | None:
     """DPLL search; the assignment it returns satisfies every clause.
 
     Each step propagates the first unit clause in list order until none is
     left, then assigns every pure literal, then decides the smallest open
-    index, False first unless ``prefer_true``. Fresh variables have negative
-    indices, so the search picks which disjunct holds before it touches a
-    table atom. Open decisions live on an explicit trail, not the Python
-    stack, so the search depth is not bounded by the recursion limit.
+    index, False first, so a decided atom is enabled only when False fails.
+    Fresh variables have negative indices, so the search picks which
+    disjunct holds before it touches a table atom. Open decisions live on an
+    explicit trail, not the Python stack, so the search depth is not bounded
+    by the recursion limit.
     """
     assignment: dict[int, bool] = {}
-    decision_order = (True, False) if prefer_true else (False, True)
 
     def simplify(cls: list[Clause], idx: int, val: bool) -> list[Clause] | None:
         lit, opposite = (idx, val), (idx, not val)
@@ -248,7 +249,8 @@ def _dpll(clauses: list[Clause], prefer_true: bool = False) -> dict[int, bool] |
         # The smallest open index, as (index, polarity) pairs sort by index.
         return cls, min(literals)[0]
 
-    # One frame per open decision: [clauses, index, values tried so far].
+    # One frame per open decision: [clauses, index, values tried so far],
+    # where the values go False, then True.
     trail: list[list] = []
     step = propagate(list(clauses))
     while step is not True:
@@ -260,14 +262,12 @@ def _dpll(clauses: list[Clause], prefer_true: bool = False) -> dict[int, bool] |
             trail.append([*step, 0])
         frame = trail[-1]
         cls, pick, tried = frame
-        if tried == len(decision_order):
+        if tried == 2:
             trail.pop()  # both values failed: so did the parent's choice
             step = False
             continue
         frame[2] = tried + 1
-        # False first by default so unconstrained-but-mentioned atoms land
-        # disabled.
-        val = decision_order[tried]
+        val = tried == 1
         assignment[pick] = val
         nxt = simplify(cls, pick, val)
         step = False if nxt is None else propagate(nxt)
@@ -289,24 +289,22 @@ def _minimize_core(
     return tuple(constraints[n] for n in core)
 
 
-def _sat_status(
-    encoded: list[list[Clause] | None], prefer_true: bool = False
-) -> dict[int, bool] | None:
+def _sat_status(encoded: list[list[Clause] | None]) -> dict[int, bool] | None:
     clauses: list[Clause] = []
     for sub in encoded:
         if sub is None:
             return None
         clauses.extend(sub)
-    return _dpll(clauses, prefer_true=prefer_true)
+    return _dpll(clauses)
 
 
-def solve(constraints, table: AtomTable | None = None, prefer_enabled: bool = False):
+def solve(constraints, table: AtomTable | None = None):
     """Decide a constraint set.
 
-    Returns a total Model over every atom in ``table`` (atoms from the
-    constraints are interned first), or an Unsatisfiable with a minimal core.
-    Atoms left open by the search default to disabled; ``prefer_enabled``
-    flips both the decision order and that default.
+    Returns a total Model over every atom in ``table`` (the constraints'
+    atoms are interned after the table's own), or an Unsatisfiable with a
+    minimal core. Atoms the search leaves open are disabled and listed in
+    ``free_atoms``.
     """
     constraints = list(constraints)
     if table is None:
@@ -316,7 +314,7 @@ def solve(constraints, table: AtomTable | None = None, prefer_enabled: bool = Fa
 
     fresh = itertools.count(-1, -1)
     encoded = [_cnf_clauses(cond, table, fresh) for cond in constraints]
-    partial = _sat_status(encoded, prefer_true=prefer_enabled)
+    partial = _sat_status(encoded)
     if partial is None:
         return Unsatisfiable(core=_minimize_core(constraints, encoded))
 
@@ -327,7 +325,7 @@ def solve(constraints, table: AtomTable | None = None, prefer_enabled: bool = Fa
         if idx in partial:
             assignment[key] = partial[idx]
         else:
-            assignment[key] = prefer_enabled
+            assignment[key] = False
             free.add(key)
 
     # Soundness gate: a model that fails its own constraints is a solver bug.

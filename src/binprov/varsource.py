@@ -58,7 +58,6 @@ class IntConst:
 @dataclass(frozen=True)
 class CallSig:
     name: str
-    arity: int
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,10 @@ class Fragment:
     id: str
     unit: str
     condition: Condition
-    guard: Condition | None
     parent: str | None
     span: tuple[int, int]
     lines: list[int] = field(default_factory=list)
     features: tuple[Feature, ...] = ()
-    children: list[str] = field(default_factory=list)
 
     @property
     def is_root(self) -> bool:
@@ -98,7 +95,6 @@ class FunctionSpan:
     name: str
     start: int
     end: int
-    fragment_id: str
 
 
 @dataclass
@@ -179,7 +175,6 @@ def scan_unit(name: str, text: str) -> UnitVariability:
         id=f"{name}#0",
         unit=name,
         condition=TRUE,
-        guard=None,
         parent=None,
         span=(1, len(lines)),
     )
@@ -194,12 +189,10 @@ def scan_unit(name: str, text: str) -> UnitVariability:
             id=f"{name}#{len(fragments)}",
             unit=name,
             condition=conj([parent.condition, guard]),
-            guard=guard,
             parent=parent.id,
             span=(start, start - 1),
         )
         fragments.append(frag)
-        parent.children.append(frag.id)
         return frag
 
     for lineno, raw in enumerate(lines, start=1):
@@ -252,7 +245,9 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     for frag in fragments:
         frag.features = _fragment_features(frag, lines)
 
-    return UnitVariability(unit=name, fragments=fragments, functions=_function_index(name, lines, fragments))
+    return UnitVariability(
+        unit=name, fragments=fragments, functions=_function_index(lines)
+    )
 
 
 def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
@@ -269,29 +264,6 @@ def _strip_comment(line: str) -> str:
     return line.split("//", 1)[0]
 
 
-def _call_arity(text: str, open_paren: int) -> int:
-    depth = 0
-    commas = 0
-    body_start = open_paren + 1
-    for i in range(open_paren, len(text)):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                inner = text[body_start:i]
-                if not inner.strip():
-                    return 0
-                return commas + 1
-        elif ch == "," and depth == 1:
-            commas += 1
-    inner = text[body_start:]
-    if not inner.strip():
-        return 0
-    return commas + 1
-
-
 def _scan_text_features(text: str) -> list[Feature]:
     feats: list[Feature] = []
     for m in _STRING_RE.finditer(text):
@@ -301,7 +273,7 @@ def _scan_text_features(text: str) -> list[Feature]:
         ident = m.group(1)
         if ident in _NOT_CALLS:
             continue
-        feats.append(CallSig(name=ident, arity=_call_arity(masked, m.end() - 1)))
+        feats.append(CallSig(name=ident))
     for m in _INT_TOKEN_RE.finditer(masked):
         feats.append(IntConst(int(m.group(1))))
     return feats
@@ -368,14 +340,7 @@ _FUNC_HEADER_RE = re.compile(
 )
 
 
-def _function_index(
-    unit: str, lines: list[str], fragments: list[Fragment]
-) -> dict[str, FunctionSpan]:
-    owner: dict[int, str] = {}
-    for frag in fragments:
-        for lineno in frag.lines:
-            owner[lineno] = frag.id
-
+def _function_index(lines: list[str]) -> dict[str, FunctionSpan]:
     functions: dict[str, FunctionSpan] = {}
     i = 0
     while i < len(lines):
@@ -391,12 +356,7 @@ def _function_index(
             depth += lines[j].count("{") - lines[j].count("}")
             end = j
             j += 1
-        functions[name] = FunctionSpan(
-            name=name,
-            start=i + 1,
-            end=end + 1,
-            fragment_id=owner.get(i + 1, fragments[0].id),
-        )
+        functions[name] = FunctionSpan(name=name, start=i + 1, end=end + 1)
         i = end + 1
     return functions
 

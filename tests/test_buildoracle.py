@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
 import time
 
 import pytest
@@ -536,3 +537,30 @@ def test_external_toolchain_hung_driver_times_out(monkeypatch):
     with pytest.raises(BuildFailureError, match="ran past 0.2 s"):
         tc.build(BuildSpec("gcc", "7", "O2"), EMPTY_CONFIG)
     assert time.monotonic() - started < 1.0
+
+
+def test_external_toolchain_timeout_kills_forked_children(tmp_path, monkeypatch):
+    # The driver forks a child that would write a marker after the timeout;
+    # killing the driver's whole process group must end that child too.
+    monkeypatch.setattr(buildoracle, "EXTERNAL_TIMEOUT_S", 0.2)
+    marker = tmp_path / "M"
+    tc = ExternalToolchain.parse_manifest(
+        f"gcc/7 : sh -c '(sleep 0.5; touch {marker}) & exec sleep 5'\n"
+    )
+    with pytest.raises(BuildFailureError, match="ran past 0.2 s"):
+        tc.build(BuildSpec("gcc", "7", "O2"), EMPTY_CONFIG)
+    time.sleep(1.0)
+    assert not marker.exists()
+
+
+def test_interrupted_external_command_kills_its_process_group(tmp_path, monkeypatch):
+    marker = tmp_path / "M"
+
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        buildoracle.run_external(["sh", "-c", f"(sleep 0.5; touch {marker}) & exec sleep 5"])
+    time.sleep(1.0)
+    assert not marker.exists()

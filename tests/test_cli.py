@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 
@@ -9,7 +10,7 @@ import pytest
 
 from binprov import buildoracle
 from binprov.binmodel import serialize_model
-from binprov.cli import _run_trigger, main
+from binprov.cli import _run_trigger, build_parser, main
 from binprov.corpusgen import write_corpus
 
 
@@ -106,7 +107,7 @@ def test_infer_options_finds_hidden_spec(case_dir, corpus21, capsys):
     assert all(p["step"] in (1, 2, 3, 4) for p in payload["probes"])
 
 
-@pytest.mark.parametrize("command", ["infer-options", "run-case"])
+@pytest.mark.parametrize("command", ["infer-options", "run-case", "infer-config"])
 @pytest.mark.parametrize(
     "flag",
     [
@@ -115,16 +116,51 @@ def test_infer_options_finds_hidden_spec(case_dir, corpus21, capsys):
         ["--default-clang", "6.0"],
         ["--exhaustive-versions"],
         ["--build-seconds", "90"],
+        ["--prefer-enabled"],
     ],
 )
 def test_removed_search_flags_are_usage_errors(case_dir, command, flag, capsys):
     cdir, _root = case_dir
-    target = cdir / "crash.model" if command == "infer-options" else cdir
+    target = cdir if command == "run-case" else cdir / "crash.model"
     argv = [command, str(target), "--source-dir", str(cdir / "src"), *flag]
+    if command == "infer-config":
+        argv += ["--options", "gcc-6-O2"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every option string each subcommand accepts. A new knob must be added here
+# on purpose, and a removed one cannot come back unnoticed.
+OPTION_SURFACE = {
+    "ingest": {"--export", "--strip", "--format"},
+    "diff": {"--format"},
+    "infer-options": {"--source-dir", "--format", "--toolchains", "--budget"},
+    "infer-config": {"--source-dir", "--options", "--config-map", "--format", "--toolchains"},
+    "run-case": {
+        "--source-dir",
+        "--config-map",
+        "--threshold",
+        "--run-trigger",
+        "--format",
+        "--toolchains",
+        "--budget",
+    },
+    "matrix": {"--source-dir", "--margin", "--format", "--toolchains"},
+    "gen-corpus": {"--out", "--seed", "--size", "--format"},
+}
+
+
+def test_option_surface_is_pinned():
+    parser = build_parser()
+
+    def options(p) -> set[str]:
+        return {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+
+    assert options(parser) == {"-v", "--verbose"}
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: options(sub) for name, sub in subs.choices.items()} == OPTION_SURFACE
 
 
 def test_infer_config_reports_flags(case_dir, corpus21, capsys):
@@ -197,6 +233,17 @@ def test_run_case_records_trigger_timeout(case_dir, capsys, monkeypatch):
     assert trigger["timed_out"] is True
     assert trigger["exit_code"] is None and trigger["signal"] is None
     assert trigger["stdout_tail"] == "started\n"
+
+
+def test_trigger_timeout_kills_forked_children(tmp_path, monkeypatch):
+    # A background child of the trigger shell would write the marker after
+    # the timeout, unless the trigger's whole process group is killed.
+    monkeypatch.setattr(buildoracle, "EXTERNAL_TIMEOUT_S", 0.2)
+    marker = tmp_path / "M"
+    trigger = _run_trigger(f"(sleep 0.5; touch {marker}) & exec sleep 5", None)
+    assert trigger["timed_out"] is True
+    time.sleep(1.0)
+    assert not marker.exists()
 
 
 def test_run_case_raw_model_needs_sources(case_dir, capsys):

@@ -47,8 +47,8 @@ def test_coarse_match_counts_occurrences():
     assert coarse_match(StringLit("unique-string"), index) is MatchVerdict.FOUND
     assert coarse_match(StringLit("ghost"), index) is MatchVerdict.NOT_FOUND
     assert coarse_match(IntConst(42), index) is MatchVerdict.NOT_UNIQUE
-    # call matching goes by symbol; source arity does not participate
-    assert coarse_match(CallSig("seen_call", 7), index) is MatchVerdict.FOUND
+    # call matching goes by symbol
+    assert coarse_match(CallSig("seen_call"), index) is MatchVerdict.FOUND
 
 
 def test_payload_index_scopes():
@@ -75,7 +75,7 @@ def Fragment_clone(frag, features):
 
 def test_decide_found_string_settles_present_without_reading_on():
     frag = _fragment_with(
-        [StringLit("unique-string"), CallSig("never_checked", 0), IntConst(7)]
+        [StringLit("unique-string"), CallSig("never_checked"), IntConst(7)]
     )
     decision = decide_fragment(frag, PayloadIndex(HAY), "binary")
     assert decision.presence is Presence.PRESENT
@@ -88,24 +88,24 @@ def test_decide_found_string_settles_present_without_reading_on():
 def test_decide_missing_strings_are_definitive_absent():
     # the call would match, but the absent string already proves the
     # fragment was compiled out; the call hit belongs to someone else
-    frag = _fragment_with([StringLit("ghost"), CallSig("seen_call", 0)])
+    frag = _fragment_with([StringLit("ghost"), CallSig("seen_call")])
     decision = decide_fragment(frag, PayloadIndex(HAY), "binary")
     assert decision.presence is Presence.ABSENT
     assert decision.confidence == 1.0
 
 
 def test_decide_call_and_const_groups_fire_in_order():
-    frag = _fragment_with([CallSig("seen_call", 0)])
+    frag = _fragment_with([CallSig("seen_call")])
     assert decide_fragment(frag, PayloadIndex(HAY), "f").presence is Presence.PRESENT
     # a missing call falls through to constants rather than settling
-    frag = _fragment_with([CallSig("inlined_away", 0), IntConst(42)])
+    frag = _fragment_with([CallSig("inlined_away"), IntConst(42)])
     decision = decide_fragment(frag, PayloadIndex([HAY[1]]), "f")
     assert decision.presence is Presence.PRESENT
     assert decision.confidence == 0.5  # one miss, one found
 
 
 def test_decide_all_missing_settles_absent_and_ambiguity_unknown():
-    frag = _fragment_with([CallSig("inlined_away", 0), IntConst(9000)])
+    frag = _fragment_with([CallSig("inlined_away"), IntConst(9000)])
     assert decide_fragment(frag, PayloadIndex(HAY), "f").presence is Presence.ABSENT
     # a NOT_UNIQUE-only record supports no conclusion
     frag = _fragment_with([IntConst(42)])

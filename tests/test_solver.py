@@ -105,17 +105,15 @@ def test_free_atoms_default_to_disabled():
     assert out.free_atoms == frozenset()
 
 
-def test_prefer_enabled_flips_decision_polarity():
-    # A versus B with nothing to break the tie: default-false picks the
-    # lexicographically earlier atom only through deterministic branching,
-    # prefer-enabled must enable at least as many atoms.
-    constraints = [parse_expression("defined(A) || defined(B)")]
-    low = solve(constraints)
-    high = solve(constraints, prefer_enabled=True)
-    assert isinstance(low, Model) and isinstance(high, Model)
-    assert _model_satisfies(low, constraints)
-    assert _model_satisfies(high, constraints)
-    assert len(high.enabled()) >= len(low.enabled())
+def test_table_atoms_outside_the_constraints_are_free_and_disabled():
+    # An atom the caller interned but no constraint mentions is still part
+    # of the model: disabled, and listed as free.
+    table = AtomTable()
+    table.intern("A")
+    table.intern("ORPHAN")
+    out = solve([parse_expression("defined(A)")], table)
+    assert out.assignment == {"A": True, "ORPHAN": False}
+    assert out.free_atoms == frozenset({"ORPHAN"})
 
 
 def test_solve_is_deterministic():
@@ -183,7 +181,7 @@ def test_libpng_solve_passes_brute_force_oracle():
     assert len(satisfying) == 78
     assert dict(out.assignment) in satisfying
     # deterministic contract: pure-literal elimination enables every
-    # positively-pure atom before any preference-guided decision runs
+    # positively-pure atom before any decision runs
     assert sorted(out.enabled()) == [
         "PNG_FLOATING_ARITHMETIC_SUPPORTED",
         "PNG_FLOATING_POINT_SUPPORTED",
@@ -236,10 +234,9 @@ def _wide_or(width: int):
 
 
 @pytest.mark.parametrize("width", [16, 17])
-@pytest.mark.parametrize("prefer_enabled", [False, True])
-def test_wide_or_and_its_negation_are_unsatisfiable(width, prefer_enabled):
+def test_wide_or_and_its_negation_are_unsatisfiable(width):
     phi = _wide_or(width)
-    out = solve([phi, neg(phi)], prefer_enabled=prefer_enabled)
+    out = solve([phi, neg(phi)])
     assert isinstance(out, Unsatisfiable)
     assert out.core == (phi, neg(phi))
 
@@ -283,11 +280,12 @@ def _needs_fresh_variables(constraints) -> bool:
 
 def test_corpus_constraint_outcomes_match_golden_digest(corpus21):
     # Every derive_constraints set of corpus seed 1 (hidden options, seed and
-    # truth configurations), solved both ways over a table holding every
+    # truth configurations), solved over a table holding every
     # fragment atom of the case: whole, without its single-atom facts, and
     # with the negation of its last guard added. No guard has an OR above an
-    # AND, so the encoding adds no fresh variable. The digest was computed
-    # with the distributive encoding and recursive search this one replaced.
+    # AND, so the encoding adds no fresh variable. The digest holds the
+    # records that the distributive encoding and recursive search this one
+    # replaced gave with False-first decisions.
     records = []
     for case in corpus21:
         backend = SimulatedToolchain(case.tree, base_name=case.name)
@@ -301,21 +299,19 @@ def test_corpus_constraint_outcomes_match_golden_digest(corpus21):
             compound = [c for c in derived if isinstance(c, (And, Or))]
             for constraints in (derived, compound, derived + [neg(derived[-1])]):
                 assert not _needs_fresh_variables(constraints)
-                for prefer_enabled in (False, True):
-                    table = AtomTable()
-                    for cond in guards:
-                        table.add_condition(cond)
-                    out = solve(constraints, table, prefer_enabled=prefer_enabled)
-                    records.append(_outcome_record(out))
-    assert len(records) == 228
+                table = AtomTable()
+                for cond in guards:
+                    table.add_condition(cond)
+                records.append(_outcome_record(solve(constraints, table)))
+    assert len(records) == 114
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "62efeeccfea79cead82a74f78955db935064f8983eb4ea08e940807513571a98"
+    assert digest == "252b70335ffb34cf732087826db1bb425aba732e30f14960b67cb6dbef849541"
 
 
 def test_flat_random_outcomes_match_golden_digest():
     # Random sets whose encoding adds no fresh variable must get the models
-    # and cores the distributive encoding and recursive search gave; the
-    # digest was computed with them. These sets backtrack, so the digest
+    # and cores the distributive encoding and recursive search gave with
+    # False-first decisions; the digest was computed with them. These sets backtrack, so the digest
     # also pins what the search leaves assigned after a failed branch.
     rng = random.Random(2024)
     records = []
@@ -324,11 +320,10 @@ def test_flat_random_outcomes_match_golden_digest():
         constraints = [_random_formula(rng, atoms) for _ in range(rng.randint(1, 4))]
         if _needs_fresh_variables(constraints):
             continue
-        for prefer_enabled in (False, True):
-            records.append(_outcome_record(solve(constraints, prefer_enabled=prefer_enabled)))
-    assert len(records) == 298
+        records.append(_outcome_record(solve(constraints)))
+    assert len(records) == 149
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "96dfa6fcdc8d52d98aaa7ce7208deee777397d9d075bfcfb9c1fc4f4cdc7caab"
+    assert digest == "e1b01ba98e421f8ed91c40715321b0ec33642b7835bd0dc7690d4e1d0c6b6aa6"
 
 
 _guard_leaves = st.sampled_from(
@@ -357,18 +352,17 @@ _guards = st.one_of(
 def test_solve_agrees_with_enumeration_on_nested_guards(constraints):
     satisfiable = bool(enumerate_models(constraints, limit=1))
     keys = {k for c in constraints for k in atom_keys(c)}
-    for prefer_enabled in (False, True):
-        out = solve(constraints, prefer_enabled=prefer_enabled)
-        if isinstance(out, Model):
-            assert satisfiable
-            assert _model_satisfies(out, constraints)
-            # Fresh variables never reach the model.
-            assert set(out.assignment) == keys
-            assert out.free_atoms <= keys
-        else:
-            assert not satisfiable
-            core = list(out.core)
-            assert all(any(c is d for d in constraints) for c in core)
-            assert not enumerate_models(core, limit=1)
-            for i in range(len(core)):
-                assert enumerate_models(core[:i] + core[i + 1:], limit=1)
+    out = solve(constraints)
+    if isinstance(out, Model):
+        assert satisfiable
+        assert _model_satisfies(out, constraints)
+        # Fresh variables never reach the model.
+        assert set(out.assignment) == keys
+        assert out.free_atoms <= keys
+    else:
+        assert not satisfiable
+        core = list(out.core)
+        assert all(any(c is d for d in constraints) for c in core)
+        assert not enumerate_models(core, limit=1)
+        for i in range(len(core)):
+            assert enumerate_models(core[:i] + core[i + 1:], limit=1)

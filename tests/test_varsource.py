@@ -50,9 +50,8 @@ def test_xmllint_snippet_fragment_contents():
     scan = scan_unit("parser.c", XMLLINT_SNIPPET)
     root, on, off = scan.fragments
     assert StringLit("relaxed") in on.features
-    # arity counts the arguments left after string literals are masked out
-    assert CallSig("html_mode", 0) in on.features
-    assert CallSig("note_path", 2) in on.features
+    assert CallSig("html_mode") in on.features
+    assert CallSig("note_path") in on.features
     assert StringLit("strict") in off.features
     # directive lines stay with the parent
     lines = XMLLINT_SNIPPET.splitlines()
