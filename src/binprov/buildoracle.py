@@ -426,37 +426,46 @@ def _site_rank(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()
 
 
-def _has_compare(blk: BasicBlock) -> bool:
-    return any(ki.kind is KeyKind.COMPARE for ki in blk.keyins)
+def _compare_blocks(program: BinaryProgram) -> list[set[str]]:
+    """Ids of the blocks that hold a comparison, one set per function in
+    program order. Pads, flavor and fold add or drop no comparison, so the
+    sets stay true through them; merge adds the absorbing block's id when it
+    absorbs a comparison."""
+    return [
+        {blk.id for blk in fn.blocks if any(ki.kind is KeyKind.COMPARE for ki in blk.keyins)}
+        for fn in program.functions
+    ]
 
 
-def _apply_version_pads(program: BinaryProgram, spec: BuildSpec) -> None:
+def _apply_version_pads(
+    program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]
+) -> None:
     count = PADS_PER_THETA * THETA[spec.version_index]
     if count == 0:
         return
     sites = [
         (fn, blk)
-        for fn in program.functions
+        for fn, cmp in zip(program.functions, compares)
         for blk in fn.blocks
-        if _has_compare(blk)
+        if blk.id in cmp
     ]
     sites.sort(key=lambda s: (_site_rank("pad", spec.compiler, s[0].id, s[1].id), s[0].id, s[1].id))
     for rank, (_fn, blk) in enumerate(sites[:count]):
         blk.keyins.append(KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + rank)))
 
 
-def _apply_flavor(program: BinaryProgram, spec: BuildSpec) -> None:
+def _apply_flavor(program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]) -> None:
     """Compiler-family code-gen trait: clang plants a guard string in every
     comparison block, and in the entry block of branch-free functions that
     make calls (those have no comparison block to carry it). Call-free
     straight-line functions are left bare."""
     if spec.compiler != "clang":
         return
-    for fn in program.functions:
+    for fn, cmp in zip(program.functions, compares):
         marked = False
         has_call = False
         for blk in fn.blocks:
-            if _has_compare(blk):
+            if blk.id in cmp:
                 blk.keyins.append(KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER))
                 marked = True
             if any(ki.kind == KeyKind.CALL for ki in blk.keyins):
@@ -466,7 +475,7 @@ def _apply_flavor(program: BinaryProgram, spec: BuildSpec) -> None:
             entry.keyins.append(KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER))
 
 
-def _apply_merge(program: BinaryProgram) -> None:
+def _apply_merge(program: BinaryProgram, compares: list[set[str]]) -> None:
     """Coalesce single-successor/single-predecessor chains to a fixpoint.
 
     A merge changes no block's predecessor count and only the absorbing
@@ -474,7 +483,7 @@ def _apply_merge(program: BinaryProgram) -> None:
     its chain while it stays eligible, makes the same merges in the same
     order as rescanning from the first block after every merge.
     """
-    for fn in program.functions:
+    for fn, cmp in zip(program.functions, compares):
         blocks = {b.id: b for b in fn.blocks}
         preds = Counter(s for b in fn.blocks for s in b.succs)
         merged: set[str] = set()
@@ -490,17 +499,19 @@ def _apply_merge(program: BinaryProgram) -> None:
                 blk.keyins.extend(succ.keyins)
                 blk.succs = list(succ.succs)
                 merged.add(succ_id)
+                if succ_id in cmp:
+                    cmp.add(bid)
         if merged:
             fn.blocks = [b for b in fn.blocks if b.id not in merged]
 
 
-def _apply_fold(program: BinaryProgram, spec: BuildSpec) -> None:
+def _apply_fold(program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]) -> None:
     """Drop constants from a compiler-salted selection of non-branch blocks.
     Branch-condition immediates are never folded."""
     threshold = int(FOLD_RATE * 0xFFFFFFFF)
-    for fn in program.functions:
+    for fn, cmp in zip(program.functions, compares):
         for blk in fn.blocks:
-            if _has_compare(blk):
+            if blk.id in cmp:
                 continue
             if not any(ki.kind is KeyKind.CONST_REF for ki in blk.keyins):
                 continue
@@ -600,12 +611,13 @@ def apply_transforms(program: BinaryProgram, spec: BuildSpec) -> BinaryProgram:
             for fn in program.functions
         ],
     )
-    _apply_version_pads(out, spec)
-    _apply_flavor(out, spec)
+    compares = _compare_blocks(out)
+    _apply_version_pads(out, spec, compares)
+    _apply_flavor(out, spec, compares)
     if spec.level != "O0":
-        _apply_merge(out)
+        _apply_merge(out, compares)
     if spec.level in ("O2", "O3", "Os"):
-        _apply_fold(out, spec)
+        _apply_fold(out, spec, compares)
     if spec.level == "O3":
         _apply_inline(out)
     if spec.level == "Os":

@@ -46,7 +46,7 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import ProgramIndex, diff_programs, index_program, similarity
+from .simdiff import ProgramIndex, diff_programs, index_program, similarities, similarity
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
 from .simdiff import compare_programs  # noqa: F401
@@ -318,10 +318,19 @@ def similarity_matrix(
     backend, config: ConfigAssignment, specs: list[BuildSpec] | None = None
 ) -> list[list[float]]:
     """Full cross-comparison grid: Sim(build(a), build(b)) for every spec
-    pair, in the order of ``specs`` (all fifty by default)."""
+    pair, in the order of ``specs`` (all fifty by default).
+
+    Each unordered pair is matched once and ``similarities`` fills both of
+    its cells; the diagonal is computed like any other cell."""
     specs = list(specs) if specs is not None else all_option_specs()
     indexes = [index_program(backend.build(s, config)) for s in specs]
-    return [[similarity(ia, ib) for ib in indexes] for ia in indexes]
+    n = len(indexes)
+    grid = [[0.0] * n for _ in range(n)]
+    for i, ia in enumerate(indexes):
+        row = grid[i]
+        for j in range(i, n):
+            row[j], grid[j][i] = similarities(ia, indexes[j])
+    return grid
 
 
 @dataclass
@@ -343,23 +352,19 @@ def check_matrix_orderings(
     meets the requested margin.
     """
     specs = list(specs) if specs is not None else all_option_specs()
-    pos = {s: i for i, s in enumerate(specs)}
-
-    def sim(a: BuildSpec, b: BuildSpec) -> float:
-        return grid[pos[a]][pos[b]]
-
-    def spec(c: str, v: str, lv: str) -> BuildSpec:
-        return BuildSpec(compiler=c, version=v, level=lv)
+    # Grid position of each (compiler, version, level), so the loops below
+    # index rows and cells instead of building and hashing specs.
+    at = {(s.compiler, s.version, s.level): i for i, s in enumerate(specs)}
 
     results: list[OrderingResult] = []
-    opt_levels = [lv for lv in LEVELS if lv != "O0"]
-    opt_specs = [s for s in specs if s.level != "O0"]
+    opt = [(s, at[s.compiler, s.version, s.level]) for s in specs if s.level != "O0"]
 
     min_opt = 1.0
     min_opt_pair = ""
-    for i, a in enumerate(opt_specs):
-        for b in opt_specs[i + 1:]:
-            v = sim(a, b)
+    for k, (a, i) in enumerate(opt):
+        row = grid[i]
+        for b, j in opt[k + 1:]:
+            v = row[j]
             if v < min_opt:
                 min_opt, min_opt_pair = v, f"{a.text()} vs {b.text()}"
 
@@ -367,12 +372,12 @@ def check_matrix_orderings(
         worst = 1.0
         detail = ""
         for v in VERSIONS[comp]:
-            a = spec(comp, v, "O0")
-            for b in opt_specs:
-                s = sim(a, b)
+            row = grid[at[comp, v, "O0"]]
+            for b, j in opt:
+                s = row[j]
                 if min_opt - s < worst:
                     worst = min_opt - s
-                    detail = f"min opt pair {min_opt_pair} ({min_opt:.4f}) vs {a.text()}~{b.text()} ({s:.4f})"
+                    detail = f"min opt pair {min_opt_pair} ({min_opt:.4f}) vs {comp}-{v}-O0~{b.text()} ({s:.4f})"
         results.append(OrderingResult(f"o0-isolation-{comp}", worst >= margin, worst, detail))
 
     for comp in COMPILERS:
@@ -381,11 +386,12 @@ def check_matrix_orderings(
         for vi in VERSIONS[comp]:
             for vj in VERSIONS[comp]:
                 for la in LEVELS:
-                    lhs = sim(spec(comp, vi, la), spec(comp, vj, la))
+                    row = grid[at[comp, vi, la]]
+                    lhs = row[at[comp, vj, la]]
                     for lb in LEVELS:
                         if lb == la:
                             continue
-                        rhs = sim(spec(comp, vi, la), spec(comp, vj, lb))
+                        rhs = row[at[comp, vj, lb]]
                         if lhs - rhs < worst:
                             worst = lhs - rhs
                             detail = f"{comp}-{vi}-{la}: same-level {vj} {lhs:.4f} vs {vj}-{lb} {rhs:.4f}"
@@ -395,17 +401,18 @@ def check_matrix_orderings(
         worst = 1.0
         detail = ""
         versions = VERSIONS[comp]
+        theta = {v: version_theta(BuildSpec(compiler=comp, version=v, level=LEVELS[0])) for v in versions}
         for lv in LEVELS:
             for vi in versions:
-                ti = version_theta(spec(comp, vi, lv))
+                ti = theta[vi]
+                row = grid[at[comp, vi, lv]]
                 for vj in versions:
+                    dj = abs(ti - theta[vj])
                     for vk in versions:
-                        tj = version_theta(spec(comp, vj, lv))
-                        tk = version_theta(spec(comp, vk, lv))
-                        if abs(ti - tj) >= abs(ti - tk):
+                        if dj >= abs(ti - theta[vk]):
                             continue
-                        near = sim(spec(comp, vi, lv), spec(comp, vj, lv))
-                        far = sim(spec(comp, vi, lv), spec(comp, vk, lv))
+                        near = row[at[comp, vj, lv]]
+                        far = row[at[comp, vk, lv]]
                         if near - far < worst:
                             worst = near - far
                             detail = f"{comp}-{lv}: {vi}~{vj} {near:.4f} vs {vi}~{vk} {far:.4f}"
@@ -416,12 +423,14 @@ def check_matrix_orderings(
         for comp in COMPILERS:
             versions = VERSIONS[comp]
             for i, vi in enumerate(versions):
+                row = grid[at[comp, vi, lv]]
                 for vj in versions[i + 1:]:
-                    same_min = min(same_min, sim(spec(comp, vi, lv), spec(comp, vj, lv)))
+                    same_min = min(same_min, row[at[comp, vj, lv]])
         cross_max = 0.0
         for vi in VERSIONS["gcc"]:
+            row = grid[at["gcc", vi, lv]]
             for vj in VERSIONS["clang"]:
-                cross_max = max(cross_max, sim(spec("gcc", vi, lv), spec("clang", vj, lv)))
+                cross_max = max(cross_max, row[at["clang", vj, lv]])
         worst = same_min - cross_max
         results.append(
             OrderingResult(
@@ -437,9 +446,10 @@ def check_matrix_orderings(
         detail = ""
         for comp in COMPILERS:
             for v in VERSIONS[comp]:
-                base = sim(spec(comp, v, anchor), spec(comp, v, closer))
+                row = grid[at[comp, v, anchor]]
+                base = row[at[comp, v, closer]]
                 for lb in farther:
-                    other = sim(spec(comp, v, anchor), spec(comp, v, lb))
+                    other = row[at[comp, v, lb]]
                     if base - other < worst:
                         worst = base - other
                         detail = f"{comp}-{v}: {anchor}~{closer} {base:.4f} vs {anchor}~{lb} {other:.4f}"

@@ -4,9 +4,10 @@ Matching runs in four passes, each pairing only functions that are still
 unmatched, and only when the pairing key is unique on both sides:
 
 1. identical symbol names,
-2. neighborhood hash (sorted callee and caller tokens plus block count,
-   where a token is a library symbol or the identity of an already matched
-   pair; iterated to a fixpoint so matches cascade along the call graph),
+2. neighborhood hash (sorted library callees, sorted tokens of already
+   matched callees and callers, and the block count, where a pair's token
+   is its left id; iterated to a fixpoint so matches cascade along the call
+   graph),
 3. whole-function fingerprint signature,
 4. positional pairing inside equal-signature classes, in sorted-id order.
 
@@ -14,10 +15,17 @@ Pass 4 is what makes a program compare equal to itself even when it contains
 byte-identical duplicate functions, which passes 1-3 can never tell apart in
 a stripped binary.
 
+A block's fingerprint is the product of one small prime per key
+instruction, the prime fixed by the instruction's kind. By unique
+factorization two fingerprints are equal exactly when the blocks hold the
+same multiset of kinds, so an int stands for the whole multiset.
+
 Similarity of a matched function pair is the fingerprint-multiset overlap of
 their blocks over the larger block count; program similarity is the sum of
 pair similarities over the larger function count. Both are symmetric, land
-in [0, 1], and hit exactly 1.0 on self-comparison.
+in [0, 1], and hit exactly 1.0 on self-comparison. Every pass of the matcher
+is symmetric under swapping the sides, so ``similarities`` scores both
+directions of a pair from one match.
 
 Every per-program fact the matcher and the scores read (symbols, call
 edges, block counts, fingerprint signatures and fingerprint multisets) comes
@@ -49,6 +57,7 @@ __all__ = [
     "index_program",
     "match_functions",
     "similarity",
+    "similarities",
     "pair_blocks",
     "compare_programs",
     "diff_programs",
@@ -58,9 +67,10 @@ __all__ = [
 ]
 
 # Small-prime-product encoding of block content: each key-instruction kind
-# maps to a fixed prime, a block's fingerprint is the sorted tuple of its
-# primes. Two blocks have the same fingerprint exactly when they hold the
-# same multiset of key-instruction kinds.
+# maps to a fixed prime, a block's fingerprint is the product of its
+# primes (1 for a block with none). By unique factorization two blocks have
+# the same fingerprint exactly when they hold the same multiset of
+# key-instruction kinds.
 KIND_PRIMES: dict[KeyKind, int] = {
     KeyKind.COMPARE: 2,
     KeyKind.CALL: 3,
@@ -68,11 +78,14 @@ KIND_PRIMES: dict[KeyKind, int] = {
     KeyKind.CONST_REF: 7,
 }
 
-Fingerprint = tuple[int, ...]
+Fingerprint = int
 
 
 def spp_fingerprint(block: BasicBlock) -> Fingerprint:
-    return tuple(sorted(KIND_PRIMES[ki.kind] for ki in block.keyins))
+    fp = 1
+    for ki in block.keyins:
+        fp *= KIND_PRIMES[ki.kind]
+    return fp
 
 
 def function_signature(fn: Function) -> tuple[Fingerprint, ...]:
@@ -88,7 +101,8 @@ class ProgramIndex:
     caller that scores one program against many others indexes it once.
     ``unique_symbols`` maps each symbol carried by exactly one function to
     that function's id; every other map is keyed by function id, and edge
-    tuples keep repeats.
+    tuples keep repeats. ``libcalls`` is sorted, as the neighborhood hash
+    reads it.
     """
 
     ids: tuple[str, ...]
@@ -129,7 +143,7 @@ def index_program(program: BinaryProgram) -> ProgramIndex:
         ids=ids,
         unique_symbols={sym: fids[0] for sym, fids in symbol_ids.items() if len(fids) == 1},
         callees={fid: tuple(v) for fid, v in callees.items()},
-        libcalls={fid: tuple(v) for fid, v in libcalls.items()},
+        libcalls={fid: tuple(sorted(v)) for fid, v in libcalls.items()},
         callers={fid: tuple(v) for fid, v in callers.items()},
         nblocks={f.id: len(f.blocks) for f in program.functions},
         signatures=signatures,
@@ -156,7 +170,10 @@ def _unique_key_matches(
 
 
 def _neighborhood_hash(index: ProgramIndex, fid: str, pair_token) -> object:
-    ctoks = list(index.libcalls[fid])
+    """Library callees, matched callees, matched callers and the block count.
+    Library names and pair tokens sit in separate tuples, so a library
+    symbol spelled like a pair token cannot pose as a matched callee."""
+    ctoks = []
     for callee in index.callees[fid]:
         tok = pair_token(callee)
         if tok is not None:
@@ -166,7 +183,7 @@ def _neighborhood_hash(index: ProgramIndex, fid: str, pair_token) -> object:
         tok = pair_token(caller)
         if tok is not None:
             rtoks.append(tok)
-    return (tuple(sorted(ctoks)), tuple(sorted(rtoks)), index.nblocks[fid])
+    return (index.libcalls[fid], tuple(sorted(ctoks)), tuple(sorted(rtoks)), index.nblocks[fid])
 
 
 def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
@@ -197,11 +214,10 @@ def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, s
     def left_token(fid: str):
         # Matched pairs are identified by the left-side id: stable and equal
         # for both members of the pair.
-        return "m:" + fid if fid in matched_lr else None
+        return fid if fid in matched_lr else None
 
     def right_token(fid: str):
-        lid = matched_rl.get(fid)
-        return "m:" + lid if lid is not None else None
+        return matched_rl.get(fid)
 
     def neighborhood_pass() -> bool:
         lkeys = {
@@ -262,8 +278,12 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
 def _pair_fraction(left: ProgramIndex, lid: str, right: ProgramIndex, rid: str) -> float:
     """Fingerprint-multiset overlap of a matched pair over its larger block
     count."""
-    ca, cb = left.fingerprints[lid], right.fingerprints[rid]
-    overlap = sum(min(ca[fp], cb[fp]) for fp in ca if fp in cb)
+    cb = right.fingerprints[rid]
+    overlap = 0
+    for fp, n in left.fingerprints[lid].items():
+        m = cb.get(fp)
+        if m is not None:
+            overlap += n if n < m else m
     denom = max(left.nblocks[lid], right.nblocks[rid])
     if denom == 0:
         return 1.0
@@ -278,6 +298,29 @@ def similarity(left: ProgramIndex, right: ProgramIndex) -> float:
         total += _pair_fraction(left, lid, right, rid)
     denom = max(len(left.ids), len(right.ids))
     return 1.0 if denom == 0 else total / denom
+
+
+def similarities(left: ProgramIndex, right: ProgramIndex) -> tuple[float, float]:
+    """``(similarity(left, right), similarity(right, left))`` from one match.
+
+    Each pass of the matcher pairs the same functions when the sides are
+    swapped, and a pair's fraction is symmetric, so only the order of
+    summation differs: left-id order for the first value, right-id order for
+    the second. The explicit loops keep the float bits of ``similarity``.
+    """
+    fractions = [
+        (rid, _pair_fraction(left, lid, right, rid)) for lid, rid in _match_indexes(left, right)
+    ]
+    forward = 0.0
+    for _rid, f in fractions:
+        forward += f
+    backward = 0.0
+    for _rid, f in sorted(fractions, key=lambda rf: rf[0]):
+        backward += f
+    denom = max(len(left.ids), len(right.ids))
+    if denom == 0:
+        return 1.0, 1.0
+    return forward / denom, backward / denom
 
 
 @dataclass

@@ -14,7 +14,7 @@ from binprov.buildoracle import (
     ConfigAssignment,
     SimulatedToolchain,
 )
-from binprov.corpusgen import generate_corpus
+from binprov.corpusgen import generate_case, generate_corpus
 from binprov.pipeline import (
     NO_SIGNAL,
     Verification,
@@ -25,6 +25,7 @@ from binprov.pipeline import (
     run_generated_case,
     similarity_matrix,
 )
+from binprov.simdiff import index_program, similarity
 from binprov.varsource import ConfigMap, SourceTree
 
 
@@ -202,6 +203,44 @@ def test_matrix_golden_digests(case0, backend0):
     for label, config in configs.items():
         grid = similarity_matrix(backend0, config)
         assert hashlib.sha256(repr(grid).encode()).hexdigest() == golden[label], label
+
+
+# The acceptance gate's five study programs (``PROGRAM_SEEDS`` there).
+STUDY_PROGRAMS = [(1, 0), (1, 1), (1, 2), (2, 0), (3, 5)]
+
+
+@pytest.fixture(scope="module")
+def study_grids(specs):
+    """(label, backend, config, grid) for each study program at its seed
+    and at its hidden configuration."""
+    out = []
+    for seed, index in STUDY_PROGRAMS:
+        case = generate_case(seed, index)
+        backend = SimulatedToolchain(case.tree, base_name=case.name)
+        for tag, config in (("seed", case.seed_config()), ("truth", case.truth_config())):
+            grid = similarity_matrix(backend, config, specs)
+            out.append((f"{case.name}/{tag}", backend, config, grid))
+    return out
+
+
+def test_matrix_equals_every_ordered_pair_scored_apart(study_grids, specs):
+    # The grid matches each unordered pair once; every cell must still equal
+    # the ordered similarity computed on its own, diagonal included.
+    for label, backend, config, grid in study_grids:
+        indexes = [index_program(backend.build(s, config)) for s in specs]
+        naive = [[similarity(ia, ib) for ib in indexes] for ia in indexes]
+        assert repr(grid) == repr(naive), label
+
+
+def test_matrix_orderings_match_golden_digest(study_grids, specs):
+    # Every check's name, verdict, margin bits and detail text over the study
+    # grids, recorded before the checks indexed grid positions directly.
+    digest = hashlib.sha256()
+    for _label, _backend, _config, grid in study_grids:
+        for r in check_matrix_orderings(grid, specs):
+            digest.update(json.dumps([r.name, r.ok, repr(r.margin), r.detail]).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == "fdbe9d8ea15e97c00a704b546f1bc4b06de71a6f0b9667664f09cb400c225397"
 
 
 def _cell(grid, specs, a, b):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import math
 import random
 from collections import Counter
 
@@ -25,7 +26,10 @@ from binprov.simdiff import (
     compare_programs,
     diff_programs,
     function_signature,
+    index_program,
     match_functions,
+    similarities,
+    similarity,
     spp_fingerprint,
 )
 
@@ -88,7 +92,18 @@ def test_spp_fingerprint_iff_kind_multiset(keyins_a, keyins_b):
 def test_fingerprint_ignores_operands():
     a = BasicBlock(id="a", keyins=[KeyInstruction(KeyKind.CALL, operand="foo")], succs=[])
     b = BasicBlock(id="b", keyins=[KeyInstruction(KeyKind.CALL, operand="bar")], succs=[])
-    assert spp_fingerprint(a) == spp_fingerprint(b) == (KIND_PRIMES[KeyKind.CALL],)
+    assert spp_fingerprint(a) == spp_fingerprint(b) == KIND_PRIMES[KeyKind.CALL]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_keyins)
+def test_fingerprint_is_the_product_of_kind_primes(keyins):
+    block = BasicBlock(id="a", keyins=keyins, succs=[])
+    assert spp_fingerprint(block) == math.prod(KIND_PRIMES[ki.kind] for ki in keyins)
+
+
+def test_empty_block_fingerprint_is_one():
+    assert spp_fingerprint(BasicBlock(id="a", keyins=[], succs=[])) == 1
 
 
 def test_kind_primes_are_distinct_primes():
@@ -241,7 +256,7 @@ def test_function_signature_is_block_multiset():
         symbol=None,
     )
     sig = function_signature(fn)
-    assert sig == ((), (2,))
+    assert sig == (1, 2)
 
 
 def test_fraction_counts_shared_fingerprints_over_larger_side():
@@ -345,3 +360,94 @@ def test_diff_pauses_and_restores_the_collector(collector, monkeypatch):
     with pytest.raises(AttributeError):
         diff_programs(program, "not a program")
     assert gc.isenabled() is collector
+
+
+def test_similarities_sum_each_direction_in_its_own_id_order():
+    # Symbols pair L's a, b, c with R's c, b, a at fractions 0.1, 0.2 and
+    # 0.3. Float addition is not associative, so the two directions sum to
+    # different bits, and each must come out as its own ``similarity``.
+    def fn(fid: str, symbol: str, shared: int, filler: list[KeyInstruction]) -> Function:
+        # Ten blocks: ``shared`` comparison blocks, the rest holding ``filler``.
+        blocks = [
+            BasicBlock(id=f"b{k}", keyins=[KeyInstruction(KeyKind.COMPARE)] if k < shared else list(filler))
+            for k in range(10)
+        ]
+        return Function(id=fid, entry="b0", blocks=blocks, symbol=symbol)
+
+    string = [KeyInstruction(KeyKind.STRING_REF, operand="x")]
+    left = BinaryProgram(name="L", functions=[
+        fn("a", "s1", 1, []), fn("b", "s2", 2, []), fn("c", "s3", 3, []),
+    ])
+    right = BinaryProgram(name="R", functions=[
+        fn("a", "s3", 3, string), fn("b", "s2", 2, string), fn("c", "s1", 1, string),
+    ])
+    li, ri = index_program(left), index_program(right)
+    forward, backward = similarities(li, ri)
+    assert forward != backward
+    assert repr((forward, backward)) == repr((similarity(li, ri), similarity(ri, li)))
+
+
+def test_library_named_like_a_pair_token_is_not_a_matched_callee():
+    # L's u calls a library named "m:x"; R's w calls rx, which pairs with
+    # L's x by symbol. No library name may stand for that pair, however the
+    # pair's token is spelled, or u~w would match from L's side only and the
+    # two directions would differ.
+    def fn(fid: str, symbol: str | None, call: str | None, second: KeyKind) -> Function:
+        head = [KeyInstruction(KeyKind.CALL, operand=call)] if call else [KeyInstruction(KeyKind.COMPARE)]
+        blocks = [
+            BasicBlock(id="b0", keyins=head, succs=["b1"]),
+            BasicBlock(id="b1", keyins=[KeyInstruction(second, operand="s")]),
+        ]
+        return Function(id=fid, entry="b0", blocks=blocks, symbol=symbol)
+
+    left = BinaryProgram(name="L", functions=[
+        fn("x", "s", None, KeyKind.CONST_REF), fn("u", None, "m:x", KeyKind.STRING_REF),
+        fn("v", None, "zz", KeyKind.STRING_REF),
+    ])
+    right = BinaryProgram(name="R", functions=[
+        fn("rx", "s", None, KeyKind.CONST_REF), fn("w", None, "rx", KeyKind.CONST_REF),
+        fn("t", None, "qq", KeyKind.CONST_REF),
+    ])
+    assert match_functions(left, right) == [("x", "rx")]
+    assert match_functions(right, left) == [("rx", "x")]
+    li, ri = index_program(left), index_program(right)
+    assert similarities(li, ri) == (similarity(li, ri), similarity(ri, li)) == (1 / 3, 1 / 3)
+
+
+def _with_twin(program: BinaryProgram) -> BinaryProgram:
+    twin = copy.deepcopy(program)
+    twin.functions.append(_renamed(twin.functions[0], "twin"))
+    return twin
+
+
+@st.composite
+def _program_pairs(draw):
+    """Random programs, optionally stripped, with a duplicate twin function
+    or no functions at all."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sides = []
+    for name in ("L", "R"):
+        shape = draw(st.sampled_from(["plain", "twin", "empty"]))
+        if shape == "empty":
+            program = BinaryProgram(name=name, stripped=False, functions=[])
+        else:
+            program = random_program(rng, name=name, max_fns=8)
+            if shape == "twin":
+                program = _with_twin(program)
+        if draw(st.booleans()):
+            program = strip_program(program)
+        sides.append(program)
+    return tuple(sides)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_program_pairs())
+def test_similarities_equal_both_directions_computed_apart(pair):
+    # ``similarity_matrix`` fills both cells of a pair from one match; this
+    # holds it to the two directions computed in full.
+    left, right = pair
+    li, ri = index_program(left), index_program(right)
+    both = similarities(li, ri)
+    assert repr(both) == repr((similarity(li, ri), similarity(ri, li)))
+    forward = match_functions(left, right)
+    assert sorted((r, l) for l, r in forward) == match_functions(right, left)
