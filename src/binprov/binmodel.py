@@ -67,20 +67,20 @@ class KeyKind(str, Enum):
     CONST_REF = "const"
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyInstruction:
     kind: KeyKind
     operand: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     id: str
     keyins: list[KeyInstruction] = field(default_factory=list)
     succs: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Function:
     id: str
     entry: str
@@ -91,7 +91,7 @@ class Function:
         return {b.id: b for b in self.blocks}
 
 
-@dataclass
+@dataclass(slots=True)
 class BinaryProgram:
     name: str
     stripped: bool = False

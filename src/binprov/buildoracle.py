@@ -24,11 +24,19 @@ as distinct blocks, so the version signal is preserved at every level, and
 since the flavor marker also lives there, the cross-compiler distance always
 dominates the largest same-compiler version distance.
 
+Pads and the flavor marker add no comparison and no edge, merge reads only
+the control flow, and fold sites depend only on the compiler, so where each
+of the first four passes acts is fixed by the base and the compiler.
+``plan_transforms`` finds those sites once, as a ``TransformPlan``, and
+``apply_transforms`` replays the plan up to a spec's version and level, then
+runs inline and dedup.
+
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
 instructions, which no pass rewrites in place. ``SimulatedToolchain`` builds
-the unoptimized base once per configuration and each source unit is scanned
-once per tree (``SourceTree.scan``), so a probe costs only its transforms.
+the unoptimized base once per configuration and plans it once per compiler,
+and each source unit is scanned once per tree (``SourceTree.scan``), so a
+probe costs only the replay of its plan and its inline or dedup pass.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
@@ -44,7 +52,7 @@ import shlex
 import signal
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .binmodel import (
     BasicBlock,
@@ -74,6 +82,8 @@ __all__ = [
     "default_spec",
     "version_theta",
     "build_unoptimized",
+    "TransformPlan",
+    "plan_transforms",
     "apply_transforms",
     "SimulatedToolchain",
     "ExternalToolchain",
@@ -426,98 +436,120 @@ def _site_rank(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()
 
 
-def _compare_blocks(program: BinaryProgram) -> list[set[str]]:
-    """Ids of the blocks that hold a comparison, one set per function in
-    program order. Pads, flavor and fold add or drop no comparison, so the
-    sets stay true through them; merge adds the absorbing block's id when it
-    absorbs a comparison."""
-    return [
-        {blk.id for blk in fn.blocks if any(ki.kind is KeyKind.COMPARE for ki in blk.keyins)}
-        for fn in program.functions
-    ]
+# One output block of a plan: the indices into the base function's block
+# list of the base blocks whose key instructions it concatenates, its own
+# first; its successors; whether its constants fold (O2 and up).
+_PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
 
 
-def _apply_version_pads(
-    program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]
-) -> None:
-    count = PADS_PER_THETA * THETA[spec.version_index]
-    if count == 0:
-        return
-    sites = [
-        (fn, blk)
-        for fn, cmp in zip(program.functions, compares)
-        for blk in fn.blocks
-        if blk.id in cmp
-    ]
-    sites.sort(key=lambda s: (_site_rank("pad", spec.compiler, s[0].id, s[1].id), s[0].id, s[1].id))
-    for rank, (_fn, blk) in enumerate(sites[:count]):
-        blk.keyins.append(KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + rank)))
+@dataclass(frozen=True)
+class TransformPlan:
+    """Where the transform chain acts on one unoptimized base under one
+    compiler. ``plan_transforms`` computes it and ``apply_transforms``
+    replays it for any version and level of that compiler.
+
+    Pads and the flavor marker add no comparison and no edge, and merge
+    reads only the control flow, so every site is fixed by the base and the
+    compiler. A version only picks how many pad sites it fills, a level
+    which layout it takes. Sites are (function index, block index) pairs
+    into the base.
+
+    * ``pad_sites``: every comparison block, in the compiler-salted rank
+      order; a version fills the first ``PADS_PER_THETA * theta`` of them.
+    * ``flavor_sites``: the blocks that carry the clang marker (none for gcc).
+    * ``unmerged`` and ``merged``: per function, the output blocks at O0 and
+      at O1 and up, in base block order. A merged block lists every base
+      block of its chain, so a block that absorbed a chain and was later
+      absorbed itself hands on the whole chain and the chain's successors.
+      Fold sites are marked on the merged layout only.
+    """
+
+    pad_sites: tuple[tuple[int, int], ...]
+    flavor_sites: tuple[tuple[int, int], ...]
+    unmerged: tuple[tuple[_PlannedBlock, ...], ...]
+    merged: tuple[tuple[_PlannedBlock, ...], ...]
 
 
-def _apply_flavor(program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]) -> None:
+def plan_transforms(program: BinaryProgram, compiler: str) -> TransformPlan:
+    """The ``TransformPlan`` of an unoptimized program under ``compiler``."""
+    ranked: list[tuple[str, str, str, int, int]] = []
+    flavor: list[tuple[int, int]] = []
+    unmerged = []
+    merged = []
+    for fi, fn in enumerate(program.functions):
+        compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in fn.blocks]
+        for bi, blk in enumerate(fn.blocks):
+            if compares[bi]:
+                ranked.append((_site_rank("pad", compiler, fn.id, blk.id), fn.id, blk.id, fi, bi))
+        if compiler == "clang":
+            flavor.extend((fi, bi) for bi in _flavor_blocks(fn, compares))
+        unmerged.append(tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(fn.blocks)))
+        merged.append(_merged_layout(fn, compares, compiler))
+    ranked.sort()
+    return TransformPlan(
+        pad_sites=tuple((fi, bi) for *_rank, fi, bi in ranked),
+        flavor_sites=tuple(flavor),
+        unmerged=tuple(unmerged),
+        merged=tuple(merged),
+    )
+
+
+def _flavor_blocks(fn: Function, compares: list[bool]) -> list[int]:
     """Compiler-family code-gen trait: clang plants a guard string in every
     comparison block, and in the entry block of branch-free functions that
     make calls (those have no comparison block to carry it). Call-free
     straight-line functions are left bare."""
-    if spec.compiler != "clang":
-        return
-    for fn, cmp in zip(program.functions, compares):
-        marked = False
-        has_call = False
-        for blk in fn.blocks:
-            if blk.id in cmp:
-                blk.keyins.append(KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER))
-                marked = True
-            if any(ki.kind == KeyKind.CALL for ki in blk.keyins):
-                has_call = True
-        if not marked and has_call and fn.blocks:
-            entry = next((b for b in fn.blocks if b.id == fn.entry), fn.blocks[0])
-            entry.keyins.append(KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER))
+    marked = [bi for bi, is_cmp in enumerate(compares) if is_cmp]
+    if marked or not fn.blocks:
+        return marked
+    if any(ki.kind is KeyKind.CALL for blk in fn.blocks for ki in blk.keyins):
+        return [next((bi for bi, blk in enumerate(fn.blocks) if blk.id == fn.entry), 0)]
+    return []
 
 
-def _apply_merge(program: BinaryProgram, compares: list[set[str]]) -> None:
-    """Coalesce single-successor/single-predecessor chains to a fixpoint.
+def _merged_layout(fn: Function, compares: list[bool], compiler: str) -> tuple[_PlannedBlock, ...]:
+    """Merge (O1 and up) and fold (O2 and up) sites of one function.
 
-    A merge changes no block's predecessor count and only the absorbing
-    block's successors, so one pass in block-id order, each block absorbing
-    its chain while it stays eligible, makes the same merges in the same
-    order as rescanning from the first block after every merge.
+    Merge coalesces single-successor/single-predecessor chains to a
+    fixpoint. A merge changes no block's predecessor count and only the
+    absorbing block's successors, so one pass in block-id order, each block
+    absorbing its chain while it stays eligible, makes the same merges in
+    the same order as rescanning from the first block after every merge.
+
+    Fold drops the constants of a compiler-salted selection of the merged
+    non-comparison blocks. Branch-condition immediates are never folded.
     """
-    for fn, cmp in zip(program.functions, compares):
-        blocks = {b.id: b for b in fn.blocks}
-        preds = Counter(s for b in fn.blocks for s in b.succs)
-        merged: set[str] = set()
-        for bid in sorted(blocks):
-            if bid in merged:
-                continue
-            blk = blocks[bid]
-            while len(blk.succs) == 1:
-                succ_id = blk.succs[0]
-                if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
-                    break
-                succ = blocks[succ_id]
-                blk.keyins.extend(succ.keyins)
-                blk.succs = list(succ.succs)
-                merged.add(succ_id)
-                if succ_id in cmp:
-                    cmp.add(bid)
-        if merged:
-            fn.blocks = [b for b in fn.blocks if b.id not in merged]
-
-
-def _apply_fold(program: BinaryProgram, spec: BuildSpec, compares: list[set[str]]) -> None:
-    """Drop constants from a compiler-salted selection of non-branch blocks.
-    Branch-condition immediates are never folded."""
+    blocks = fn.blocks
+    position = {blk.id: bi for bi, blk in enumerate(blocks)}
+    preds = Counter(s for blk in blocks for s in blk.succs)
+    chains = [[bi] for bi in range(len(blocks))]
+    succs = [blk.succs for blk in blocks]
+    absorbed = [False] * len(blocks)
+    for bid in sorted(position):
+        bi = position[bid]
+        if absorbed[bi]:
+            continue
+        while len(succs[bi]) == 1:
+            succ_id = succs[bi][0]
+            if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
+                break
+            si = position[succ_id]
+            chains[bi] += chains[si]
+            succs[bi] = succs[si]
+            absorbed[si] = True
     threshold = int(FOLD_RATE * 0xFFFFFFFF)
-    for fn, cmp in zip(program.functions, compares):
-        for blk in fn.blocks:
-            if blk.id in cmp:
-                continue
-            if not any(ki.kind is KeyKind.CONST_REF for ki in blk.keyins):
-                continue
-            h = int(_site_rank("fold", spec.compiler, fn.id, blk.id)[:8], 16)
-            if h <= threshold:
-                blk.keyins = [ki for ki in blk.keyins if ki.kind is not KeyKind.CONST_REF]
+    layout = []
+    for bi, blk in enumerate(blocks):
+        if absorbed[bi]:
+            continue
+        chain = chains[bi]
+        folds = (
+            not any(compares[m] for m in chain)
+            and any(ki.kind is KeyKind.CONST_REF for m in chain for ki in blocks[m].keyins)
+            and int(_site_rank("fold", compiler, fn.id, blk.id)[:8], 16) <= threshold
+        )
+        layout.append((tuple(chain), tuple(succs[bi]), folds))
+    return tuple(layout)
 
 
 def _apply_inline(program: BinaryProgram) -> None:
@@ -587,37 +619,52 @@ def _retarget(ki: KeyInstruction, remap: dict[str, str]) -> KeyInstruction:
     return KeyInstruction(KeyKind.CALL, operand=("?" + target) if marked else target)
 
 
-def apply_transforms(program: BinaryProgram, spec: BuildSpec) -> BinaryProgram:
+def apply_transforms(
+    program: BinaryProgram, spec: BuildSpec, plan: TransformPlan | None = None
+) -> BinaryProgram:
     """Apply the full per-spec transform chain to an unoptimized program.
+
+    ``plan`` must be ``plan_transforms(program, spec.compiler)``; it is
+    computed here when not given. Version pads, the flavor marker, merge and
+    fold replay the plan; inline (O3) and dedup (Os) then run on the result.
 
     The input is left untouched: every function and block of the output is a
     new shell with its own key-instruction and successor lists, and the
     passes replace key instructions rather than edit them, so the output
     shares only unchanged instructions with the input.
     """
+    if plan is None:
+        plan = plan_transforms(program, spec.compiler)
+    # Instructions appended to base blocks: function index -> block index ->
+    # the block's pad, then its flavor marker.
+    added: dict[int, dict[int, list[KeyInstruction]]] = {}
+    pads = plan.pad_sites[: PADS_PER_THETA * THETA[spec.version_index]]
+    for rank, (fi, bi) in enumerate(pads):
+        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + rank))]
+    for fi, bi in plan.flavor_sites:
+        added.setdefault(fi, {}).setdefault(bi, []).append(
+            KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
+        )
+    layouts = plan.unmerged if spec.level == "O0" else plan.merged
+    fold = spec.level in ("O2", "O3", "Os")
+    functions = []
+    for fi, (fn, layout) in enumerate(zip(program.functions, layouts, strict=True)):
+        base = fn.blocks
+        extra = added.get(fi, {})
+        blocks = []
+        for chain, succs, folds in layout:
+            keyins: list[KeyInstruction] = []
+            for bi in chain:
+                keyins += base[bi].keyins
+                if bi in extra:
+                    keyins += extra[bi]
+            if fold and folds:
+                keyins = [ki for ki in keyins if ki.kind is not KeyKind.CONST_REF]
+            blocks.append(BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs)))
+        functions.append(Function(id=fn.id, entry=fn.entry, blocks=blocks, symbol=fn.symbol))
     out = BinaryProgram(
-        name=f"{program.name}@{spec.text()}",
-        stripped=program.stripped,
-        functions=[
-            Function(
-                id=fn.id,
-                entry=fn.entry,
-                blocks=[
-                    BasicBlock(id=blk.id, keyins=list(blk.keyins), succs=list(blk.succs))
-                    for blk in fn.blocks
-                ],
-                symbol=fn.symbol,
-            )
-            for fn in program.functions
-        ],
+        name=f"{program.name}@{spec.text()}", stripped=program.stripped, functions=functions
     )
-    compares = _compare_blocks(out)
-    _apply_version_pads(out, spec, compares)
-    _apply_flavor(out, spec, compares)
-    if spec.level != "O0":
-        _apply_merge(out, compares)
-    if spec.level in ("O2", "O3", "Os"):
-        _apply_fold(out, spec, compares)
     if spec.level == "O3":
         _apply_inline(out)
     if spec.level == "Os":
@@ -633,9 +680,11 @@ class SimulatedToolchain:
 
     Builds are cached by (spec, configuration); the cache is shared by the
     option-inference search, which never pays twice for the same probe.
-    The unoptimized base is cached per configuration, and the tree keeps
-    each unit's scan, so a fresh build runs only the transform chain, which
-    never mutates the cached base. ``build_count`` counts fresh builds.
+    The unoptimized base is cached per configuration and its
+    ``TransformPlan`` per (configuration, compiler), and the tree keeps each
+    unit's scan, so a fresh build only replays the plan up to its version
+    and level and runs inline or dedup; it never mutates the cached base.
+    ``build_count`` counts fresh builds.
     """
 
     def __init__(self, tree: SourceTree, base_name: str = "prog"):
@@ -643,6 +692,7 @@ class SimulatedToolchain:
         self.base_name = base_name
         self._cache: dict[tuple, BinaryProgram] = {}
         self._bases: dict[tuple, BinaryProgram] = {}
+        self._plans: dict[tuple, TransformPlan] = {}
         self.build_count = 0
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
@@ -654,7 +704,11 @@ class SimulatedToolchain:
             if base is None:
                 base = build_unoptimized(self.tree, config, name=self.base_name)
                 self._bases[config_key] = base
-            self._cache[key] = apply_transforms(base, spec)
+            plan = self._plans.get((config_key, spec.compiler))
+            if plan is None:
+                plan = plan_transforms(base, spec.compiler)
+                self._plans[config_key, spec.compiler] = plan
+            self._cache[key] = apply_transforms(base, spec, plan)
             self.build_count += 1
         return self._cache[key]
 

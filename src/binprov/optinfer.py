@@ -37,7 +37,13 @@ from .buildoracle import (
 from .errors import BudgetExceededError
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``optinfer.compare_programs`` by name.
-from .simdiff import compare_programs, index_program, similarity  # noqa: F401
+from .simdiff import (  # noqa: F401
+    ProgramIndex,
+    _indexed,
+    compare_programs,
+    index_program,
+    similarity,
+)
 
 __all__ = ["Probe", "InferenceTrace", "infer_options"]
 
@@ -70,7 +76,7 @@ class InferenceTrace:
 class _Prober:
     def __init__(self, backend, crash, config, budget):
         self.backend = backend
-        self.crash = index_program(crash)
+        self.crash = _indexed(crash)
         self.config = config
         self.budget = budget
         self.scores: dict[BuildSpec, float] = {}
@@ -94,11 +100,12 @@ class _Prober:
 
 def infer_options(
     backend,
-    crash: BinaryProgram,
+    crash: BinaryProgram | ProgramIndex,
     config: ConfigAssignment | None = None,
     budget: int | None = None,
 ) -> InferenceTrace:
-    """Infer (compiler, version, level) for a crash-report binary.
+    """Infer (compiler, version, level) for a crash-report binary, given as
+    the program or as its ``ProgramIndex``.
 
     ``budget`` caps the number of fresh builds; past it the search raises
     ``BudgetExceededError``.

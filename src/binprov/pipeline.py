@@ -210,12 +210,15 @@ def run_case(
     report = CaseReport(name=name, verification=Verification.FAILED)
 
     try:
-        trace = infer_options(backend, crash, config=seed_config, budget=budget)
+        # One index of the crash serves option inference, the diff, the
+        # refinement and the final similarity.
+        crash_index = index_program(crash)
+        trace = infer_options(backend, crash_index, config=seed_config, budget=budget)
         report.option_trace = trace
         report.decided_options = trace.inferred
 
         generated = backend.build(trace.inferred, seed_config)
-        diff = diff_programs(generated, crash)
+        diff = diff_programs(generated, crash_index)
         low_confidence_note = ""
         if diff.score < threshold:
             low_confidence_note = (
@@ -236,7 +239,6 @@ def run_case(
             return report
 
         whole = PayloadIndex.for_program(crash)
-        crash_index = index_program(crash)
         present_units: list[str] = []
         for unit in _optional_units(config_map):
             decision = _decide_unit_presence(scans, unit, whole)

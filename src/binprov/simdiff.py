@@ -151,6 +151,11 @@ def index_program(program: BinaryProgram) -> ProgramIndex:
     )
 
 
+def _indexed(program: BinaryProgram | ProgramIndex) -> ProgramIndex:
+    """``program``'s index: the argument itself when it is one already."""
+    return program if isinstance(program, ProgramIndex) else index_program(program)
+
+
 def _unique_key_matches(
     left_keys: dict[str, object], right_keys: dict[str, object]
 ) -> list[tuple[str, str]]:
@@ -397,15 +402,19 @@ def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
 
 
 @_collector_paused()
-def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
+def diff_programs(
+    left: BinaryProgram | ProgramIndex, right: BinaryProgram | ProgramIndex
+) -> DiffReport:
     """Function-level diff: the matched pairs with their overlaps, and the
     unmatched functions of each side. ``left`` is conventionally the freshly
     generated binary and ``right`` the crash-report binary, so ``left_only``
     holds generated-only functions and ``right_only`` crash-only ones.
+    Either side may be given as its ``ProgramIndex``, so a caller that holds
+    the crash's index does not index it again.
 
     The cyclic collector is paused throughout: the indexes and the report
     are acyclic, so it would only rescan them as they grow."""
-    lidx, ridx = index_program(left), index_program(right)
+    lidx, ridx = _indexed(left), _indexed(right)
     matches = _match_indexes(lidx, ridx)
 
     pairs = []
@@ -415,7 +424,7 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
         pairs.append(FunctionPairDiff(left=lid, right=rid, fraction=fraction))
         total += fraction
 
-    denom = max(len(left.functions), len(right.functions))
+    denom = max(len(lidx.ids), len(ridx.ids))
     if denom == 0:
         score = beta = 1.0
     else:
@@ -428,8 +437,8 @@ def diff_programs(left: BinaryProgram, right: BinaryProgram) -> DiffReport:
         score=score,
         beta=beta,
         pairs=pairs,
-        left_only=sorted(f.id for f in left.functions if f.id not in matched_l),
-        right_only=sorted(f.id for f in right.functions if f.id not in matched_r),
+        left_only=sorted(fid for fid in lidx.ids if fid not in matched_l),
+        right_only=sorted(fid for fid in ridx.ids if fid not in matched_r),
     )
 
 

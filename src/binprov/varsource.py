@@ -3,8 +3,9 @@
 For every unit the scanner builds the tree of preprocessor fragments
 (#if/#ifdef/#ifndef/#elif/#else/#endif constructs), assigns every source
 line to exactly one fragment (the innermost one for ordinary lines, the
-enclosing one for the chain directives themselves), extracts the lexical
-features of each fragment, and records where functions are defined.
+enclosing one for the chain directives themselves), and records where
+functions are defined. The lexical features of a fragment are extracted
+the first time they are read.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -72,15 +73,43 @@ class BranchShape:
 Feature = StringLit | IntConst | CallSig | BranchShape
 
 
+class _FeaturesOnFirstRead:
+    """The ``features`` field of ``Fragment``. A scanned fragment's features
+    are computed from its unit's lines the first time they are read, then
+    kept. An assigned value replaces them; ``None``, the default, leaves
+    them to be computed (as ``()`` for a fragment no scan made)."""
+
+    def __get__(self, frag, owner=None):
+        if frag is None:
+            return None
+        features = frag._features
+        if features is None:
+            lines = getattr(frag, "_unit_lines", None)
+            features = frag._features = () if lines is None else _fragment_features(frag, lines)
+        return features
+
+    def __set__(self, frag, value) -> None:
+        frag._features = value
+
+
 @dataclass
 class Fragment:
+    """One preprocessor fragment of a unit: its presence condition, the
+    lines it owns and their lexical features.
+
+    ``scan_unit`` builds the fragment tree, the lines and the function
+    spans; ``features`` is computed on first read, since the pipeline reads
+    only the features of conditional fragments and of the roots of optional
+    units. Reading, assigning and comparing ``features`` behave as for a
+    plain field."""
+
     id: str
     unit: str
     condition: Condition
     parent: str | None
     span: tuple[int, int]
     lines: list[int] = field(default_factory=list)
-    features: tuple[Feature, ...] = ()
+    features: tuple[Feature, ...] = _FeaturesOnFirstRead()
 
     @property
     def is_root(self) -> bool:
@@ -243,7 +272,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
         raise SchemaError(f"{name}: unterminated #if (opened near line {chains[-1].current.span[0] - 1})")
 
     for frag in fragments:
-        frag.features = _fragment_features(frag, lines)
+        frag._unit_lines = lines  # read by ``features`` on first use
 
     return UnitVariability(
         unit=name, fragments=fragments, functions=_function_index(lines)
@@ -320,13 +349,14 @@ def _fragment_features(frag: Fragment, lines: list[str]) -> tuple[Feature, ...]:
         text = _strip_comment(raw)
         cond = _extract_if_condition(text)
         if cond is not None:
+            cond_feats = _scan_text_features(cond)
             feats.append(
                 BranchShape(
-                    condition_features=tuple(_scan_text_features(cond)),
+                    condition_features=tuple(cond_feats),
                     has_else=_has_else(lines, lineno - 1),
                 )
             )
-            feats.extend(_scan_text_features(cond))
+            feats.extend(cond_feats)
             after = text[text.index(cond) + len(cond) :] if cond in text else ""
             feats.extend(_scan_text_features(after))
         else:

@@ -9,8 +9,16 @@ import time
 import pytest
 
 from binprov import buildoracle, varsource
-from binprov.binmodel import KeyKind, serialize_model
+from binprov.binmodel import (
+    BasicBlock,
+    BinaryProgram,
+    Function,
+    KeyInstruction,
+    KeyKind,
+    serialize_model,
+)
 from binprov.buildoracle import (
+    COMPILERS,
     DEFAULT_VERSIONS,
     LEVELS,
     PADS_PER_THETA,
@@ -24,6 +32,7 @@ from binprov.buildoracle import (
     apply_transforms,
     build_unoptimized,
     default_spec,
+    plan_transforms,
     version_theta,
 )
 from binprov.errors import (
@@ -396,6 +405,64 @@ def test_dedup_merges_identical_bodies(base0):
     assert {"dup_copy_a", "dup_copy_b"} <= {fn.id for fn in o2.functions}
 
 
+def _chain_base():
+    """Entry b5 runs the chain b5 -> b3 -> b1 -> b2 into a diamond. In block-id
+    order b1 absorbs b2, then b3 absorbs b1, then b5 absorbs b3, so b5 must
+    end with all four blocks' instructions and b2's successors."""
+
+    def ki(kind, operand=None):
+        return KeyInstruction(kind, operand=operand)
+
+    blocks = [
+        BasicBlock("b1", [ki(KeyKind.STRING_REF, "one")], ["b2"]),
+        BasicBlock("b2", [ki(KeyKind.COMPARE), ki(KeyKind.CONST_REF, "2")], ["b4", "b6"]),
+        BasicBlock("b3", [ki(KeyKind.CONST_REF, "3")], ["b1"]),
+        BasicBlock("b4", [ki(KeyKind.CALL, "left"), ki(KeyKind.CONST_REF, "4")], ["b6"]),
+        BasicBlock("b5", [ki(KeyKind.CALL, "start")], ["b3"]),
+        BasicBlock("b6", [ki(KeyKind.CONST_REF, "6")], []),
+    ]
+    return BinaryProgram("chain", functions=[Function("f", "b5", blocks, symbol="f")])
+
+
+def _layout(program):
+    return [
+        (blk.id, [(ki.kind.value, ki.operand) for ki in blk.keyins], blk.succs)
+        for blk in program.functions[0].blocks
+    ]
+
+
+def test_merge_carries_an_absorbed_absorber_whole():
+    # Expected outputs computed with the per-pass transform chain the plan
+    # replaced. The pad and the clang marker land in b2 and travel with it.
+    head = [("call", "start"), ("const", "3"), ("str", "one"), ("cmp", None), ("const", "2")]
+    clang = head + [("const", "7100"), ("str", "runtime-guard")]
+    o1 = apply_transforms(_chain_base(), BuildSpec("clang", "4.0", "O1"))
+    assert _layout(o1) == [
+        ("b4", [("call", "left"), ("const", "4")], ["b6"]),
+        ("b5", clang, ["b4", "b6"]),
+        ("b6", [("const", "6")], []),
+    ]
+    o2 = apply_transforms(_chain_base(), BuildSpec("clang", "4.0", "O2"))
+    assert _layout(o2) == [
+        ("b4", [("call", "left"), ("const", "4")], ["b6"]),
+        ("b5", clang, ["b4", "b6"]),
+        ("b6", [], []),
+    ]
+    gcc = apply_transforms(_chain_base(), BuildSpec("gcc", "5", "O2"))
+    assert _layout(gcc) == [
+        ("b4", [("call", "left")], ["b6"]),
+        ("b5", head, ["b4", "b6"]),
+        ("b6", [("const", "6")], []),
+    ]
+
+
+def test_apply_transforms_equals_the_planned_toolchain_build(base0, backend0, seed_config0, specs):
+    for spec in specs:
+        assert serialize_model(apply_transforms(base0, spec)) == serialize_model(
+            backend0.build(spec, seed_config0)
+        ), spec.text()
+
+
 # --- backends ----------------------------------------------------------------
 
 
@@ -443,6 +510,24 @@ def test_simulated_toolchain_builds_each_base_once(case0, specs, monkeypatch):
             backend.build(spec, cfg)
     assert calls == [cfg.key() for cfg in configs]
     assert backend.build_count == 2 * len(specs)
+
+
+def test_simulated_toolchain_plans_each_base_once_per_compiler(case0, specs, monkeypatch):
+    calls = []
+
+    def counting(program, compiler):
+        calls.append((id(program), compiler))
+        return plan_transforms(program, compiler)
+
+    monkeypatch.setattr(buildoracle, "plan_transforms", counting)
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    configs = (case0.seed_config(), EMPTY_CONFIG)
+    for cfg in configs:
+        for spec in specs:
+            backend.build(spec, cfg)
+    assert len(calls) == len(set(calls)) == len(configs) * len(COMPILERS)
+    assert len({base for base, _ in calls}) == len(configs)
+    assert backend.build_count == len(configs) * len(specs)
 
 
 def test_scan_tree_reuses_the_scans_of_builds(case0, monkeypatch):

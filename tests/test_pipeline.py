@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from binprov import optinfer, pipeline, simdiff
 from binprov.binmodel import KeyInstruction, KeyKind
 from binprov.buildoracle import (
     BuildSpec,
@@ -180,6 +181,22 @@ def test_case_reports_match_golden_digest():
             digest.update(json.dumps(_report_record(report), sort_keys=True).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == "048a6f6bd639172bc2cc53579d4f17643f267244064fa310a9040c6316a21ba3"
+
+
+def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):
+    indexed = []
+
+    def counting(program):
+        indexed.append(id(program))
+        return index_program(program)
+
+    for module in (pipeline, optinfer, simdiff):
+        monkeypatch.setattr(module, "index_program", counting)
+    for case in corpus21[:4]:
+        indexed.clear()
+        report = run_generated_case(case)
+        assert report.option_trace is not None
+        assert indexed.count(id(case.crash)) == 1, case.name
 
 
 # --- option landscape ---------------------------------------------------------

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import re
 
 import pytest
 
+from binprov import varsource
+from binprov.buildoracle import BuildSpec, SimulatedToolchain
 from binprov.conditions import BoolConst, DefinedAtom, Not, neg, to_text
-from binprov.corpusgen import generate_conditional_unit
+from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import MapGapError, SchemaError
+from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
     CallSig,
@@ -79,6 +84,56 @@ def test_scan_is_deterministic():
         f.condition_text() for f in b.fragments
     ]
     assert [f.lines for f in a.fragments] == [f.lines for f in b.fragments]
+
+
+def test_features_read_late_match_the_eager_scan_digest():
+    # sha256 over repr((fragment id, features)) of every fragment of every
+    # unit of corpus seeds 1-3, computed with the scanner that extracted
+    # every fragment's features during the scan.
+    digest = hashlib.sha256()
+    count = 0
+    for seed in (1, 2, 3):
+        for case in generate_corpus(seed, 21):
+            for unit in case.tree.units:
+                for frag in scan_unit(unit.name, unit.text).fragments:
+                    digest.update(repr((frag.id, frag.features)).encode())
+                    count += 1
+    assert count == 679
+    assert digest.hexdigest() == (
+        "c0e6fdaeae6cf33544f9968a0888607ac956f25ea6ee73ec3499d152d85d47be"
+    )
+
+
+def test_features_compare_and_assign_like_a_field():
+    unread = scan_unit("x.c", XMLLINT_SNIPPET)
+    read = scan_unit("x.c", XMLLINT_SNIPPET)
+    assert all(frag.features is not None for frag in read.fragments)
+    assert unread == read
+    frag = read.conditional_fragments()[0]
+    frag.features = ()
+    assert frag.features == ()
+    assert unread != read
+
+
+def test_building_and_running_a_case_leave_base_roots_unfeatured(case0, monkeypatch):
+    computed = []
+    fragment_features = varsource._fragment_features
+
+    def counting(frag, lines):
+        computed.append(frag.id)
+        return fragment_features(frag, lines)
+
+    monkeypatch.setattr(varsource, "_fragment_features", counting)
+    tree = SourceTree.from_mapping({u.name: u.text for u in case0.tree.units})
+    SimulatedToolchain(tree).build(BuildSpec("gcc", "6", "O2"), case0.seed_config())
+    assert computed == []
+
+    case = dataclasses.replace(case0, tree=tree)
+    run_generated_case(case)
+    base_roots = {scan_tree(tree)[name].fragments[0].id for name in case.base_units}
+    assert computed
+    assert not base_roots & set(computed)
+    assert len(computed) == len(set(computed))  # each kept once computed
 
 
 def _chain_groups(text: str) -> list[list[int]]:
