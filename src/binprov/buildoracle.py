@@ -29,14 +29,17 @@ the control flow, and fold sites depend only on the compiler, so where each
 of the first four passes acts is fixed by the base and the compiler.
 ``plan_transforms`` finds those sites once, as a ``TransformPlan``, and
 ``apply_transforms`` replays the plan up to a spec's version and level, then
-runs inline and dedup.
+runs inline and dedup. The merge chains do not depend on the compiler at
+all: they are walked once per base, and each compiler's plan only salts the
+pad order and the fold choice.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
 instructions, which no pass rewrites in place. ``SimulatedToolchain`` builds
-the unoptimized base once per configuration and plans it once per compiler,
-and each source unit is scanned once per tree (``SourceTree.scan``), so a
-probe costs only the replay of its plan and its inline or dedup pass.
+the unoptimized base and walks its merge chains once per configuration,
+plans it once per compiler, and each source unit is scanned once per tree
+(``SourceTree.scan``), so a probe costs only the replay of its plan and its
+inline or dedup pass.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
@@ -470,8 +473,30 @@ class TransformPlan:
     merged: tuple[tuple[_PlannedBlock, ...], ...]
 
 
-def plan_transforms(program: BinaryProgram, compiler: str) -> TransformPlan:
-    """The ``TransformPlan`` of an unoptimized program under ``compiler``."""
+# One merged block before the fold choice: the chain of base block
+# indices it concatenates, its successors, and whether fold may touch it
+# (no comparison in the chain, at least one constant).
+_MergedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
+
+
+@dataclass(frozen=True)
+class _ChainedBase:
+    """An unoptimized program with its merge chains, per function. The
+    chains read only the control flow, so ``SimulatedToolchain`` walks them
+    once per base and hands this to ``plan_transforms`` for each compiler."""
+
+    program: BinaryProgram
+    merges: tuple[tuple[_MergedBlock, ...], ...]
+
+
+def plan_transforms(program: BinaryProgram | _ChainedBase, compiler: str) -> TransformPlan:
+    """The ``TransformPlan`` of an unoptimized program under ``compiler``.
+    Given a ``_ChainedBase``, the plan reuses its merge chains and only
+    salts the pad order and the fold choice with ``compiler``."""
+    if isinstance(program, _ChainedBase):
+        merges, program = program.merges, program.program
+    else:
+        merges = _merge_chains(program)
     ranked: list[tuple[str, str, str, int, int]] = []
     flavor: list[tuple[int, int]] = []
     unmerged = []
@@ -484,7 +509,12 @@ def plan_transforms(program: BinaryProgram, compiler: str) -> TransformPlan:
         if compiler == "clang":
             flavor.extend((fi, bi) for bi in _flavor_blocks(fn, compares))
         unmerged.append(tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(fn.blocks)))
-        merged.append(_merged_layout(fn, compares, compiler))
+        merged.append(
+            tuple(
+                (chain, succs, foldable and _folds(compiler, fn.id, fn.blocks[chain[0]].id))
+                for chain, succs, foldable in merges[fi]
+            )
+        )
     ranked.sort()
     return TransformPlan(
         pad_sites=tuple((fi, bi) for *_rank, fi, bi in ranked),
@@ -507,8 +537,17 @@ def _flavor_blocks(fn: Function, compares: list[bool]) -> list[int]:
     return []
 
 
-def _merged_layout(fn: Function, compares: list[bool], compiler: str) -> tuple[_PlannedBlock, ...]:
-    """Merge (O1 and up) and fold (O2 and up) sites of one function.
+_FOLD_THRESHOLD = int(FOLD_RATE * 0xFFFFFFFF)
+
+
+def _folds(compiler: str, fid: str, bid: str) -> bool:
+    """Fold (O2 and up) drops the constants of a compiler-salted selection
+    of the foldable merged blocks."""
+    return int(_site_rank("fold", compiler, fid, bid)[:8], 16) <= _FOLD_THRESHOLD
+
+
+def _merge_chains(program: BinaryProgram) -> tuple[tuple[_MergedBlock, ...], ...]:
+    """The merged layout (O1 and up) of every function, before fold.
 
     Merge coalesces single-successor/single-predecessor chains to a
     fixpoint. A merge changes no block's predecessor count and only the
@@ -516,40 +555,41 @@ def _merged_layout(fn: Function, compares: list[bool], compiler: str) -> tuple[_
     absorbing its chain while it stays eligible, makes the same merges in
     the same order as rescanning from the first block after every merge.
 
-    Fold drops the constants of a compiler-salted selection of the merged
-    non-comparison blocks. Branch-condition immediates are never folded.
+    A merged block may fold when its chain holds no comparison (branch
+    immediates are never folded) and at least one constant.
     """
-    blocks = fn.blocks
-    position = {blk.id: bi for bi, blk in enumerate(blocks)}
-    preds = Counter(s for blk in blocks for s in blk.succs)
-    chains = [[bi] for bi in range(len(blocks))]
-    succs = [blk.succs for blk in blocks]
-    absorbed = [False] * len(blocks)
-    for bid in sorted(position):
-        bi = position[bid]
-        if absorbed[bi]:
-            continue
-        while len(succs[bi]) == 1:
-            succ_id = succs[bi][0]
-            if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
-                break
-            si = position[succ_id]
-            chains[bi] += chains[si]
-            succs[bi] = succs[si]
-            absorbed[si] = True
-    threshold = int(FOLD_RATE * 0xFFFFFFFF)
-    layout = []
-    for bi, blk in enumerate(blocks):
-        if absorbed[bi]:
-            continue
-        chain = chains[bi]
-        folds = (
-            not any(compares[m] for m in chain)
-            and any(ki.kind is KeyKind.CONST_REF for m in chain for ki in blocks[m].keyins)
-            and int(_site_rank("fold", compiler, fn.id, blk.id)[:8], 16) <= threshold
-        )
-        layout.append((tuple(chain), tuple(succs[bi]), folds))
-    return tuple(layout)
+    out = []
+    for fn in program.functions:
+        blocks = fn.blocks
+        compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in blocks]
+        position = {blk.id: bi for bi, blk in enumerate(blocks)}
+        preds = Counter(s for blk in blocks for s in blk.succs)
+        chains = [[bi] for bi in range(len(blocks))]
+        succs = [blk.succs for blk in blocks]
+        absorbed = [False] * len(blocks)
+        for bid in sorted(position):
+            bi = position[bid]
+            if absorbed[bi]:
+                continue
+            while len(succs[bi]) == 1:
+                succ_id = succs[bi][0]
+                if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
+                    break
+                si = position[succ_id]
+                chains[bi] += chains[si]
+                succs[bi] = succs[si]
+                absorbed[si] = True
+        layout = []
+        for bi in range(len(blocks)):
+            if absorbed[bi]:
+                continue
+            chain = chains[bi]
+            foldable = not any(compares[m] for m in chain) and any(
+                ki.kind is KeyKind.CONST_REF for m in chain for ki in blocks[m].keyins
+            )
+            layout.append((tuple(chain), tuple(succs[bi]), foldable))
+        out.append(tuple(layout))
+    return tuple(out)
 
 
 def _apply_inline(program: BinaryProgram) -> None:
@@ -680,10 +720,11 @@ class SimulatedToolchain:
 
     Builds are cached by (spec, configuration); the cache is shared by the
     option-inference search, which never pays twice for the same probe.
-    The unoptimized base is cached per configuration and its
-    ``TransformPlan`` per (configuration, compiler), and the tree keeps each
-    unit's scan, so a fresh build only replays the plan up to its version
-    and level and runs inline or dedup; it never mutates the cached base.
+    The unoptimized base and its merge chains are cached per configuration,
+    its ``TransformPlan`` per (configuration, compiler), and the tree keeps
+    each unit's scan, so a fresh build only replays the plan up to its
+    version and level and runs inline or dedup; it never mutates the cached
+    base.
     ``build_count`` counts fresh builds.
     """
 
@@ -691,7 +732,7 @@ class SimulatedToolchain:
         self.tree = tree
         self.base_name = base_name
         self._cache: dict[tuple, BinaryProgram] = {}
-        self._bases: dict[tuple, BinaryProgram] = {}
+        self._bases: dict[tuple, _ChainedBase] = {}
         self._plans: dict[tuple, TransformPlan] = {}
         self.build_count = 0
 
@@ -702,13 +743,14 @@ class SimulatedToolchain:
         if key not in self._cache:
             base = self._bases.get(config_key)
             if base is None:
-                base = build_unoptimized(self.tree, config, name=self.base_name)
+                program = build_unoptimized(self.tree, config, name=self.base_name)
+                base = _ChainedBase(program, _merge_chains(program))
                 self._bases[config_key] = base
             plan = self._plans.get((config_key, spec.compiler))
             if plan is None:
                 plan = plan_transforms(base, spec.compiler)
                 self._plans[config_key, spec.compiler] = plan
-            self._cache[key] = apply_transforms(base, spec, plan)
+            self._cache[key] = apply_transforms(base.program, spec, plan)
             self.build_count += 1
         return self._cache[key]
 

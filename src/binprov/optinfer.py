@@ -74,9 +74,10 @@ class InferenceTrace:
 
 
 class _Prober:
-    def __init__(self, backend, crash, config, budget):
+    def __init__(self, backend, crash, config, budget, index_of):
         self.backend = backend
         self.crash = _indexed(crash)
+        self.index_of = index_program if index_of is None else index_of
         self.config = config
         self.budget = budget
         self.scores: dict[BuildSpec, float] = {}
@@ -92,7 +93,7 @@ class _Prober:
                 f"probe budget {self.budget} exhausted before trying {spec.text()}"
             )
         generated = self.backend.build(spec, self.config)
-        value = similarity(index_program(generated), self.crash)
+        value = similarity(self.index_of(generated), self.crash)
         self.scores[spec] = value
         self.probes.append(Probe(spec=spec, score=value, step=step, cached=False))
         return value
@@ -103,15 +104,19 @@ def infer_options(
     crash: BinaryProgram | ProgramIndex,
     config: ConfigAssignment | None = None,
     budget: int | None = None,
+    *,
+    _index_of=None,
 ) -> InferenceTrace:
     """Infer (compiler, version, level) for a crash-report binary, given as
     the program or as its ``ProgramIndex``.
 
     ``budget`` caps the number of fresh builds; past it the search raises
-    ``BudgetExceededError``.
+    ``BudgetExceededError``. ``_index_of`` replaces ``index_program`` for
+    the probe builds, so ``run_case`` can keep their indexes for its later
+    stages.
     """
     config = config or ConfigAssignment()
-    prober = _Prober(backend, crash, config, budget)
+    prober = _Prober(backend, crash, config, budget, _index_of)
 
     # Stage 1: unoptimized or not, using the default compiler.
     first = DEFAULT_COMPILER

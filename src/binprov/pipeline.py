@@ -46,7 +46,14 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import ProgramIndex, diff_programs, index_program, similarities, similarity
+from .simdiff import (
+    ProgramIndex,
+    _IndexMemo,
+    _similarities,
+    diff_programs,
+    index_program,
+    similarity,
+)
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
 from .simdiff import compare_programs  # noqa: F401
@@ -154,6 +161,7 @@ def _config_for_model(
 
 def _refine_free_atoms(
     backend,
+    index_of: _IndexMemo,
     crash_index: ProgramIndex,
     config_map: ConfigMap,
     spec,
@@ -181,7 +189,7 @@ def _refine_free_atoms(
             built = backend.build(spec, config)
         except BinprovError:
             continue
-        sim = similarity(index_program(built), crash_index)
+        sim = similarity(index_of(built), crash_index)
         key = (sim, -sum(bits))
         if best is None or key > best[0]:
             best = (key, candidate)
@@ -211,14 +219,20 @@ def run_case(
 
     try:
         # One index of the crash serves option inference, the diff, the
-        # refinement and the final similarity.
+        # refinement and the final similarity. Builds are indexed through
+        # one memo, so a build the toolchain hands back from its cache (the
+        # probe at the inferred options, a refinement candidate rebuilt at
+        # the end) is indexed once.
         crash_index = index_program(crash)
-        trace = infer_options(backend, crash_index, config=seed_config, budget=budget)
+        index_of = _IndexMemo()
+        trace = infer_options(
+            backend, crash_index, config=seed_config, budget=budget, _index_of=index_of
+        )
         report.option_trace = trace
         report.decided_options = trace.inferred
 
         generated = backend.build(trace.inferred, seed_config)
-        diff = diff_programs(generated, crash_index)
+        diff = diff_programs(index_of(generated), crash_index)
         low_confidence_note = ""
         if diff.score < threshold:
             low_confidence_note = (
@@ -260,6 +274,7 @@ def run_case(
             return report
         outcome = _refine_free_atoms(
             backend,
+            index_of,
             crash_index,
             config_map,
             trace.inferred,
@@ -279,7 +294,7 @@ def run_case(
         report.decided_configs = tuple(flags)
 
         rebuilt = backend.build(trace.inferred, final_config)
-        report.similarity = similarity(index_program(rebuilt), crash_index)
+        report.similarity = similarity(index_of(rebuilt), crash_index)
 
         env = {m: True for m in final_config.macros}
         holds = all(evaluate(c, env, env) for c in constraint_report.constraints)
@@ -322,16 +337,26 @@ def similarity_matrix(
     """Full cross-comparison grid: Sim(build(a), build(b)) for every spec
     pair, in the order of ``specs`` (all fifty by default).
 
-    Each unordered pair is matched once and ``similarities`` fills both of
-    its cells; the diagonal is computed like any other cell."""
+    Each unordered pair is matched once and fills both of its cells; the
+    diagonal is computed like any other cell. A function pair's fraction
+    depends only on the two signatures, and the builds of one base share
+    most of theirs, so one memo for the whole grid scores each distinct
+    signature pair once."""
     specs = list(specs) if specs is not None else all_option_specs()
     indexes = [index_program(backend.build(s, config)) for s in specs]
     n = len(indexes)
     grid = [[0.0] * n for _ in range(n)]
+    # Each distinct signature gets a small int, the key of the fraction memo.
+    ids_of: dict[tuple, int] = {}
+    classes = [
+        {fid: ids_of.setdefault(sig, len(ids_of)) for fid, sig in ix.signatures.items()}
+        for ix in indexes
+    ]
+    fractions: dict[tuple[int, int], float] = {}
     for i, ia in enumerate(indexes):
         row = grid[i]
         for j in range(i, n):
-            row[j], grid[j][i] = similarities(ia, indexes[j])
+            row[j], grid[j][i] = _similarities(ia, indexes[j], fractions, classes[i], classes[j])
     return grid
 
 

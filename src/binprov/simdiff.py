@@ -13,7 +13,9 @@ unmatched, and only when the pairing key is unique on both sides:
 
 Pass 4 is what makes a program compare equal to itself even when it contains
 byte-identical duplicate functions, which passes 1-3 can never tell apart in
-a stripped binary.
+a stripped binary. Matching stops as soon as either side has no unmatched
+function left, since no later pass could pair one: two unstripped builds of
+one source pair up by symbol and run pass 1 only.
 
 A block's fingerprint is the product of one small prime per key
 instruction, the prime fixed by the instruction's kind. By unique
@@ -25,7 +27,11 @@ their blocks over the larger block count; program similarity is the sum of
 pair similarities over the larger function count. Both are symmetric, land
 in [0, 1], and hit exactly 1.0 on self-comparison. Every pass of the matcher
 is symmetric under swapping the sides, so ``similarities`` scores both
-directions of a pair from one match.
+directions of a pair from one match. A pair's fraction depends only on the
+two function signatures, and is exactly 1.0 when they are equal; a caller
+that scores many programs built from one source, as ``similarity_matrix``
+does, keeps one memo of fractions per distinct signature pair for the
+length of its call.
 
 Every per-program fact the matcher and the scores read (symbols, call
 edges, block counts, fingerprint signatures and fingerprint multisets) comes
@@ -156,6 +162,22 @@ def _indexed(program: BinaryProgram | ProgramIndex) -> ProgramIndex:
     return program if isinstance(program, ProgramIndex) else index_program(program)
 
 
+class _IndexMemo:
+    """``index_program`` over the programs one caller scores, computing
+    each program's index once. Entries are keyed by identity, since a
+    toolchain hands back the same object for a cached build, and hold their
+    program, so no id is reused while the memo lives."""
+
+    def __init__(self) -> None:
+        self._held: dict[int, tuple[BinaryProgram, ProgramIndex]] = {}
+
+    def __call__(self, program: BinaryProgram) -> ProgramIndex:
+        held = self._held.get(id(program))
+        if held is None:
+            held = self._held[id(program)] = (program, index_program(program))
+        return held[1]
+
+
 def _unique_key_matches(
     left_keys: dict[str, object], right_keys: dict[str, object]
 ) -> list[tuple[str, str]]:
@@ -207,14 +229,15 @@ def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, s
             added = True
         return added
 
-    # Pass 1: symbols, where both sides carry them.
-    record(
-        sorted(
-            (lid, right.unique_symbols[sym])
-            for sym, lid in left.unique_symbols.items()
-            if sym in right.unique_symbols
-        )
-    )
+    # Pass 1: symbols, where both sides carry them. A unique symbol names
+    # one id on each side, so no two of these pairs share an id and the
+    # order they are recorded in does not matter.
+    right_symbols = right.unique_symbols
+    for sym, lid in left.unique_symbols.items():
+        rid = right_symbols.get(sym)
+        if rid is not None:
+            matched_lr[lid] = rid
+            matched_rl[rid] = lid
 
     def left_token(fid: str):
         # Matched pairs are identified by the left-side id: stable and equal
@@ -260,16 +283,26 @@ def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, s
                 pairs.append((lid, rid))
         return record(pairs)
 
-    def converge() -> None:
+    def one_side_done() -> bool:
+        # Every later pass pairs only ids unmatched on both sides, so once
+        # either side has none left no pass can add a pair.
+        return len(matched_lr) == len(left.ids) or len(matched_rl) == len(right.ids)
+
+    def converge() -> bool:
+        """Passes 2 and 3 to a fixpoint; True when they stop because one
+        side is fully matched."""
         while True:
+            if one_side_done():
+                return True
             any_change = neighborhood_pass()
+            if one_side_done():
+                return True
             if signature_pass():
                 any_change = True
             if not any_change:
-                break
+                return False
 
-    converge()
-    if positional_pass():
+    if not converge() and positional_pass():
         converge()
     return sorted(matched_lr.items())
 
@@ -282,7 +315,11 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
 
 def _pair_fraction(left: ProgramIndex, lid: str, right: ProgramIndex, rid: str) -> float:
     """Fingerprint-multiset overlap of a matched pair over its larger block
-    count."""
+    count. It reads only the two signatures (the fingerprint multisets and
+    block counts are theirs), and is exactly 1.0 when they are equal: n/n,
+    or an empty pair."""
+    if left.signatures[lid] == right.signatures[rid]:
+        return 1.0
     cb = right.fingerprints[rid]
     overlap = 0
     for fp, n in left.fingerprints[lid].items():
@@ -313,14 +350,35 @@ def similarities(left: ProgramIndex, right: ProgramIndex) -> tuple[float, float]
     summation differs: left-id order for the first value, right-id order for
     the second. The explicit loops keep the float bits of ``similarity``.
     """
-    fractions = [
-        (rid, _pair_fraction(left, lid, right, rid)) for lid, rid in _match_indexes(left, right)
-    ]
+    return _similarities(left, right, {}, left.signatures, right.signatures)
+
+
+def _similarities(
+    left: ProgramIndex,
+    right: ProgramIndex,
+    fractions: dict,
+    left_classes: dict[str, object],
+    right_classes: dict[str, object],
+) -> tuple[float, float]:
+    """``similarities``, reading and filling ``fractions``, which maps a
+    (left class, right class) pair to that function pair's fraction. A class
+    map gives each function id of its side a key that is equal exactly when
+    the signatures are. A caller that scores many pairs of programs passes
+    one dict and one key space to them all, so each distinct signature pair
+    is scored once."""
+    scored = []
+    for lid, rid in _match_indexes(left, right):
+        key = (left_classes[lid], right_classes[rid])
+        f = fractions.get(key)
+        if f is None:
+            f = fractions[key] = _pair_fraction(left, lid, right, rid)
+        scored.append((rid, f))
     forward = 0.0
-    for _rid, f in fractions:
+    for _rid, f in scored:
         forward += f
     backward = 0.0
-    for _rid, f in sorted(fractions, key=lambda rf: rf[0]):
+    # Matched right ids are distinct, so the tuples sort by right id alone.
+    for _rid, f in sorted(scored):
         backward += f
     denom = max(len(left.ids), len(right.ids))
     if denom == 0:

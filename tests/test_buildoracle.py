@@ -530,6 +530,26 @@ def test_simulated_toolchain_plans_each_base_once_per_compiler(case0, specs, mon
     assert backend.build_count == len(configs) * len(specs)
 
 
+def test_simulated_toolchain_walks_merge_chains_once_per_base(case0, specs, monkeypatch):
+    # Merge chains read only the control flow: both compilers' plans of a
+    # base share one walk.
+    walked = []
+    merge_chains = buildoracle._merge_chains
+
+    def counting(program):
+        walked.append(id(program))
+        return merge_chains(program)
+
+    monkeypatch.setattr(buildoracle, "_merge_chains", counting)
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    configs = (case0.seed_config(), EMPTY_CONFIG)
+    for cfg in configs:
+        for spec in specs:
+            backend.build(spec, cfg)
+    assert len(walked) == len(set(walked)) == len(configs)
+    assert backend.build_count == len(configs) * len(specs)
+
+
 def test_scan_tree_reuses_the_scans_of_builds(case0, monkeypatch):
     scanned = []
     scan_unit = varsource.scan_unit

@@ -199,6 +199,33 @@ def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):
         assert indexed.count(id(case.crash)) == 1, case.name
 
 
+def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
+    # The probe at the inferred options is the build the diff reads, and a
+    # refinement candidate may come back as the final rebuild: each built
+    # program is indexed once, and the crash once.
+    indexed = []
+
+    def counting(program):
+        indexed.append(id(program))
+        return index_program(program)
+
+    for module in (pipeline, optinfer, simdiff):
+        monkeypatch.setattr(module, "index_program", counting)
+    for case in corpus21[:4]:
+        built = {}
+
+        class Recording(SimulatedToolchain):
+            def build(self, spec, config):
+                program = super().build(spec, config)
+                built[id(program)] = program
+                return program
+
+        indexed.clear()
+        report = run_generated_case(case, backend=Recording(case.tree, base_name=case.name))
+        assert report.option_trace is not None
+        assert sorted(indexed) == sorted([*built, id(case.crash)]), case.name
+
+
 # --- option landscape ---------------------------------------------------------
 
 

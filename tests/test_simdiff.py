@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
+import hashlib
 import math
 import random
 from collections import Counter
@@ -21,6 +23,7 @@ from binprov.binmodel import (
     KeyKind,
     strip_program,
 )
+from binprov.buildoracle import SimulatedToolchain, all_option_specs
 from binprov.simdiff import (
     KIND_PRIMES,
     compare_programs,
@@ -451,3 +454,104 @@ def test_similarities_equal_both_directions_computed_apart(pair):
     assert repr(both) == repr((similarity(li, ri), similarity(ri, li)))
     forward = match_functions(left, right)
     assert sorted((r, l) for l, r in forward) == match_functions(right, left)
+
+
+# --- early exit and the fraction memo ---------------------------------------
+
+
+def _symbol_program(name: str, symbols: list[str]) -> BinaryProgram:
+    """One single-block function per symbol, each called by the next, so
+    the later passes would have keys to hash."""
+    functions = []
+    for k, sym in enumerate(symbols):
+        keyins = [KeyInstruction(KeyKind.CONST_REF, operand=str(k))]
+        if k:
+            keyins.append(KeyInstruction(KeyKind.CALL, operand=symbols[k - 1]))
+        blocks = [BasicBlock(id="b0", keyins=keyins)]
+        functions.append(Function(id=sym, entry="b0", blocks=blocks, symbol=sym))
+    return BinaryProgram(name=name, stripped=False, functions=functions)
+
+
+@pytest.mark.parametrize("complete_side", ["left", "right"])
+def test_matching_stops_once_either_side_is_fully_paired(complete_side, monkeypatch):
+    # Pass 1 pairs every function of the smaller side. Later passes pair
+    # only functions unmatched on both sides, so none of them may run.
+    later = []
+    for name in ("_neighborhood_hash", "_unique_key_matches"):
+        original = getattr(simdiff, name)
+
+        def counting(*args, _name=name, _original=original):
+            later.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(simdiff, name, counting)
+    small = _symbol_program("S", ["a", "b", "c"])
+    large = _symbol_program("L", ["a", "b", "c", "d", "e"])
+    left, right = (small, large) if complete_side == "left" else (large, small)
+    assert match_functions(left, right) == [("a", "a"), ("b", "b"), ("c", "c")]
+    assert later == []
+    # Unpaired functions on both sides still reach the later passes.
+    left.functions[0].symbol = right.functions[0].symbol = None
+    assert match_functions(left, right) == [("a", "a"), ("b", "b"), ("c", "c")]
+    assert later
+
+
+def _half_symbols(program: BinaryProgram) -> BinaryProgram:
+    functions = [
+        fn if k % 2 == 0 else dataclasses.replace(fn, symbol=None)
+        for k, fn in enumerate(program.functions)
+    ]
+    return BinaryProgram(name=program.name, stripped=False, functions=functions)
+
+
+def test_matching_and_scores_match_golden_digest(case0):
+    # Every ordered pair of the 50 hidden-configuration builds of one case,
+    # their stripped views and a variant that keeps symbols on every other
+    # function: 22,500 matches and score pairs. The digest was recorded
+    # before matching stopped early and scores shared fractions.
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    builds = [backend.build(spec, case0.truth_config()) for spec in all_option_specs()]
+    programs = builds + [strip_program(b) for b in builds] + [_half_symbols(b) for b in builds]
+    indexes = [index_program(p) for p in programs]
+    digest = hashlib.sha256()
+    for a in indexes:
+        for b in indexes:
+            digest.update(repr(simdiff._match_indexes(a, b)).encode())
+            digest.update(repr(similarities(a, b)).encode())
+    assert digest.hexdigest() == (
+        "efdb5acef4cccf7b0e59a3754b40233e45f546055cffde3107c5c5e172c46d49"
+    )
+
+
+_block_kinds = st.lists(st.lists(st.sampled_from(_KINDS), max_size=3), max_size=6)
+
+
+def _one_function_index(kinds_per_block: list[list[KeyKind]]) -> simdiff.ProgramIndex:
+    blocks = [
+        BasicBlock(id=f"b{k}", keyins=[KeyInstruction(kind, operand="x") for kind in kinds])
+        for k, kinds in enumerate(kinds_per_block)
+    ]
+    fn = Function(id="f", entry="b0", blocks=blocks, symbol="f")
+    return index_program(BinaryProgram(name="p", stripped=False, functions=[fn]))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(_block_kinds, _block_kinds)
+def test_pair_fraction_is_signature_overlap_over_larger_side(left_kinds, right_kinds):
+    li, ri = _one_function_index(left_kinds), _one_function_index(right_kinds)
+    sig_l, sig_r = li.signatures["f"], ri.signatures["f"]
+    denom = max(len(sig_l), len(sig_r))
+    overlap = sum((Counter(sig_l) & Counter(sig_r)).values())
+    expected = 1.0 if denom == 0 else overlap / denom
+    assert repr(simdiff._pair_fraction(li, "f", ri, "f")) == repr(expected)
+    assert repr(simdiff._pair_fraction(li, "f", li, "f")) == repr(1.0)
+
+
+def test_pair_fraction_of_two_empty_functions_is_one():
+    empty = _one_function_index([])
+    assert empty.signatures["f"] == ()
+    assert simdiff._pair_fraction(empty, "f", empty, "f") == 1.0
+    # Equal signatures from blocks in another order, with a repeat: n/n.
+    left = _one_function_index([[KeyKind.CALL], [KeyKind.CALL], []])
+    right = _one_function_index([[KeyKind.CALL], [], [KeyKind.CALL]])
+    assert simdiff._pair_fraction(left, "f", right, "f") == 1.0
