@@ -68,9 +68,10 @@ from .binmodel import (
 )
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
+from .varsource import ConfigMap, SourceTree
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
-from .varsource import SourceTree, scan_unit  # noqa: F401
+from .varsource import scan_unit  # noqa: F401
 
 __all__ = [
     "COMPILERS",
@@ -174,6 +175,15 @@ class ConfigAssignment:
 
     macros: frozenset[str] = frozenset()
     units: tuple[str, ...] | None = None
+
+    @classmethod
+    def for_flags(cls, config_map: ConfigMap, flags, base_units) -> ConfigAssignment:
+        """The configuration a flag set of ``config_map`` selects: the macros
+        its flags define, and the base units plus the units they pull in."""
+        return cls(
+            macros=frozenset(config_map.macros_for(flags)),
+            units=tuple(sorted(set(base_units) | config_map.units_for(flags))),
+        )
 
     def macro_env(self) -> dict[str, bool]:
         return {m: True for m in self.macros}
@@ -429,7 +439,7 @@ def _elide_empty_blocks(fn: Function) -> None:
 
 
 def _evaluate_fragment(frag, env: dict[str, bool]) -> bool:
-    return evaluate(frag.condition, env, env)
+    return evaluate(frag.condition, env)
 
 
 # --- optimization transform chain ----------------------------------------

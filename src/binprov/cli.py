@@ -7,8 +7,11 @@ Subcommands cover each pipeline stage plus the end-to-end run:
                    serialization
     diff           similarity and function matching between two models
     infer-options  recover compiler, version and optimization level
-    infer-config   recover configuration macros and flags at known options
-    run-case       the full pipeline on a case directory or explicit inputs
+    infer-config   the pipeline's configuration stage at known options
+                   (--config-map required); prints a case report
+    run-case       the full pipeline on a case directory, a corpus root
+                   (each case honours --toolchains and --run-trigger) or
+                   explicit inputs
     matrix         build the full option cross-comparison grid and run the
                    ordering checks on it
     gen-corpus     emit a deterministic synthetic benchmark corpus
@@ -41,22 +44,19 @@ from .buildoracle import (
     SimulatedToolchain,
     all_option_specs,
 )
-from .conditions import to_text
 from .corpusgen import generate_corpus, load_case_dir, write_corpus
 from .errors import BinprovError
-from .matcher import derive_constraints
 from .optinfer import infer_options
 from .pipeline import (
     CaseReport,
     check_matrix_orderings,
+    infer_config,
     matrix_to_text,
     run_case,
-    run_corpus,
     similarity_matrix,
 )
 from .simdiff import diff_programs
-from .solver import Unsatisfiable, solve
-from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
+from .varsource import ConfigMap, SourceTree
 
 l = logging.getLogger(__name__)
 
@@ -196,41 +196,18 @@ def cmd_infer_options(args) -> int:
 
 
 def cmd_infer_config(args) -> int:
+    if not args.config_map:
+        raise FileNotFoundError("infer-config needs --config-map")
     crash = ingest_model(Path(args.crash).read_text())
     tree = _tree_from_dir(args.source_dir)
+    config_map = ConfigMap.parse(Path(args.config_map).read_text())
     backend = _backend_for(args, tree, crash.name)
-    spec = BuildSpec.from_text(args.options)
-    generated = backend.build(spec, ConfigAssignment(macros=frozenset(), units=None))
-    diff = diff_programs(generated, crash)
-    scans = scan_tree(tree)
-    constraint_report = derive_constraints(scans, crash, diff)
-    outcome = solve(constraint_report.constraints)
-
-    lines = [f"constraint: {to_text(c)}" for c in constraint_report.constraints]
-    lines += [f"conflict: {a} <> {b}" for a, b in constraint_report.conflicts]
-    payload = {
-        "constraints": [to_text(c) for c in constraint_report.constraints],
-        "conflicts": [list(c) for c in constraint_report.conflicts],
-    }
-    if isinstance(outcome, Unsatisfiable):
-        core = [to_text(c) for c in outcome.core]
-        lines.append("unsatisfiable core: " + "; ".join(core))
-        payload["unsatisfiable_core"] = core
-        _emit(args, "\n".join(lines) + "\n", payload)
-        return 0
-    lines.append(outcome.to_text())
-    payload["model"] = outcome.to_text()
-    if args.config_map:
-        config_map = ConfigMap.parse(Path(args.config_map).read_text())
-        flags = resolve_flags(config_map, outcome.enabled(), set())
-        lines.append("flags: " + (",".join(flags) if flags else "-"))
-        payload["flags"] = flags
-    _emit(args, "\n".join(lines) + "\n", payload)
+    report = infer_config(crash, tree, config_map, backend, BuildSpec.from_text(args.options))
+    _emit(args, report.to_text(), _report_payload(report))
     return 0
 
 
-def _load_case_inputs(args):
-    path = Path(args.case)
+def _load_case_inputs(args, path: Path):
     if path.is_dir():
         case = load_case_dir(path)
         return case.crash, case.tree, case.config_map, case.name, case.base_units
@@ -283,33 +260,14 @@ def _output_text(data: bytes | str | None) -> str:
     return data or ""
 
 
-def _case_kwargs(args) -> dict:
-    return dict(threshold=args.threshold, budget=args.budget)
-
-
-def cmd_run_case(args) -> int:
-    path = Path(args.case)
-    if path.is_dir() and not (path / "manifest.json").exists():
-        case_dirs = sorted(d for d in path.iterdir() if (d / "manifest.json").exists())
-        if not case_dirs:
-            raise FileNotFoundError(f"no case directories under {path}")
-        cases = [load_case_dir(d) for d in case_dirs]
-        reports = run_corpus(cases, **_case_kwargs(args))
-        text = "\n".join(r.to_text() for r in reports)
-        payload = {"reports": [_report_payload(r) for r in reports]}
-        _emit(args, text, payload)
-        return 0
-
-    crash, tree, config_map, name, base_units = _load_case_inputs(args)
+def _run_one(args, path: Path) -> tuple[str, dict]:
+    """Run the case at ``path`` and then the trigger; the report's text
+    and payload."""
+    crash, tree, config_map, name, base_units = _load_case_inputs(args, path)
     backend = _backend_for(args, tree, name)
     report = run_case(
-        crash,
-        tree,
-        config_map,
-        backend,
-        name=name,
-        base_units=base_units,
-        **_case_kwargs(args),
+        crash, tree, config_map, backend,
+        name=name, base_units=base_units, threshold=args.threshold, budget=args.budget,
     )
     payload = _report_payload(report)
     text = report.to_text()
@@ -323,7 +281,19 @@ def cmd_run_case(args) -> int:
         else:
             ended = f"exit {trigger['exit_code']}"
         text += f"trigger: {ended}\n"
-    _emit(args, text, payload)
+    return text, payload
+
+
+def cmd_run_case(args) -> int:
+    path = Path(args.case)
+    if path.is_dir() and not (path / "manifest.json").exists():
+        case_dirs = sorted(d for d in path.iterdir() if (d / "manifest.json").exists())
+        if not case_dirs:
+            raise FileNotFoundError(f"no case directories under {path}")
+        runs = [_run_one(args, d) for d in case_dirs]
+        _emit(args, "\n".join(text for text, _ in runs), {"reports": [p for _, p in runs]})
+    else:
+        _emit(args, *_run_one(args, path))
     return 0
 
 

@@ -187,27 +187,29 @@ def defined_names(cond: Condition) -> set[str]:
     return names
 
 
-def evaluate(cond: Condition, macros, opaque=None) -> bool:
-    """Evaluate under a macro assignment; unbound atoms count as disabled."""
-    opaque = opaque or {}
+def evaluate(cond: Condition, env) -> bool:
+    """Evaluate under one environment that maps macro names and opaque
+    comparison texts to truth values; unbound atoms count as disabled. A
+    macro name never contains the spaces of an opaque text, so the two
+    kinds of key cannot collide."""
     if isinstance(cond, BoolConst):
         return cond.value
     if isinstance(cond, DefinedAtom):
-        if cond.name not in macros:
+        if cond.name not in env:
             l.debug("macro %s unbound, treating as undefined", cond.name)
             return False
-        return bool(macros[cond.name])
+        return bool(env[cond.name])
     if isinstance(cond, OpaqueAtom):
-        if cond.text not in opaque:
+        if cond.text not in env:
             l.debug("opaque atom %r unbound, treating as false", cond.text)
             return False
-        return bool(opaque[cond.text])
+        return bool(env[cond.text])
     if isinstance(cond, Not):
-        return not evaluate(cond.operand, macros, opaque)
+        return not evaluate(cond.operand, env)
     if isinstance(cond, And):
-        return all(evaluate(op, macros, opaque) for op in cond.operands)
+        return all(evaluate(op, env) for op in cond.operands)
     if isinstance(cond, Or):
-        return any(evaluate(op, macros, opaque) for op in cond.operands)
+        return any(evaluate(op, env) for op in cond.operands)
     raise TypeError(f"not a condition: {cond!r}")
 
 

@@ -86,9 +86,7 @@ class GeneratedCase:
     crash: BinaryProgram
 
     def truth_config(self) -> ConfigAssignment:
-        macros = frozenset(self.config_map.macros_for(self.hidden_flags))
-        units = set(self.base_units) | self.config_map.units_for(self.hidden_flags)
-        return ConfigAssignment(macros=macros, units=tuple(sorted(units)))
+        return ConfigAssignment.for_flags(self.config_map, self.hidden_flags, self.base_units)
 
     def seed_config(self) -> ConfigAssignment:
         """What the pipeline starts from: no macros, mandatory units only."""
@@ -363,9 +361,7 @@ def generate_case(seed: int, index: int, signal_free: bool = False,
     tree = SourceTree.from_mapping(units)
     base_units = tuple(sorted(n for n in units if n != EXT_UNIT))
 
-    truth_macros = frozenset(config_map.macros_for(hidden))
-    truth_units = set(base_units) | config_map.units_for(hidden)
-    truth_config = ConfigAssignment(macros=truth_macros, units=tuple(sorted(truth_units)))
+    truth_config = ConfigAssignment.for_flags(config_map, hidden, base_units)
     base = build_unoptimized(tree, truth_config, name=f"case{index:02d}")
     truth = apply_transforms(base, hidden_spec)
     crash = strip_program(truth, name=f"case{index:02d}-crash")
@@ -392,7 +388,7 @@ def _pick_vulnerable_fragment(tree: SourceTree, config: ConfigAssignment) -> str
         if config.units is not None and unit_name not in config.units:
             continue
         for frag in scan.conditional_fragments():
-            if frag.features and evaluate(frag.condition, env, env):
+            if frag.features and evaluate(frag.condition, env):
                 return frag.id
     return None
 

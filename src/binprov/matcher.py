@@ -99,13 +99,22 @@ class PayloadIndex:
         return cls([blk for fn in program.functions for blk in fn.blocks])
 
     def occurrences(self, feature: Feature) -> int:
-        if isinstance(feature, StringLit):
-            return self.counts[(KeyKind.STRING_REF, feature.value)]
-        if isinstance(feature, IntConst):
-            return self.counts[(KeyKind.CONST_REF, str(feature.value))]
-        if isinstance(feature, CallSig):
-            return self.counts[(KeyKind.CALL, feature.name)]
-        raise TypeError(f"not a payload feature: {feature!r}")
+        key = _payload_key(feature)
+        if key is None:
+            raise TypeError(f"not a payload feature: {feature!r}")
+        return self.counts[key]
+
+
+def _payload_key(feature: Feature) -> tuple[KeyKind, str] | None:
+    """The (kind, operand) key instruction a feature shows up as, or None
+    for a feature with no payload of its own."""
+    if isinstance(feature, StringLit):
+        return (KeyKind.STRING_REF, feature.value)
+    if isinstance(feature, IntConst):
+        return (KeyKind.CONST_REF, str(feature.value))
+    if isinstance(feature, CallSig):
+        return (KeyKind.CALL, feature.name)
+    return None
 
 
 def coarse_match(feature: Feature, index: PayloadIndex) -> MatchVerdict:
@@ -127,14 +136,8 @@ def _shape_block_matches(shape: BranchShape, blk: BasicBlock) -> bool:
     if not any(ki.kind is KeyKind.COMPARE for ki in blk.keyins):
         return False
     have = _block_payloads(blk)
-    need: Counter = Counter()
-    for feat in shape.condition_features:
-        if isinstance(feat, StringLit):
-            need[(KeyKind.STRING_REF, feat.value)] += 1
-        elif isinstance(feat, IntConst):
-            need[(KeyKind.CONST_REF, str(feat.value))] += 1
-        elif isinstance(feat, CallSig):
-            need[(KeyKind.CALL, feat.name)] += 1
+    keys = (_payload_key(feat) for feat in shape.condition_features)
+    need = Counter(key for key in keys if key is not None)
     for key, cnt in need.items():
         if have[key] < cnt:
             return False

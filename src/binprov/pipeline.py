@@ -2,10 +2,12 @@
 a rebuilt binary with inferred build options and configuration flags.
 
 ``run_case`` executes the stages in order: ingest (the caller provides the
-parsed crash model), option inference, diffing against a build at the
-inferred options, configuration constraint derivation and solving, and a
-final rebuild that is verified structurally. Every outcome is a report;
-errors during a stage degrade the verdict instead of aborting.
+parsed crash model), option inference, then the configuration stage at the
+inferred options: diffing against a build there, constraint derivation and
+solving, and a final rebuild that is verified structurally.
+``infer_config`` runs only the configuration stage, at given options; the
+CLI's ``infer-config`` prints its report. Every outcome is a report; errors
+during a stage degrade the verdict instead of aborting.
 
 ``similarity_matrix`` and ``check_matrix_orderings`` implement the option
 landscape study: the full cross-comparison grid over all fifty build specs
@@ -65,6 +67,7 @@ l = logging.getLogger(__name__)
 __all__ = [
     "Verification",
     "CaseReport",
+    "infer_config",
     "run_case",
     "run_generated_case",
     "run_corpus",
@@ -132,31 +135,21 @@ def _optional_units(config_map: ConfigMap) -> list[str]:
     return sorted(out)
 
 
-def _decide_unit_presence(
-    scans, unit: str, whole: PayloadIndex
-) -> FragmentDecision | None:
-    scan = scans.get(unit)
-    if scan is None:
-        return None
-    root = next((f for f in scan.fragments if f.is_root), None)
-    if root is None:
-        return None
-    return decide_fragment(root, whole, "binary")
-
-
 MAX_FREE_ATOM_REFINE = 4
+DEFAULT_THRESHOLD = 0.85
+
+
+def _base_units(tree: SourceTree, config_map: ConfigMap) -> tuple[str, ...]:
+    """Units no flag pulls in: compiled in every configuration."""
+    optional = set(_optional_units(config_map))
+    return tuple(sorted(u.name for u in tree.units if u.name not in optional))
 
 
 def _config_for_model(
     config_map: ConfigMap, base_units, present_units: set[str], model: Model
 ) -> tuple[tuple[str, ...], ConfigAssignment]:
     flags = resolve_flags(config_map, model.enabled(), present_units)
-    units = set(base_units) | config_map.units_for(flags)
-    config = ConfigAssignment(
-        macros=frozenset(config_map.macros_for(flags)),
-        units=tuple(sorted(units)),
-    )
-    return tuple(flags), config
+    return tuple(flags), ConfigAssignment.for_flags(config_map, flags, base_units)
 
 
 def _refine_free_atoms(
@@ -196,49 +189,24 @@ def _refine_free_atoms(
     return model if best is None else best[1]
 
 
-def run_case(
-    crash: BinaryProgram,
-    tree: SourceTree,
-    config_map: ConfigMap,
-    backend=None,
-    *,
-    name: str | None = None,
-    base_units: tuple[str, ...] | None = None,
-    threshold: float = 0.85,
-    budget: int | None = None,
+def _configure(
+    report: CaseReport, crash: BinaryProgram, crash_index: ProgramIndex, index_of: _IndexMemo,
+    tree: SourceTree, config_map: ConfigMap, backend, base_units: tuple[str, ...], threshold: float,
 ) -> CaseReport:
-    """Run the full reproduction pipeline for one crash model."""
-    name = name or crash.name
-    if backend is None:
-        backend = SimulatedToolchain(tree, base_name=name)
-    if base_units is None:
-        optional = set(_optional_units(config_map))
-        base_units = tuple(sorted(u.name for u in tree.units if u.name not in optional))
-    seed_config = ConfigAssignment(macros=frozenset(), units=base_units)
-    report = CaseReport(name=name, verification=Verification.FAILED)
-
+    """The configuration stage at ``report.decided_options``: diff a build
+    of the mandatory units against the crash, derive and solve constraints,
+    decide optional units, refine free atoms, rebuild and verify. Fills in
+    ``report`` and returns it."""
+    spec = report.decided_options
     try:
-        # One index of the crash serves option inference, the diff, the
-        # refinement and the final similarity. Builds are indexed through
-        # one memo, so a build the toolchain hands back from its cache (the
-        # probe at the inferred options, a refinement candidate rebuilt at
-        # the end) is indexed once.
-        crash_index = index_program(crash)
-        index_of = _IndexMemo()
-        trace = infer_options(
-            backend, crash_index, config=seed_config, budget=budget, _index_of=index_of
-        )
-        report.option_trace = trace
-        report.decided_options = trace.inferred
-
-        generated = backend.build(trace.inferred, seed_config)
+        generated = backend.build(spec, ConfigAssignment(macros=frozenset(), units=base_units))
         diff = diff_programs(index_of(generated), crash_index)
         low_confidence_note = ""
         if diff.score < threshold:
             low_confidence_note = (
                 f"option-stage similarity {diff.score:.4f} below threshold {threshold:.2f}"
             )
-            l.warning("%s: %s; continuing to config inference", name, low_confidence_note)
+            l.warning("%s: %s; continuing to config inference", report.name, low_confidence_note)
 
         t0 = time.perf_counter()
         scans = scan_tree(tree)
@@ -255,11 +223,15 @@ def run_case(
         whole = PayloadIndex.for_program(crash)
         present_units: list[str] = []
         for unit in _optional_units(config_map):
-            decision = _decide_unit_presence(scans, unit, whole)
-            if decision is not None:
-                report.decisions += (decision,)
-                if decision.presence is Presence.PRESENT:
-                    present_units.append(unit)
+            # An optional unit is present when its root fragment is.
+            fragments = scans[unit].fragments if unit in scans else ()
+            root = next((f for f in fragments if f.is_root), None)
+            if root is None:
+                continue
+            decision = decide_fragment(root, whole, "binary")
+            report.decisions += (decision,)
+            if decision.presence is Presence.PRESENT:
+                present_units.append(unit)
         report.present_units = tuple(present_units)
 
         # Atoms of conflict-dropped evidence stay in the model, free to refine.
@@ -273,14 +245,7 @@ def run_case(
             report.reason = f"constraints unsatisfiable: {core}"
             return report
         outcome = _refine_free_atoms(
-            backend,
-            index_of,
-            crash_index,
-            config_map,
-            trace.inferred,
-            base_units,
-            set(present_units),
-            outcome,
+            backend, index_of, crash_index, config_map, spec, base_units, set(present_units), outcome
         )
         report.model = outcome
 
@@ -291,13 +256,13 @@ def run_case(
         except MapGapError as exc:
             report.reason = f"configuration map gap: {exc}"
             return report
-        report.decided_configs = tuple(flags)
+        report.decided_configs = flags
 
-        rebuilt = backend.build(trace.inferred, final_config)
+        rebuilt = backend.build(spec, final_config)
         report.similarity = similarity(index_of(rebuilt), crash_index)
 
-        env = {m: True for m in final_config.macros}
-        holds = all(evaluate(c, env, env) for c in constraint_report.constraints)
+        env = final_config.macro_env()
+        holds = all(evaluate(c, env) for c in constraint_report.constraints)
         if not holds:
             report.verification = Verification.LOW_CONFIDENCE
             report.reason = "a derived constraint fails under the decided configuration"
@@ -314,6 +279,64 @@ def run_case(
         report.verification = Verification.FAILED
         report.reason = str(exc)
         return report
+
+
+def infer_config(
+    crash: BinaryProgram,
+    tree: SourceTree,
+    config_map: ConfigMap,
+    backend,
+    spec: BuildSpec,
+) -> CaseReport:
+    """Run only the configuration stage, at known build options. Base units
+    are the units no flag of ``config_map`` pulls in."""
+    report = CaseReport(name=crash.name, verification=Verification.FAILED, decided_options=spec)
+    base_units = _base_units(tree, config_map)
+    return _configure(
+        report, crash, index_program(crash), _IndexMemo(), tree, config_map, backend, base_units,
+        DEFAULT_THRESHOLD,
+    )
+
+
+def run_case(
+    crash: BinaryProgram,
+    tree: SourceTree,
+    config_map: ConfigMap,
+    backend=None,
+    *,
+    name: str | None = None,
+    base_units: tuple[str, ...] | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
+    budget: int | None = None,
+) -> CaseReport:
+    """Run the full reproduction pipeline for one crash model: the option
+    stage, then the configuration stage at the inferred options."""
+    name = name or crash.name
+    if backend is None:
+        backend = SimulatedToolchain(tree, base_name=name)
+    if base_units is None:
+        base_units = _base_units(tree, config_map)
+    report = CaseReport(name=name, verification=Verification.FAILED)
+    # One index of the crash serves option inference, the diff, the
+    # refinement and the final similarity. Builds are indexed through one
+    # memo, so a build the toolchain hands back from its cache (the probe at
+    # the inferred options, a refinement candidate rebuilt at the end) is
+    # indexed once.
+    crash_index = index_program(crash)
+    index_of = _IndexMemo()
+    seed_config = ConfigAssignment(macros=frozenset(), units=base_units)
+    try:
+        trace = infer_options(
+            backend, crash_index, config=seed_config, budget=budget, _index_of=index_of
+        )
+    except BinprovError as exc:
+        report.reason = str(exc)
+        return report
+    report.option_trace = trace
+    report.decided_options = trace.inferred
+    return _configure(
+        report, crash, crash_index, index_of, tree, config_map, backend, base_units, threshold
+    )
 
 
 def run_generated_case(case: GeneratedCase, **kwargs) -> CaseReport:

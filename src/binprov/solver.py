@@ -330,7 +330,7 @@ def solve(constraints, table: AtomTable | None = None):
 
     # Soundness gate: a model that fails its own constraints is a solver bug.
     for cond in constraints:
-        if not evaluate(cond, assignment, assignment):
+        if not evaluate(cond, assignment):
             raise InvariantError(f"model violates constraint {to_text(cond)!r}")
     return Model(assignment=assignment, free_atoms=frozenset(free))
 
@@ -352,7 +352,7 @@ def enumerate_models(constraints, table: AtomTable | None = None, limit: int | N
     models = []
     for bits in itertools.product((False, True), repeat=len(keys)):
         env = dict(zip(keys, bits))
-        if all(evaluate(c, env, env) for c in constraints):
+        if all(evaluate(c, env) for c in constraints):
             models.append(Model(assignment=env, free_atoms=frozenset()))
             if limit is not None and len(models) >= limit:
                 break

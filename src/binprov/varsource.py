@@ -411,26 +411,18 @@ class ConfigMap:
 
     flags: list[ConfigFlag] = field(default_factory=list)
 
-    def flag_map(self) -> dict[str, ConfigFlag]:
-        return {f.name: f for f in self.flags}
+    def _lookup(self, flag_names) -> list[ConfigFlag]:
+        by_name = {f.name: f for f in self.flags}
+        try:
+            return [by_name[name] for name in flag_names]
+        except KeyError as exc:
+            raise MapGapError(f"unknown flag {exc.args[0]!r}") from None
 
     def macros_for(self, flag_names) -> set[str]:
-        by_name = self.flag_map()
-        out: set[str] = set()
-        for name in flag_names:
-            if name not in by_name:
-                raise MapGapError(f"unknown flag {name!r}")
-            out.update(by_name[name].defines)
-        return out
+        return {m for flag in self._lookup(flag_names) for m in flag.defines}
 
     def units_for(self, flag_names) -> set[str]:
-        by_name = self.flag_map()
-        out: set[str] = set()
-        for name in flag_names:
-            if name not in by_name:
-                raise MapGapError(f"unknown flag {name!r}")
-            out.update(by_name[name].units)
-        return out
+        return {u for flag in self._lookup(flag_names) for u in flag.units}
 
     @classmethod
     def parse(cls, text: str) -> ConfigMap:

@@ -317,7 +317,7 @@ LIBPNG_EXPR = (
 
 def _model_ok(model: Model, constraints) -> bool:
     env = dict(model.assignment)
-    return all(evaluate(c, env, env) for c in constraints)
+    return all(evaluate(c, env) for c in constraints)
 
 
 def _random_formula(rng: random.Random):
@@ -389,7 +389,7 @@ def test_criterion_5_solver_oracle_equivalence(criterion_line, corpus21):
     satisfying = []
     for bits in itertools.product([False, True], repeat=len(names)):
         env = dict(zip(names, bits))
-        if evaluate(cond, env, env):
+        if evaluate(cond, env):
             satisfying.append(env)
     if not (isinstance(out, Model) and dict(out.assignment) in satisfying):
         failures.append("libpng expression: model fails the truth-table oracle")

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from binprov import buildoracle
+from binprov.buildoracle import COMPILERS, VERSIONS
 from binprov.binmodel import serialize_model
 from binprov.cli import _run_trigger, build_parser, main
 from binprov.corpusgen import write_corpus
@@ -184,12 +185,41 @@ def test_infer_config_reports_flags(case_dir, corpus21, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["constraints"]
-    # unit-backed flags are resolved by the full pipeline, not this stage;
-    # the define-backed flags must all be here
-    expected = {
-        f for f in case.hidden_flags if case.config_map.macros_for([f])
-    }
-    assert expected <= set(payload["flags"])
+    assert payload["decided_options"] == case.hidden_spec.text()
+    assert sorted(payload["decided_configs"]) == sorted(case.hidden_flags)
+
+
+def test_infer_config_at_hidden_options_names_the_hidden_flags(tmp_path, corpus21, capsys):
+    # ``infer-config`` runs the same configuration stage as ``run-case``,
+    # so at the hidden options it decides the optional units as well.
+    write_corpus(corpus21, tmp_path)
+    for case in corpus21:
+        cdir = tmp_path / case.name
+        argv = [
+            "infer-config", str(cdir / "crash.model"),
+            "--source-dir", str(cdir / "src"),
+            "--config-map", str(cdir / "config.map"),
+            "--options", case.hidden_spec.text(),
+            "--format", "machine",
+        ]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if case.signal_free:
+            assert payload["verification"] == "Failed(no structural signal)", case.name
+        else:
+            assert payload["verification"] == "ReproducedStructurally", case.name
+            assert sorted(payload["decided_configs"]) == sorted(case.hidden_flags), case.name
+
+
+def test_infer_config_needs_a_config_map(case_dir, capsys):
+    cdir, _root = case_dir
+    argv = [
+        "infer-config", str(cdir / "crash.model"),
+        "--source-dir", str(cdir / "src"),
+        "--options", "gcc-6-O2",
+    ]
+    assert main(argv) == 1
+    assert "needs --config-map" in capsys.readouterr().err
 
 
 def test_run_case_on_case_directory(case_dir, corpus21, capsys):
@@ -221,6 +251,21 @@ def test_run_case_records_trigger_exit(case_dir, capsys):
     assert payload["trigger"]["exit_code"] == 7
     assert payload["trigger"]["signal"] is None
     assert payload["trigger"]["command"] == "exit 7"
+
+
+def test_run_case_on_corpus_root_uses_the_toolchain_manifest(case_dir, tmp_path, capsys):
+    _cdir, root = case_dir
+    manifest = tmp_path / "toolchains"
+    manifest.write_text(
+        "".join(f"{c}/{v} : /bin/false\n" for c in COMPILERS for v in VERSIONS[c])
+    )
+    argv = ["run-case", str(root), "--toolchains", str(manifest), "--format", "machine"]
+    assert main([*argv, "--run-trigger", "exit 3"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 2
+    for report in reports:
+        assert report["verification"].startswith("Failed(toolchain command failed")
+        assert report["trigger"]["exit_code"] == 3
 
 
 def test_run_case_records_trigger_timeout(case_dir, capsys, monkeypatch):

@@ -100,15 +100,15 @@ def test_print_parse_fixpoint_on_nested_expression():
 
 def test_evaluate_respects_environment():
     cond = parse_expression("defined(A) && !defined(B)")
-    assert evaluate(cond, {"A": True, "B": False}, {})
-    assert not evaluate(cond, {"A": True, "B": True}, {})
-    assert not evaluate(cond, {"A": False, "B": False}, {})
+    assert evaluate(cond, {"A": True, "B": False})
+    assert not evaluate(cond, {"A": True, "B": True})
+    assert not evaluate(cond, {"A": False, "B": False})
 
 
 def test_evaluate_opaque_atoms_use_opaque_env():
     cond = parse_expression("defined(A) && FOO > 2")
-    assert evaluate(cond, {"A": True}, {"FOO > 2": True})
-    assert not evaluate(cond, {"A": True}, {"FOO > 2": False})
+    assert evaluate(cond, {"A": True, "FOO > 2": True})
+    assert not evaluate(cond, {"A": True, "FOO > 2": False})
 
 
 def test_neg_is_involutive_on_atoms():
@@ -164,4 +164,4 @@ def test_print_parse_roundtrip_preserves_semantics(cond):
     names = sorted(set(defined_names(cond)))
     for bits in range(1 << len(names)):
         env = {n: bool(bits >> i & 1) for i, n in enumerate(names)}
-        assert evaluate(reparsed, env, env) == evaluate(cond, env, env)
+        assert evaluate(reparsed, env) == evaluate(cond, env)

@@ -65,7 +65,7 @@ def test_signal_free_cases_have_featureless_guards(corpus21):
         env = case.truth_config().macro_env()
         for scan in scan_tree(case.tree).values():
             for frag in scan.conditional_fragments():
-                if evaluate(frag.condition, env, env):
+                if evaluate(frag.condition, env):
                     assert not frag.features, (
                         f"{case.name}:{frag.id} should carry no matchable payload"
                     )

@@ -57,7 +57,7 @@ LIBPNG_EXPR = (
 
 def _model_satisfies(model: Model, constraints) -> bool:
     env = dict(model.assignment)
-    return all(evaluate(c, env, env) for c in constraints)
+    return all(evaluate(c, env) for c in constraints)
 
 
 def test_empty_constraint_list_is_trivially_satisfiable():
@@ -176,7 +176,7 @@ def test_libpng_solve_passes_brute_force_oracle():
     satisfying = []
     for bits in itertools.product([False, True], repeat=8):
         env = dict(zip(names, bits))
-        if evaluate(cond, env, env) and evaluate(extra, env, env):
+        if evaluate(cond, env) and evaluate(extra, env):
             satisfying.append(env)
     assert len(satisfying) == 78
     assert dict(out.assignment) in satisfying
