@@ -378,7 +378,7 @@ def build_unoptimized(
         lines = unit_map[uname].text.splitlines()
         active: set[int] = set()
         for frag in scan.fragments:
-            if _evaluate_fragment(frag, env):
+            if evaluate(frag.condition, env):
                 active.update(frag.lines)
         for lineno in sorted(active):
             m = _ERROR_DIRECTIVE_RE.match(lines[lineno - 1])
@@ -436,10 +436,6 @@ def _elide_empty_blocks(fn: Function) -> None:
             fn.blocks.remove(blk)
             changed = True
             break
-
-
-def _evaluate_fragment(frag, env: dict[str, bool]) -> bool:
-    return evaluate(frag.condition, env)
 
 
 # --- optimization transform chain ----------------------------------------
@@ -807,7 +803,10 @@ class ExternalToolchain:
 
     The command is invoked with the level (-O2 style), -D<macro> for every
     defined macro, and the selected unit paths; it must print the
-    disassembly export on stdout. A command that cannot start, exits
+    disassembly export on stdout. A configuration of every unit
+    (``units=None``) passes no unit paths, so the driver compiles the whole
+    tree: every option probe, and the configuration stage's first diff,
+    reach the driver that way. A command that cannot start, exits
     non-zero or runs past ``EXTERNAL_TIMEOUT_S`` raises
     ``BuildFailureError``; one that runs past it is killed together with
     every process it forked.
@@ -820,6 +819,7 @@ class ExternalToolchain:
     @classmethod
     def parse_manifest(cls, text: str) -> ExternalToolchain:
         manifest: dict[tuple[str, str], list[str]] = {}
+        seen: dict[tuple[str, str], int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -833,10 +833,17 @@ class ExternalToolchain:
                     f"toolchain manifest line {lineno}: expected <compiler>/<version>"
                 )
             compiler, _, version = lhs.partition("/")
+            key = (compiler.strip(), version.strip())
+            if key in seen:
+                raise SchemaError(
+                    f"toolchain manifest line {lineno}: {key[0]}/{key[1]} already listed "
+                    f"on line {seen[key]}"
+                )
+            seen[key] = lineno
             command = shlex.split(rhs.strip())
             if not command:
                 raise SchemaError(f"toolchain manifest line {lineno}: empty command")
-            manifest[(compiler.strip(), version.strip())] = command
+            manifest[key] = command
         return cls(manifest)
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:

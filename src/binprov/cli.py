@@ -48,6 +48,8 @@ from .corpusgen import generate_corpus, load_case_dir, write_corpus
 from .errors import BinprovError
 from .optinfer import infer_options
 from .pipeline import (
+    DEFAULT_MARGIN,
+    DEFAULT_THRESHOLD,
     CaseReport,
     check_matrix_orderings,
     infer_config,
@@ -189,8 +191,7 @@ def cmd_infer_options(args) -> int:
     crash = ingest_model(Path(args.crash).read_text())
     tree = _tree_from_dir(args.source_dir)
     backend = _backend_for(args, tree, crash.name)
-    config = ConfigAssignment(macros=frozenset(), units=None)
-    trace = infer_options(backend, crash, config=config, budget=args.budget)
+    trace = infer_options(backend, crash, budget=args.budget)
     _emit(args, _trace_text(trace), _trace_payload(trace))
     return 0
 
@@ -300,9 +301,8 @@ def cmd_run_case(args) -> int:
 def cmd_matrix(args) -> int:
     tree = _tree_from_dir(args.source_dir)
     backend = _backend_for(args, tree, Path(args.source_dir).name)
-    config = ConfigAssignment(macros=frozenset(), units=None)
     specs = all_option_specs()
-    grid = similarity_matrix(backend, config, specs)
+    grid = similarity_matrix(backend, ConfigAssignment(), specs)
     checks = check_matrix_orderings(grid, specs, margin=args.margin)
     lines = [matrix_to_text(grid, specs)]
     for c in checks:
@@ -402,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("case", help="case directory, corpus root, or a crash model file")
     p.add_argument("--source-dir")
     p.add_argument("--config-map")
-    p.add_argument("--threshold", type=float, default=0.85)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--run-trigger", metavar="CMD",
                    help="shell command to run afterwards; its exit status or "
                         "terminating signal is recorded (no portability "
@@ -414,7 +414,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("matrix", help="option grid and ordering checks")
     p.add_argument("--source-dir", required=True)
-    p.add_argument("--margin", type=float, default=0.01)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     _add_common(p)
     _add_backend(p)
     p.set_defaults(func=cmd_matrix)

@@ -89,7 +89,8 @@ class GeneratedCase:
         return ConfigAssignment.for_flags(self.config_map, self.hidden_flags, self.base_units)
 
     def seed_config(self) -> ConfigAssignment:
-        """What the pipeline starts from: no macros, mandatory units only."""
+        """No macros, mandatory units only: no hidden flag is set. Tests and
+        the benchmark build at it; the pipeline's probes compile every unit."""
         return ConfigAssignment(macros=frozenset(), units=self.base_units)
 
 

@@ -4,7 +4,10 @@ a rebuilt binary with inferred build options and configuration flags.
 ``run_case`` executes the stages in order: ingest (the caller provides the
 parsed crash model), option inference, then the configuration stage at the
 inferred options: diffing against a build there, constraint derivation and
-solving, and a final rebuild that is verified structurally.
+solving, and a final rebuild that is verified structurally. Option probes
+and that first diff compile every unit with no macros, as ``infer-options``
+and ``matrix`` do; base units shape only the refinement candidates and the
+final rebuild.
 ``infer_config`` runs only the configuration stage, at given options; the
 CLI's ``infer-config`` prints its report. Every outcome is a report; errors
 during a stage degrade the verdict instead of aborting.
@@ -137,6 +140,8 @@ def _optional_units(config_map: ConfigMap) -> list[str]:
 
 MAX_FREE_ATOM_REFINE = 4
 DEFAULT_THRESHOLD = 0.85
+# Slack each ordering check of ``check_matrix_orderings`` must reach.
+DEFAULT_MARGIN = 0.01
 
 
 def _base_units(tree: SourceTree, config_map: ConfigMap) -> tuple[str, ...]:
@@ -194,12 +199,12 @@ def _configure(
     tree: SourceTree, config_map: ConfigMap, backend, base_units: tuple[str, ...], threshold: float,
 ) -> CaseReport:
     """The configuration stage at ``report.decided_options``: diff a build
-    of the mandatory units against the crash, derive and solve constraints,
-    decide optional units, refine free atoms, rebuild and verify. Fills in
-    ``report`` and returns it."""
+    of every unit, with no macros, against the crash, derive and solve
+    constraints, decide optional units, refine free atoms, rebuild and
+    verify. Fills in ``report`` and returns it."""
     spec = report.decided_options
     try:
-        generated = backend.build(spec, ConfigAssignment(macros=frozenset(), units=base_units))
+        generated = backend.build(spec, ConfigAssignment())
         diff = diff_programs(index_of(generated), crash_index)
         low_confidence_note = ""
         if diff.score < threshold:
@@ -324,11 +329,8 @@ def run_case(
     # indexed once.
     crash_index = index_program(crash)
     index_of = _IndexMemo()
-    seed_config = ConfigAssignment(macros=frozenset(), units=base_units)
     try:
-        trace = infer_options(
-            backend, crash_index, config=seed_config, budget=budget, _index_of=index_of
-        )
+        trace = infer_options(backend, crash_index, budget=budget, _index_of=index_of)
     except BinprovError as exc:
         report.reason = str(exc)
         return report
@@ -394,7 +396,7 @@ class OrderingResult:
 def check_matrix_orderings(
     grid: list[list[float]],
     specs: list[BuildSpec] | None = None,
-    margin: float = 0.01,
+    margin: float = DEFAULT_MARGIN,
 ) -> list[OrderingResult]:
     """The fifteen ordering checks a well-behaved option landscape must pass.
 

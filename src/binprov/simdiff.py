@@ -34,7 +34,7 @@ does, keeps one memo of fractions per distinct signature pair for the
 length of its call.
 
 Every per-program fact the matcher and the scores read (symbols, call
-edges, block counts, fingerprint signatures and fingerprint multisets) comes
+edges and fingerprint signatures, which also give the block counts) comes
 from a ``ProgramIndex``, built once per program by ``index_program``. A
 caller that scores one program against many holds its index and calls
 ``similarity``. Neither scoring nor ``diff_programs`` aligns blocks: the
@@ -43,7 +43,6 @@ configuration stage reads only which functions pair up.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .binmodel import (
@@ -108,7 +107,8 @@ class ProgramIndex:
     ``unique_symbols`` maps each symbol carried by exactly one function to
     that function's id; every other map is keyed by function id, and edge
     tuples keep repeats. ``libcalls`` is sorted, as the neighborhood hash
-    reads it.
+    reads it. A signature holds one fingerprint per block, so its length
+    is the function's block count.
     """
 
     ids: tuple[str, ...]
@@ -116,9 +116,7 @@ class ProgramIndex:
     callees: dict[str, tuple[str, ...]]
     libcalls: dict[str, tuple[str, ...]]
     callers: dict[str, tuple[str, ...]]
-    nblocks: dict[str, int]
     signatures: dict[str, tuple[Fingerprint, ...]]
-    fingerprints: dict[str, Counter]
 
 
 def index_program(program: BinaryProgram) -> ProgramIndex:
@@ -129,12 +127,10 @@ def index_program(program: BinaryProgram) -> ProgramIndex:
     callers: dict[str, list[str]] = {fid: [] for fid in ids}
     symbol_ids: dict[str, list[str]] = {}
     signatures: dict[str, tuple[Fingerprint, ...]] = {}
-    fingerprints: dict[str, Counter] = {}
     for fn in program.functions:
         if fn.symbol:
             symbol_ids.setdefault(fn.symbol, []).append(fn.id)
-        signatures[fn.id] = signature = function_signature(fn)
-        fingerprints[fn.id] = Counter(signature)
+        signatures[fn.id] = function_signature(fn)
         for blk in fn.blocks:
             for ki in blk.keyins:
                 if ki.kind is not KeyKind.CALL or not ki.operand:
@@ -151,9 +147,7 @@ def index_program(program: BinaryProgram) -> ProgramIndex:
         callees={fid: tuple(v) for fid, v in callees.items()},
         libcalls={fid: tuple(sorted(v)) for fid, v in libcalls.items()},
         callers={fid: tuple(v) for fid, v in callers.items()},
-        nblocks={f.id: len(f.blocks) for f in program.functions},
         signatures=signatures,
-        fingerprints=fingerprints,
     )
 
 
@@ -210,7 +204,9 @@ def _neighborhood_hash(index: ProgramIndex, fid: str, pair_token) -> object:
         tok = pair_token(caller)
         if tok is not None:
             rtoks.append(tok)
-    return (index.libcalls[fid], tuple(sorted(ctoks)), tuple(sorted(rtoks)), index.nblocks[fid])
+    return (
+        index.libcalls[fid], tuple(sorted(ctoks)), tuple(sorted(rtoks)), len(index.signatures[fid])
+    )
 
 
 def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
@@ -315,21 +311,26 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
 
 def _pair_fraction(left: ProgramIndex, lid: str, right: ProgramIndex, rid: str) -> float:
     """Fingerprint-multiset overlap of a matched pair over its larger block
-    count. It reads only the two signatures (the fingerprint multisets and
-    block counts are theirs), and is exactly 1.0 when they are equal: n/n,
-    or an empty pair."""
-    if left.signatures[lid] == right.signatures[rid]:
+    count. It reads only the two signatures, and is exactly 1.0 when they
+    are equal: n/n, or an empty pair. Both are sorted, so one merge walk
+    counts the overlap."""
+    a = left.signatures[lid]
+    b = right.signatures[rid]
+    if a == b:
         return 1.0
-    cb = right.fingerprints[rid]
-    overlap = 0
-    for fp, n in left.fingerprints[lid].items():
-        m = cb.get(fp)
-        if m is not None:
-            overlap += n if n < m else m
-    denom = max(left.nblocks[lid], right.nblocks[rid])
-    if denom == 0:
-        return 1.0
-    return overlap / denom
+    na, nb = len(a), len(b)
+    i = j = overlap = 0
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x == y:
+            overlap += 1
+            i += 1
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return overlap / (na if na > nb else nb)
 
 
 def similarity(left: ProgramIndex, right: ProgramIndex) -> float:

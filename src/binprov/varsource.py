@@ -144,9 +144,6 @@ class SourceUnit:
     name: str
     text: str
 
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
 
 @dataclass
 class SourceTree:
@@ -427,6 +424,7 @@ class ConfigMap:
     @classmethod
     def parse(cls, text: str) -> ConfigMap:
         flags: list[ConfigFlag] = []
+        seen: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -437,6 +435,11 @@ class ConfigMap:
             name = name.strip()
             if not name:
                 raise SchemaError(f"config map line {lineno}: empty flag name")
+            if name in seen:
+                raise SchemaError(
+                    f"config map line {lineno}: flag {name!r} already defined on line {seen[name]}"
+                )
+            seen[name] = lineno
             defines: list[str] = []
             units: list[str] = []
             for part in rhs.split(","):

@@ -588,6 +588,11 @@ def test_external_toolchain_manifest_parsing():
             ExternalToolchain.parse_manifest(bad)
 
 
+def test_external_toolchain_manifest_rejects_a_repeated_entry():
+    with pytest.raises(SchemaError, match="line 3: gcc/7 already listed on line 1"):
+        ExternalToolchain.parse_manifest("gcc/7 : ./a.sh\nclang/4.0 : ./c.sh\n gcc / 7 : ./b.sh\n")
+
+
 FAKE_CC = """\
 import sys
 from pathlib import Path

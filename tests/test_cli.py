@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,8 @@ from binprov import buildoracle
 from binprov.buildoracle import COMPILERS, VERSIONS
 from binprov.binmodel import serialize_model
 from binprov.cli import _run_trigger, build_parser, main
-from binprov.corpusgen import write_corpus
+from binprov.corpusgen import generate_corpus, write_corpus
+from binprov.pipeline import run_generated_case
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,20 @@ def test_infer_options_finds_hidden_spec(case_dir, corpus21, capsys):
     assert payload["inferred"] == case.hidden_spec.text()
     assert payload["t_infer"] in (5, 8)
     assert all(p["step"] in (1, 2, 3, 4) for p in payload["probes"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_infer_options_agrees_with_run_case(seed, tmp_path, capsys):
+    # Both probe at every unit with no macros, so the command and the
+    # pipeline's option stage name the same options for every case.
+    cases = generate_corpus(seed, 21)
+    write_corpus(cases, tmp_path)
+    for case in cases:
+        cdir = tmp_path / case.name
+        argv = ["infer-options", str(cdir / "crash.model"), "--source-dir", str(cdir / "src")]
+        assert main([*argv, "--format", "machine"]) == 0
+        inferred = json.loads(capsys.readouterr().out)["inferred"]
+        assert inferred == run_generated_case(case).decided_options.text(), case.name
 
 
 @pytest.mark.parametrize("command", ["infer-options", "run-case", "infer-config"])
@@ -338,3 +355,22 @@ def test_gen_corpus_writes_cases(tmp_path, capsys):
     for d in dirs:
         twin = out2 / d.name
         assert (twin / "crash.model").read_text() == (d / "crash.model").read_text()
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``binprov`` line of README's command-line block, with its
+    continuation lines joined and its trailing comment dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in joined.splitlines() if line.strip()]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "binprov", argv
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]

@@ -180,7 +180,27 @@ def test_case_reports_match_golden_digest():
         for report in run_corpus(generate_corpus(seed, 21)):
             digest.update(json.dumps(_report_record(report), sort_keys=True).encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == "048a6f6bd639172bc2cc53579d4f17643f267244064fa310a9040c6316a21ba3"
+    assert digest.hexdigest() == "2ac9069e4523ad978487122ca14ca0e7479bd28828c79f3ff38448c1541c9243"
+
+
+# Cases whose hidden ``Os`` reads as ``O2`` when the option probes compile
+# only the base units: the duplicates ``Os`` folds away sit in optional
+# units. Probing at every unit, as ``infer-options`` does, recovers them.
+OS_RECOVERED = [
+    (2, "case11"), (3, "case08"), (3, "case15"), (6, "case13"), (6, "case16"),
+    (7, "case12"), (8, "case01"), (9, "case14"), (9, "case18"), (10, "case11"),
+]
+
+
+@pytest.mark.parametrize("seed,name", OS_RECOVERED)
+def test_run_case_recovers_hidden_os(seed, name):
+    case = next(c for c in generate_corpus(seed, 21) if c.name == name)
+    assert case.hidden_spec.level == "Os"
+    report = run_generated_case(case)
+    assert report.decided_options == case.hidden_spec
+    if not case.signal_free:
+        assert sorted(report.decided_configs) == sorted(case.hidden_flags)
+        assert report.verification is Verification.REPRODUCED_STRUCTURALLY
 
 
 def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):

@@ -227,6 +227,13 @@ def test_config_map_rejects_malformed_lines():
         ConfigMap.parse(" : define X\n")
 
 
+def test_config_map_rejects_a_repeated_flag():
+    # A repeated flag would let ``resolve_flags`` name it twice while its
+    # configuration defines only the later line's macros.
+    with pytest.raises(SchemaError, match="line 3: flag 'a' already defined on line 1"):
+        ConfigMap.parse("a : define X\nb : define Z\na : define Y\n")
+
+
 def test_config_map_unknown_flag_is_a_gap():
     cmap = ConfigMap.parse(CONFIG_MAP_TEXT)
     with pytest.raises(MapGapError):
