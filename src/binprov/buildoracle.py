@@ -27,19 +27,18 @@ dominates the largest same-compiler version distance.
 Pads and the flavor marker add no comparison and no edge, merge reads only
 the control flow, and fold sites depend only on the compiler, so where each
 of the first four passes acts is fixed by the base and the compiler.
-``plan_transforms`` finds those sites once, as a ``TransformPlan``, and
-``apply_transforms`` replays the plan up to a spec's version and level, then
-runs inline and dedup. The merge chains do not depend on the compiler at
-all: they are walked once per base, and each compiler's plan only salts the
-pad order and the fold choice.
+``plan_transforms`` finds those sites once per base, for every compiler, as
+a ``TransformPlan``, and ``apply_transforms`` replays the plan up to a
+spec's version and level, then runs inline and dedup. The merge chains do
+not depend on the compiler at all: the plan walks them once, and each
+compiler only salts the pad order and the fold choice.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
 instructions, which no pass rewrites in place. ``SimulatedToolchain`` builds
-the unoptimized base and walks its merge chains once per configuration,
-plans it once per compiler, and each source unit is scanned once per tree
-(``SourceTree.scan``), so a probe costs only the replay of its plan and its
-inline or dedup pass.
+and plans the unoptimized base once per configuration, and each source unit
+is scanned once per tree (``SourceTree.scan``), so a probe costs only the
+replay of its plan and its inline or dedup pass.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
@@ -310,43 +309,28 @@ class _FunctionEmitter:
         first: str | None = None
         tails: list[str] = []
         for stmt in stmts:
+            head = self.new_block()
             if isinstance(stmt, _SimpleStmt):
-                blk = self.new_block()
-                _scan_expression(stmt.text, blk.keyins)
-                if first is None:
-                    first = blk.id
-                for t in tails:
-                    self.by_id[t].succs.append(blk.id)
-                tails = [blk.id]
+                _scan_expression(stmt.text, head.keyins)
             else:
-                cond = self.new_block()
-                _scan_expression(stmt.condition, cond.keyins)
-                cond.keyins.append(KeyInstruction(KeyKind.COMPARE))
-                if first is None:
-                    first = cond.id
-                for t in tails:
-                    self.by_id[t].succs.append(cond.id)
+                _scan_expression(stmt.condition, head.keyins)
+                head.keyins.append(KeyInstruction(KeyKind.COMPARE))
+            if first is None:
+                first = head.id
+            for t in tails:
+                self.by_id[t].succs.append(head.id)
+            tails = [head.id]
+            if isinstance(stmt, _IfStmt):
+                # Each arm branches from the head; a missing or empty arm
+                # falls through to the join.
                 join = self.new_block()
-                t_first, t_tails = self.emit_chain(stmt.then_body)
-                if t_first is None:
-                    cond.succs.append(join.id)
-                else:
-                    cond.succs.append(t_first)
-                    for t in t_tails:
+                for arm in (stmt.then_body, stmt.else_body or []):
+                    arm_first, arm_tails = self.emit_chain(arm)
+                    head.succs.append(join.id if arm_first is None else arm_first)
+                    for t in arm_tails:
                         self.by_id[t].succs.append(join.id)
-                if stmt.else_body is None:
-                    cond.succs.append(join.id)
-                else:
-                    e_first, e_tails = self.emit_chain(stmt.else_body)
-                    if e_first is None:
-                        cond.succs.append(join.id)
-                    else:
-                        cond.succs.append(e_first)
-                        for t in e_tails:
-                            self.by_id[t].succs.append(join.id)
                 tails = [join.id]
         return first, tails
-
 
 
 _ERROR_DIRECTIVE_RE = re.compile(r"^\s*#\s*error\b\s*(.*)$")
@@ -370,11 +354,9 @@ def build_unoptimized(
                 raise ConfigError(f"unit {uname!r} not in source tree")
 
     env = config.macro_env()
-    active_lines: dict[str, tuple[list[str], set[int]]] = {}
-    scans = {}
+    functions: list[Function] = []
     for uname in selected:
         scan = tree.scan(unit_map[uname])
-        scans[uname] = scan
         lines = unit_map[uname].text.splitlines()
         active: set[int] = set()
         for frag in scan.fragments:
@@ -384,34 +366,25 @@ def build_unoptimized(
             m = _ERROR_DIRECTIVE_RE.match(lines[lineno - 1])
             if m:
                 raise BuildFailureError(f"{uname}:{lineno}: {m.group(1) or '#error'}")
-        active_lines[uname] = (lines, active)
-
-    # First pass: which functions exist in this configuration.
-    spans: list[tuple[str, str, int, int]] = []
-    for uname in selected:
-        lines, active = active_lines[uname]
-        for fname, span in scans[uname].functions.items():
-            if span.start in active:
-                spans.append((uname, fname, span.start, span.end))
-
-    functions: list[Function] = []
-    for uname, fname, start, end in spans:
-        lines, active = active_lines[uname]
-        body = [
-            lines[ln - 1]
-            for ln in range(start + 1, end)
-            if ln in active and not lines[ln - 1].lstrip().startswith("#")
-        ]
-        stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
-        emitter = _FunctionEmitter()
-        first, _tails = emitter.emit_chain(stmts)
-        if first is None:
-            entry = emitter.new_block().id
-        else:
-            entry = first
-        fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)
-        _elide_empty_blocks(fn)
-        functions.append(fn)
+        # A function exists in this configuration when its header line is active.
+        for fname, span in scan.functions.items():
+            if span.start not in active:
+                continue
+            body = [
+                lines[ln - 1]
+                for ln in range(span.start + 1, span.end)
+                if ln in active and not lines[ln - 1].lstrip().startswith("#")
+            ]
+            stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
+            emitter = _FunctionEmitter()
+            first, _tails = emitter.emit_chain(stmts)
+            if first is None:
+                entry = emitter.new_block().id
+            else:
+                entry = first
+            fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)
+            _elide_empty_blocks(fn)
+            functions.append(fn)
 
     functions.sort(key=lambda f: f.id)
     return BinaryProgram(name=name, stripped=False, functions=functions)
@@ -445,7 +418,7 @@ def _site_rank(*parts: str) -> str:
     return hashlib.md5("|".join(parts).encode()).hexdigest()
 
 
-# One output block of a plan: the indices into the base function's block
+# One output block of a layout: the indices into the base function's block
 # list of the base blocks whose key instructions it concatenates, its own
 # first; its successors; whether its constants fold (O2 and up).
 _PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
@@ -453,9 +426,9 @@ _PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Where the transform chain acts on one unoptimized base under one
+    """Where the transform chain acts on one unoptimized base, for every
     compiler. ``plan_transforms`` computes it and ``apply_transforms``
-    replays it for any version and level of that compiler.
+    replays it for any spec.
 
     Pads and the flavor marker add no comparison and no edge, and merge
     reads only the control flow, so every site is fixed by the base and the
@@ -463,70 +436,53 @@ class TransformPlan:
     which layout it takes. Sites are (function index, block index) pairs
     into the base.
 
-    * ``pad_sites``: every comparison block, in the compiler-salted rank
-      order; a version fills the first ``PADS_PER_THETA * theta`` of them.
-    * ``flavor_sites``: the blocks that carry the clang marker (none for gcc).
-    * ``unmerged`` and ``merged``: per function, the output blocks at O0 and
-      at O1 and up, in base block order. A merged block lists every base
-      block of its chain, so a block that absorbed a chain and was later
-      absorbed itself hands on the whole chain and the chain's successors.
-      Fold sites are marked on the merged layout only.
+    * ``unmerged``: per function, the output blocks at O0, one per base
+      block, in base block order. No compiler changes it.
+    * ``pad_sites``, per compiler: every comparison block, in the
+      compiler-salted rank order; a version fills the first
+      ``PADS_PER_THETA * theta`` of them.
+    * ``flavor_sites``, per compiler: the blocks that carry the clang marker
+      (none for gcc).
+    * ``merged``, per compiler: per function, the output blocks at O1 and
+      up, in base block order, with the compiler's fold choice. A merged
+      block lists every base block of its chain, so a block that absorbed a
+      chain and was later absorbed itself hands on the whole chain and the
+      chain's successors. The chains are walked once, for all compilers.
     """
 
-    pad_sites: tuple[tuple[int, int], ...]
-    flavor_sites: tuple[tuple[int, int], ...]
     unmerged: tuple[tuple[_PlannedBlock, ...], ...]
-    merged: tuple[tuple[_PlannedBlock, ...], ...]
+    pad_sites: dict[str, tuple[tuple[int, int], ...]]
+    flavor_sites: dict[str, tuple[tuple[int, int], ...]]
+    merged: dict[str, tuple[tuple[_PlannedBlock, ...], ...]]
 
 
-# One merged block before the fold choice: the chain of base block
-# indices it concatenates, its successors, and whether fold may touch it
-# (no comparison in the chain, at least one constant).
-_MergedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
-
-
-@dataclass(frozen=True)
-class _ChainedBase:
-    """An unoptimized program with its merge chains, per function. The
-    chains read only the control flow, so ``SimulatedToolchain`` walks them
-    once per base and hands this to ``plan_transforms`` for each compiler."""
-
-    program: BinaryProgram
-    merges: tuple[tuple[_MergedBlock, ...], ...]
-
-
-def plan_transforms(program: BinaryProgram | _ChainedBase, compiler: str) -> TransformPlan:
-    """The ``TransformPlan`` of an unoptimized program under ``compiler``.
-    Given a ``_ChainedBase``, the plan reuses its merge chains and only
-    salts the pad order and the fold choice with ``compiler``."""
-    if isinstance(program, _ChainedBase):
-        merges, program = program.merges, program.program
-    else:
-        merges = _merge_chains(program)
-    ranked: list[tuple[str, str, str, int, int]] = []
-    flavor: list[tuple[int, int]] = []
+def plan_transforms(program: BinaryProgram) -> TransformPlan:
+    """The ``TransformPlan`` of an unoptimized program."""
+    merges = _merge_chains(program)
+    ranked: dict[str, list[tuple[str, int, int]]] = {c: [] for c in COMPILERS}
+    flavor: dict[str, list[tuple[int, int]]] = {c: [] for c in COMPILERS}
+    merged: dict[str, list] = {c: [] for c in COMPILERS}
     unmerged = []
-    merged = []
     for fi, fn in enumerate(program.functions):
         compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in fn.blocks]
         for bi, blk in enumerate(fn.blocks):
             if compares[bi]:
-                ranked.append((_site_rank("pad", compiler, fn.id, blk.id), fn.id, blk.id, fi, bi))
-        if compiler == "clang":
-            flavor.extend((fi, bi) for bi in _flavor_blocks(fn, compares))
+                for c in COMPILERS:
+                    ranked[c].append((_site_rank("pad", c, fn.id, blk.id), fi, bi))
+        flavor["clang"].extend((fi, bi) for bi in _flavor_blocks(fn, compares))
         unmerged.append(tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(fn.blocks)))
-        merged.append(
-            tuple(
-                (chain, succs, foldable and _folds(compiler, fn.id, fn.blocks[chain[0]].id))
-                for chain, succs, foldable in merges[fi]
+        for c in COMPILERS:
+            merged[c].append(
+                tuple(
+                    (chain, succs, foldable and _folds(c, fn.id, fn.blocks[chain[0]].id))
+                    for chain, succs, foldable in merges[fi]
+                )
             )
-        )
-    ranked.sort()
     return TransformPlan(
-        pad_sites=tuple((fi, bi) for *_rank, fi, bi in ranked),
-        flavor_sites=tuple(flavor),
         unmerged=tuple(unmerged),
-        merged=tuple(merged),
+        pad_sites={c: tuple((fi, bi) for _rank, fi, bi in sorted(ranked[c])) for c in COMPILERS},
+        flavor_sites={c: tuple(sites) for c, sites in flavor.items()},
+        merged={c: tuple(layouts) for c, layouts in merged.items()},
     )
 
 
@@ -552,7 +508,7 @@ def _folds(compiler: str, fid: str, bid: str) -> bool:
     return int(_site_rank("fold", compiler, fid, bid)[:8], 16) <= _FOLD_THRESHOLD
 
 
-def _merge_chains(program: BinaryProgram) -> tuple[tuple[_MergedBlock, ...], ...]:
+def _merge_chains(program: BinaryProgram) -> tuple[tuple[_PlannedBlock, ...], ...]:
     """The merged layout (O1 and up) of every function, before fold.
 
     Merge coalesces single-successor/single-predecessor chains to a
@@ -670,9 +626,9 @@ def apply_transforms(
 ) -> BinaryProgram:
     """Apply the full per-spec transform chain to an unoptimized program.
 
-    ``plan`` must be ``plan_transforms(program, spec.compiler)``; it is
-    computed here when not given. Version pads, the flavor marker, merge and
-    fold replay the plan; inline (O3) and dedup (Os) then run on the result.
+    ``plan`` must be ``plan_transforms(program)``; it is computed here when
+    not given. Version pads, the flavor marker, merge and fold replay the
+    plan; inline (O3) and dedup (Os) then run on the result.
 
     The input is left untouched: every function and block of the output is a
     new shell with its own key-instruction and successor lists, and the
@@ -680,18 +636,18 @@ def apply_transforms(
     shares only unchanged instructions with the input.
     """
     if plan is None:
-        plan = plan_transforms(program, spec.compiler)
+        plan = plan_transforms(program)
     # Instructions appended to base blocks: function index -> block index ->
     # the block's pad, then its flavor marker.
     added: dict[int, dict[int, list[KeyInstruction]]] = {}
-    pads = plan.pad_sites[: PADS_PER_THETA * THETA[spec.version_index]]
+    pads = plan.pad_sites[spec.compiler][: PADS_PER_THETA * THETA[spec.version_index]]
     for rank, (fi, bi) in enumerate(pads):
         added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + rank))]
-    for fi, bi in plan.flavor_sites:
+    for fi, bi in plan.flavor_sites[spec.compiler]:
         added.setdefault(fi, {}).setdefault(bi, []).append(
             KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
         )
-    layouts = plan.unmerged if spec.level == "O0" else plan.merged
+    layouts = plan.unmerged if spec.level == "O0" else plan.merged[spec.compiler]
     fold = spec.level in ("O2", "O3", "Os")
     functions = []
     for fi, (fn, layout) in enumerate(zip(program.functions, layouts, strict=True)):
@@ -726,11 +682,10 @@ class SimulatedToolchain:
 
     Builds are cached by (spec, configuration); the cache is shared by the
     option-inference search, which never pays twice for the same probe.
-    The unoptimized base and its merge chains are cached per configuration,
-    its ``TransformPlan`` per (configuration, compiler), and the tree keeps
-    each unit's scan, so a fresh build only replays the plan up to its
-    version and level and runs inline or dedup; it never mutates the cached
-    base.
+    The unoptimized base and its ``TransformPlan`` are cached as one pair
+    per configuration, and the tree keeps each unit's scan, so a fresh
+    build only replays the plan up to its version and level and runs inline
+    or dedup; it never mutates the cached base.
     ``build_count`` counts fresh builds.
     """
 
@@ -738,8 +693,7 @@ class SimulatedToolchain:
         self.tree = tree
         self.base_name = base_name
         self._cache: dict[tuple, BinaryProgram] = {}
-        self._bases: dict[tuple, _ChainedBase] = {}
-        self._plans: dict[tuple, TransformPlan] = {}
+        self._bases: dict[tuple, tuple[BinaryProgram, TransformPlan]] = {}
         self.build_count = 0
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
@@ -747,16 +701,11 @@ class SimulatedToolchain:
         config_key = config.key()
         key = (spec, config_key)
         if key not in self._cache:
-            base = self._bases.get(config_key)
-            if base is None:
-                program = build_unoptimized(self.tree, config, name=self.base_name)
-                base = _ChainedBase(program, _merge_chains(program))
-                self._bases[config_key] = base
-            plan = self._plans.get((config_key, spec.compiler))
-            if plan is None:
-                plan = plan_transforms(base, spec.compiler)
-                self._plans[config_key, spec.compiler] = plan
-            self._cache[key] = apply_transforms(base.program, spec, plan)
+            if config_key not in self._bases:
+                base = build_unoptimized(self.tree, config, name=self.base_name)
+                self._bases[config_key] = (base, plan_transforms(base))
+            base, plan = self._bases[config_key]
+            self._cache[key] = apply_transforms(base, spec, plan)
             self.build_count += 1
         return self._cache[key]
 

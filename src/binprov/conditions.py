@@ -170,23 +170,6 @@ def atom_keys(cond: Condition) -> list[str]:
     return out
 
 
-def defined_names(cond: Condition) -> set[str]:
-    """Macro names appearing under defined(...)."""
-    names: set[str] = set()
-
-    def walk(c: Condition) -> None:
-        if isinstance(c, DefinedAtom):
-            names.add(c.name)
-        elif isinstance(c, Not):
-            walk(c.operand)
-        elif isinstance(c, (And, Or)):
-            for op in c.operands:
-                walk(op)
-
-    walk(cond)
-    return names
-
-
 def evaluate(cond: Condition, env) -> bool:
     """Evaluate under one environment that maps macro names and opaque
     comparison texts to truth values; unbound atoms count as disabled. A

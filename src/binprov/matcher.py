@@ -91,10 +91,6 @@ class PayloadIndex:
                     self.counts[(ki.kind, ki.operand)] += 1
 
     @classmethod
-    def for_function(cls, fn: Function) -> PayloadIndex:
-        return cls(fn.blocks)
-
-    @classmethod
     def for_program(cls, program: BinaryProgram) -> PayloadIndex:
         return cls([blk for fn in program.functions for blk in fn.blocks])
 

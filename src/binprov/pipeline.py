@@ -23,7 +23,6 @@ plus the diagonal/symmetry sanity check).
 from __future__ import annotations
 
 import itertools
-import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,8 +63,6 @@ from .simdiff import (
 from .simdiff import compare_programs  # noqa: F401
 from .solver import AtomTable, Model, Unsatisfiable, solve
 from .varsource import ConfigMap, SourceTree, resolve_flags, scan_tree
-
-l = logging.getLogger(__name__)
 
 __all__ = [
     "Verification",
@@ -206,12 +203,6 @@ def _configure(
     try:
         generated = backend.build(spec, ConfigAssignment())
         diff = diff_programs(index_of(generated), crash_index)
-        low_confidence_note = ""
-        if diff.score < threshold:
-            low_confidence_note = (
-                f"option-stage similarity {diff.score:.4f} below threshold {threshold:.2f}"
-            )
-            l.warning("%s: %s; continuing to config inference", report.name, low_confidence_note)
 
         t0 = time.perf_counter()
         scans = scan_tree(tree)
@@ -273,7 +264,6 @@ def _configure(
             report.reason = "a derived constraint fails under the decided configuration"
         elif report.similarity >= threshold:
             report.verification = Verification.REPRODUCED_STRUCTURALLY
-            report.reason = low_confidence_note
         else:
             report.verification = Verification.LOW_CONFIDENCE
             report.reason = (

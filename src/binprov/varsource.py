@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .conditions import (
     TRUE,
@@ -73,35 +74,16 @@ class BranchShape:
 Feature = StringLit | IntConst | CallSig | BranchShape
 
 
-class _FeaturesOnFirstRead:
-    """The ``features`` field of ``Fragment``. A scanned fragment's features
-    are computed from its unit's lines the first time they are read, then
-    kept. An assigned value replaces them; ``None``, the default, leaves
-    them to be computed (as ``()`` for a fragment no scan made)."""
-
-    def __get__(self, frag, owner=None):
-        if frag is None:
-            return None
-        features = frag._features
-        if features is None:
-            lines = getattr(frag, "_unit_lines", None)
-            features = frag._features = () if lines is None else _fragment_features(frag, lines)
-        return features
-
-    def __set__(self, frag, value) -> None:
-        frag._features = value
-
-
 @dataclass
 class Fragment:
     """One preprocessor fragment of a unit: its presence condition, the
     lines it owns and their lexical features.
 
     ``scan_unit`` builds the fragment tree, the lines and the function
-    spans; ``features`` is computed on first read, since the pipeline reads
-    only the features of conditional fragments and of the roots of optional
-    units. Reading, assigning and comparing ``features`` behave as for a
-    plain field."""
+    spans, and hands each fragment its unit's text lines as ``source``;
+    ``features`` is computed from them on first read, since the pipeline
+    reads only the features of conditional fragments and of the roots of
+    optional units."""
 
     id: str
     unit: str
@@ -109,7 +91,13 @@ class Fragment:
     parent: str | None
     span: tuple[int, int]
     lines: list[int] = field(default_factory=list)
-    features: tuple[Feature, ...] = _FeaturesOnFirstRead()
+    source: list[str] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def features(self) -> tuple[Feature, ...]:
+        """The lexical features of the fragment's lines, kept once read
+        (``()`` without a ``source``); an assigned value replaces them."""
+        return () if self.source is None else _fragment_features(self, self.source)
 
     @property
     def is_root(self) -> bool:
@@ -203,6 +191,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
         condition=TRUE,
         parent=None,
         span=(1, len(lines)),
+        source=lines,
     )
     fragments: list[Fragment] = [root]
     chains: list[_OpenChain] = []
@@ -217,6 +206,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
             condition=conj([parent.condition, guard]),
             parent=parent.id,
             span=(start, start - 1),
+            source=lines,
         )
         fragments.append(frag)
         return frag
@@ -267,9 +257,6 @@ def scan_unit(name: str, text: str) -> UnitVariability:
 
     if chains:
         raise SchemaError(f"{name}: unterminated #if (opened near line {chains[-1].current.span[0] - 1})")
-
-    for frag in fragments:
-        frag._unit_lines = lines  # read by ``features`` on first use
 
     return UnitVariability(
         unit=name, fragments=fragments, functions=_function_index(lines)

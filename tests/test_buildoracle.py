@@ -512,22 +512,32 @@ def test_simulated_toolchain_builds_each_base_once(case0, specs, monkeypatch):
     assert backend.build_count == 2 * len(specs)
 
 
-def test_simulated_toolchain_plans_each_base_once_per_compiler(case0, specs, monkeypatch):
-    calls = []
+def test_simulated_toolchain_plans_each_base_once(case0, specs, monkeypatch):
+    # One plan per configuration serves every compiler's builds of its base.
+    plans = []
 
-    def counting(program, compiler):
-        calls.append((id(program), compiler))
-        return plan_transforms(program, compiler)
+    def counting(program):
+        plans.append((program, plan_transforms(program)))
+        return plans[-1][1]
+
+    replayed = []  # (base, compiler, plan) of every fresh build
+
+    def recording(program, spec, plan=None):
+        replayed.append((program, spec.compiler, plan))
+        return apply_transforms(program, spec, plan)
 
     monkeypatch.setattr(buildoracle, "plan_transforms", counting)
+    monkeypatch.setattr(buildoracle, "apply_transforms", recording)
     backend = SimulatedToolchain(case0.tree, base_name=case0.name)
     configs = (case0.seed_config(), EMPTY_CONFIG)
     for cfg in configs:
         for spec in specs:
             backend.build(spec, cfg)
-    assert len(calls) == len(set(calls)) == len(configs) * len(COMPILERS)
-    assert len({base for base, _ in calls}) == len(configs)
-    assert backend.build_count == len(configs) * len(specs)
+    assert len(plans) == len({id(base) for base, _ in plans}) == len(configs)
+    for base, plan in plans:
+        served = [c for b, c, p in replayed if b is base and p is plan]
+        assert len(served) == len(specs) and set(served) == set(COMPILERS)
+    assert len(replayed) == backend.build_count == len(configs) * len(specs)
 
 
 def test_simulated_toolchain_walks_merge_chains_once_per_base(case0, specs, monkeypatch):

@@ -53,7 +53,7 @@ def test_coarse_match_counts_occurrences():
 
 def test_payload_index_scopes():
     fn = Function(id="f", entry="b0", blocks=[HAY[0]])
-    per_fn = PayloadIndex.for_function(fn)
+    per_fn = PayloadIndex(fn.blocks)
     assert coarse_match(IntConst(42), per_fn) is MatchVerdict.FOUND
     prog = BinaryProgram(
         name="p", stripped=True, functions=[fn, Function(id="g", entry="b1", blocks=[HAY[1]])]
