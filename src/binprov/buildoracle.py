@@ -27,18 +27,21 @@ dominates the largest same-compiler version distance.
 Pads and the flavor marker add no comparison and no edge, merge reads only
 the control flow, and fold sites depend only on the compiler, so where each
 of the first four passes acts is fixed by the base and the compiler.
-``plan_transforms`` finds those sites once per base, for every compiler, as
-a ``TransformPlan``, and ``apply_transforms`` replays the plan up to a
-spec's version and level, then runs inline and dedup. The merge chains do
-not depend on the compiler at all: the plan walks them once, and each
-compiler only salts the pad order and the fold choice.
+``plan_transforms`` finds those sites for every compiler, as a
+``TransformPlan``, and ``apply_transforms`` replays the plan up to a spec's
+version and level, then runs inline and dedup. Every site but the pad order
+lies within one function, and the pad order is a sort by per-site ranks, so
+the plan is assembled from per-function parts. The merge chains do not
+depend on the compiler at all: each function's part walks them once, and
+each compiler only salts the pad ranks and the fold choice.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
-instructions, which no pass rewrites in place. ``SimulatedToolchain`` builds
-and plans the unoptimized base once per configuration, and each source unit
-is scanned once per tree (``SourceTree.scan``), so a probe costs only the
-replay of its plan and its inline or dedup pass.
+instructions, which no pass rewrites in place. So bases can share function
+objects: ``SimulatedToolchain`` emits and plans each distinct function body
+once per tree, assembles the base and its plan once per configuration from
+those, and each source unit is scanned once per tree (``SourceTree.scan``),
+so a probe costs only the replay of its plan and its inline or dedup pass.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
@@ -174,6 +177,11 @@ class ConfigAssignment:
 
     macros: frozenset[str] = frozenset()
     units: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.units is not None and len(set(self.units)) != len(self.units):
+            repeated = next(u for u in self.units if self.units.count(u) > 1)
+            raise ConfigError(f"unit {repeated!r} listed twice")
 
     @classmethod
     def for_flags(cls, config_map: ConfigMap, flags, base_units) -> ConfigAssignment:
@@ -337,12 +345,22 @@ _ERROR_DIRECTIVE_RE = re.compile(r"^\s*#\s*error\b\s*(.*)$")
 
 
 def build_unoptimized(
-    tree: SourceTree, config: ConfigAssignment, name: str = "prog"
+    tree: SourceTree,
+    config: ConfigAssignment,
+    name: str = "prog",
+    bodies: dict[tuple, Function] | None = None,
 ) -> BinaryProgram:
     """Compile the configured source tree to the unoptimized program model.
 
     A line participates when its owning fragment's condition holds under the
-    defined macros; an active #error directive aborts the build.
+    defined macros; an active #error directive aborts the build, and so does
+    a function defined in two selected units, as it would fail to link.
+
+    A function's body depends only on its unit, its name and which lines of
+    its span are active. ``bodies`` memoizes the emitted functions of one
+    tree under that key, across builds: a function emitted before is
+    returned as the same object, shared by every program that has it. No
+    pass edits a base function, so the sharing is safe.
     """
     unit_map = tree.unit_map()
     if config.units is None:
@@ -352,9 +370,12 @@ def build_unoptimized(
         for uname in selected:
             if uname not in unit_map:
                 raise ConfigError(f"unit {uname!r} not in source tree")
+    if bodies is None:
+        bodies = {}
 
     env = config.macro_env()
     functions: list[Function] = []
+    defined_in: dict[str, str] = {}
     for uname in selected:
         scan = tree.scan(unit_map[uname])
         lines = unit_map[uname].text.splitlines()
@@ -370,24 +391,33 @@ def build_unoptimized(
         for fname, span in scan.functions.items():
             if span.start not in active:
                 continue
-            body = [
-                lines[ln - 1]
-                for ln in range(span.start + 1, span.end)
-                if ln in active and not lines[ln - 1].lstrip().startswith("#")
-            ]
-            stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
-            emitter = _FunctionEmitter()
-            first, _tails = emitter.emit_chain(stmts)
-            if first is None:
-                entry = emitter.new_block().id
-            else:
-                entry = first
-            fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)
-            _elide_empty_blocks(fn)
+            if fname in defined_in:
+                raise BuildFailureError(
+                    f"function {fname!r} defined in both {defined_in[fname]} and {uname}"
+                )
+            defined_in[fname] = uname
+            body_lines = tuple(ln for ln in range(span.start + 1, span.end) if ln in active)
+            key = (uname, fname, body_lines)
+            fn = bodies.get(key)
+            if fn is None:
+                body = [lines[ln - 1] for ln in body_lines]
+                body = [text for text in body if not text.lstrip().startswith("#")]
+                fn = bodies[key] = _emit_function(fname, body)
             functions.append(fn)
 
     functions.sort(key=lambda f: f.id)
     return BinaryProgram(name=name, stripped=False, functions=functions)
+
+
+def _emit_function(fname: str, body: list[str]) -> Function:
+    """The unoptimized function of one body, given as its active lines."""
+    stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
+    emitter = _FunctionEmitter()
+    first, _tails = emitter.emit_chain(stmts)
+    entry = emitter.new_block().id if first is None else first
+    fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)
+    _elide_empty_blocks(fn)
+    return fn
 
 
 def _elide_empty_blocks(fn: Function) -> None:
@@ -434,7 +464,9 @@ class TransformPlan:
     reads only the control flow, so every site is fixed by the base and the
     compiler. A version only picks how many pad sites it fills, a level
     which layout it takes. Sites are (function index, block index) pairs
-    into the base.
+    into the base. ``plan_transforms`` assembles the plan from each
+    function's part (``_FunctionPlan``), which bases sharing that function
+    share too.
 
     * ``unmerged``: per function, the output blocks at O0, one per base
       block, in base block order. No compiler changes it.
@@ -447,7 +479,8 @@ class TransformPlan:
       up, in base block order, with the compiler's fold choice. A merged
       block lists every base block of its chain, so a block that absorbed a
       chain and was later absorbed itself hands on the whole chain and the
-      chain's successors. The chains are walked once, for all compilers.
+      chain's successors. Each function's chains are walked once, for all
+      compilers.
     """
 
     unmerged: tuple[tuple[_PlannedBlock, ...], ...]
@@ -456,32 +489,76 @@ class TransformPlan:
     merged: dict[str, tuple[tuple[_PlannedBlock, ...], ...]]
 
 
-def plan_transforms(program: BinaryProgram) -> TransformPlan:
-    """The ``TransformPlan`` of an unoptimized program."""
-    merges = _merge_chains(program)
+@dataclass(frozen=True, slots=True)
+class _FunctionPlan:
+    """The part of a ``TransformPlan`` that one base function fixes, with
+    block indices into that function: its O0 layout, each compiler's pad
+    ranks as (rank, block index), the blocks that carry the clang marker,
+    and each compiler's merged layout with its fold flags."""
+
+    unmerged: tuple[_PlannedBlock, ...]
+    pad_ranks: dict[str, tuple[tuple[str, int], ...]]
+    flavor: tuple[int, ...]
+    merged: dict[str, tuple[_PlannedBlock, ...]]
+
+
+def _plan_function(fn: Function) -> _FunctionPlan:
+    blocks = fn.blocks
+    compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in blocks]
+    chains = _merge_chains(fn, compares)
+    return _FunctionPlan(
+        unmerged=tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(blocks)),
+        pad_ranks={
+            c: tuple(
+                (_site_rank("pad", c, fn.id, blocks[bi].id), bi)
+                for bi, is_cmp in enumerate(compares)
+                if is_cmp
+            )
+            for c in COMPILERS
+        },
+        flavor=tuple(_flavor_blocks(fn, compares)),
+        merged={
+            c: tuple(
+                (chain, succs, foldable and _folds(c, fn.id, blocks[chain[0]].id))
+                for chain, succs, foldable in chains
+            )
+            for c in COMPILERS
+        },
+    )
+
+
+def plan_transforms(
+    program: BinaryProgram, pieces: dict[int, tuple[Function, _FunctionPlan]] | None = None
+) -> TransformPlan:
+    """The ``TransformPlan`` of an unoptimized program.
+
+    Each function's part of the plan depends on that function alone, so it
+    is planned once per function object and assembled here, with the
+    function's index put into its sites and the pad sites ranked across the
+    program. ``pieces`` memoizes the parts across bases that share function
+    objects (see ``build_unoptimized``); it maps ``id(fn)`` to the function
+    and its part, and holds the function so that the id stays its own.
+    """
+    if pieces is None:
+        pieces = {}
     ranked: dict[str, list[tuple[str, int, int]]] = {c: [] for c in COMPILERS}
-    flavor: dict[str, list[tuple[int, int]]] = {c: [] for c in COMPILERS}
+    flavor: list[tuple[int, int]] = []
     merged: dict[str, list] = {c: [] for c in COMPILERS}
     unmerged = []
     for fi, fn in enumerate(program.functions):
-        compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in fn.blocks]
-        for bi, blk in enumerate(fn.blocks):
-            if compares[bi]:
-                for c in COMPILERS:
-                    ranked[c].append((_site_rank("pad", c, fn.id, blk.id), fi, bi))
-        flavor["clang"].extend((fi, bi) for bi in _flavor_blocks(fn, compares))
-        unmerged.append(tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(fn.blocks)))
+        hit = pieces.get(id(fn))
+        if hit is None:
+            hit = pieces[id(fn)] = (fn, _plan_function(fn))
+        piece = hit[1]
+        unmerged.append(piece.unmerged)
+        flavor.extend((fi, bi) for bi in piece.flavor)
         for c in COMPILERS:
-            merged[c].append(
-                tuple(
-                    (chain, succs, foldable and _folds(c, fn.id, fn.blocks[chain[0]].id))
-                    for chain, succs, foldable in merges[fi]
-                )
-            )
+            ranked[c].extend((rank, fi, bi) for rank, bi in piece.pad_ranks[c])
+            merged[c].append(piece.merged[c])
     return TransformPlan(
         unmerged=tuple(unmerged),
         pad_sites={c: tuple((fi, bi) for _rank, fi, bi in sorted(ranked[c])) for c in COMPILERS},
-        flavor_sites={c: tuple(sites) for c, sites in flavor.items()},
+        flavor_sites={"gcc": (), "clang": tuple(flavor)},
         merged={c: tuple(layouts) for c, layouts in merged.items()},
     )
 
@@ -508,8 +585,9 @@ def _folds(compiler: str, fid: str, bid: str) -> bool:
     return int(_site_rank("fold", compiler, fid, bid)[:8], 16) <= _FOLD_THRESHOLD
 
 
-def _merge_chains(program: BinaryProgram) -> tuple[tuple[_PlannedBlock, ...], ...]:
-    """The merged layout (O1 and up) of every function, before fold.
+def _merge_chains(fn: Function, compares: list[bool]) -> tuple[_PlannedBlock, ...]:
+    """The merged layout (O1 and up) of one function, before fold;
+    ``compares`` flags its comparison blocks.
 
     Merge coalesces single-successor/single-predecessor chains to a
     fixpoint. A merge changes no block's predecessor count and only the
@@ -520,38 +598,34 @@ def _merge_chains(program: BinaryProgram) -> tuple[tuple[_PlannedBlock, ...], ..
     A merged block may fold when its chain holds no comparison (branch
     immediates are never folded) and at least one constant.
     """
-    out = []
-    for fn in program.functions:
-        blocks = fn.blocks
-        compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in blocks]
-        position = {blk.id: bi for bi, blk in enumerate(blocks)}
-        preds = Counter(s for blk in blocks for s in blk.succs)
-        chains = [[bi] for bi in range(len(blocks))]
-        succs = [blk.succs for blk in blocks]
-        absorbed = [False] * len(blocks)
-        for bid in sorted(position):
-            bi = position[bid]
-            if absorbed[bi]:
-                continue
-            while len(succs[bi]) == 1:
-                succ_id = succs[bi][0]
-                if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
-                    break
-                si = position[succ_id]
-                chains[bi] += chains[si]
-                succs[bi] = succs[si]
-                absorbed[si] = True
-        layout = []
-        for bi in range(len(blocks)):
-            if absorbed[bi]:
-                continue
-            chain = chains[bi]
-            foldable = not any(compares[m] for m in chain) and any(
-                ki.kind is KeyKind.CONST_REF for m in chain for ki in blocks[m].keyins
-            )
-            layout.append((tuple(chain), tuple(succs[bi]), foldable))
-        out.append(tuple(layout))
-    return tuple(out)
+    blocks = fn.blocks
+    position = {blk.id: bi for bi, blk in enumerate(blocks)}
+    preds = Counter(s for blk in blocks for s in blk.succs)
+    chains = [[bi] for bi in range(len(blocks))]
+    succs = [blk.succs for blk in blocks]
+    absorbed = [False] * len(blocks)
+    for bid in sorted(position):
+        bi = position[bid]
+        if absorbed[bi]:
+            continue
+        while len(succs[bi]) == 1:
+            succ_id = succs[bi][0]
+            if succ_id == bid or succ_id == fn.entry or preds[succ_id] != 1:
+                break
+            si = position[succ_id]
+            chains[bi] += chains[si]
+            succs[bi] = succs[si]
+            absorbed[si] = True
+    layout = []
+    for bi in range(len(blocks)):
+        if absorbed[bi]:
+            continue
+        chain = chains[bi]
+        foldable = not any(compares[m] for m in chain) and any(
+            ki.kind is KeyKind.CONST_REF for m in chain for ki in blocks[m].keyins
+        )
+        layout.append((tuple(chain), tuple(succs[bi]), foldable))
+    return tuple(layout)
 
 
 def _apply_inline(program: BinaryProgram) -> None:
@@ -686,6 +760,12 @@ class SimulatedToolchain:
     per configuration, and the tree keeps each unit's scan, so a fresh
     build only replays the plan up to its version and level and runs inline
     or dedup; it never mutates the cached base.
+
+    Configurations of one case mostly differ in a few conditional lines, so
+    their bases share most function bodies. Each distinct body, keyed by
+    unit, function name and active lines, is emitted and planned once per
+    toolchain (``_bodies`` and ``_pieces``), and every base that has it
+    shares the one function object and its part of the plan.
     ``build_count`` counts fresh builds.
     """
 
@@ -694,6 +774,8 @@ class SimulatedToolchain:
         self.base_name = base_name
         self._cache: dict[tuple, BinaryProgram] = {}
         self._bases: dict[tuple, tuple[BinaryProgram, TransformPlan]] = {}
+        self._bodies: dict[tuple, Function] = {}
+        self._pieces: dict[int, tuple[Function, _FunctionPlan]] = {}
         self.build_count = 0
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
@@ -702,8 +784,8 @@ class SimulatedToolchain:
         key = (spec, config_key)
         if key not in self._cache:
             if config_key not in self._bases:
-                base = build_unoptimized(self.tree, config, name=self.base_name)
-                self._bases[config_key] = (base, plan_transforms(base))
+                base = build_unoptimized(self.tree, config, self.base_name, self._bodies)
+                self._bases[config_key] = (base, plan_transforms(base, self._pieces))
             base, plan = self._bases[config_key]
             self._cache[key] = apply_transforms(base, spec, plan)
             self.build_count += 1

@@ -479,26 +479,63 @@ def write_corpus(cases: list[GeneratedCase], root: Path) -> None:
 
 
 def load_case_dir(cdir: Path) -> GeneratedCase:
+    """Read a case directory ``write_corpus`` wrote. A missing file or a
+    malformed manifest raises ``SchemaError`` naming the directory and the
+    file or manifest key."""
     cdir = Path(cdir)
     try:
-        manifest = json.loads((cdir / "manifest.json").read_text())
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{cdir}: missing manifest.json") from exc
+        manifest = json.loads(_read(cdir, "manifest.json"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{cdir}: manifest.json is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{cdir}: manifest.json must hold an object")
+    hidden = _manifest_field(cdir, manifest, "hidden", dict, "an object")
+    manifest.setdefault("vulnerable_fragment", None)  # a manifest may leave it out
     units = {}
     for path in sorted((cdir / "src").glob("*")):
         units[path.name] = path.read_text()
-    tree = SourceTree.from_mapping(units)
-    config_map = ConfigMap.parse((cdir / "config.map").read_text())
-    crash = ingest_model((cdir / "crash.model").read_text())
     return GeneratedCase(
-        name=manifest["name"],
-        index=manifest["index"],
-        tree=tree,
-        config_map=config_map,
-        base_units=tuple(manifest["base_units"]),
-        hidden_spec=BuildSpec.from_text(manifest["hidden"]["spec"]),
-        hidden_flags=tuple(manifest["hidden"]["flags"]),
-        vulnerable_fragment=manifest.get("vulnerable_fragment"),
-        signal_free=manifest["signal_free"],
-        crash=crash,
+        name=_manifest_field(cdir, manifest, "name", str, "a string"),
+        index=_manifest_field(cdir, manifest, "index", int, "an integer"),
+        tree=SourceTree.from_mapping(units),
+        config_map=ConfigMap.parse(_read(cdir, "config.map")),
+        base_units=_manifest_names(cdir, manifest, "base_units"),
+        hidden_spec=BuildSpec.from_text(
+            _manifest_field(cdir, hidden, "spec", str, "a string", "hidden.")
+        ),
+        hidden_flags=_manifest_names(cdir, hidden, "flags", "hidden."),
+        vulnerable_fragment=_manifest_field(
+            cdir, manifest, "vulnerable_fragment", (str, type(None)), "a string or null"
+        ),
+        signal_free=_manifest_field(cdir, manifest, "signal_free", bool, "true or false"),
+        crash=ingest_model(_read(cdir, "crash.model")),
     )
+
+
+def _read(cdir: Path, name: str) -> str:
+    try:
+        return (cdir / name).read_text()
+    except FileNotFoundError:
+        raise SchemaError(f"{cdir}: missing {name}") from None
+
+
+def _manifest_field(cdir: Path, obj: dict, key: str, kind, expected: str, prefix: str = ""):
+    """``obj[key]``, which must be an instance of ``kind`` (a bool is no
+    integer here); ``prefix`` places ``obj`` in the manifest."""
+    if key not in obj:
+        raise SchemaError(f"{cdir}: manifest.json: missing {prefix}{key}")
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise SchemaError(f"{cdir}: manifest.json: {prefix}{key} must be {expected}")
+    return value
+
+
+def _manifest_names(cdir: Path, obj: dict, key: str, prefix: str = "") -> tuple[str, ...]:
+    """``obj[key]`` as a tuple: a list of distinct strings."""
+    names = _manifest_field(cdir, obj, key, list, "a list of strings", prefix)
+    if not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{cdir}: manifest.json: {prefix}{key} must be a list of strings")
+    if len(set(names)) != len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise SchemaError(f"{cdir}: manifest.json: {prefix}{key} lists {repeated!r} twice")
+    return tuple(names)

@@ -35,12 +35,14 @@ from binprov.buildoracle import (
     plan_transforms,
     version_theta,
 )
+from binprov.corpusgen import generate_corpus
 from binprov.errors import (
     BuildFailureError,
     ConfigError,
     OracleUnavailableError,
     SchemaError,
 )
+from binprov.pipeline import run_generated_case
 from binprov.varsource import SourceTree, scan_tree
 
 EMPTY_CONFIG = ConfigAssignment()
@@ -148,6 +150,26 @@ def test_unknown_unit_rejected():
     tree = SourceTree.from_mapping({"m.c": "int f(void) {\n    g();\n}\n"})
     with pytest.raises(ConfigError):
         build_unoptimized(tree, ConfigAssignment(units=("ghost.c",)))
+
+
+def test_unit_listed_twice_rejected():
+    with pytest.raises(ConfigError, match="unit 'a.c' listed twice"):
+        ConfigAssignment(units=("a.c", "b.c", "a.c"))
+
+
+def test_function_defined_in_two_units_fails_the_build():
+    tree = SourceTree.from_mapping({
+        "a.c": "int f(void) {\n    g();\n}\n",
+        "b.c": "#ifdef DUP\nint f(void) {\n    h();\n}\n#endif\n",
+    })
+    backend = SimulatedToolchain(tree)
+    spec = BuildSpec("gcc", "6", "O0")
+    assert [fn.id for fn in backend.build(spec, EMPTY_CONFIG).functions] == ["f"]
+    dup = ConfigAssignment(macros=frozenset({"DUP"}))
+    with pytest.raises(BuildFailureError, match="function 'f' defined in both a.c and b.c"):
+        build_unoptimized(tree, dup)
+    with pytest.raises(BuildFailureError, match="function 'f' defined in both a.c and b.c"):
+        backend.build(spec, dup)
 
 
 FIXTURE_SRC = """\
@@ -498,9 +520,9 @@ def test_simulated_builds_match_golden_digest(corpus21, specs):
 def test_simulated_toolchain_builds_each_base_once(case0, specs, monkeypatch):
     calls = []
 
-    def counting(tree, config, name="prog"):
+    def counting(tree, config, *args, **kwargs):
         calls.append(config.key())
-        return build_unoptimized(tree, config, name=name)
+        return build_unoptimized(tree, config, *args, **kwargs)
 
     monkeypatch.setattr(buildoracle, "build_unoptimized", counting)
     backend = SimulatedToolchain(case0.tree, base_name=case0.name)
@@ -516,8 +538,8 @@ def test_simulated_toolchain_plans_each_base_once(case0, specs, monkeypatch):
     # One plan per configuration serves every compiler's builds of its base.
     plans = []
 
-    def counting(program):
-        plans.append((program, plan_transforms(program)))
+    def counting(program, *args, **kwargs):
+        plans.append((program, plan_transforms(program, *args, **kwargs)))
         return plans[-1][1]
 
     replayed = []  # (base, compiler, plan) of every fresh build
@@ -540,24 +562,61 @@ def test_simulated_toolchain_plans_each_base_once(case0, specs, monkeypatch):
     assert len(replayed) == backend.build_count == len(configs) * len(specs)
 
 
-def test_simulated_toolchain_walks_merge_chains_once_per_base(case0, specs, monkeypatch):
-    # Merge chains read only the control flow: both compilers' plans of a
-    # base share one walk.
-    walked = []
-    merge_chains = buildoracle._merge_chains
+def test_simulated_toolchain_emits_and_plans_each_body_once(case0, specs, monkeypatch):
+    # The hidden configuration's macros change a few function bodies of the
+    # seed configuration; the second base emits and plans only those, and
+    # shares every other function with the first.
+    configs = (case0.seed_config(), case0.truth_config())
+    bases = [build_unoptimized(case0.tree, cfg) for cfg in configs]
+    first = {fn.id: buildoracle._body_key(fn) for fn in bases[0].functions}
+    changed = [fn.id for fn in bases[1].functions if first.get(fn.id) != buildoracle._body_key(fn)]
+    assert 0 < len(changed) < len(bases[1].functions)
+    emitted, walked = [], []
+    emit_function, merge_chains = buildoracle._emit_function, buildoracle._merge_chains
 
-    def counting(program):
-        walked.append(id(program))
-        return merge_chains(program)
+    def emitting(fname, body):
+        fn = emit_function(fname, body)
+        emitted.append(fn)
+        return fn
 
-    monkeypatch.setattr(buildoracle, "_merge_chains", counting)
+    def walking(fn, compares):
+        walked.append(fn)
+        return merge_chains(fn, compares)
+
+    monkeypatch.setattr(buildoracle, "_emit_function", emitting)
+    monkeypatch.setattr(buildoracle, "_merge_chains", walking)
     backend = SimulatedToolchain(case0.tree, base_name=case0.name)
-    configs = (case0.seed_config(), EMPTY_CONFIG)
     for cfg in configs:
         for spec in specs:
             backend.build(spec, cfg)
-    assert len(walked) == len(set(walked)) == len(configs)
+    assert sorted(fn.id for fn in emitted) == sorted([*first, *changed])
+    assert sorted(map(id, walked)) == sorted(map(id, emitted))
     assert backend.build_count == len(configs) * len(specs)
+
+
+def test_body_memo_changes_no_build():
+    # Every build a case's run leaves in its toolchain equals the memo-free
+    # build of its (spec, configuration). Building the configurations again
+    # in reverse order on a fresh toolchain gives the same bytes too, so no
+    # build depends on which configuration filled the memo first.
+    for seed in (1, 2, 3):
+        for case in generate_corpus(seed, 21):
+            built = {}
+
+            class Recording(SimulatedToolchain):
+                def build(self, spec, config):
+                    program = super().build(spec, config)
+                    if (spec, config.key()) not in built:
+                        built[spec, config.key()] = (spec, config, serialize_model(program))
+                    return program
+
+            run_generated_case(case, backend=Recording(case.tree, base_name=case.name))
+            reverse = SimulatedToolchain(case.tree, base_name=case.name)
+            for spec, config, text in reversed(built.values()):
+                alone = apply_transforms(build_unoptimized(case.tree, config, name=case.name), spec)
+                assert serialize_model(alone) == text, (case.name, spec.text(), config)
+                again = serialize_model(reverse.build(spec, config))
+                assert again == text, (case.name, spec.text(), config)
 
 
 def test_scan_tree_reuses_the_scans_of_builds(case0, monkeypatch):

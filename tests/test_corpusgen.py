@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import re
+
+import pytest
+
 from binprov.binmodel import serialize_model
 from binprov.buildoracle import SimulatedToolchain, all_option_specs
 from binprov.conditions import evaluate
+from binprov.errors import SchemaError
 from binprov.corpusgen import (
     conflict_index,
     generate_case,
@@ -104,6 +110,46 @@ def test_write_and_load_round_trip(tmp_path, corpus21):
         assert [f.name for f in loaded.config_map.flags] == [
             f.name for f in case.config_map.flags
         ]
+
+
+# A manifest edit, and the error it must raise.
+MALFORMED_MANIFESTS = [
+    (lambda m: "{", "manifest.json is not JSON"),
+    (lambda m: [], "manifest.json must hold an object"),
+    (lambda m: {k: v for k, v in m.items() if k != "name"}, "missing name"),
+    (lambda m: {**m, "index": "1"}, "index must be an integer"),
+    (lambda m: {**m, "hidden": None}, "hidden must be an object"),
+    (lambda m: {**m, "hidden": {"flags": []}}, "missing hidden.spec"),
+    (lambda m: {**m, "hidden": {**m["hidden"], "flags": "with_alpha"}},
+     "hidden.flags must be a list of strings"),
+    (lambda m: {**m, "base_units": "main.c"}, "base_units must be a list of strings"),
+    (lambda m: {**m, "base_units": ["main.c", 7]}, "base_units must be a list of strings"),
+    (lambda m: {**m, "base_units": ["main.c", "main.c"]}, "base_units lists 'main.c' twice"),
+    (lambda m: {**m, "vulnerable_fragment": 3}, "vulnerable_fragment must be a string or null"),
+    (lambda m: {**m, "signal_free": 0}, "signal_free must be true or false"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,message", MALFORMED_MANIFESTS, ids=[message for _, message in MALFORMED_MANIFESTS]
+)
+def test_load_case_dir_rejects_a_malformed_manifest(tmp_path, corpus21, edit, message):
+    write_corpus(corpus21[:1], tmp_path)
+    cdir = tmp_path / corpus21[0].name
+    manifest = cdir / "manifest.json"
+    edited = edit(json.loads(manifest.read_text()))
+    manifest.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with pytest.raises(SchemaError, match=re.escape(f"{cdir}: ") + ".*" + re.escape(message)):
+        load_case_dir(cdir)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "config.map", "crash.model"])
+def test_load_case_dir_names_a_missing_file(tmp_path, corpus21, name):
+    write_corpus(corpus21[:1], tmp_path)
+    cdir = tmp_path / corpus21[0].name
+    (cdir / name).unlink()
+    with pytest.raises(SchemaError, match=re.escape(f"{cdir}: missing {name}")):
+        load_case_dir(cdir)
 
 
 def test_conditional_unit_generator_is_balanced_and_deterministic():
