@@ -767,11 +767,17 @@ class SimulatedToolchain:
     toolchain (``_bodies`` and ``_pieces``), and every base that has it
     shares the one function object and its part of the plan.
     ``build_count`` counts fresh builds.
+
+    Every cache holds builds of the units' text as it was when the caches
+    were filled. A build that finds the tree's ``(name, text)`` pairs
+    changed since then drops all four caches first, so an edited tree is
+    never served a build of its old text.
     """
 
     def __init__(self, tree: SourceTree, base_name: str = "prog"):
         self.tree = tree
         self.base_name = base_name
+        self._sources: tuple[tuple[str, str], ...] = ()
         self._cache: dict[tuple, BinaryProgram] = {}
         self._bases: dict[tuple, tuple[BinaryProgram, TransformPlan]] = {}
         self._bodies: dict[tuple, Function] = {}
@@ -780,6 +786,13 @@ class SimulatedToolchain:
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         spec.validate()
+        sources = tuple((u.name, u.text) for u in self.tree.units)
+        if sources != self._sources:
+            self._sources = sources
+            self._cache.clear()
+            self._bases.clear()
+            self._bodies.clear()
+            self._pieces.clear()
         config_key = config.key()
         key = (spec, config_key)
         if key not in self._cache:

@@ -361,12 +361,10 @@ def similarity_matrix(
     indexes = [index_program(backend.build(s, config)) for s in specs]
     n = len(indexes)
     grid = [[0.0] * n for _ in range(n)]
-    # Each distinct signature gets a small int, the key of the fraction memo.
+    # Each distinct signature gets a small int, the key of the fraction memo;
+    # ``classes[i][k]`` is the class of function number ``k`` of build ``i``.
     ids_of: dict[tuple, int] = {}
-    classes = [
-        {fid: ids_of.setdefault(sig, len(ids_of)) for fid, sig in ix.signatures.items()}
-        for ix in indexes
-    ]
+    classes = [[ids_of.setdefault(sig, len(ids_of)) for sig in ix.signatures] for ix in indexes]
     fractions: dict[tuple[int, int], float] = {}
     for i, ia in enumerate(indexes):
         row = grid[i]

@@ -6,8 +6,8 @@ unmatched, and only when the pairing key is unique on both sides:
 1. identical symbol names,
 2. neighborhood hash (sorted library callees, sorted tokens of already
    matched callees and callers, and the block count, where a pair's token
-   is its left id; iterated to a fixpoint so matches cascade along the call
-   graph),
+   is its left function number; iterated to a fixpoint so matches cascade
+   along the call graph),
 3. whole-function fingerprint signature,
 4. positional pairing inside equal-signature classes, in sorted-id order.
 
@@ -39,11 +39,20 @@ from a ``ProgramIndex``, built once per program by ``index_program``. A
 caller that scores one program against many holds its index and calls
 ``similarity``. Neither scoring nor ``diff_programs`` aligns blocks: the
 configuration stage reads only which functions pair up.
+
+The index numbers a program's functions 0…n−1 in sorted-id order, and the
+matcher, the scores and the diff work on those numbers and on lists
+indexed by them. Since number order is sorted-id order, every walk and
+every float summation runs in the order the ids would sort in. Ids come
+back only where they leave the module: the ``(left_id, right_id)`` pairs of
+``match_functions`` and ``_match_indexes``, and the ``DiffReport``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .binmodel import (
     BasicBlock,
@@ -53,6 +62,7 @@ from .binmodel import (
     _collector_paused,
     call_target,
 )
+from .errors import SchemaError
 
 __all__ = [
     "KIND_PRIMES",
@@ -85,6 +95,8 @@ KIND_PRIMES: dict[KeyKind, int] = {
 
 Fingerprint = int
 
+_function_id = attrgetter("id")
+
 
 def spp_fingerprint(block: BasicBlock) -> Fingerprint:
     fp = 1
@@ -98,56 +110,80 @@ def function_signature(fn: Function) -> tuple[Fingerprint, ...]:
     return tuple(sorted(spp_fingerprint(b) for b in fn.blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramIndex:
     """Per-program facts that matching, scoring and diffing read.
 
     Built once from a program by ``index_program`` and never updated, so a
     caller that scores one program against many others indexes it once.
-    ``unique_symbols`` maps each symbol carried by exactly one function to
-    that function's id; every other map is keyed by function id, and edge
-    tuples keep repeats. ``libcalls`` is sorted, as the neighborhood hash
-    reads it. A signature holds one fingerprint per block, so its length
-    is the function's block count.
+    The functions are numbered 0…n−1 in sorted-id order: ``ids[k]`` is the
+    id of function ``k``, and every other tuple is indexed by that number.
+    Int order is sorted-id order, so a walk over the numbers visits the
+    functions in the order a sort of their ids would. ``unique_symbols``
+    maps each symbol carried by exactly one function to its number.
+    ``callees`` and ``callers`` hold numbers and keep repeats; ``libcalls``
+    holds each function's library call names, sorted, as the neighborhood
+    hash reads them. A signature holds one fingerprint per block, so its
+    length is the function's block count.
     """
 
     ids: tuple[str, ...]
-    unique_symbols: dict[str, str]
-    callees: dict[str, tuple[str, ...]]
-    libcalls: dict[str, tuple[str, ...]]
-    callers: dict[str, tuple[str, ...]]
-    signatures: dict[str, tuple[Fingerprint, ...]]
+    unique_symbols: dict[str, int]
+    callees: tuple[tuple[int, ...], ...]
+    libcalls: tuple[tuple[str, ...], ...]
+    callers: tuple[tuple[int, ...], ...]
+    signatures: tuple[tuple[Fingerprint, ...], ...]
 
 
 def index_program(program: BinaryProgram) -> ProgramIndex:
-    """Compute a program's ``ProgramIndex`` in one pass over its blocks."""
-    ids = tuple(f.id for f in program.functions)
-    callees: dict[str, list[str]] = {fid: [] for fid in ids}
-    libcalls: dict[str, list[str]] = {fid: [] for fid in ids}
-    callers: dict[str, list[str]] = {fid: [] for fid in ids}
-    symbol_ids: dict[str, list[str]] = {}
-    signatures: dict[str, tuple[Fingerprint, ...]] = {}
-    for fn in program.functions:
+    """Compute a program's ``ProgramIndex`` in one pass over its blocks.
+
+    Raises ``SchemaError`` when two functions share an id, since one number
+    per id could not tell them apart."""
+    functions = sorted(program.functions, key=_function_id)
+    ids = tuple(map(_function_id, functions))
+    number = {fid: k for k, fid in enumerate(ids)}
+    if len(number) != len(ids):
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise SchemaError(f"program {program.name!r}: duplicate function id {repeated!r}")
+    callees: list[tuple[int, ...]] = []
+    libcalls: list[tuple[str, ...]] = []
+    callers: list[list[int]] = [[] for _ in ids]
+    signatures: list[tuple[Fingerprint, ...]] = []
+    symbol_numbers: dict[str, int] = {}  # -1 for a symbol two functions carry
+    primes = KIND_PRIMES
+    call = KeyKind.CALL
+    for k, fn in enumerate(functions):
         if fn.symbol:
-            symbol_ids.setdefault(fn.symbol, []).append(fn.id)
-        signatures[fn.id] = function_signature(fn)
+            symbol_numbers[fn.symbol] = -1 if fn.symbol in symbol_numbers else k
+        out: list[int] = []
+        lib: list[str] = []
+        fingerprints = []
         for blk in fn.blocks:
+            fp = 1  # ``spp_fingerprint``, in the walk that finds the calls
             for ki in blk.keyins:
-                if ki.kind is not KeyKind.CALL or not ki.operand:
-                    continue
-                target = call_target(ki.operand)
-                if target in callees:
-                    callees[fn.id].append(target)
-                    callers[target].append(fn.id)
-                else:
-                    libcalls[fn.id].append(target)
+                fp *= primes[ki.kind]
+                if ki.kind is call and ki.operand:
+                    target = call_target(ki.operand)
+                    m = number.get(target)
+                    if m is None:
+                        lib.append(target)
+                    else:
+                        out.append(m)
+                        callers[m].append(k)
+            fingerprints.append(fp)
+        fingerprints.sort()
+        signatures.append(tuple(fingerprints))
+        callees.append(tuple(out))
+        lib.sort()
+        libcalls.append(tuple(lib))
     return ProgramIndex(
         ids=ids,
-        unique_symbols={sym: fids[0] for sym, fids in symbol_ids.items() if len(fids) == 1},
-        callees={fid: tuple(v) for fid, v in callees.items()},
-        libcalls={fid: tuple(sorted(v)) for fid, v in libcalls.items()},
-        callers={fid: tuple(v) for fid, v in callers.items()},
-        signatures=signatures,
+        unique_symbols={sym: k for sym, k in symbol_numbers.items() if k >= 0},
+        callees=tuple(callees),
+        libcalls=tuple(libcalls),
+        callers=tuple(map(tuple, callers)),
+        signatures=tuple(signatures),
     )
 
 
@@ -172,117 +208,117 @@ class _IndexMemo:
         return held[1]
 
 
-def _unique_key_matches(
-    left_keys: dict[str, object], right_keys: dict[str, object]
-) -> list[tuple[str, str]]:
-    """Pair left/right ids whose key value occurs exactly once on each side."""
-    left_by_key: dict[object, list[str]] = {}
-    right_by_key: dict[object, list[str]] = {}
-    for fid, key in left_keys.items():
-        left_by_key.setdefault(key, []).append(fid)
-    for fid, key in right_keys.items():
-        right_by_key.setdefault(key, []).append(fid)
+def _unique_key_matches(left_keys, right_keys) -> list[tuple[int, int]]:
+    """Pair left/right numbers whose key occurs exactly once on each side.
+    Each side is an iterable of ``(number, key)``. No two returned pairs
+    share a number."""
+    left_by_key = _number_by_key(left_keys)
+    right_by_key = _number_by_key(right_keys)
     out = []
-    for key, lids in left_by_key.items():
-        rids = right_by_key.get(key)
-        if rids is not None and len(lids) == 1 and len(rids) == 1:
-            out.append((lids[0], rids[0]))
-    return sorted(out)
+    for key, l in left_by_key.items():
+        if l >= 0:
+            r = right_by_key.get(key, -1)
+            if r >= 0:
+                out.append((l, r))
+    return out
 
 
-def _neighborhood_hash(index: ProgramIndex, fid: str, pair_token) -> object:
-    """Library callees, matched callees, matched callers and the block count.
-    Library names and pair tokens sit in separate tuples, so a library
-    symbol spelled like a pair token cannot pose as a matched callee."""
-    ctoks = []
-    for callee in index.callees[fid]:
-        tok = pair_token(callee)
-        if tok is not None:
-            ctoks.append(tok)
-    rtoks = []
-    for caller in index.callers[fid]:
-        tok = pair_token(caller)
-        if tok is not None:
-            rtoks.append(tok)
-    return (
-        index.libcalls[fid], tuple(sorted(ctoks)), tuple(sorted(rtoks)), len(index.signatures[fid])
-    )
+def _number_by_key(keyed) -> dict:
+    """Each key's number, or -1 for a key that more than one number has."""
+    by_key: dict = {}
+    for k, key in keyed:
+        if by_key.setdefault(key, k) != k:
+            by_key[key] = -1
+    return by_key
 
 
-def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
-    """The four-pass matcher over two program indexes; returns
-    (left_id, right_id) pairs sorted by left id."""
-    matched_lr: dict[str, str] = {}
-    matched_rl: dict[str, str] = {}
+def _neighborhood_keys(index: ProgramIndex, unmatched: list[int], token: list[int]):
+    """``(k, key)`` for each unmatched function ``k``: its library callees,
+    the sorted tokens of its matched callees and callers, and its block
+    count. ``token[m]`` is function ``m``'s pair token, -1 while it is
+    unmatched. Library names and pair tokens sit in separate tuples, so a
+    library symbol cannot pose as a matched callee."""
+    callees, callers = index.callees, index.callers
+    libcalls, signatures = index.libcalls, index.signatures
+    for k in unmatched:
+        ctoks = [t for t in map(token.__getitem__, callees[k]) if t >= 0]
+        rtoks = [t for t in map(token.__getitem__, callers[k]) if t >= 0]
+        ctoks.sort()
+        rtoks.sort()
+        yield k, (libcalls[k], tuple(ctoks), tuple(rtoks), len(signatures[k]))
 
-    def record(pairs) -> bool:
-        added = False
-        for lid, rid in pairs:
-            if lid in matched_lr or rid in matched_rl:
-                continue
-            matched_lr[lid] = rid
-            matched_rl[rid] = lid
-            added = True
-        return added
+
+def _match(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int]]:
+    """The four-pass matcher on function numbers. Returns ``(lr, rl)``:
+    ``lr[l]`` is the right number paired with left function ``l`` and
+    ``rl[r]`` the left number paired with right function ``r``, -1 where a
+    function is unmatched."""
+    nl, nr = len(left.ids), len(right.ids)
+    lr = [-1] * nl
+    rl = [-1] * nr
 
     # Pass 1: symbols, where both sides carry them. A unique symbol names
-    # one id on each side, so no two of these pairs share an id and the
-    # order they are recorded in does not matter.
+    # one function on each side, so no two of these pairs share a number.
     right_symbols = right.unique_symbols
-    for sym, lid in left.unique_symbols.items():
-        rid = right_symbols.get(sym)
-        if rid is not None:
-            matched_lr[lid] = rid
-            matched_rl[rid] = lid
-
-    def left_token(fid: str):
-        # Matched pairs are identified by the left-side id: stable and equal
-        # for both members of the pair.
-        return fid if fid in matched_lr else None
-
-    def right_token(fid: str):
-        return matched_rl.get(fid)
-
-    def neighborhood_pass() -> bool:
-        lkeys = {
-            fid: _neighborhood_hash(left, fid, left_token)
-            for fid in left.ids
-            if fid not in matched_lr
-        }
-        rkeys = {
-            fid: _neighborhood_hash(right, fid, right_token)
-            for fid in right.ids
-            if fid not in matched_rl
-        }
-        return record(_unique_key_matches(lkeys, rkeys))
-
-    def signature_pass() -> bool:
-        lkeys = {fid: left.signatures[fid] for fid in left.ids if fid not in matched_lr}
-        rkeys = {fid: right.signatures[fid] for fid in right.ids if fid not in matched_rl}
-        return record(_unique_key_matches(lkeys, rkeys))
-
-    def positional_pass() -> bool:
-        lgroups: dict[tuple, list[str]] = {}
-        rgroups: dict[tuple, list[str]] = {}
-        for fid in left.ids:
-            if fid not in matched_lr:
-                lgroups.setdefault(left.signatures[fid], []).append(fid)
-        for fid in right.ids:
-            if fid not in matched_rl:
-                rgroups.setdefault(right.signatures[fid], []).append(fid)
-        pairs = []
-        for sig, lids in lgroups.items():
-            rids = rgroups.get(sig)
-            if not rids:
-                continue
-            for lid, rid in zip(sorted(lids), sorted(rids)):
-                pairs.append((lid, rid))
-        return record(pairs)
+    for sym, l in left.unique_symbols.items():
+        r = right_symbols.get(sym)
+        if r is not None:
+            lr[l] = r
+            rl[r] = l
+    matched = nl - lr.count(-1)
 
     def one_side_done() -> bool:
-        # Every later pass pairs only ids unmatched on both sides, so once
-        # either side has none left no pass can add a pair.
-        return len(matched_lr) == len(left.ids) or len(matched_rl) == len(right.ids)
+        # Every later pass pairs only functions unmatched on both sides, so
+        # once either side has none left no pass can add a pair.
+        return matched == nl or matched == nr
+
+    if one_side_done():
+        return lr, rl
+
+    # A matched pair's token is its left number: stable, and equal for both
+    # members of the pair. ``rl`` already holds the right side's tokens.
+    ltok = [l if r >= 0 else -1 for l, r in enumerate(lr)]
+
+    def record(pairs: list[tuple[int, int]]) -> bool:
+        # Every pass pairs only unmatched functions, each at most once.
+        nonlocal matched
+        for l, r in pairs:
+            lr[l] = r
+            rl[r] = ltok[l] = l
+        matched += len(pairs)
+        return bool(pairs)
+
+    def unmatched(side: list[int]) -> list[int]:
+        return [k for k, other in enumerate(side) if other < 0]
+
+    def neighborhood_pass() -> bool:
+        return record(_unique_key_matches(
+            _neighborhood_keys(left, unmatched(lr), ltok),
+            _neighborhood_keys(right, unmatched(rl), rl),
+        ))
+
+    def signature_pass() -> bool:
+        lsig, rsig = left.signatures, right.signatures
+        return record(_unique_key_matches(
+            [(l, lsig[l]) for l in unmatched(lr)],
+            [(r, rsig[r]) for r in unmatched(rl)],
+        ))
+
+    def positional_pass() -> bool:
+        # Numbers are appended in increasing order, so each class lists its
+        # functions in sorted-id order.
+        lgroups: dict[tuple, list[int]] = {}
+        rgroups: dict[tuple, list[int]] = {}
+        for l in unmatched(lr):
+            lgroups.setdefault(left.signatures[l], []).append(l)
+        for r in unmatched(rl):
+            rgroups.setdefault(right.signatures[r], []).append(r)
+        pairs = []
+        for sig, ls in lgroups.items():
+            rs = rgroups.get(sig)
+            if rs:
+                pairs.extend(zip(ls, rs))
+        return record(pairs)
 
     def converge() -> bool:
         """Passes 2 and 3 to a fixpoint; True when they stop because one
@@ -300,7 +336,14 @@ def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, s
 
     if not converge() and positional_pass():
         converge()
-    return sorted(matched_lr.items())
+    return lr, rl
+
+
+def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
+    """The four-pass matcher over two program indexes; returns
+    (left_id, right_id) pairs sorted by left id."""
+    lids, rids = left.ids, right.ids
+    return [(lids[l], rids[r]) for l, r in enumerate(_match(left, right)[0]) if r >= 0]
 
 
 def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str, str]]:
@@ -309,13 +352,13 @@ def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str
     return _match_indexes(index_program(left), index_program(right))
 
 
-def _pair_fraction(left: ProgramIndex, lid: str, right: ProgramIndex, rid: str) -> float:
-    """Fingerprint-multiset overlap of a matched pair over its larger block
-    count. It reads only the two signatures, and is exactly 1.0 when they
-    are equal: n/n, or an empty pair. Both are sorted, so one merge walk
-    counts the overlap."""
-    a = left.signatures[lid]
-    b = right.signatures[rid]
+def _pair_fraction(left: ProgramIndex, l: int, right: ProgramIndex, r: int) -> float:
+    """Fingerprint-multiset overlap of a matched pair, left function ``l``
+    and right function ``r``, over its larger block count. It reads only the
+    two signatures, and is exactly 1.0 when they are equal: n/n, or an empty
+    pair. Both are sorted, so one merge walk counts the overlap."""
+    a = left.signatures[l]
+    b = right.signatures[r]
     if a == b:
         return 1.0
     na, nb = len(a), len(b)
@@ -337,8 +380,9 @@ def similarity(left: ProgramIndex, right: ProgramIndex) -> float:
     """Program similarity from two indexes: matched-pair fractions summed in
     left-id order over the larger function count. No blocks are aligned."""
     total = 0.0
-    for lid, rid in _match_indexes(left, right):
-        total += _pair_fraction(left, lid, right, rid)
+    for l, r in enumerate(_match(left, right)[0]):
+        if r >= 0:
+            total += _pair_fraction(left, l, right, r)
     denom = max(len(left.ids), len(right.ids))
     return 1.0 if denom == 0 else total / denom
 
@@ -358,30 +402,31 @@ def _similarities(
     left: ProgramIndex,
     right: ProgramIndex,
     fractions: dict,
-    left_classes: dict[str, object],
-    right_classes: dict[str, object],
+    left_classes: Sequence,
+    right_classes: Sequence,
 ) -> tuple[float, float]:
     """``similarities``, reading and filling ``fractions``, which maps a
     (left class, right class) pair to that function pair's fraction. A class
-    map gives each function id of its side a key that is equal exactly when
-    the signatures are. A caller that scores many pairs of programs passes
-    one dict and one key space to them all, so each distinct signature pair
-    is scored once."""
-    scored = []
-    for lid, rid in _match_indexes(left, right):
-        key = (left_classes[lid], right_classes[rid])
-        f = fractions.get(key)
-        if f is None:
-            f = fractions[key] = _pair_fraction(left, lid, right, rid)
-        scored.append((rid, f))
+    sequence gives each function number of its side a key that is equal
+    exactly when the signatures are. A caller that scores many pairs of
+    programs passes one dict and one key space to them all, so each distinct
+    signature pair is scored once."""
+    lr, rl = _match(left, right)
+    scored = [0.0] * len(lr)
     forward = 0.0
-    for _rid, f in scored:
-        forward += f
+    for l, r in enumerate(lr):
+        if r >= 0:
+            key = (left_classes[l], right_classes[r])
+            f = fractions.get(key)
+            if f is None:
+                f = fractions[key] = _pair_fraction(left, l, right, r)
+            scored[l] = f
+            forward += f
     backward = 0.0
-    # Matched right ids are distinct, so the tuples sort by right id alone.
-    for _rid, f in sorted(scored):
-        backward += f
-    denom = max(len(left.ids), len(right.ids))
+    for l in rl:
+        if l >= 0:
+            backward += scored[l]
+    denom = max(len(lr), len(rl))
     if denom == 0:
         return 1.0, 1.0
     return forward / denom, backward / denom
@@ -474,30 +519,30 @@ def diff_programs(
     The cyclic collector is paused throughout: the indexes and the report
     are acyclic, so it would only rescan them as they grow."""
     lidx, ridx = _indexed(left), _indexed(right)
-    matches = _match_indexes(lidx, ridx)
+    lr, rl = _match(lidx, ridx)
+    lids, rids = lidx.ids, ridx.ids
 
     pairs = []
     total = 0.0
-    for lid, rid in matches:
-        fraction = _pair_fraction(lidx, lid, ridx, rid)
-        pairs.append(FunctionPairDiff(left=lid, right=rid, fraction=fraction))
-        total += fraction
+    for l, r in enumerate(lr):
+        if r >= 0:
+            fraction = _pair_fraction(lidx, l, ridx, r)
+            pairs.append(FunctionPairDiff(left=lids[l], right=rids[r], fraction=fraction))
+            total += fraction
 
-    denom = max(len(lidx.ids), len(ridx.ids))
+    denom = max(len(lids), len(rids))
     if denom == 0:
         score = beta = 1.0
     else:
         score = total / denom
-        beta = len(matches) / denom
+        beta = len(pairs) / denom
 
-    matched_l = {lid for lid, _ in matches}
-    matched_r = {rid for _, rid in matches}
     return DiffReport(
         score=score,
         beta=beta,
         pairs=pairs,
-        left_only=sorted(fid for fid in lidx.ids if fid not in matched_l),
-        right_only=sorted(fid for fid in ridx.ids if fid not in matched_r),
+        left_only=[lids[l] for l, r in enumerate(lr) if r < 0],
+        right_only=[rids[r] for r, l in enumerate(rl) if l < 0],
     )
 
 

@@ -172,6 +172,20 @@ def test_function_defined_in_two_units_fails_the_build():
         backend.build(spec, dup)
 
 
+def test_simulated_toolchain_rebuilds_after_a_unit_text_changes():
+    # Every cache of the toolchain assumes the text it was filled from; a
+    # build after an edit must see the new text, as ``scan_tree`` does.
+    tree = SourceTree.from_mapping({"m.c": "int f(void) {\n    g();\n}\n"})
+    backend = SimulatedToolchain(tree)
+    assert [fn.id for fn in backend.build(BuildSpec("gcc", "6", "O0"), EMPTY_CONFIG).functions] == ["f"]
+    tree.units[0].text += "int added(void) {\n    return 1;\n}\n"
+    rebuilt = backend.build(BuildSpec("gcc", "6", "O1"), EMPTY_CONFIG)
+    assert sorted(fn.id for fn in rebuilt.functions) == ["added", "f"]
+    again = backend.build(BuildSpec("gcc", "6", "O0"), EMPTY_CONFIG)
+    assert sorted(fn.id for fn in again.functions) == ["added", "f"]
+    assert list(scan_tree(tree)["m.c"].functions) == ["f", "added"]
+
+
 FIXTURE_SRC = """\
 int widget(int x) {
     setup(11);

@@ -24,6 +24,7 @@ from binprov.binmodel import (
     strip_program,
 )
 from binprov.buildoracle import SimulatedToolchain, all_option_specs
+from binprov.errors import SchemaError
 from binprov.simdiff import (
     KIND_PRIMES,
     compare_programs,
@@ -456,6 +457,50 @@ def test_similarities_equal_both_directions_computed_apart(pair):
     assert sorted((r, l) for l, r in forward) == match_functions(right, left)
 
 
+def _shuffled(program: BinaryProgram, rng: random.Random) -> BinaryProgram:
+    functions = list(program.functions)
+    rng.shuffle(functions)
+    return BinaryProgram(name=program.name, stripped=program.stripped, functions=functions)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_program_pairs(), st.integers(0, 2**32 - 1))
+def test_function_order_changes_nothing(pair, seed):
+    # Functions are numbered in sorted-id order, so the order a program
+    # lists them in must not reach the match, the score bits or the diff.
+    left, right = pair
+    rng = random.Random(seed)
+    shuffled_left, shuffled_right = _shuffled(left, rng), _shuffled(right, rng)
+    li, ri = index_program(left), index_program(right)
+    for program in (left, right, shuffled_left, shuffled_right):
+        index = index_program(program)
+        by_id = program.function_map()
+        assert index.ids == tuple(sorted(by_id))
+        for k, fid in enumerate(index.ids):
+            assert index.signatures[k] == function_signature(by_id[fid])
+    for shuffled in ((shuffled_left, right), (left, shuffled_right), (shuffled_left, shuffled_right)):
+        sl, sr = index_program(shuffled[0]), index_program(shuffled[1])
+        assert match_functions(*shuffled) == match_functions(left, right)
+        assert repr(similarities(sl, sr)) == repr(similarities(li, ri))
+        assert repr(diff_programs(*shuffled)) == repr(diff_programs(left, right))
+
+
+def test_duplicate_function_id_is_a_schema_error():
+    # One number per id cannot tell two functions of one id apart.
+    def fn(symbol: str, kind: KeyKind) -> Function:
+        blocks = [BasicBlock(id="b0", keyins=[KeyInstruction(kind, operand="x")])]
+        return Function(id="f", entry="b0", blocks=blocks, symbol=symbol)
+
+    twice = BinaryProgram(name="dup", functions=[fn("a", KeyKind.COMPARE), fn("b", KeyKind.CALL)])
+    once = BinaryProgram(name="one", functions=[fn("a", KeyKind.COMPARE)])
+    with pytest.raises(SchemaError, match="program 'dup': duplicate function id 'f'"):
+        index_program(twice)
+    with pytest.raises(SchemaError, match="duplicate function id 'f'"):
+        match_functions(once, twice)
+    with pytest.raises(SchemaError, match="duplicate function id 'f'"):
+        diff_programs(twice, once)
+
+
 # --- early exit and the fraction memo ---------------------------------------
 
 
@@ -477,7 +522,7 @@ def test_matching_stops_once_either_side_is_fully_paired(complete_side, monkeypa
     # Pass 1 pairs every function of the smaller side. Later passes pair
     # only functions unmatched on both sides, so none of them may run.
     later = []
-    for name in ("_neighborhood_hash", "_unique_key_matches"):
+    for name in ("_neighborhood_keys", "_unique_key_matches"):
         original = getattr(simdiff, name)
 
         def counting(*args, _name=name, _original=original):
@@ -539,19 +584,19 @@ def _one_function_index(kinds_per_block: list[list[KeyKind]]) -> simdiff.Program
 @given(_block_kinds, _block_kinds)
 def test_pair_fraction_is_signature_overlap_over_larger_side(left_kinds, right_kinds):
     li, ri = _one_function_index(left_kinds), _one_function_index(right_kinds)
-    sig_l, sig_r = li.signatures["f"], ri.signatures["f"]
+    sig_l, sig_r = li.signatures[0], ri.signatures[0]
     denom = max(len(sig_l), len(sig_r))
     overlap = sum((Counter(sig_l) & Counter(sig_r)).values())
     expected = 1.0 if denom == 0 else overlap / denom
-    assert repr(simdiff._pair_fraction(li, "f", ri, "f")) == repr(expected)
-    assert repr(simdiff._pair_fraction(li, "f", li, "f")) == repr(1.0)
+    assert repr(simdiff._pair_fraction(li, 0, ri, 0)) == repr(expected)
+    assert repr(simdiff._pair_fraction(li, 0, li, 0)) == repr(1.0)
 
 
 def test_pair_fraction_of_two_empty_functions_is_one():
     empty = _one_function_index([])
-    assert empty.signatures["f"] == ()
-    assert simdiff._pair_fraction(empty, "f", empty, "f") == 1.0
+    assert empty.signatures[0] == ()
+    assert simdiff._pair_fraction(empty, 0, empty, 0) == 1.0
     # Equal signatures from blocks in another order, with a repeat: n/n.
     left = _one_function_index([[KeyKind.CALL], [KeyKind.CALL], []])
     right = _one_function_index([[KeyKind.CALL], [], [KeyKind.CALL]])
-    assert simdiff._pair_fraction(left, "f", right, "f") == 1.0
+    assert simdiff._pair_fraction(left, 0, right, 0) == 1.0
