@@ -42,10 +42,12 @@ objects: ``SimulatedToolchain`` emits and plans each distinct function body
 once per tree, assembles the base and its plan once per configuration from
 those, and each source unit is scanned once per tree (``SourceTree.scan``),
 so a probe costs only the replay of its plan and its inline or dedup pass.
+The source tree is immutable, so none of these caches can go stale.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
-prints.
+prints. Either backend caches its builds and indexes each build once
+(``index``): the pipeline reads builds only through their indexes.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .binmodel import (
 )
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
+from .simdiff import ProgramIndex, index_program
 from .varsource import ConfigMap, SourceTree
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
@@ -751,11 +754,33 @@ def apply_transforms(
 # --- backends -------------------------------------------------------------
 
 
-class SimulatedToolchain:
+class _Backend:
+    """What both backends share: a build cache keyed by (spec, configuration)
+    and the index of each build, computed once.
+
+    ``index`` goes through ``build``, so a subclass that overrides only
+    ``build`` still sees every build the pipeline asks for."""
+
+    def __init__(self) -> None:
+        self._cache: dict[tuple, BinaryProgram] = {}
+        self._indexes: dict[tuple, ProgramIndex] = {}
+
+    def index(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
+        """The ``ProgramIndex`` of ``build(spec, config)``, computed once per
+        backend."""
+        program = self.build(spec, config)
+        key = (spec, config.key())
+        if key not in self._indexes:
+            self._indexes[key] = index_program(program)
+        return self._indexes[key]
+
+
+class SimulatedToolchain(_Backend):
     """Build oracle over a source tree using the simulated transform chain.
 
-    Builds are cached by (spec, configuration); the cache is shared by the
-    option-inference search, which never pays twice for the same probe.
+    Builds and their indexes are cached by (spec, configuration); the
+    caches are shared by the option-inference search and the configuration
+    stage, which never pay twice for the same probe.
     The unoptimized base and its ``TransformPlan`` are cached as one pair
     per configuration, and the tree keeps each unit's scan, so a fresh
     build only replays the plan up to its version and level and runs inline
@@ -766,19 +791,14 @@ class SimulatedToolchain:
     unit, function name and active lines, is emitted and planned once per
     toolchain (``_bodies`` and ``_pieces``), and every base that has it
     shares the one function object and its part of the plan.
-    ``build_count`` counts fresh builds.
-
-    Every cache holds builds of the units' text as it was when the caches
-    were filled. A build that finds the tree's ``(name, text)`` pairs
-    changed since then drops all four caches first, so an edited tree is
-    never served a build of its old text.
+    ``build_count`` counts fresh builds. The source tree cannot change, so
+    no cache can go stale.
     """
 
     def __init__(self, tree: SourceTree, base_name: str = "prog"):
+        super().__init__()
         self.tree = tree
         self.base_name = base_name
-        self._sources: tuple[tuple[str, str], ...] = ()
-        self._cache: dict[tuple, BinaryProgram] = {}
         self._bases: dict[tuple, tuple[BinaryProgram, TransformPlan]] = {}
         self._bodies: dict[tuple, Function] = {}
         self._pieces: dict[int, tuple[Function, _FunctionPlan]] = {}
@@ -786,13 +806,6 @@ class SimulatedToolchain:
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         spec.validate()
-        sources = tuple((u.name, u.text) for u in self.tree.units)
-        if sources != self._sources:
-            self._sources = sources
-            self._cache.clear()
-            self._bases.clear()
-            self._bodies.clear()
-            self._pieces.clear()
         config_key = config.key()
         key = (spec, config_key)
         if key not in self._cache:
@@ -837,7 +850,7 @@ def run_external(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
-class ExternalToolchain:
+class ExternalToolchain(_Backend):
     """Shells out to real compiler commands listed in a toolchain manifest.
 
     Manifest format, one entry per line, '#' comments allowed:
@@ -853,12 +866,13 @@ class ExternalToolchain:
     reach the driver that way. A command that cannot start, exits
     non-zero or runs past ``EXTERNAL_TIMEOUT_S`` raises
     ``BuildFailureError``; one that runs past it is killed together with
-    every process it forked.
+    every process it forked. Each ingested export is cached and indexed
+    once, so a repeated ``build`` or ``index`` starts no process.
     """
 
     def __init__(self, manifest: dict[tuple[str, str], list[str]]):
+        super().__init__()
         self.manifest = manifest
-        self._cache: dict[tuple, BinaryProgram] = {}
 
     @classmethod
     def parse_manifest(cls, text: str) -> ExternalToolchain:

@@ -44,7 +44,7 @@ from .buildoracle import (
     SimulatedToolchain,
     all_option_specs,
 )
-from .corpusgen import generate_corpus, load_case_dir, write_corpus
+from .corpusgen import generate_corpus, load_case_dir, read_text, write_corpus
 from .errors import BinprovError
 from .optinfer import infer_options
 from .pipeline import (
@@ -59,8 +59,6 @@ from .pipeline import (
 )
 from .simdiff import diff_programs
 from .varsource import ConfigMap, SourceTree
-
-l = logging.getLogger(__name__)
 
 USAGE_EXIT = 1
 INTERNAL_EXIT = 2
@@ -77,7 +75,7 @@ def _tree_from_dir(path: str) -> SourceTree:
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"source directory not found: {path}")
-    units = {p.name: p.read_text() for p in sorted(root.iterdir()) if p.is_file()}
+    units = {p.name: read_text(p) for p in sorted(root.iterdir()) if p.is_file()}
     if not units:
         raise FileNotFoundError(f"source directory is empty: {path}")
     return SourceTree.from_mapping(units)
@@ -85,7 +83,7 @@ def _tree_from_dir(path: str) -> SourceTree:
 
 def _backend_for(args, tree: SourceTree, name: str):
     if getattr(args, "toolchains", None):
-        return ExternalToolchain.parse_manifest(Path(args.toolchains).read_text())
+        return ExternalToolchain.parse_manifest(read_text(args.toolchains))
     return SimulatedToolchain(tree, base_name=name)
 
 
@@ -138,7 +136,7 @@ def _report_payload(report: CaseReport) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    text = Path(args.model).read_text()
+    text = read_text(args.model)
     if args.export:
         ingested = ingest_disassembly_export(text, name=Path(args.model).stem)
         program = ingested.program
@@ -161,8 +159,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    left = ingest_model(Path(args.left).read_text())
-    right = ingest_model(Path(args.right).read_text())
+    left = ingest_model(read_text(args.left))
+    right = ingest_model(read_text(args.right))
     report = diff_programs(left, right)
     lines = [
         f"similarity: {report.score:.4f}",
@@ -188,7 +186,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_infer_options(args) -> int:
-    crash = ingest_model(Path(args.crash).read_text())
+    crash = ingest_model(read_text(args.crash))
     tree = _tree_from_dir(args.source_dir)
     backend = _backend_for(args, tree, crash.name)
     trace = infer_options(backend, crash, budget=args.budget)
@@ -199,9 +197,9 @@ def cmd_infer_options(args) -> int:
 def cmd_infer_config(args) -> int:
     if not args.config_map:
         raise FileNotFoundError("infer-config needs --config-map")
-    crash = ingest_model(Path(args.crash).read_text())
+    crash = ingest_model(read_text(args.crash))
     tree = _tree_from_dir(args.source_dir)
-    config_map = ConfigMap.parse(Path(args.config_map).read_text())
+    config_map = ConfigMap.parse(read_text(args.config_map))
     backend = _backend_for(args, tree, crash.name)
     report = infer_config(crash, tree, config_map, backend, BuildSpec.from_text(args.options))
     _emit(args, report.to_text(), _report_payload(report))
@@ -216,9 +214,9 @@ def _load_case_inputs(args, path: Path):
         raise FileNotFoundError(
             "run-case on a raw model needs --source-dir and --config-map"
         )
-    crash = ingest_model(path.read_text())
+    crash = ingest_model(read_text(path))
     tree = _tree_from_dir(args.source_dir)
-    config_map = ConfigMap.parse(Path(args.config_map).read_text())
+    config_map = ConfigMap.parse(read_text(args.config_map))
     return crash, tree, config_map, crash.name, None
 
 

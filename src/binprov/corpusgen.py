@@ -62,6 +62,7 @@ __all__ = [
     "generate_conditional_unit",
     "write_corpus",
     "load_case_dir",
+    "read_text",
 ]
 
 MACRO_POOL = ("CFG_ALPHA", "CFG_BRAVO", "CFG_CHARLIE", "CFG_DELTA", "CFG_ECHO")
@@ -493,7 +494,7 @@ def load_case_dir(cdir: Path) -> GeneratedCase:
     manifest.setdefault("vulnerable_fragment", None)  # a manifest may leave it out
     units = {}
     for path in sorted((cdir / "src").glob("*")):
-        units[path.name] = path.read_text()
+        units[path.name] = read_text(path)
     return GeneratedCase(
         name=_manifest_field(cdir, manifest, "name", str, "a string"),
         index=_manifest_field(cdir, manifest, "index", int, "an integer"),
@@ -512,9 +513,18 @@ def load_case_dir(cdir: Path) -> GeneratedCase:
     )
 
 
+def read_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8. A file that is not
+    UTF-8 raises ``SchemaError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read(cdir: Path, name: str) -> str:
     try:
-        return (cdir / name).read_text()
+        return read_text(cdir / name)
     except FileNotFoundError:
         raise SchemaError(f"{cdir}: missing {name}") from None
 

@@ -37,13 +37,7 @@ from .buildoracle import (
 from .errors import BudgetExceededError
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``optinfer.compare_programs`` by name.
-from .simdiff import (  # noqa: F401
-    ProgramIndex,
-    _indexed,
-    compare_programs,
-    index_program,
-    similarity,
-)
+from .simdiff import ProgramIndex, _indexed, compare_programs, similarity  # noqa: F401
 
 __all__ = ["Probe", "InferenceTrace", "infer_options"]
 
@@ -74,10 +68,9 @@ class InferenceTrace:
 
 
 class _Prober:
-    def __init__(self, backend, crash, config, budget, index_of):
+    def __init__(self, backend, crash, config, budget):
         self.backend = backend
         self.crash = _indexed(crash)
-        self.index_of = index_program if index_of is None else index_of
         self.config = config
         self.budget = budget
         self.scores: dict[BuildSpec, float] = {}
@@ -92,8 +85,7 @@ class _Prober:
             raise BudgetExceededError(
                 f"probe budget {self.budget} exhausted before trying {spec.text()}"
             )
-        generated = self.backend.build(spec, self.config)
-        value = similarity(self.index_of(generated), self.crash)
+        value = similarity(self.backend.index(spec, self.config), self.crash)
         self.scores[spec] = value
         self.probes.append(Probe(spec=spec, score=value, step=step, cached=False))
         return value
@@ -104,19 +96,17 @@ def infer_options(
     crash: BinaryProgram | ProgramIndex,
     config: ConfigAssignment | None = None,
     budget: int | None = None,
-    *,
-    _index_of=None,
 ) -> InferenceTrace:
     """Infer (compiler, version, level) for a crash-report binary, given as
     the program or as its ``ProgramIndex``.
 
-    ``budget`` caps the number of fresh builds; past it the search raises
-    ``BudgetExceededError``. ``_index_of`` replaces ``index_program`` for
-    the probe builds, so ``run_case`` can keep their indexes for its later
-    stages.
+    Each probe is scored through ``backend.index``, so the backend keeps the
+    probe's index for the later stages of ``run_case``. ``budget`` caps the
+    number of fresh builds; past it the search raises
+    ``BudgetExceededError``.
     """
     config = config or ConfigAssignment()
-    prober = _Prober(backend, crash, config, budget, _index_of)
+    prober = _Prober(backend, crash, config, budget)
 
     # Stage 1: unoptimized or not, using the default compiler.
     first = DEFAULT_COMPILER

@@ -50,14 +50,7 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import (
-    ProgramIndex,
-    _IndexMemo,
-    _similarities,
-    diff_programs,
-    index_program,
-    similarity,
-)
+from .simdiff import ProgramIndex, _similarities, diff_programs, index_program, similarity
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
 from .simdiff import compare_programs  # noqa: F401
@@ -156,7 +149,6 @@ def _config_for_model(
 
 def _refine_free_atoms(
     backend,
-    index_of: _IndexMemo,
     crash_index: ProgramIndex,
     config_map: ConfigMap,
     spec,
@@ -181,10 +173,10 @@ def _refine_free_atoms(
             _flags, config = _config_for_model(
                 config_map, base_units, present_units, candidate
             )
-            built = backend.build(spec, config)
+            index = backend.index(spec, config)
         except BinprovError:
             continue
-        sim = similarity(index_of(built), crash_index)
+        sim = similarity(index, crash_index)
         key = (sim, -sum(bits))
         if best is None or key > best[0]:
             best = (key, candidate)
@@ -192,8 +184,8 @@ def _refine_free_atoms(
 
 
 def _configure(
-    report: CaseReport, crash: BinaryProgram, crash_index: ProgramIndex, index_of: _IndexMemo,
-    tree: SourceTree, config_map: ConfigMap, backend, base_units: tuple[str, ...], threshold: float,
+    report: CaseReport, crash: BinaryProgram, crash_index: ProgramIndex, tree: SourceTree,
+    config_map: ConfigMap, backend, base_units: tuple[str, ...], threshold: float,
 ) -> CaseReport:
     """The configuration stage at ``report.decided_options``: diff a build
     of every unit, with no macros, against the crash, derive and solve
@@ -201,8 +193,7 @@ def _configure(
     verify. Fills in ``report`` and returns it."""
     spec = report.decided_options
     try:
-        generated = backend.build(spec, ConfigAssignment())
-        diff = diff_programs(index_of(generated), crash_index)
+        diff = diff_programs(backend.index(spec, ConfigAssignment()), crash_index)
 
         t0 = time.perf_counter()
         scans = scan_tree(tree)
@@ -241,7 +232,7 @@ def _configure(
             report.reason = f"constraints unsatisfiable: {core}"
             return report
         outcome = _refine_free_atoms(
-            backend, index_of, crash_index, config_map, spec, base_units, set(present_units), outcome
+            backend, crash_index, config_map, spec, base_units, set(present_units), outcome
         )
         report.model = outcome
 
@@ -254,8 +245,7 @@ def _configure(
             return report
         report.decided_configs = flags
 
-        rebuilt = backend.build(spec, final_config)
-        report.similarity = similarity(index_of(rebuilt), crash_index)
+        report.similarity = similarity(backend.index(spec, final_config), crash_index)
 
         env = final_config.macro_env()
         holds = all(evaluate(c, env) for c in constraint_report.constraints)
@@ -288,8 +278,7 @@ def infer_config(
     report = CaseReport(name=crash.name, verification=Verification.FAILED, decided_options=spec)
     base_units = _base_units(tree, config_map)
     return _configure(
-        report, crash, index_program(crash), _IndexMemo(), tree, config_map, backend, base_units,
-        DEFAULT_THRESHOLD,
+        report, crash, index_program(crash), tree, config_map, backend, base_units, DEFAULT_THRESHOLD
     )
 
 
@@ -313,21 +302,20 @@ def run_case(
         base_units = _base_units(tree, config_map)
     report = CaseReport(name=name, verification=Verification.FAILED)
     # One index of the crash serves option inference, the diff, the
-    # refinement and the final similarity. Builds are indexed through one
-    # memo, so a build the toolchain hands back from its cache (the probe at
-    # the inferred options, a refinement candidate rebuilt at the end) is
+    # refinement and the final similarity. Builds are read through
+    # ``backend.index``, so a build the backend hands out again (the probe
+    # at the inferred options, a refinement candidate rebuilt at the end) is
     # indexed once.
     crash_index = index_program(crash)
-    index_of = _IndexMemo()
     try:
-        trace = infer_options(backend, crash_index, budget=budget, _index_of=index_of)
+        trace = infer_options(backend, crash_index, budget=budget)
     except BinprovError as exc:
         report.reason = str(exc)
         return report
     report.option_trace = trace
     report.decided_options = trace.inferred
     return _configure(
-        report, crash, crash_index, index_of, tree, config_map, backend, base_units, threshold
+        report, crash, crash_index, tree, config_map, backend, base_units, threshold
     )
 
 
@@ -358,7 +346,7 @@ def similarity_matrix(
     most of theirs, so one memo for the whole grid scores each distinct
     signature pair once."""
     specs = list(specs) if specs is not None else all_option_specs()
-    indexes = [index_program(backend.build(s, config)) for s in specs]
+    indexes = [backend.index(s, config) for s in specs]
     n = len(indexes)
     grid = [[0.0] * n for _ in range(n)]
     # Each distinct signature gets a small int, the key of the fraction memo;

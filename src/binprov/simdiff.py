@@ -192,22 +192,6 @@ def _indexed(program: BinaryProgram | ProgramIndex) -> ProgramIndex:
     return program if isinstance(program, ProgramIndex) else index_program(program)
 
 
-class _IndexMemo:
-    """``index_program`` over the programs one caller scores, computing
-    each program's index once. Entries are keyed by identity, since a
-    toolchain hands back the same object for a cached build, and hold their
-    program, so no id is reused while the memo lives."""
-
-    def __init__(self) -> None:
-        self._held: dict[int, tuple[BinaryProgram, ProgramIndex]] = {}
-
-    def __call__(self, program: BinaryProgram) -> ProgramIndex:
-        held = self._held.get(id(program))
-        if held is None:
-            held = self._held[id(program)] = (program, index_program(program))
-        return held[1]
-
-
 def _unique_key_matches(left_keys, right_keys) -> list[tuple[int, int]]:
     """Pair left/right numbers whose key occurs exactly once on each side.
     Each side is an iterable of ``(number, key)``. No two returned pairs

@@ -127,17 +127,20 @@ class UnitVariability:
         return [f for f in self.fragments if not f.is_root]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceUnit:
     name: str
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceTree:
-    units: list[SourceUnit]
-    # unit name -> (text scanned, scan); see ``scan``.
-    _scans: dict[str, tuple[str, UnitVariability]] = field(
+    """The source units of one program. A tree cannot change, so each unit
+    is scanned once per tree; to change a unit's text, build a new tree."""
+
+    units: tuple[SourceUnit, ...]
+    # unit name -> scan; see ``scan``.
+    _scans: dict[str, UnitVariability] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -145,17 +148,15 @@ class SourceTree:
         return {u.name: u for u in self.units}
 
     def scan(self, unit: SourceUnit) -> UnitVariability:
-        """``scan_unit`` of one unit, run once per name and text: the scan is
-        kept until the unit's text changes. Callers treat it as read-only."""
-        memo = self._scans.get(unit.name)
-        if memo is None or memo[0] != unit.text:
-            memo = (unit.text, scan_unit(unit.name, unit.text))
-            self._scans[unit.name] = memo
-        return memo[1]
+        """``scan_unit`` of one unit of this tree, run once per name.
+        Callers treat it as read-only."""
+        if unit.name not in self._scans:
+            self._scans[unit.name] = scan_unit(unit.name, unit.text)
+        return self._scans[unit.name]
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> SourceTree:
-        return cls(units=[SourceUnit(name=k, text=v) for k, v in sorted(mapping.items())])
+        return cls(units=tuple(SourceUnit(name=k, text=v) for k, v in sorted(mapping.items())))
 
 
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\b\s*(.*?)\s*$")

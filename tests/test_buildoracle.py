@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import subprocess
 import time
@@ -43,6 +44,7 @@ from binprov.errors import (
     SchemaError,
 )
 from binprov.pipeline import run_generated_case
+from binprov.simdiff import index_program
 from binprov.varsource import SourceTree, scan_tree
 
 EMPTY_CONFIG = ConfigAssignment()
@@ -172,18 +174,22 @@ def test_function_defined_in_two_units_fails_the_build():
         backend.build(spec, dup)
 
 
-def test_simulated_toolchain_rebuilds_after_a_unit_text_changes():
-    # Every cache of the toolchain assumes the text it was filled from; a
-    # build after an edit must see the new text, as ``scan_tree`` does.
-    tree = SourceTree.from_mapping({"m.c": "int f(void) {\n    g();\n}\n"})
+def test_source_tree_cannot_be_edited():
+    # Every cache of the toolchain and the tree's scans assume the text they
+    # were filled from, so a tree refuses edits; new text means a new tree.
+    mapping = {"m.c": "int f(void) {\n    g();\n}\n"}
+    tree = SourceTree.from_mapping(mapping)
     backend = SimulatedToolchain(tree)
     assert [fn.id for fn in backend.build(BuildSpec("gcc", "6", "O0"), EMPTY_CONFIG).functions] == ["f"]
-    tree.units[0].text += "int added(void) {\n    return 1;\n}\n"
-    rebuilt = backend.build(BuildSpec("gcc", "6", "O1"), EMPTY_CONFIG)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.units[0].text += "int added(void) {\n    return 1;\n}\n"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.units = ()
+    mapping["m.c"] += "int added(void) {\n    return 1;\n}\n"
+    edited = SourceTree.from_mapping(mapping)
+    rebuilt = SimulatedToolchain(edited).build(BuildSpec("gcc", "6", "O1"), EMPTY_CONFIG)
     assert sorted(fn.id for fn in rebuilt.functions) == ["added", "f"]
-    again = backend.build(BuildSpec("gcc", "6", "O0"), EMPTY_CONFIG)
-    assert sorted(fn.id for fn in again.functions) == ["added", "f"]
-    assert list(scan_tree(tree)["m.c"].functions) == ["f", "added"]
+    assert list(scan_tree(edited)["m.c"].functions) == ["f", "added"]
 
 
 FIXTURE_SRC = """\
@@ -652,12 +658,19 @@ def test_scan_tree_reuses_the_scans_of_builds(case0, monkeypatch):
     assert scan_tree(tree) == first
     assert len(scanned) == len(tree.units)
 
-    changed = tree.units[0]
-    changed.text += "int added_late(void) {\n    return 1;\n}\n"
-    rescanned = scan_tree(tree)
-    assert scanned[len(tree.units):] == [changed.name]
-    assert "added_late" in rescanned[changed.name].functions
-    assert "added_late" not in first[changed.name].functions
+
+def test_index_is_the_index_of_the_build_and_computed_once(case0):
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    specs = (BuildSpec("gcc", "6", "O0"), BuildSpec("clang", "4.0", "O2"), BuildSpec("gcc", "9", "Os"))
+    for config in (EMPTY_CONFIG, case0.seed_config()):
+        for spec in specs:
+            index = backend.index(spec, config)
+            expected = index_program(backend.build(spec, config))
+            for f in dataclasses.fields(index):
+                assert getattr(index, f.name) == getattr(expected, f.name), (spec.text(), f.name)
+            count = backend.build_count
+            assert backend.index(spec, config) is index
+            assert backend.build_count == count
 
 
 def test_external_toolchain_manifest_parsing():
@@ -703,6 +716,18 @@ def test_external_toolchain_runs_command_and_caches(tmp_path):
     ]
     script.unlink()  # second build must come from the cache
     assert tc.build(BuildSpec("gcc", "7", "O2"), cfg) is program
+
+
+def test_external_toolchain_indexes_each_build_once(tmp_path):
+    argv_log = tmp_path / "argv.txt"
+    script = tmp_path / "cc.py"
+    script.write_text(FAKE_CC.format(argv_log=str(argv_log)))
+    tc = ExternalToolchain.parse_manifest(f"gcc/7 : python3 {script}\n")
+    spec = BuildSpec("gcc", "7", "O2")
+    index = tc.index(spec, EMPTY_CONFIG)
+    assert index == index_program(tc.build(spec, EMPTY_CONFIG))
+    script.unlink()  # a second index must start no process
+    assert tc.index(spec, EMPTY_CONFIG) is index
 
 
 def test_external_toolchain_failure_paths(tmp_path):

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import shlex
+import shutil
 import time
 from pathlib import Path
 
@@ -313,6 +314,45 @@ def test_run_case_raw_model_needs_sources(case_dir, capsys):
     cdir, _root = case_dir
     assert main(["run-case", str(cdir / "crash.model")]) == 1
     assert "needs --source-dir" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("argv", [
+    "ingest {bad}",
+    "ingest {bad} --export",
+    "diff {model} {bad}",
+    "infer-options {bad} --source-dir {src}",
+    "infer-options {model} --source-dir {bad_src}",
+    "infer-config {model} --source-dir {src} --options gcc-7-O2 --config-map {bad}",
+    "run-case {bad_case_model}",
+    "run-case {bad_case_unit}",
+    "run-case {bad_case_map}",
+    "run-case {bad_case_manifest}",
+    "run-case {model} --source-dir {src} --config-map {bad}",
+    "run-case {case} --toolchains {bad}",
+    "matrix --source-dir {bad_src}",
+])
+def test_a_file_that_is_not_utf8_is_a_schema_error(argv, case_dir, tmp_path, capsys):
+    cdir, _root = case_dir
+    paths = {"case": cdir, "model": cdir / "crash.model", "src": cdir / "src"}
+    paths["bad"] = tmp_path / "bad.txt"
+    paths["bad"].write_bytes(NOT_UTF8)
+    paths["bad_src"] = tmp_path / "bad_src"
+    shutil.copytree(cdir / "src", paths["bad_src"])
+    next(paths["bad_src"].iterdir()).write_bytes(NOT_UTF8)
+    for tag, member in (("model", "crash.model"), ("map", "config.map"),
+                        ("manifest", "manifest.json"), ("unit", "src")):
+        copy = paths[f"bad_case_{tag}"] = tmp_path / f"case_{tag}"
+        shutil.copytree(cdir, copy)
+        target = copy / member
+        if target.is_dir():
+            target = next(target.iterdir())
+        target.write_bytes(NOT_UTF8)
+    assert main(shlex.split(argv.format(**{k: str(v) for k, v in paths.items()}))) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "not UTF-8" in err
 
 
 def test_matrix_runs_ordering_checks(case_dir, capsys):

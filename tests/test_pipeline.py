@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from binprov import optinfer, pipeline, simdiff
+from binprov import buildoracle, pipeline, simdiff
 from binprov.binmodel import KeyInstruction, KeyKind
 from binprov.buildoracle import (
     BuildSpec,
@@ -233,7 +233,7 @@ def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):
         indexed.append(id(program))
         return index_program(program)
 
-    for module in (pipeline, optinfer, simdiff):
+    for module in (pipeline, buildoracle, simdiff):
         monkeypatch.setattr(module, "index_program", counting)
     for case in corpus21[:4]:
         indexed.clear()
@@ -252,7 +252,7 @@ def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
         indexed.append(id(program))
         return index_program(program)
 
-    for module in (pipeline, optinfer, simdiff):
+    for module in (pipeline, buildoracle, simdiff):
         monkeypatch.setattr(module, "index_program", counting)
     for case in corpus21[:4]:
         built = {}
