@@ -26,23 +26,24 @@ dominates the largest same-compiler version distance.
 
 Pads and the flavor marker add no comparison and no edge, merge reads only
 the control flow, and fold sites depend only on the compiler, so where each
-of the first four passes acts is fixed by the base and the compiler.
-``plan_transforms`` finds those sites for every compiler, as a
-``TransformPlan``, and ``apply_transforms`` replays the plan up to a spec's
-version and level, then runs inline and dedup. Every site but the pad order
-lies within one function, and the pad order is a sort by per-site ranks, so
-the plan is assembled from per-function parts. The merge chains do not
-depend on the compiler at all: each function's part walks them once, and
-each compiler only salts the pad ranks and the fold choice.
+of the first four passes acts is fixed by the base and the compiler. Every
+site lies within one function, so each function is planned on its own, for
+every compiler: its part (``_FunctionPlan``) holds its sites. Only the pad
+order spans functions, and it is a sort by per-site ranks, which each build
+makes across its parts. ``apply_transforms`` replays the parts up to a
+spec's version and level, then runs inline and dedup. The merge chains do
+not depend on the compiler at all: each part walks them once, and each
+compiler only salts the pad ranks and the fold choice.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
 instructions, which no pass rewrites in place. So bases can share function
 objects: ``SimulatedToolchain`` emits and plans each distinct function body
-once per tree, assembles the base and its plan once per configuration from
-those, and each source unit is scanned once per tree (``SourceTree.scan``),
-so a probe costs only the replay of its plan and its inline or dedup pass.
-The source tree is immutable, so none of these caches can go stale.
+once per tree, assembles each configuration's base and its list of parts
+once from those, and each source unit is scanned once per tree
+(``SourceTree.scan``), so a probe costs only the replay of its parts and its
+inline or dedup pass. The source tree is immutable, so none of these caches
+can go stale.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
@@ -91,8 +92,6 @@ __all__ = [
     "default_spec",
     "version_theta",
     "build_unoptimized",
-    "TransformPlan",
-    "plan_transforms",
     "apply_transforms",
     "SimulatedToolchain",
     "ExternalToolchain",
@@ -457,47 +456,22 @@ def _site_rank(*parts: str) -> str:
 _PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
 
 
-@dataclass(frozen=True)
-class TransformPlan:
-    """Where the transform chain acts on one unoptimized base, for every
-    compiler. ``plan_transforms`` computes it and ``apply_transforms``
-    replays it for any spec.
-
-    Pads and the flavor marker add no comparison and no edge, and merge
-    reads only the control flow, so every site is fixed by the base and the
-    compiler. A version only picks how many pad sites it fills, a level
-    which layout it takes. Sites are (function index, block index) pairs
-    into the base. ``plan_transforms`` assembles the plan from each
-    function's part (``_FunctionPlan``), which bases sharing that function
-    share too.
-
-    * ``unmerged``: per function, the output blocks at O0, one per base
-      block, in base block order. No compiler changes it.
-    * ``pad_sites``, per compiler: every comparison block, in the
-      compiler-salted rank order; a version fills the first
-      ``PADS_PER_THETA * theta`` of them.
-    * ``flavor_sites``, per compiler: the blocks that carry the clang marker
-      (none for gcc).
-    * ``merged``, per compiler: per function, the output blocks at O1 and
-      up, in base block order, with the compiler's fold choice. A merged
-      block lists every base block of its chain, so a block that absorbed a
-      chain and was later absorbed itself hands on the whole chain and the
-      chain's successors. Each function's chains are walked once, for all
-      compilers.
-    """
-
-    unmerged: tuple[tuple[_PlannedBlock, ...], ...]
-    pad_sites: dict[str, tuple[tuple[int, int], ...]]
-    flavor_sites: dict[str, tuple[tuple[int, int], ...]]
-    merged: dict[str, tuple[tuple[_PlannedBlock, ...], ...]]
-
-
 @dataclass(frozen=True, slots=True)
 class _FunctionPlan:
-    """The part of a ``TransformPlan`` that one base function fixes, with
-    block indices into that function: its O0 layout, each compiler's pad
-    ranks as (rank, block index), the blocks that carry the clang marker,
-    and each compiler's merged layout with its fold flags."""
+    """Where the transform chain acts on one base function, for every
+    compiler, as block indices into that function; ``apply_transforms``
+    replays a program's parts for any spec.
+
+    * ``unmerged``: the O0 layout, one output block per base block. No
+      compiler changes it.
+    * ``pad_ranks``, per compiler: (rank, block index) of every comparison
+      block. A build sorts the ranks of all its parts, and a version fills
+      the first ``PADS_PER_THETA * theta`` sites of that order.
+    * ``flavor``: the blocks that carry the clang marker.
+    * ``merged``, per compiler: the layout at O1 and up, with the
+      compiler's fold choice. A merged block lists every base block of its
+      chain, its own first, and takes the chain's successors.
+    """
 
     unmerged: tuple[_PlannedBlock, ...]
     pad_ranks: dict[str, tuple[tuple[str, int], ...]]
@@ -527,42 +501,6 @@ def _plan_function(fn: Function) -> _FunctionPlan:
             )
             for c in COMPILERS
         },
-    )
-
-
-def plan_transforms(
-    program: BinaryProgram, pieces: dict[int, tuple[Function, _FunctionPlan]] | None = None
-) -> TransformPlan:
-    """The ``TransformPlan`` of an unoptimized program.
-
-    Each function's part of the plan depends on that function alone, so it
-    is planned once per function object and assembled here, with the
-    function's index put into its sites and the pad sites ranked across the
-    program. ``pieces`` memoizes the parts across bases that share function
-    objects (see ``build_unoptimized``); it maps ``id(fn)`` to the function
-    and its part, and holds the function so that the id stays its own.
-    """
-    if pieces is None:
-        pieces = {}
-    ranked: dict[str, list[tuple[str, int, int]]] = {c: [] for c in COMPILERS}
-    flavor: list[tuple[int, int]] = []
-    merged: dict[str, list] = {c: [] for c in COMPILERS}
-    unmerged = []
-    for fi, fn in enumerate(program.functions):
-        hit = pieces.get(id(fn))
-        if hit is None:
-            hit = pieces[id(fn)] = (fn, _plan_function(fn))
-        piece = hit[1]
-        unmerged.append(piece.unmerged)
-        flavor.extend((fi, bi) for bi in piece.flavor)
-        for c in COMPILERS:
-            ranked[c].extend((rank, fi, bi) for rank, bi in piece.pad_ranks[c])
-            merged[c].append(piece.merged[c])
-    return TransformPlan(
-        unmerged=tuple(unmerged),
-        pad_sites={c: tuple((fi, bi) for _rank, fi, bi in sorted(ranked[c])) for c in COMPILERS},
-        flavor_sites={"gcc": (), "clang": tuple(flavor)},
-        merged={c: tuple(layouts) for c, layouts in merged.items()},
     )
 
 
@@ -699,38 +637,45 @@ def _retarget(ki: KeyInstruction, remap: dict[str, str]) -> KeyInstruction:
 
 
 def apply_transforms(
-    program: BinaryProgram, spec: BuildSpec, plan: TransformPlan | None = None
+    program: BinaryProgram, spec: BuildSpec, parts: list[_FunctionPlan] | None = None
 ) -> BinaryProgram:
     """Apply the full per-spec transform chain to an unoptimized program.
 
-    ``plan`` must be ``plan_transforms(program)``; it is computed here when
-    not given. Version pads, the flavor marker, merge and fold replay the
-    plan; inline (O3) and dedup (Os) then run on the result.
+    ``parts`` must be the ``_plan_function`` of each function of
+    ``program``, in order; they are planned here when not given. Version
+    pads, the flavor marker, merge and fold replay the parts; inline (O3)
+    and dedup (Os) then run on the result.
 
     The input is left untouched: every function and block of the output is a
     new shell with its own key-instruction and successor lists, and the
     passes replace key instructions rather than edit them, so the output
     shares only unchanged instructions with the input.
     """
-    if plan is None:
-        plan = plan_transforms(program)
+    if parts is None:
+        parts = [_plan_function(fn) for fn in program.functions]
     # Instructions appended to base blocks: function index -> block index ->
     # the block's pad, then its flavor marker.
     added: dict[int, dict[int, list[KeyInstruction]]] = {}
-    pads = plan.pad_sites[spec.compiler][: PADS_PER_THETA * THETA[spec.version_index]]
-    for rank, (fi, bi) in enumerate(pads):
-        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + rank))]
-    for fi, bi in plan.flavor_sites[spec.compiler]:
-        added.setdefault(fi, {}).setdefault(bi, []).append(
-            KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
-        )
-    layouts = plan.unmerged if spec.level == "O0" else plan.merged[spec.compiler]
+    ranked = sorted(
+        (rank, fi, bi)
+        for fi, part in enumerate(parts)
+        for rank, bi in part.pad_ranks[spec.compiler]
+    )
+    for n, (_rank, fi, bi) in enumerate(ranked[: PADS_PER_THETA * THETA[spec.version_index]]):
+        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + n))]
+    if spec.compiler == "clang":
+        for fi, part in enumerate(parts):
+            for bi in part.flavor:
+                added.setdefault(fi, {}).setdefault(bi, []).append(
+                    KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
+                )
     fold = spec.level in ("O2", "O3", "Os")
     functions = []
-    for fi, (fn, layout) in enumerate(zip(program.functions, layouts, strict=True)):
+    for fi, (fn, part) in enumerate(zip(program.functions, parts, strict=True)):
         base = fn.blocks
         extra = added.get(fi, {})
         blocks = []
+        layout = part.unmerged if spec.level == "O0" else part.merged[spec.compiler]
         for chain, succs, folds in layout:
             keyins: list[KeyInstruction] = []
             for bi in chain:
@@ -755,8 +700,10 @@ def apply_transforms(
 
 
 class _Backend:
-    """What both backends share: a build cache keyed by (spec, configuration)
-    and the index of each build, computed once.
+    """What both backends share: a build cache keyed by (spec, configuration),
+    the count of fresh builds (``build_count``), and the index of each
+    build, computed once. A backend supplies ``_compile(spec, config)``,
+    which ``build`` calls once per key.
 
     ``index`` goes through ``build``, so a subclass that overrides only
     ``build`` still sees every build the pipeline asks for."""
@@ -764,6 +711,14 @@ class _Backend:
     def __init__(self) -> None:
         self._cache: dict[tuple, BinaryProgram] = {}
         self._indexes: dict[tuple, ProgramIndex] = {}
+        self.build_count = 0
+
+    def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
+        key = (spec, config.key())
+        if key not in self._cache:
+            self._cache[key] = self._compile(spec, config)
+            self.build_count += 1
+        return self._cache[key]
 
     def index(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
         """The ``ProgramIndex`` of ``build(spec, config)``, computed once per
@@ -781,41 +736,39 @@ class SimulatedToolchain(_Backend):
     Builds and their indexes are cached by (spec, configuration); the
     caches are shared by the option-inference search and the configuration
     stage, which never pay twice for the same probe.
-    The unoptimized base and its ``TransformPlan`` are cached as one pair
-    per configuration, and the tree keeps each unit's scan, so a fresh
-    build only replays the plan up to its version and level and runs inline
-    or dedup; it never mutates the cached base.
+    The unoptimized base and the parts of its functions are cached as one
+    pair per configuration, and the tree keeps each unit's scan, so a fresh
+    build only replays the parts up to its version and level and runs
+    inline or dedup; it never mutates the cached base.
 
     Configurations of one case mostly differ in a few conditional lines, so
     their bases share most function bodies. Each distinct body, keyed by
     unit, function name and active lines, is emitted and planned once per
-    toolchain (``_bodies`` and ``_pieces``), and every base that has it
-    shares the one function object and its part of the plan.
-    ``build_count`` counts fresh builds. The source tree cannot change, so
-    no cache can go stale.
+    toolchain (``_bodies``, and ``_parts`` keyed by the function's id), and
+    every base that has it shares the one function object and its part.
+    ``_bodies`` holds every function it emitted, so no id is reused. The
+    source tree cannot change, so no cache can go stale.
     """
 
     def __init__(self, tree: SourceTree, base_name: str = "prog"):
         super().__init__()
         self.tree = tree
         self.base_name = base_name
-        self._bases: dict[tuple, tuple[BinaryProgram, TransformPlan]] = {}
+        self._bases: dict[tuple, tuple[BinaryProgram, list[_FunctionPlan]]] = {}
         self._bodies: dict[tuple, Function] = {}
-        self._pieces: dict[int, tuple[Function, _FunctionPlan]] = {}
-        self.build_count = 0
+        self._parts: dict[int, _FunctionPlan] = {}
 
-    def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
+    def _compile(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         spec.validate()
         config_key = config.key()
-        key = (spec, config_key)
-        if key not in self._cache:
-            if config_key not in self._bases:
-                base = build_unoptimized(self.tree, config, self.base_name, self._bodies)
-                self._bases[config_key] = (base, plan_transforms(base, self._pieces))
-            base, plan = self._bases[config_key]
-            self._cache[key] = apply_transforms(base, spec, plan)
-            self.build_count += 1
-        return self._cache[key]
+        if config_key not in self._bases:
+            base = build_unoptimized(self.tree, config, self.base_name, self._bodies)
+            for fn in base.functions:
+                if id(fn) not in self._parts:
+                    self._parts[id(fn)] = _plan_function(fn)
+            self._bases[config_key] = (base, [self._parts[id(fn)] for fn in base.functions])
+        base, parts = self._bases[config_key]
+        return apply_transforms(base, spec, parts)
 
 
 # Seconds an external process (a toolchain command, a run-case trigger) may
@@ -904,10 +857,7 @@ class ExternalToolchain(_Backend):
             manifest[key] = command
         return cls(manifest)
 
-    def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
-        key = (spec, config.key())
-        if key in self._cache:
-            return self._cache[key]
+    def _compile(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         command = self.manifest.get((spec.compiler, spec.version))
         if command is None:
             raise OracleUnavailableError(
@@ -932,6 +882,4 @@ class ExternalToolchain(_Backend):
             raise BuildFailureError(
                 f"toolchain command failed ({proc.returncode}): {proc.stderr.strip()}"
             )
-        program = ingest_disassembly_export(proc.stdout, name=spec.text()).program
-        self._cache[key] = program
-        return program
+        return ingest_disassembly_export(proc.stdout, name=spec.text()).program

@@ -44,7 +44,7 @@ from .buildoracle import (
     SimulatedToolchain,
     all_option_specs,
 )
-from .corpusgen import generate_corpus, load_case_dir, read_text, write_corpus
+from .corpusgen import generate_corpus, load_case_dir, read_source_dir, read_text, write_corpus
 from .errors import BinprovError
 from .optinfer import infer_options
 from .pipeline import (
@@ -69,16 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-def _tree_from_dir(path: str) -> SourceTree:
-    root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"source directory not found: {path}")
-    units = {p.name: read_text(p) for p in sorted(root.iterdir()) if p.is_file()}
-    if not units:
-        raise FileNotFoundError(f"source directory is empty: {path}")
-    return SourceTree.from_mapping(units)
 
 
 def _backend_for(args, tree: SourceTree, name: str):
@@ -187,7 +177,7 @@ def cmd_diff(args) -> int:
 
 def cmd_infer_options(args) -> int:
     crash = ingest_model(read_text(args.crash))
-    tree = _tree_from_dir(args.source_dir)
+    tree = read_source_dir(args.source_dir)
     backend = _backend_for(args, tree, crash.name)
     trace = infer_options(backend, crash, budget=args.budget)
     _emit(args, _trace_text(trace), _trace_payload(trace))
@@ -198,7 +188,7 @@ def cmd_infer_config(args) -> int:
     if not args.config_map:
         raise FileNotFoundError("infer-config needs --config-map")
     crash = ingest_model(read_text(args.crash))
-    tree = _tree_from_dir(args.source_dir)
+    tree = read_source_dir(args.source_dir)
     config_map = ConfigMap.parse(read_text(args.config_map))
     backend = _backend_for(args, tree, crash.name)
     report = infer_config(crash, tree, config_map, backend, BuildSpec.from_text(args.options))
@@ -215,7 +205,7 @@ def _load_case_inputs(args, path: Path):
             "run-case on a raw model needs --source-dir and --config-map"
         )
     crash = ingest_model(read_text(path))
-    tree = _tree_from_dir(args.source_dir)
+    tree = read_source_dir(args.source_dir)
     config_map = ConfigMap.parse(read_text(args.config_map))
     return crash, tree, config_map, crash.name, None
 
@@ -297,7 +287,7 @@ def cmd_run_case(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    tree = _tree_from_dir(args.source_dir)
+    tree = read_source_dir(args.source_dir)
     backend = _backend_for(args, tree, Path(args.source_dir).name)
     specs = all_option_specs()
     grid = similarity_matrix(backend, ConfigAssignment(), specs)

@@ -63,6 +63,7 @@ __all__ = [
     "write_corpus",
     "load_case_dir",
     "read_text",
+    "read_source_dir",
 ]
 
 MACRO_POOL = ("CFG_ALPHA", "CFG_BRAVO", "CFG_CHARLIE", "CFG_DELTA", "CFG_ECHO")
@@ -492,13 +493,14 @@ def load_case_dir(cdir: Path) -> GeneratedCase:
         raise SchemaError(f"{cdir}: manifest.json must hold an object")
     hidden = _manifest_field(cdir, manifest, "hidden", dict, "an object")
     manifest.setdefault("vulnerable_fragment", None)  # a manifest may leave it out
-    units = {}
-    for path in sorted((cdir / "src").glob("*")):
-        units[path.name] = read_text(path)
+    try:
+        tree = read_source_dir(cdir / "src")
+    except FileNotFoundError:
+        raise SchemaError(f"{cdir}: missing src") from None
     return GeneratedCase(
         name=_manifest_field(cdir, manifest, "name", str, "a string"),
         index=_manifest_field(cdir, manifest, "index", int, "an integer"),
-        tree=SourceTree.from_mapping(units),
+        tree=tree,
         config_map=ConfigMap.parse(_read(cdir, "config.map")),
         base_units=_manifest_names(cdir, manifest, "base_units"),
         hidden_spec=BuildSpec.from_text(
@@ -520,6 +522,19 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_source_dir(path) -> SourceTree:
+    """The source tree of the files directly in the directory ``path``;
+    subdirectories are skipped. A missing directory, or one that holds no
+    file, raises ``FileNotFoundError``."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FileNotFoundError(f"source directory not found: {path}")
+    units = {p.name: read_text(p) for p in sorted(root.iterdir()) if p.is_file()}
+    if not units:
+        raise FileNotFoundError(f"source directory is empty: {path}")
+    return SourceTree.from_mapping(units)
 
 
 def _read(cdir: Path, name: str) -> str:

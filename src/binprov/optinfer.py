@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .binmodel import BinaryProgram
 from .buildoracle import (
+    COMPILERS,
     DEFAULT_COMPILER,
     LEVELS,
     VERSIONS,
@@ -117,7 +118,7 @@ def infer_options(
     first_score = s_o0 if hidden_o0 else s_o2
 
     # Stage 2: which compiler.
-    other = next(c for c in ("gcc", "clang") if c != first)
+    other = next(c for c in COMPILERS if c != first)
     other_score = prober.score(default_spec(other, proxy), step=2)
     if other_score > first_score:
         compiler = other

@@ -455,10 +455,13 @@ def check_matrix_orderings(
                 for vj in versions[i + 1:]:
                     same_min = min(same_min, row[at[comp, vj, lv]])
         cross_max = 0.0
-        for vi in VERSIONS["gcc"]:
-            row = grid[at["gcc", vi, lv]]
-            for vj in VERSIONS["clang"]:
-                cross_max = max(cross_max, row[at["clang", vj, lv]])
+        # Each pair reads the rows of its earlier compiler: cells are symmetric
+        # only to 1e-9, so the other side could move the reported slack.
+        for a, b in itertools.combinations(COMPILERS, 2):
+            for vi in VERSIONS[a]:
+                row = grid[at[a, vi, lv]]
+                for vj in VERSIONS[b]:
+                    cross_max = max(cross_max, row[at[b, vj, lv]])
         worst = same_min - cross_max
         results.append(
             OrderingResult(

@@ -144,6 +144,14 @@ class SourceTree:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # The tree keeps a tuple of its own, never the caller's list.
+        object.__setattr__(self, "units", tuple(self.units))
+        names = [u.name for u in self.units]
+        if len(set(names)) != len(names):
+            repeated = next(n for n in names if names.count(n) > 1)
+            raise SchemaError(f"source tree lists unit {repeated!r} twice")
+
     def unit_map(self) -> dict[str, SourceUnit]:
         return {u.name: u for u in self.units}
 

@@ -33,7 +33,6 @@ from binprov.buildoracle import (
     apply_transforms,
     build_unoptimized,
     default_spec,
-    plan_transforms,
     version_theta,
 )
 from binprov.corpusgen import generate_corpus
@@ -555,30 +554,27 @@ def test_simulated_toolchain_builds_each_base_once(case0, specs, monkeypatch):
 
 
 def test_simulated_toolchain_plans_each_base_once(case0, specs, monkeypatch):
-    # One plan per configuration serves every compiler's builds of its base.
-    plans = []
+    # Every fresh build of one configuration, at either compiler, replays
+    # the same list of its functions' parts.
+    replayed = []  # (base, compiler, parts) of every fresh build
 
-    def counting(program, *args, **kwargs):
-        plans.append((program, plan_transforms(program, *args, **kwargs)))
-        return plans[-1][1]
+    def recording(program, spec, parts=None):
+        replayed.append((program, spec.compiler, parts))
+        return apply_transforms(program, spec, parts)
 
-    replayed = []  # (base, compiler, plan) of every fresh build
-
-    def recording(program, spec, plan=None):
-        replayed.append((program, spec.compiler, plan))
-        return apply_transforms(program, spec, plan)
-
-    monkeypatch.setattr(buildoracle, "plan_transforms", counting)
     monkeypatch.setattr(buildoracle, "apply_transforms", recording)
     backend = SimulatedToolchain(case0.tree, base_name=case0.name)
     configs = (case0.seed_config(), EMPTY_CONFIG)
     for cfg in configs:
         for spec in specs:
             backend.build(spec, cfg)
-    assert len(plans) == len({id(base) for base, _ in plans}) == len(configs)
-    for base, plan in plans:
-        served = [c for b, c, p in replayed if b is base and p is plan]
-        assert len(served) == len(specs) and set(served) == set(COMPILERS)
+    bases = {id(base): base for base, _, _ in replayed}
+    assert len(bases) == len(configs)
+    for base in bases.values():
+        served = [(c, parts) for b, c, parts in replayed if b is base]
+        assert len(served) == len(specs) and {c for c, _ in served} == set(COMPILERS)
+        assert all(parts is served[0][1] for _, parts in served)
+        assert served[0][1] == [buildoracle._plan_function(fn) for fn in base.functions]
     assert len(replayed) == backend.build_count == len(configs) * len(specs)
 
 
@@ -714,8 +710,10 @@ def test_external_toolchain_runs_command_and_caches(tmp_path):
         "a.c",
         "b.c",
     ]
+    assert tc.build_count == 1
     script.unlink()  # second build must come from the cache
     assert tc.build(BuildSpec("gcc", "7", "O2"), cfg) is program
+    assert tc.build_count == 1
 
 
 def test_external_toolchain_indexes_each_build_once(tmp_path):

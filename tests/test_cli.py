@@ -355,6 +355,23 @@ def test_a_file_that_is_not_utf8_is_a_schema_error(argv, case_dir, tmp_path, cap
     assert "SchemaError" in err and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("command", ["run-case {case}", "infer-options {model} --source-dir {src}"])
+def test_a_subdirectory_under_src_is_skipped(command, case_dir, tmp_path, capsys):
+    def run(cdir):
+        argv = command.format(case=cdir, model=cdir / "crash.model", src=cdir / "src")
+        assert main([*argv.split(), "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("t_extract_seconds", None)
+        return payload
+
+    cdir, _root = case_dir
+    copy = tmp_path / cdir.name
+    shutil.copytree(cdir, copy)
+    (copy / "src" / "include").mkdir()
+    (copy / "src" / "include" / "extra.h").write_text("int skipped(void) {\n}\n")
+    assert run(copy) == run(cdir)
+
+
 def test_matrix_runs_ordering_checks(case_dir, capsys):
     cdir, _root = case_dir
     assert main(["matrix", "--source-dir", str(cdir / "src")]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -143,12 +144,24 @@ def test_load_case_dir_rejects_a_malformed_manifest(tmp_path, corpus21, edit, me
         load_case_dir(cdir)
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "config.map", "crash.model"])
+@pytest.mark.parametrize("name", ["manifest.json", "config.map", "crash.model", "src"])
 def test_load_case_dir_names_a_missing_file(tmp_path, corpus21, name):
     write_corpus(corpus21[:1], tmp_path)
     cdir = tmp_path / corpus21[0].name
-    (cdir / name).unlink()
+    if (cdir / name).is_dir():
+        shutil.rmtree(cdir / name)
+    else:
+        (cdir / name).unlink()
     with pytest.raises(SchemaError, match=re.escape(f"{cdir}: missing {name}")):
+        load_case_dir(cdir)
+
+
+def test_load_case_dir_rejects_a_src_without_files(tmp_path, corpus21):
+    write_corpus(corpus21[:1], tmp_path)
+    cdir = tmp_path / corpus21[0].name
+    shutil.rmtree(cdir / "src")
+    (cdir / "src" / "include").mkdir(parents=True)
+    with pytest.raises(SchemaError, match=re.escape(f"{cdir}: missing src")):
         load_case_dir(cdir)
 
 

@@ -201,6 +201,21 @@ def test_scan_tree_maps_unit_names():
     assert len(scans["b.c"].conditional_fragments()) == 1
 
 
+def test_source_tree_keeps_its_own_units():
+    units = [varsource.SourceUnit("m.c", "int f(void) {\n  return 1;\n}\n")]
+    tree = SourceTree(units=units)
+    units[0] = varsource.SourceUnit("m.c", "int g(void) {\n  return 2;\n}\n")
+    assert tree.units == (varsource.SourceUnit("m.c", "int f(void) {\n  return 1;\n}\n"),)
+    assert list(scan_tree(tree)["m.c"].functions) == ["f"]
+
+
+def test_source_tree_rejects_a_repeated_unit_name():
+    units = [varsource.SourceUnit("m.c", "int f(void) {\n}\n"),
+             varsource.SourceUnit("m.c", "int g(void) {\n}\n")]
+    with pytest.raises(SchemaError, match="unit 'm.c' twice"):
+        SourceTree(units=units)
+
+
 CONFIG_MAP_TEXT = """\
 # build flags
 with_cache : define USE_CACHE, define CACHE_STATS
