@@ -1,9 +1,10 @@
 """Build oracle: turn source plus a configuration into a binary model.
 
 The simulated toolchain builds an unoptimized program directly from source
-(one basic block per statement, explicit branch diamonds), then applies a
-deterministic transform chain that reproduces how real compilers leave
-structural traces of their identity:
+(one basic block per statement, explicit branch diamonds; ``varsource``'s
+lexer, which also gives the fragment features, reads each block's key
+instructions), then applies a deterministic transform chain that reproduces
+how real compilers leave structural traces of their identity:
 
 * version pads: a version-indexed number of extra constants appended to
   comparison blocks, chosen in a compiler-salted order so the pad sets of
@@ -74,7 +75,7 @@ from .binmodel import (
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
 from .simdiff import ProgramIndex, index_program
-from .varsource import ConfigMap, SourceTree
+from .varsource import ConfigMap, SourceTree, _IF_RE, _scan_expression, _strip_comment
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
 from .varsource import scan_unit  # noqa: F401
@@ -203,59 +204,6 @@ class ConfigAssignment:
 
 # --- unoptimized builder -------------------------------------------------
 
-_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
-
-
-def _scan_expression(text: str, out: list[KeyInstruction]) -> None:
-    """Emit key instructions for one expression, left to right, arguments
-    before their call."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                j = n
-            out.append(KeyInstruction(KeyKind.STRING_REF, operand=text[i + 1 : j]))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            token = text[i:j]
-            if "." not in token:
-                out.append(KeyInstruction(KeyKind.CONST_REF, operand=str(int(token))))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            ident = text[i:j]
-            k = j
-            while k < n and text[k] in " \t":
-                k += 1
-            if k < n and text[k] == "(" and ident not in _KEYWORDS:
-                depth = 0
-                m = k
-                while m < n:
-                    if text[m] == "(":
-                        depth += 1
-                    elif text[m] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    m += 1
-                _scan_expression(text[k + 1 : m], out)
-                out.append(KeyInstruction(KeyKind.CALL, operand=ident))
-                i = m + 1
-                continue
-            i = j
-            continue
-        i += 1
-
 
 @dataclass
 class _SimpleStmt:
@@ -267,9 +215,6 @@ class _IfStmt:
     condition: str
     then_body: list
     else_body: list | None
-
-
-_IF_RE = re.compile(r"^\s*if\s*\((.*)\)\s*\{\s*$")
 
 
 def _parse_statements(lines: list[str], i: int, stop_at_brace: bool) -> tuple[list, int]:
@@ -402,7 +347,7 @@ def build_unoptimized(
             key = (uname, fname, body_lines)
             fn = bodies.get(key)
             if fn is None:
-                body = [lines[ln - 1] for ln in body_lines]
+                body = [_strip_comment(lines[ln - 1]) for ln in body_lines]
                 body = [text for text in body if not text.lstrip().startswith("#")]
                 fn = bodies[key] = _emit_function(fname, body)
             functions.append(fn)

@@ -185,8 +185,6 @@ def cmd_infer_options(args) -> int:
 
 
 def cmd_infer_config(args) -> int:
-    if not args.config_map:
-        raise FileNotFoundError("infer-config needs --config-map")
     crash = ingest_model(read_text(args.crash))
     tree = read_source_dir(args.source_dir)
     config_map = ConfigMap.parse(read_text(args.config_map))
@@ -381,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source-dir", required=True)
     p.add_argument("--options", required=True, metavar="SPEC",
                    help="build options, e.g. gcc-7-O2")
-    p.add_argument("--config-map")
+    p.add_argument("--config-map", required=True)
     _add_common(p)
     _add_backend(p)
     p.set_defaults(func=cmd_infer_config)

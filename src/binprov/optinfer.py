@@ -61,12 +61,6 @@ class InferenceTrace:
         """Number of distinct option points actually built and compared."""
         return sum(1 for p in self.probes if not p.cached)
 
-    def score_of(self, spec: BuildSpec) -> float:
-        for p in self.probes:
-            if p.spec == spec:
-                return p.score
-        raise KeyError(spec.text())
-
 
 class _Prober:
     def __init__(self, backend, crash, config, budget):

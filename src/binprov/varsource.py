@@ -4,8 +4,9 @@ For every unit the scanner builds the tree of preprocessor fragments
 (#if/#ifdef/#ifndef/#elif/#else/#endif constructs), assigns every source
 line to exactly one fragment (the innermost one for ordinary lines, the
 enclosing one for the chain directives themselves), and records where
-functions are defined. The lexical features of a fragment are extracted
-the first time they are read.
+functions are defined. A fragment's features, computed when first read,
+are the payloads that ``_scan_expression``, the C lexer the build compiles
+with, emits for its lines.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -18,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .binmodel import KeyInstruction, KeyKind
 from .conditions import (
     TRUE,
     Condition,
@@ -276,45 +278,87 @@ def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
     return {u.name: tree.scan(u) for u in tree.units}
 
 
-_STRING_RE = re.compile(r'"([^"\\]*)"')
-_CALL_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(")
-_INT_TOKEN_RE = re.compile(r"(?<![\w.])(\d+)(?![\w.])")
-_NOT_CALLS = {"if", "else", "while", "for", "return", "switch", "sizeof", "defined"}
+_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
+_IF_RE = re.compile(r"^\s*if\s*\((.*)\)\s*\{\s*$")
+_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
+_WORD_RE = re.compile(r"\w+")
+_STRING_BODY_RE = re.compile(r'[^"\\]*(?:\\.?[^"\\]*)*')
+
+
+def _string_end(text: str, i: int) -> int:
+    """The index of the first unescaped ``"`` after ``text[i]``, which
+    closes the string literal opened there; ``len(text)`` if there is none."""
+    return _STRING_BODY_RE.match(text, i + 1).end()
 
 
 def _strip_comment(line: str) -> str:
-    return line.split("//", 1)[0]
+    """The line up to its first ``//`` outside a string literal."""
+    i = 0
+    while (cut := line.find("//", i)) >= 0:
+        quote = line.find('"', i, cut)
+        if quote < 0:
+            return line[:cut]
+        i = _string_end(line, quote) + 1
+    return line
 
 
-def _scan_text_features(text: str) -> list[Feature]:
-    feats: list[Feature] = []
-    for m in _STRING_RE.finditer(text):
-        feats.append(StringLit(m.group(1)))
-    masked = _STRING_RE.sub(lambda m: " " * len(m.group(0)), text)
-    for m in _CALL_RE.finditer(masked):
-        ident = m.group(1)
-        if ident in _NOT_CALLS:
+def _scan_expression(text: str, out: list[KeyInstruction]) -> None:
+    """Emit key instructions for one expression, left to right, arguments
+    before their call."""
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            j = _string_end(text, i)
+            out.append(KeyInstruction(KeyKind.STRING_REF, operand=text[i + 1 : j]))
+            i = j + 1
             continue
-        feats.append(CallSig(name=ident))
-    for m in _INT_TOKEN_RE.finditer(masked):
-        feats.append(IntConst(int(m.group(1))))
-    return feats
+        if ch.isdecimal():
+            token = _NUMBER_RE.match(text, i).group()
+            if "." not in token:
+                value = int(token, 16) if token[:2] in ("0x", "0X") else int(token)
+                out.append(KeyInstruction(KeyKind.CONST_REF, operand=str(value)))
+            i += len(token)
+            continue
+        if ch.isalpha() or ch == "_":
+            j = _WORD_RE.match(text, i).end()
+            ident = text[i:j]
+            k = j
+            while k < n and text[k] in " \t":
+                k += 1
+            if k < n and text[k] == "(" and ident not in _KEYWORDS:
+                depth = 0
+                m = k
+                while m < n:
+                    if text[m] == '"':
+                        m = _string_end(text, m)
+                    elif text[m] == "(":
+                        depth += 1
+                    elif text[m] == ")":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    m += 1
+                _scan_expression(text[k + 1 : m], out)
+                out.append(KeyInstruction(KeyKind.CALL, operand=ident))
+                i = m + 1
+                continue
+            i = j
+            continue
+        i += 1
 
 
-def _extract_if_condition(line: str) -> str | None:
-    m = re.search(r"\bif\s*\(", line)
-    if not m:
-        return None
-    start = m.end() - 1
-    depth = 0
-    for i in range(start, len(line)):
-        if line[i] == "(":
-            depth += 1
-        elif line[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return line[start + 1 : i]
-    return line[start + 1 :]
+def _text_features(text: str) -> list[Feature]:
+    """The features of the key instructions the build emits for ``text``."""
+    keyins: list[KeyInstruction] = []
+    _scan_expression(text, keyins)
+    return [
+        StringLit(ki.operand) if ki.kind is KeyKind.STRING_REF
+        else CallSig(ki.operand) if ki.kind is KeyKind.CALL
+        else IntConst(int(ki.operand))
+        for ki in keyins
+    ]
 
 
 def _has_else(lines: list[str], if_index: int) -> bool:
@@ -334,26 +378,18 @@ def _has_else(lines: list[str], if_index: int) -> bool:
 
 
 def _fragment_features(frag: Fragment, lines: list[str]) -> tuple[Feature, ...]:
+    """Each line's ``_text_features``, after its ``BranchShape`` when the
+    build compiles the line to a comparison (``_IF_RE`` matches it)."""
     feats: list[Feature] = []
     for lineno in frag.lines:
         raw = lines[lineno - 1]
         if raw.lstrip().startswith("#"):
             continue
         text = _strip_comment(raw)
-        cond = _extract_if_condition(text)
-        if cond is not None:
-            cond_feats = _scan_text_features(cond)
-            feats.append(
-                BranchShape(
-                    condition_features=tuple(cond_feats),
-                    has_else=_has_else(lines, lineno - 1),
-                )
-            )
-            feats.extend(cond_feats)
-            after = text[text.index(cond) + len(cond) :] if cond in text else ""
-            feats.extend(_scan_text_features(after))
-        else:
-            feats.extend(_scan_text_features(text))
+        if m := _IF_RE.match(text):
+            cond = tuple(_text_features(m.group(1)))
+            feats.append(BranchShape(cond, _has_else(lines, lineno - 1)))
+        feats.extend(_text_features(text))
     return tuple(feats)
 
 

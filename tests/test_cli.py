@@ -144,7 +144,7 @@ def test_removed_search_flags_are_usage_errors(case_dir, command, flag, capsys):
     target = cdir if command == "run-case" else cdir / "crash.model"
     argv = [command, str(target), "--source-dir", str(cdir / "src"), *flag]
     if command == "infer-config":
-        argv += ["--options", "gcc-6-O2"]
+        argv += ["--options", "gcc-6-O2", "--config-map", str(cdir / "config.map")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -236,8 +236,10 @@ def test_infer_config_needs_a_config_map(case_dir, capsys):
         "--source-dir", str(cdir / "src"),
         "--options", "gcc-6-O2",
     ]
-    assert main(argv) == 1
-    assert "needs --config-map" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "the following arguments are required: --config-map" in capsys.readouterr().err
 
 
 def test_run_case_on_case_directory(case_dir, corpus21, capsys):

@@ -202,6 +202,34 @@ def test_derive_constraints_from_present_arm():
     ]
 
 
+ESCAPED_QUOTE_SRC = """\
+int f(void) {
+  g(1);
+#ifdef M
+  lib("x\\"y");
+#endif
+}
+"""
+
+
+def test_fragment_with_an_escaped_quote_built_in_is_present():
+    tree = SourceTree.from_mapping({"m.c": ESCAPED_QUOTE_SRC})
+    scans = scan_tree(tree)
+    crash = _built(tree, {"M"})
+    report = derive_constraints(scans, crash, diff_programs(_built(tree), crash))
+    assert [d.presence for d in report.decisions] == [Presence.PRESENT]
+    assert [to_text(c) for c in report.constraints] == ["defined(M)"]
+
+
+def test_build_compiles_no_comment():
+    tree = SourceTree.from_mapping({"m.c": 'int f(void) {\n  g(1); // h("note")\n}\n'})
+    (fn,) = _built(tree).functions
+    assert [(ki.kind, ki.operand) for blk in fn.blocks for ki in blk.keyins] == [
+        (KeyKind.CONST_REF, "1"),
+        (KeyKind.CALL, "g"),
+    ]
+
+
 CONFLICT_SRC_A = "#ifdef A\nint fa(void) {\n    mark_one(\"both-sides\");\n}\n#endif\n"
 CONFLICT_SRC_B = "#ifndef A\nint fb(void) {\n    mark_two(\"both-sides-too\");\n}\n#endif\n"
 

@@ -53,10 +53,9 @@ def test_trace_records_stages_and_cache_hits(case0, backend0):
     assert {p.step for p in trace.probes} == {1, 2, 3, 4}
     # stage 3 re-reads the O2 score without rebuilding
     cached = [p for p in trace.probes if p.cached]
-    assert cached and all(p.score == trace.score_of(p.spec) for p in cached)
+    built = {p.spec: p.score for p in trace.probes if not p.cached}
+    assert cached and all(p.score == built[p.spec] for p in cached)
     assert trace.t_infer == len({p.spec for p in trace.probes if not p.cached})
-    with pytest.raises(KeyError):
-        trace.score_of(BuildSpec("gcc", "9", "Os"))
 
 
 def test_self_probe_scores_one(case0, backend0):
@@ -64,7 +63,7 @@ def test_self_probe_scores_one(case0, backend0):
     spec = BuildSpec("gcc", "6", "O2")
     crash = backend0.build(spec, config)
     trace = infer_options(backend0, crash, config=config)
-    assert trace.score_of(spec) == pytest.approx(1.0)
+    assert {p.spec: p.score for p in trace.probes}[spec] == pytest.approx(1.0)
 
 
 def test_budget_exhaustion_raises(case0, backend0):

@@ -9,15 +9,26 @@ import re
 import pytest
 
 from binprov import varsource
-from binprov.buildoracle import BuildSpec, SimulatedToolchain
-from binprov.conditions import BoolConst, DefinedAtom, Not, neg, to_text
+from binprov.binmodel import KeyKind
+from binprov.buildoracle import (
+    DEFAULT_COMPILER,
+    BuildSpec,
+    ConfigAssignment,
+    SimulatedToolchain,
+    build_unoptimized,
+    default_spec,
+)
+from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import MapGapError, SchemaError
+from binprov.matcher import _payload_key
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
+    BranchShape,
     CallSig,
     ConfigMap,
+    IntConst,
     SourceTree,
     StringLit,
     resolve_flags,
@@ -133,6 +144,90 @@ def test_building_and_running_a_case_leave_base_roots_unfeatured(case0, monkeypa
     assert computed
     assert not base_roots & set(computed)
     assert len(computed) == len(set(computed))  # each kept once computed
+
+
+def _payloads(program) -> list[tuple[KeyKind, str]]:
+    return [
+        (ki.kind, ki.operand)
+        for fn in program.functions
+        for blk in fn.blocks
+        for ki in blk.keyins
+        if ki.operand is not None
+    ]
+
+
+def _read_both(line: str):
+    """The features of ``line`` as the one line of a fragment, and the
+    payloads the build compiles it to."""
+    tree = SourceTree.from_mapping({"m.c": f"int f(void) {{\n#ifdef A\n  {line}\n#endif\n}}\n"})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))
+    return list(frag.features), _payloads(program)
+
+
+@pytest.mark.parametrize(
+    "line, features",
+    [
+        # a comment starts only at a // outside a string literal
+        ('lib("http://x"); // h(2)', [StringLit("http://x"), CallSig("lib")]),
+        # a string ends at the first unescaped quote
+        (r'lib("x\"y", 3);', [StringLit(r'x\"y'), IntConst(3), CallSig("lib")]),
+        (r'lib("a\\", 4);', [StringLit(r"a\\"), IntConst(4), CallSig("lib")]),
+        # a quoted paren does not close the call
+        ('lib(")", 5);', [StringLit(")"), IntConst(5), CallSig("lib")]),
+        # a hex literal is its value
+        ("lib(0x10);", [IntConst(16), CallSig("lib")]),
+    ],
+    ids=["comment-outside-string", "escaped-quote", "escaped-backslash", "quoted-paren", "hex"],
+)
+def test_features_and_build_read_c_literals_alike(line, features):
+    got, built = _read_both(line)
+    assert got == features
+    assert built == [_payload_key(f) for f in features]
+
+
+def test_only_a_compiled_if_line_carries_a_branch_shape():
+    text = """\
+int f(int x) {
+#ifdef A
+  if (x > 5) f();
+  if (x > 6) {
+    g(1);
+  } else if (x > 5) {
+    g(2);
+  }
+#endif
+}
+"""
+    (frag,) = scan_unit("m.c", text).conditional_fragments()
+    shapes = [feat for feat in frag.features if isinstance(feat, BranchShape)]
+    assert shapes == [BranchShape(condition_features=(IntConst(6),), has_else=True)]
+
+
+def test_active_fragment_payloads_occur_in_the_o0_build():
+    # Function header lines are lexed but never compiled, so the function
+    # name a header yields is not looked for.
+    checked = 0
+    for seed in (1, 2, 3):
+        for case in generate_corpus(seed, 21):
+            config = case.truth_config()
+            program = SimulatedToolchain(case.tree).build(default_spec(DEFAULT_COMPILER, "O0"), config)
+            payloads = set(_payloads(program))
+            for unit in case.tree.units:
+                if unit.name not in config.units:
+                    continue
+                scan = case.tree.scan(unit)
+                for frag in scan.conditional_fragments():
+                    if not evaluate(frag.condition, config.macro_env()):
+                        continue
+                    headers = {name for name, span in scan.functions.items() if span.start in frag.lines}
+                    for feat in frag.features:
+                        key = _payload_key(feat)
+                        if key is None or isinstance(feat, CallSig) and feat.name in headers:
+                            continue
+                        assert key in payloads, (seed, case.name, frag.id, feat)
+                        checked += 1
+    assert checked > 400
 
 
 def _chain_groups(text: str) -> list[list[int]]:
