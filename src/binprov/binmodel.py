@@ -306,7 +306,7 @@ def _first_integer(tokens: list[str]) -> str | None:
     for tok in tokens:
         tok = tok.rstrip(",")
         if _INT_RE.match(tok):
-            return str(int(tok, 0))
+            return str(int(tok, 16) if tok[:2] in ("0x", "0X") else int(tok))
     return None
 
 

@@ -49,7 +49,13 @@ can go stale.
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
 prints. Either backend caches its builds and indexes each build once
-(``index``): the pipeline reads builds only through their indexes.
+(``index``): the pipeline reads builds only through their indexes. The
+simulated toolchain computes an O0, O1 or O2 index from the parts without
+making the program: those passes add and remove no call, function or
+symbol, so the index is the base's with new signatures (``_index_parts``).
+An O3 or Os index is the index of the built program, since inline and
+dedup act on the whole program. ``apply_transforms`` stays the one code
+that makes a program.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import shlex
 import signal
 import subprocess
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .binmodel import (
     BasicBlock,
@@ -74,8 +80,15 @@ from .binmodel import (
 )
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
-from .simdiff import ProgramIndex, index_program
-from .varsource import ConfigMap, SourceTree, _IF_RE, _scan_expression, _strip_comment
+from .simdiff import KIND_PRIMES, ProgramIndex, index_program
+from .varsource import (
+    ConfigMap,
+    SourceTree,
+    _ELSE_IF_RE,
+    _IF_RE,
+    _scan_expression,
+    _strip_comment,
+)
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
 from .varsource import scan_unit  # noqa: F401
@@ -231,19 +244,28 @@ def _parse_statements(lines: list[str], i: int, stop_at_brace: bool) -> tuple[li
             continue
         m = _IF_RE.match(stripped)
         if m:
-            then_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
-            closing = lines[i].strip() if i < len(lines) else "}"
-            if "else" in closing:
-                else_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
-                i += 1  # past the final '}'
-            else:
-                else_body = None
-                i += 1
-            stmts.append(_IfStmt(condition=m.group(1), then_body=then_body, else_body=else_body))
+            stmt, i = _parse_if(lines, i + 1, m.group(1))
+            stmts.append(stmt)
             continue
         stmts.append(_SimpleStmt(text=stripped.rstrip(";")))
         i += 1
     return stmts, i
+
+
+def _parse_if(lines: list[str], i: int, condition: str) -> tuple[_IfStmt, int]:
+    """The if statement of ``condition`` whose then arm starts at line ``i``,
+    and the index past its closing brace. A closing ``} else if (c) {``
+    makes the else arm one nested ``if (c)``, whose own closing brace ends
+    the chain."""
+    then_body, i = _parse_statements(lines, i, stop_at_brace=True)
+    closing = lines[i].strip() if i < len(lines) else "}"
+    if m := _ELSE_IF_RE.match(closing):
+        nested, i = _parse_if(lines, i + 1, m.group(1))
+        return _IfStmt(condition=condition, then_body=then_body, else_body=[nested]), i
+    if "else" in closing:
+        else_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
+        return _IfStmt(condition=condition, then_body=then_body, else_body=else_body), i + 1
+    return _IfStmt(condition=condition, then_body=then_body, else_body=None), i + 1
 
 
 class _FunctionEmitter:
@@ -405,7 +427,8 @@ _PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
 class _FunctionPlan:
     """Where the transform chain acts on one base function, for every
     compiler, as block indices into that function; ``apply_transforms``
-    replays a program's parts for any spec.
+    replays a program's parts for any spec, and ``SimulatedToolchain``
+    indexes O0 to O2 builds from them.
 
     * ``unmerged``: the O0 layout, one output block per base block. No
       compiler changes it.
@@ -416,17 +439,36 @@ class _FunctionPlan:
     * ``merged``, per compiler: the layout at O1 and up, with the
       compiler's fold choice. A merged block lists every base block of its
       chain, its own first, and takes the chain's successors.
+    * ``primes`` and ``consts``, per base block: the product of the kind
+      primes of its instructions other than ``CONST_REF``, and its count of
+      ``CONST_REF``. A block's fingerprint is ``primes * 7 ** consts``.
     """
 
     unmerged: tuple[_PlannedBlock, ...]
     pad_ranks: dict[str, tuple[tuple[str, int], ...]]
     flavor: tuple[int, ...]
     merged: dict[str, tuple[_PlannedBlock, ...]]
+    primes: tuple[int, ...]
+    consts: tuple[int, ...]
+
+
+_CONST_PRIME = KIND_PRIMES[KeyKind.CONST_REF]
+_COMPARE_PRIME = KIND_PRIMES[KeyKind.COMPARE]
 
 
 def _plan_function(fn: Function) -> _FunctionPlan:
     blocks = fn.blocks
-    compares = [any(ki.kind is KeyKind.COMPARE for ki in blk.keyins) for blk in blocks]
+    primes, consts = [], []
+    for blk in blocks:
+        product, n = 1, 0
+        for ki in blk.keyins:
+            if ki.kind is KeyKind.CONST_REF:
+                n += 1
+            else:
+                product *= KIND_PRIMES[ki.kind]
+        primes.append(product)
+        consts.append(n)
+    compares = [product % _COMPARE_PRIME == 0 for product in primes]
     chains = _merge_chains(fn, compares)
     return _FunctionPlan(
         unmerged=tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(blocks)),
@@ -446,6 +488,8 @@ def _plan_function(fn: Function) -> _FunctionPlan:
             )
             for c in COMPILERS
         },
+        primes=tuple(primes),
+        consts=tuple(consts),
     )
 
 
@@ -581,6 +625,41 @@ def _retarget(ki: KeyInstruction, remap: dict[str, str]) -> KeyInstruction:
     return KeyInstruction(KeyKind.CALL, operand=("?" + target) if marked else target)
 
 
+def _additions(
+    parts: list[_FunctionPlan], spec: BuildSpec
+) -> dict[int, dict[int, list[KeyInstruction]]]:
+    """The instructions a build at ``spec`` appends to base blocks: function
+    index -> block index -> the block's pad, then its flavor marker.
+
+    The pads fill the first ``PADS_PER_THETA * theta`` sites of the rank
+    order across all ``parts``; clang marks each part's ``flavor`` blocks.
+    """
+    added: dict[int, dict[int, list[KeyInstruction]]] = {}
+    ranked = sorted(
+        (rank, fi, bi)
+        for fi, part in enumerate(parts)
+        for rank, bi in part.pad_ranks[spec.compiler]
+    )
+    for n, (_rank, fi, bi) in enumerate(ranked[: PADS_PER_THETA * THETA[spec.version_index]]):
+        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + n))]
+    if spec.compiler == "clang":
+        for fi, part in enumerate(parts):
+            for bi in part.flavor:
+                added.setdefault(fi, {}).setdefault(bi, []).append(
+                    KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
+                )
+    return added
+
+
+def _layout(part: _FunctionPlan, spec: BuildSpec) -> tuple[_PlannedBlock, ...]:
+    return part.unmerged if spec.level == "O0" else part.merged[spec.compiler]
+
+
+_FOLD_LEVELS = ("O2", "O3", "Os")
+# The levels whose pass acts on the whole program: inline and dedup.
+_WHOLE_PROGRAM_LEVELS = ("O3", "Os")
+
+
 def apply_transforms(
     program: BinaryProgram, spec: BuildSpec, parts: list[_FunctionPlan] | None = None
 ) -> BinaryProgram:
@@ -598,30 +677,14 @@ def apply_transforms(
     """
     if parts is None:
         parts = [_plan_function(fn) for fn in program.functions]
-    # Instructions appended to base blocks: function index -> block index ->
-    # the block's pad, then its flavor marker.
-    added: dict[int, dict[int, list[KeyInstruction]]] = {}
-    ranked = sorted(
-        (rank, fi, bi)
-        for fi, part in enumerate(parts)
-        for rank, bi in part.pad_ranks[spec.compiler]
-    )
-    for n, (_rank, fi, bi) in enumerate(ranked[: PADS_PER_THETA * THETA[spec.version_index]]):
-        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + n))]
-    if spec.compiler == "clang":
-        for fi, part in enumerate(parts):
-            for bi in part.flavor:
-                added.setdefault(fi, {}).setdefault(bi, []).append(
-                    KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
-                )
-    fold = spec.level in ("O2", "O3", "Os")
+    added = _additions(parts, spec)
+    fold = spec.level in _FOLD_LEVELS
     functions = []
     for fi, (fn, part) in enumerate(zip(program.functions, parts, strict=True)):
         base = fn.blocks
         extra = added.get(fi, {})
         blocks = []
-        layout = part.unmerged if spec.level == "O0" else part.merged[spec.compiler]
-        for chain, succs, folds in layout:
+        for chain, succs, folds in _layout(part, spec):
             keyins: list[KeyInstruction] = []
             for bi in chain:
                 keyins += base[bi].keyins
@@ -641,17 +704,54 @@ def apply_transforms(
     return out
 
 
+def _index_parts(base: ProgramIndex, parts: list[_FunctionPlan], spec: BuildSpec) -> ProgramIndex:
+    """The index of ``apply_transforms(program, spec, parts)`` at O0 to O2,
+    where ``base`` is the index of ``program``, without building it.
+
+    Pads, the flavor marker, merge and fold add and remove no call, function
+    or symbol, and a merge chain lists consecutive base blocks, so a
+    function's calls keep their order: only the signatures differ from the
+    base's. A merged block's fingerprint is the product of its chain's
+    block fingerprints and of its additions' primes, with every ``CONST_REF``
+    factor dropped where the block folds.
+    """
+    added = _additions(parts, spec)
+    fold = spec.level in _FOLD_LEVELS
+    signatures = []
+    for fi, part in enumerate(parts):
+        extra = added.get(fi, {})
+        primes, consts = part.primes, part.consts
+        fingerprints = []
+        for chain, _succs, folds in _layout(part, spec):
+            fp, n = 1, 0
+            for bi in chain:
+                fp *= primes[bi]
+                n += consts[bi]
+                for ki in extra.get(bi, ()):
+                    if ki.kind is KeyKind.CONST_REF:
+                        n += 1
+                    else:
+                        fp *= KIND_PRIMES[ki.kind]
+            fingerprints.append(fp if fold and folds else fp * _CONST_PRIME**n)
+        fingerprints.sort()
+        signatures.append(tuple(fingerprints))
+    return replace(base, signatures=tuple(signatures))
+
+
 # --- backends -------------------------------------------------------------
 
 
 class _Backend:
-    """What both backends share: a build cache keyed by (spec, configuration),
-    the count of fresh builds (``build_count``), and the index of each
-    build, computed once. A backend supplies ``_compile(spec, config)``,
-    which ``build`` calls once per key.
+    """What both backends share: a build cache and an index cache, both
+    keyed by (spec, configuration), and the count of fresh builds
+    (``build_count``). A backend supplies ``_compile(spec, config)``, which
+    ``build`` calls once per key, and may override ``_index_of(spec,
+    config)``, which ``index`` calls once per key; by default it indexes
+    ``build(spec, config)``.
 
-    ``index`` goes through ``build``, so a subclass that overrides only
-    ``build`` still sees every build the pipeline asks for."""
+    A key counts as one build when it first reaches either cache, whether
+    through ``build``, ``index`` or both, in either order. A key whose
+    compile raises is neither cached nor counted."""
 
     def __init__(self) -> None:
         self._cache: dict[tuple, BinaryProgram] = {}
@@ -662,17 +762,33 @@ class _Backend:
         key = (spec, config.key())
         if key not in self._cache:
             self._cache[key] = self._compile(spec, config)
-            self.build_count += 1
+            if key not in self._indexes:
+                self.build_count += 1
         return self._cache[key]
 
     def index(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
         """The ``ProgramIndex`` of ``build(spec, config)``, computed once per
         backend."""
-        program = self.build(spec, config)
         key = (spec, config.key())
         if key not in self._indexes:
-            self._indexes[key] = index_program(program)
+            index = self._index_of(spec, config)
+            if key not in self._cache:
+                self.build_count += 1
+            self._indexes[key] = index
         return self._indexes[key]
+
+    def _index_of(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
+        return index_program(self.build(spec, config))
+
+
+@dataclass(slots=True)
+class _Base:
+    """One configuration's unoptimized program, the parts of its functions
+    in order, and its index, computed on the first plan-path ``index``."""
+
+    program: BinaryProgram
+    parts: list[_FunctionPlan]
+    index: ProgramIndex | None = None
 
 
 class SimulatedToolchain(_Backend):
@@ -681,10 +797,17 @@ class SimulatedToolchain(_Backend):
     Builds and their indexes are cached by (spec, configuration); the
     caches are shared by the option-inference search and the configuration
     stage, which never pay twice for the same probe.
-    The unoptimized base and the parts of its functions are cached as one
-    pair per configuration, and the tree keeps each unit's scan, so a fresh
-    build only replays the parts up to its version and level and runs
-    inline or dedup; it never mutates the cached base.
+    The unoptimized base, the parts of its functions and the base's index
+    are cached together per configuration (``_Base``), and the tree keeps
+    each unit's scan, so a fresh build only replays the parts up to its
+    version and level and runs inline or dedup; it never mutates the cached
+    base.
+
+    At O0, O1 and O2, ``index`` builds no program: it takes the base's index
+    and computes only the signatures from the parts (``_index_parts``). At
+    O3 and Os, whose passes act on the whole program, it indexes the built
+    program. So a subclass that overrides ``build`` sees only O3 and Os
+    indexes, and the builds it is asked for.
 
     Configurations of one case mostly differ in a few conditional lines, so
     their bases share most function bodies. Each distinct body, keyed by
@@ -699,21 +822,34 @@ class SimulatedToolchain(_Backend):
         super().__init__()
         self.tree = tree
         self.base_name = base_name
-        self._bases: dict[tuple, tuple[BinaryProgram, list[_FunctionPlan]]] = {}
+        self._bases: dict[tuple, _Base] = {}
         self._bodies: dict[tuple, Function] = {}
         self._parts: dict[int, _FunctionPlan] = {}
 
-    def _compile(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
-        spec.validate()
+    def _base(self, config: ConfigAssignment) -> _Base:
         config_key = config.key()
         if config_key not in self._bases:
-            base = build_unoptimized(self.tree, config, self.base_name, self._bodies)
-            for fn in base.functions:
+            program = build_unoptimized(self.tree, config, self.base_name, self._bodies)
+            for fn in program.functions:
                 if id(fn) not in self._parts:
                     self._parts[id(fn)] = _plan_function(fn)
-            self._bases[config_key] = (base, [self._parts[id(fn)] for fn in base.functions])
-        base, parts = self._bases[config_key]
-        return apply_transforms(base, spec, parts)
+            parts = [self._parts[id(fn)] for fn in program.functions]
+            self._bases[config_key] = _Base(program, parts)
+        return self._bases[config_key]
+
+    def _compile(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
+        spec.validate()
+        base = self._base(config)
+        return apply_transforms(base.program, spec, base.parts)
+
+    def _index_of(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
+        spec.validate()
+        if spec.level in _WHOLE_PROGRAM_LEVELS:
+            return super()._index_of(spec, config)
+        base = self._base(config)
+        if base.index is None:
+            base.index = index_program(base.program)
+        return _index_parts(base.index, base.parts, spec)
 
 
 # Seconds an external process (a toolchain command, a run-case trigger) may

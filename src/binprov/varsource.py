@@ -280,6 +280,9 @@ def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
 
 _KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
 _IF_RE = re.compile(r"^\s*if\s*\((.*)\)\s*\{\s*$")
+# The closing line of a then arm that opens an ``else if``: the build
+# compiles its condition as a nested if.
+_ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\((.*)\)\s*\{\s*$")
 _NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
 _WORD_RE = re.compile(r"\w+")
 _STRING_BODY_RE = re.compile(r'[^"\\]*(?:\\.?[^"\\]*)*')
@@ -362,7 +365,10 @@ def _text_features(text: str) -> list[Feature]:
 
 
 def _has_else(lines: list[str], if_index: int) -> bool:
-    depth = lines[if_index].count("{") - lines[if_index].count("}")
+    head = lines[if_index].lstrip()
+    if head.startswith("}"):  # ``} else if (c) {`` opens the if of ``c``
+        head = head[1:]
+    depth = head.count("{") - head.count("}")
     if depth <= 0:
         return False
     for raw in lines[if_index + 1 :]:
@@ -379,14 +385,15 @@ def _has_else(lines: list[str], if_index: int) -> bool:
 
 def _fragment_features(frag: Fragment, lines: list[str]) -> tuple[Feature, ...]:
     """Each line's ``_text_features``, after its ``BranchShape`` when the
-    build compiles the line to a comparison (``_IF_RE`` matches it)."""
+    build compiles the line to a comparison (``_IF_RE`` or ``_ELSE_IF_RE``
+    matches it)."""
     feats: list[Feature] = []
     for lineno in frag.lines:
         raw = lines[lineno - 1]
         if raw.lstrip().startswith("#"):
             continue
         text = _strip_comment(raw)
-        if m := _IF_RE.match(text):
+        if m := _IF_RE.match(text) or _ELSE_IF_RE.match(text):
             cond = tuple(_text_features(m.group(1)))
             feats.append(BranchShape(cond, _has_else(lines, lineno - 1)))
         feats.extend(_text_features(text))

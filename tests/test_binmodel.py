@@ -97,6 +97,17 @@ def test_export_tallies_uninformative_mnemonics():
     assert [ki.kind for ki in blk.keyins] == [KeyKind.CALL]
 
 
+@pytest.mark.parametrize(
+    "operand, value",
+    [("010", "10"), ("-010", "-10"), ("0", "0"), ("-7", "-7"), ("0x10", "16"), ("0X1f", "31")],
+)
+def test_export_reads_decimals_in_base_ten(operand, value):
+    # A leading zero does not make a decimal octal, as in the build's lexer.
+    prog = ingest_disassembly_export(f"FUNC f\nBLOCK b0\nmov eax, {operand}\n").program
+    (ki,) = prog.functions[0].blocks[0].keyins
+    assert (ki.kind, ki.operand) == (KeyKind.CONST_REF, value)
+
+
 @pytest.mark.parametrize("text", [EXPORT_BRANCHY, EXPORT_LOOP, EXPORT_DROPPED])
 def test_export_models_roundtrip_byte_exact(text):
     prog = ingest_disassembly_export(text).program

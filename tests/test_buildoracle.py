@@ -669,6 +669,67 @@ def test_index_is_the_index_of_the_build_and_computed_once(case0):
             assert backend.build_count == count
 
 
+@pytest.mark.parametrize("level", ["O1", "Os"])
+def test_build_and_index_count_one_build_per_key(case0, level):
+    spec = BuildSpec("clang", "7.0", level)
+    for first, second in (("index", "build"), ("build", "index")):
+        backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+        getattr(backend, first)(spec, EMPTY_CONFIG)
+        getattr(backend, second)(spec, EMPTY_CONFIG)
+        assert backend.build_count == 1, (first, second)
+        index = backend.index(spec, EMPTY_CONFIG)
+        assert backend.index(spec, EMPTY_CONFIG) is index
+        assert backend.build_count == 1
+
+
+def test_a_failing_index_is_neither_cached_nor_counted(case0):
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    for level in ("O1", "Os"):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="unknown compiler"):
+                backend.index(BuildSpec("tcc", "1", level), EMPTY_CONFIG)
+    assert backend.build_count == 0
+    assert not backend._cache and not backend._indexes and not backend._bases
+    tree = SourceTree.from_mapping(
+        {"m.c": "#ifdef BAD\n#error not buildable\n#endif\nint f(void) {\n    g();\n}\n"}
+    )
+    backend = SimulatedToolchain(tree)
+    bad = ConfigAssignment(macros=frozenset({"BAD"}))
+    for _ in range(2):
+        with pytest.raises(BuildFailureError, match="not buildable"):
+            backend.index(BuildSpec("gcc", "6", "O1"), bad)
+    assert backend.build_count == 0
+    assert not backend._cache and not backend._indexes and not backend._bases
+
+
+def test_index_from_the_parts_equals_the_index_of_the_build(corpus21, specs):
+    # Every configuration run_case indexes on corpus seed 1, at every spec:
+    # a fresh toolchain's index, which at O0 to O2 is computed from the
+    # functions' parts, equals the index of the materialized build.
+    checked = 0
+    for case in corpus21:
+        configs = {}
+
+        class Recording(SimulatedToolchain):
+            def index(self, spec, config):
+                configs.setdefault(config.key(), config)
+                return super().index(spec, config)
+
+        run_generated_case(case, backend=Recording(case.tree, base_name=case.name))
+        for config in configs.values():
+            backend = SimulatedToolchain(case.tree, base_name=case.name)
+            base = build_unoptimized(case.tree, config, name=case.name)
+            for spec in specs:
+                index = backend.index(spec, config)
+                expected = index_program(apply_transforms(base, spec))
+                for f in dataclasses.fields(index):
+                    assert getattr(index, f.name) == getattr(expected, f.name), (
+                        case.name, config, spec.text(), f.name,
+                    )
+                checked += 1
+    assert checked > len(corpus21) * len(specs)  # 41 configurations at this writing
+
+
 def test_external_toolchain_manifest_parsing():
     tc = ExternalToolchain.parse_manifest(
         "# comment\ngcc/7 : ./gcc7.sh --fast\nclang/4.0 : python3 cc.py\n"

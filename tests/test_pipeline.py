@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -243,9 +244,11 @@ def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):
 
 
 def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
-    # The probe at the inferred options is the build the diff reads, and a
-    # refinement candidate may come back as the final rebuild: each built
-    # program is indexed once, and the crash once.
+    # An O3 or Os index indexes its built program. An O0 to O2 index is
+    # computed from the functions' parts and the index of the base, which
+    # is indexed once per configuration. So each built program is indexed
+    # at most once, each base once if any O0 to O2 index reads it and never
+    # otherwise, and the crash once.
     indexed = []
 
     def counting(program):
@@ -254,8 +257,18 @@ def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
 
     for module in (pipeline, buildoracle, simdiff):
         monkeypatch.setattr(module, "index_program", counting)
+    bases = {}  # configuration key -> its unoptimized program
+    build_unoptimized = buildoracle.build_unoptimized
+
+    def recording(tree, config, *args, **kwargs):
+        program = build_unoptimized(tree, config, *args, **kwargs)
+        bases[config.key()] = program
+        return program
+
+    monkeypatch.setattr(buildoracle, "build_unoptimized", recording)
     for case in corpus21[:4]:
         built = {}
+        plan_configs = set()  # configurations indexed at O0 to O2
 
         class Recording(SimulatedToolchain):
             def build(self, spec, config):
@@ -263,10 +276,22 @@ def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
                 built[id(program)] = program
                 return program
 
+            def index(self, spec, config):
+                if spec.level in ("O0", "O1", "O2"):
+                    plan_configs.add(config.key())
+                return super().index(spec, config)
+
         indexed.clear()
+        bases.clear()
         report = run_generated_case(case, backend=Recording(case.tree, base_name=case.name))
         assert report.option_trace is not None
-        assert sorted(indexed) == sorted([*built, id(case.crash)]), case.name
+        counts = Counter(indexed)
+        assert all(counts[p] <= 1 for p in built), case.name
+        assert plan_configs, case.name
+        for key, base in bases.items():
+            assert counts[id(base)] == (key in plan_configs), (case.name, key)
+        assert counts[id(case.crash)] == 1, case.name
+        assert set(counts) <= {*built, *map(id, bases.values()), id(case.crash)}, case.name
 
 
 # --- option landscape ---------------------------------------------------------

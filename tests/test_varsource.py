@@ -201,7 +201,30 @@ int f(int x) {
 """
     (frag,) = scan_unit("m.c", text).conditional_fragments()
     shapes = [feat for feat in frag.features if isinstance(feat, BranchShape)]
-    assert shapes == [BranchShape(condition_features=(IntConst(6),), has_else=True)]
+    assert shapes == [
+        BranchShape(condition_features=(IntConst(6),), has_else=True),
+        BranchShape(condition_features=(IntConst(5),), has_else=False),
+    ]
+
+
+def test_else_if_compiles_its_condition():
+    # ``} else if (x > 5) {`` is one nested if in the else arm: the build
+    # compares ``x > 5``, and its features agree with the build.
+    text = "int f(int x) {\n#ifdef A\n  if (x > 6) {\n    g(1);\n  } else if (x > 5) {\n    g(2);\n  }\n#endif\n}\n"
+    tree = SourceTree.from_mapping({"m.c": text})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    program = SimulatedToolchain(tree).build(
+        BuildSpec("gcc", "5", "O0"), ConfigAssignment(macros=frozenset({"A"}))
+    )
+    keyins = [ki for blk in program.functions[0].blocks for ki in blk.keyins]
+    assert sum(ki.kind is KeyKind.COMPARE for ki in keyins) == 2
+    assert (KeyKind.CONST_REF, "5") in [(ki.kind, ki.operand) for ki in keyins]
+    payloads = [feat for feat in frag.features if not isinstance(feat, BranchShape)]
+    assert [_payload_key(feat) for feat in payloads] == _payloads(program)
+    assert [feat for feat in frag.features if isinstance(feat, BranchShape)] == [
+        BranchShape(condition_features=(IntConst(6),), has_else=True),
+        BranchShape(condition_features=(IntConst(5),), has_else=False),
+    ]
 
 
 def test_active_fragment_payloads_occur_in_the_o0_build():
