@@ -1,10 +1,10 @@
 """Build oracle: turn source plus a configuration into a binary model.
 
-The simulated toolchain builds an unoptimized program directly from source
-(one basic block per statement, explicit branch diamonds; ``varsource``'s
-lexer, which also gives the fragment features, reads each block's key
-instructions), then applies a deterministic transform chain that reproduces
-how real compilers leave structural traces of their identity:
+The simulated toolchain builds an unoptimized program directly from source,
+as ``varsource``'s scan, parse and lexer read it, like the fragment features
+(one basic block per statement, explicit branch diamonds). It then applies a
+deterministic transform chain that reproduces how real compilers leave
+structural traces of their identity:
 
 * version pads: a version-indexed number of extra constants appended to
   comparison blocks, chosen in a compiler-salted order so the pad sets of
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import shlex
 import signal
 import subprocess
@@ -84,10 +83,9 @@ from .simdiff import KIND_PRIMES, ProgramIndex, index_program
 from .varsource import (
     ConfigMap,
     SourceTree,
-    _ELSE_IF_RE,
-    _IF_RE,
+    _IfStmt,
+    _parse_statements,
     _scan_expression,
-    _strip_comment,
 )
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
@@ -218,56 +216,6 @@ class ConfigAssignment:
 # --- unoptimized builder -------------------------------------------------
 
 
-@dataclass
-class _SimpleStmt:
-    text: str
-
-
-@dataclass
-class _IfStmt:
-    condition: str
-    then_body: list
-    else_body: list | None
-
-
-def _parse_statements(lines: list[str], i: int, stop_at_brace: bool) -> tuple[list, int]:
-    stmts: list = []
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped:
-            i += 1
-            continue
-        if stripped.startswith("}"):
-            if stop_at_brace:
-                return stmts, i
-            i += 1
-            continue
-        m = _IF_RE.match(stripped)
-        if m:
-            stmt, i = _parse_if(lines, i + 1, m.group(1))
-            stmts.append(stmt)
-            continue
-        stmts.append(_SimpleStmt(text=stripped.rstrip(";")))
-        i += 1
-    return stmts, i
-
-
-def _parse_if(lines: list[str], i: int, condition: str) -> tuple[_IfStmt, int]:
-    """The if statement of ``condition`` whose then arm starts at line ``i``,
-    and the index past its closing brace. A closing ``} else if (c) {``
-    makes the else arm one nested ``if (c)``, whose own closing brace ends
-    the chain."""
-    then_body, i = _parse_statements(lines, i, stop_at_brace=True)
-    closing = lines[i].strip() if i < len(lines) else "}"
-    if m := _ELSE_IF_RE.match(closing):
-        nested, i = _parse_if(lines, i + 1, m.group(1))
-        return _IfStmt(condition=condition, then_body=then_body, else_body=[nested]), i
-    if "else" in closing:
-        else_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
-        return _IfStmt(condition=condition, then_body=then_body, else_body=else_body), i + 1
-    return _IfStmt(condition=condition, then_body=then_body, else_body=None), i + 1
-
-
 class _FunctionEmitter:
     """Statement-per-block emission with explicit branch diamonds."""
 
@@ -287,11 +235,11 @@ class _FunctionEmitter:
         tails: list[str] = []
         for stmt in stmts:
             head = self.new_block()
-            if isinstance(stmt, _SimpleStmt):
-                _scan_expression(stmt.text, head.keyins)
-            else:
+            if isinstance(stmt, _IfStmt):
                 _scan_expression(stmt.condition, head.keyins)
                 head.keyins.append(KeyInstruction(KeyKind.COMPARE))
+            else:
+                _scan_expression(stmt, head.keyins)
             if first is None:
                 first = head.id
             for t in tails:
@@ -310,9 +258,6 @@ class _FunctionEmitter:
         return first, tails
 
 
-_ERROR_DIRECTIVE_RE = re.compile(r"^\s*#\s*error\b\s*(.*)$")
-
-
 def build_unoptimized(
     tree: SourceTree,
     config: ConfigAssignment,
@@ -323,7 +268,8 @@ def build_unoptimized(
 
     A line participates when its owning fragment's condition holds under the
     defined macros; an active #error directive aborts the build, and so does
-    a function defined in two selected units, as it would fail to link.
+    a function defined in two selected units, as it would fail to link. The
+    unit's scan gives the spans, the compiled text and the ``#error`` lines.
 
     A function's body depends only on its unit, its name and which lines of
     its span are active. ``bodies`` memoizes the emitted functions of one
@@ -347,15 +293,13 @@ def build_unoptimized(
     defined_in: dict[str, str] = {}
     for uname in selected:
         scan = tree.scan(unit_map[uname])
-        lines = unit_map[uname].text.splitlines()
         active: set[int] = set()
         for frag in scan.fragments:
             if evaluate(frag.condition, env):
                 active.update(frag.lines)
-        for lineno in sorted(active):
-            m = _ERROR_DIRECTIVE_RE.match(lines[lineno - 1])
-            if m:
-                raise BuildFailureError(f"{uname}:{lineno}: {m.group(1) or '#error'}")
+        for lineno, message in scan.code.errors.items():
+            if lineno in active:
+                raise BuildFailureError(f"{uname}:{lineno}: {message}")
         # A function exists in this configuration when its header line is active.
         for fname, span in scan.functions.items():
             if span.start not in active:
@@ -369,9 +313,7 @@ def build_unoptimized(
             key = (uname, fname, body_lines)
             fn = bodies.get(key)
             if fn is None:
-                body = [_strip_comment(lines[ln - 1]) for ln in body_lines]
-                body = [text for text in body if not text.lstrip().startswith("#")]
-                fn = bodies[key] = _emit_function(fname, body)
+                fn = bodies[key] = _emit_function(fname, [scan.code.text[ln - 1] for ln in body_lines])
             functions.append(fn)
 
     functions.sort(key=lambda f: f.id)
@@ -379,7 +321,8 @@ def build_unoptimized(
 
 
 def _emit_function(fname: str, body: list[str]) -> Function:
-    """The unoptimized function of one body, given as its active lines."""
+    """The unoptimized function of one body, given as the compiled text of
+    its active lines."""
     stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
     emitter = _FunctionEmitter()
     first, _tails = emitter.emit_chain(stmts)
@@ -392,22 +335,30 @@ def _emit_function(fname: str, body: list[str]) -> Function:
 def _elide_empty_blocks(fn: Function) -> None:
     """Remove pass-through blocks with no key instructions, rerouting their
     predecessors. Join points the emitter materializes as empty blocks do
-    not exist in real code layout."""
-    changed = True
-    while changed:
-        changed = False
-        for blk in list(fn.blocks):
-            if blk.keyins or len(blk.succs) != 1 or blk.succs[0] == blk.id:
-                continue
-            dest = blk.succs[0]
-            for other in fn.blocks:
-                if other is not blk:
-                    other.succs = [dest if s == blk.id else s for s in other.succs]
-            if fn.entry == blk.id:
-                fn.entry = dest
-            fn.blocks.remove(blk)
-            changed = True
-            break
+    not exist in real code layout.
+
+    Emitted bodies have no loops, so no removal makes another block pass
+    through: each reference resolves once, past its chain of pass-through
+    blocks, and the other blocks keep their order, as when removing one
+    block at a time and rerouting after each.
+    """
+    skip = {
+        blk.id: blk.succs[0]
+        for blk in fn.blocks
+        if not blk.keyins and len(blk.succs) == 1 and blk.succs[0] != blk.id
+    }
+    if not skip:
+        return
+
+    def resolve(bid: str) -> str:
+        while bid in skip:
+            bid = skip[bid]
+        return bid
+
+    fn.blocks = [blk for blk in fn.blocks if blk.id not in skip]
+    for blk in fn.blocks:
+        blk.succs = [resolve(s) for s in blk.succs]
+    fn.entry = resolve(fn.entry)
 
 
 # --- optimization transform chain ----------------------------------------

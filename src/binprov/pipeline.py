@@ -40,7 +40,7 @@ from .buildoracle import (
 )
 from .conditions import evaluate, to_text
 from .corpusgen import GeneratedCase
-from .errors import BinprovError, MapGapError
+from .errors import BinprovError, ConfigError, MapGapError
 from .matcher import (
     ConstraintReport,
     FragmentDecision,
@@ -377,12 +377,19 @@ def check_matrix_orderings(
     """The fifteen ordering checks a well-behaved option landscape must pass.
 
     Each check reports its achieved worst-case slack; ``ok`` means the slack
-    meets the requested margin.
+    meets the requested margin. ``ConfigError`` names a point of the option
+    space that ``specs`` miss, or a ``grid`` not ``len(specs)`` square.
     """
     specs = list(specs) if specs is not None else all_option_specs()
+    if {len(grid)} | {len(row) for row in grid} != {len(specs)}:
+        cells = sorted({len(row) for row in grid})
+        raise ConfigError(f"grid has {len(grid)} rows of {cells} cells for {len(specs)} specs")
     # Grid position of each (compiler, version, level), so the loops below
     # index rows and cells instead of building and hashing specs.
     at = {(s.compiler, s.version, s.level): i for i, s in enumerate(specs)}
+    missing = [s.text() for s in all_option_specs() if (s.compiler, s.version, s.level) not in at]
+    if missing:
+        raise ConfigError(f"specs do not cover {', '.join(missing)}")
 
     results: list[OrderingResult] = []
     opt = [(s, at[s.compiler, s.version, s.level]) for s in specs if s.level != "O0"]

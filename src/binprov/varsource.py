@@ -1,12 +1,19 @@
-"""Variability-aware source scanning.
+"""Variability-aware source scanning, the one reader of C structure.
 
 For every unit the scanner builds the tree of preprocessor fragments
 (#if/#ifdef/#ifndef/#elif/#else/#endif constructs), assigns every source
 line to exactly one fragment (the innermost one for ordinary lines, the
-enclosing one for the chain directives themselves), and records where
-functions are defined. A fragment's features, computed when first read,
-are the payloads that ``_scan_expression``, the C lexer the build compiles
-with, emits for its lines.
+enclosing one for the chain directives themselves), and reads in the same
+pass the function spans and what the build compiles of each line
+(``_UnitCode``). The build parses each body with ``_parse_statements`` and
+lexes it with ``_scan_expression``; a fragment's features, computed when
+first read, come from the same parse of its lines inside function bodies, so
+they are exactly what the build compiles, ``has_else`` included.
+
+The C subset read: ``{`` must end a function header (``name(params) {`` at
+brace depth 0, after any return type) and an ``if`` line. Braces count outside
+strings and ``//`` comments; char literals, ``/* */``, ``while`` and ``for``
+blocks are not read.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -18,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 from .binmodel import KeyInstruction, KeyKind
 from .conditions import (
@@ -76,16 +84,24 @@ class BranchShape:
 Feature = StringLit | IntConst | CallSig | BranchShape
 
 
+@dataclass(frozen=True)
+class _UnitCode:
+    """What the build compiles of a unit. Per line: ``text``, its ``//`` comment
+    cut, blank for a directive or outside function bodies, and ``body``, the
+    header line of the body holding it, else 0. ``errors``: line -> message."""
+
+    text: list[str]
+    body: list[int]
+    errors: dict[int, str]
+
+
 @dataclass
 class Fragment:
     """One preprocessor fragment of a unit: its presence condition, the
-    lines it owns and their lexical features.
-
-    ``scan_unit`` builds the fragment tree, the lines and the function
-    spans, and hands each fragment its unit's text lines as ``source``;
-    ``features`` is computed from them on first read, since the pipeline
-    reads only the features of conditional fragments and of the roots of
-    optional units."""
+    lines it owns and their features. ``scan_unit`` builds the tree and hands
+    each fragment its unit's ``_UnitCode``; ``features`` is computed on first
+    read, since the pipeline reads only the features of conditional
+    fragments and of the roots of optional units."""
 
     id: str
     unit: str
@@ -93,13 +109,13 @@ class Fragment:
     parent: str | None
     span: tuple[int, int]
     lines: list[int] = field(default_factory=list)
-    source: list[str] | None = field(default=None, repr=False, compare=False)
+    code: _UnitCode | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def features(self) -> tuple[Feature, ...]:
-        """The lexical features of the fragment's lines, kept once read
-        (``()`` without a ``source``); an assigned value replaces them."""
-        return () if self.source is None else _fragment_features(self, self.source)
+        """The features of what the build compiles from the fragment's lines,
+        kept once read (``()`` without ``code``); assigning replaces them."""
+        return () if self.code is None else _fragment_features(self, self.code)
 
     @property
     def is_root(self) -> bool:
@@ -121,6 +137,7 @@ class UnitVariability:
     unit: str
     fragments: list[Fragment]
     functions: dict[str, FunctionSpan]
+    code: _UnitCode
 
     def fragment_map(self) -> dict[str, Fragment]:
         return {f.id: f for f in self.fragments}
@@ -174,15 +191,12 @@ _CHAIN_DIRECTIVES = {"if", "ifdef", "ifndef", "elif", "else", "endif"}
 
 
 def _guard_of(directive: str, rest: str, where: str) -> Condition:
-    if directive == "ifdef":
-        if not rest:
-            raise SchemaError(f"{where}: #ifdef needs a macro name")
-        return DefinedAtom(rest.split()[0])
-    if directive == "ifndef":
-        if not rest:
-            raise SchemaError(f"{where}: #ifndef needs a macro name")
-        return neg(DefinedAtom(rest.split()[0]))
-    return parse_expression(rest)
+    if directive == "if":
+        return parse_expression(rest)
+    if not rest:
+        raise SchemaError(f"{where}: #{directive} needs a macro name")
+    atom = DefinedAtom(rest.split()[0])
+    return atom if directive == "ifdef" else neg(atom)
 
 
 @dataclass
@@ -194,15 +208,20 @@ class _OpenChain:
 
 
 def scan_unit(name: str, text: str) -> UnitVariability:
-    """Build the fragment tree and feature index for one source unit."""
+    """The fragment tree, ``_UnitCode`` and function spans of one unit. A header
+    (``_FUNC_HEADER_RE``) at brace depth 0 opens a function, and the line where
+    the depth is back to 0 closes it; one still open closes past the end."""
     lines = text.splitlines()
+    code = _UnitCode(text=[""] * len(lines), body=[0] * len(lines), errors={})
+    functions: dict[str, FunctionSpan] = {}
+    fname, header, depth = "", 0, 0  # open function, its header line (0: none)
     root = Fragment(
         id=f"{name}#0",
         unit=name,
         condition=TRUE,
         parent=None,
         span=(1, len(lines)),
-        source=lines,
+        code=code,
     )
     fragments: list[Fragment] = [root]
     chains: list[_OpenChain] = []
@@ -217,14 +236,34 @@ def scan_unit(name: str, text: str) -> UnitVariability:
             condition=conj([parent.condition, guard]),
             parent=parent.id,
             span=(start, start - 1),
-            source=lines,
+            code=code,
         )
         fragments.append(frag)
         return frag
 
     for lineno, raw in enumerate(lines, start=1):
-        m = _DIRECTIVE_RE.match(raw)
+        is_directive = raw.lstrip().startswith("#")
+        m = _DIRECTIVE_RE.match(raw) if is_directive else None
         directive = m.group(1) if m else None
+        if is_directive:
+            if directive == "error":
+                code.errors[lineno] = m.group(2) or "#error"
+            code.body[lineno - 1] = header
+        else:
+            cut = _strip_comment(raw)
+            if not header and depth == 0:
+                h = _FUNC_HEADER_RE.search(cut)
+                if h and h.group(1) not in _KEYWORDS:
+                    fname, header = h.group(1), lineno
+            if "{" in cut or "}" in cut:
+                depth += _brace_balance(cut)
+            if depth <= 0:
+                if header:
+                    functions[fname] = FunctionSpan(name=fname, start=header, end=lineno)
+                depth = header = 0
+            elif header and lineno > header:
+                code.text[lineno - 1], code.body[lineno - 1] = cut, header
+
         if directive not in _CHAIN_DIRECTIVES:
             frag = innermost()
             frag.lines.append(lineno)
@@ -232,46 +271,35 @@ def scan_unit(name: str, text: str) -> UnitVariability:
             continue
 
         where = f"{name}:{lineno}"
-        rest = m.group(2)
         if directive in ("if", "ifdef", "ifndef"):
             parent = innermost()
             parent.lines.append(lineno)
-            guard = _guard_of(directive, rest, where)
-            frag = new_fragment(parent, guard, lineno + 1)
-            chains.append(_OpenChain(parent=parent, guards=[guard], current=frag))
-        elif directive == "elif":
-            if not chains:
-                raise SchemaError(f"{where}: #elif without #if")
-            chain = chains[-1]
-            if chain.saw_else:
-                raise SchemaError(f"{where}: #elif after #else")
-            chain.parent.lines.append(lineno)
-            guard = _guard_of("if", rest, where)
-            local = conj([neg(g) for g in chain.guards] + [guard])
-            chain.guards.append(guard)
-            chain.current = new_fragment(chain.parent, local, lineno + 1)
-        elif directive == "else":
-            if not chains:
-                raise SchemaError(f"{where}: #else without #if")
-            chain = chains[-1]
-            if chain.saw_else:
-                raise SchemaError(f"{where}: duplicate #else")
-            chain.parent.lines.append(lineno)
-            local = conj([neg(g) for g in chain.guards])
+            guard = _guard_of(directive, m.group(2), where)
+            chains.append(_OpenChain(parent, [guard], new_fragment(parent, guard, lineno + 1)))
+            continue
+        if not chains:
+            raise SchemaError(f"{where}: #{directive} without #if")
+        chain = chains[-1]
+        chain.parent.lines.append(lineno)
+        if directive == "endif":
+            chains.pop()
+            continue
+        if chain.saw_else:
+            raise SchemaError(f"{where}: #{directive} after #else")
+        local = [neg(g) for g in chain.guards]
+        if directive == "elif":
+            local.append(_guard_of("if", m.group(2), where))
+            chain.guards.append(local[-1])
+        else:
             chain.saw_else = True
-            chain.current = new_fragment(chain.parent, local, lineno + 1)
-        else:  # endif
-            if not chains:
-                raise SchemaError(f"{where}: #endif without #if")
-            chain = chains.pop()
-            chain.parent.lines.append(lineno)
+        chain.current = new_fragment(chain.parent, conj(local), lineno + 1)
 
     if chains:
         raise SchemaError(f"{name}: unterminated #if (opened near line {chains[-1].current.span[0] - 1})")
+    if header:
+        functions[fname] = FunctionSpan(name=fname, start=header, end=len(lines) + 1)
 
-    return UnitVariability(
-        unit=name, fragments=fragments, functions=_function_index(lines)
-    )
+    return UnitVariability(unit=name, fragments=fragments, functions=functions, code=code)
 
 
 def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
@@ -364,67 +392,80 @@ def _text_features(text: str) -> list[Feature]:
     ]
 
 
-def _has_else(lines: list[str], if_index: int) -> bool:
-    head = lines[if_index].lstrip()
-    if head.startswith("}"):  # ``} else if (c) {`` opens the if of ``c``
-        head = head[1:]
-    depth = head.count("{") - head.count("}")
-    if depth <= 0:
-        return False
-    for raw in lines[if_index + 1 :]:
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            return False
-        if stripped.startswith("}") and depth == 1:
-            return "else" in stripped
-        depth += raw.count("{") - raw.count("}")
-        if depth <= 0:
-            return False
-    return False
+def _brace_balance(text: str) -> int:
+    """The count of ``{`` less the count of ``}`` outside string literals."""
+    balance = i = 0
+    while (quote := text.find('"', i)) >= 0:
+        balance += text.count("{", i, quote) - text.count("}", i, quote)
+        i = _string_end(text, quote) + 1
+    return balance + text.count("{", i) - text.count("}", i)
 
 
-def _fragment_features(frag: Fragment, lines: list[str]) -> tuple[Feature, ...]:
-    """Each line's ``_text_features``, after its ``BranchShape`` when the
-    build compiles the line to a comparison (``_IF_RE`` or ``_ELSE_IF_RE``
-    matches it)."""
-    feats: list[Feature] = []
-    for lineno in frag.lines:
-        raw = lines[lineno - 1]
-        if raw.lstrip().startswith("#"):
-            continue
-        text = _strip_comment(raw)
-        if m := _IF_RE.match(text) or _ELSE_IF_RE.match(text):
-            cond = tuple(_text_features(m.group(1)))
-            feats.append(BranchShape(cond, _has_else(lines, lineno - 1)))
-        feats.extend(_text_features(text))
-    return tuple(feats)
+_FUNC_HEADER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{\s*$")
 
 
-_FUNC_HEADER_RE = re.compile(
-    r"^\s*(?:static\s+)?(?:int|void|char|long|short|float|double|unsigned)"
-    r"[\w\s\*]*?([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*\{\s*$"
-)
+@dataclass
+class _IfStmt:
+    condition: str
+    then_body: list
+    else_body: list | None
 
 
-def _function_index(lines: list[str]) -> dict[str, FunctionSpan]:
-    functions: dict[str, FunctionSpan] = {}
-    i = 0
+def _parse_statements(lines: list[str], i: int, stop_at_brace: bool) -> tuple[list, int]:
+    """The statements (``_IfStmt`` or a simple statement's text) from line
+    ``i`` of a body, up to the first ``}`` line if ``stop_at_brace``."""
+    stmts: list = []
     while i < len(lines):
-        m = _FUNC_HEADER_RE.match(_strip_comment(lines[i]))
-        if not m:
-            i += 1
+        stripped = lines[i].strip()
+        if stripped.startswith("}") and stop_at_brace:
+            return stmts, i
+        if m := _IF_RE.match(stripped):
+            stmt, i = _parse_if(lines, i + 1, m.group(1))
+            stmts.append(stmt)
             continue
-        name = m.group(1)
-        depth = lines[i].count("{") - lines[i].count("}")
-        end = i
-        j = i + 1
-        while j < len(lines) and depth > 0:
-            depth += lines[j].count("{") - lines[j].count("}")
-            end = j
-            j += 1
-        functions[name] = FunctionSpan(name=name, start=i + 1, end=end + 1)
-        i = end + 1
-    return functions
+        if stripped and not stripped.startswith("}"):
+            stmts.append(stripped.rstrip(";"))
+        i += 1
+    return stmts, i
+
+
+def _parse_if(lines: list[str], i: int, condition: str) -> tuple[_IfStmt, int]:
+    """The if statement of ``condition`` whose then arm starts at line ``i``,
+    and the index past its closing brace. A closing ``} else if (c) {``
+    makes the else arm one nested ``if (c)``, whose own closing brace ends
+    the chain."""
+    then_body, i = _parse_statements(lines, i, stop_at_brace=True)
+    closing = lines[i].strip() if i < len(lines) else "}"
+    if m := _ELSE_IF_RE.match(closing):
+        nested, i = _parse_if(lines, i + 1, m.group(1))
+        return _IfStmt(condition, then_body, [nested]), i
+    else_body = None
+    if "else" in closing:
+        else_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
+    return _IfStmt(condition, then_body, else_body), i + 1
+
+
+def _statement_features(stmts: list, out: list[Feature]) -> None:
+    """Append the features of ``stmts``: an if's shape, condition, then arms."""
+    for stmt in stmts:
+        if isinstance(stmt, _IfStmt):
+            condition = _text_features(stmt.condition)
+            out.append(BranchShape(tuple(condition), stmt.else_body is not None))
+            out.extend(condition)
+            _statement_features(stmt.then_body, out)
+            _statement_features(stmt.else_body or [], out)
+        else:
+            out.extend(_text_features(stmt))
+
+
+def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
+    """The features of the fragment's lines in each body, parsed as the build does."""
+    feats: list[Feature] = []
+    for header, body in groupby(frag.lines, key=lambda ln: code.body[ln - 1]):
+        if header:
+            stmts, _ = _parse_statements([code.text[ln - 1] for ln in body], 0, stop_at_brace=False)
+            _statement_features(stmts, feats)
+    return tuple(feats)
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 import subprocess
 import time
 
@@ -264,6 +265,72 @@ def test_unoptimized_corpus_shapes(base0):
     assert sizes["leaf_log"] == sizes["leaf_tick"] == 2
     assert not base0.stripped
     assert [f.id for f in base0.functions] == sorted(sizes)
+
+
+def _elide_one_at_a_time(fn: Function) -> None:
+    """The elision the one-sweep ``_elide_empty_blocks`` replaced: remove
+    the first pass-through block, reroute, and start over."""
+    changed = True
+    while changed:
+        changed = False
+        for blk in list(fn.blocks):
+            if blk.keyins or len(blk.succs) != 1 or blk.succs[0] == blk.id:
+                continue
+            dest = blk.succs[0]
+            for other in fn.blocks:
+                if other is not blk:
+                    other.succs = [dest if s == blk.id else s for s in other.succs]
+            if fn.entry == blk.id:
+                fn.entry = dest
+            fn.blocks.remove(blk)
+            changed = True
+            break
+
+
+def _random_body(rng, depth=0) -> list[str]:
+    """Nested if/else statements, calls, and statements with no key
+    instruction, which emit empty pass-through blocks."""
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if depth < 3 and roll < 0.4:
+            lines.append(f"if (x > {rng.randint(0, 9)}) {{")
+            lines += _random_body(rng, depth + 1)
+            if rng.random() < 0.5:
+                lines.append("} else {")
+                lines += _random_body(rng, depth + 1)
+            lines.append("}")
+        elif roll < 0.7:
+            lines.append(f"g({rng.randint(0, 9)});")
+        else:
+            lines.append("x = y;")
+    return lines
+
+
+def _unelided(body: list[str]) -> Function:
+    stmts, _ = varsource._parse_statements(body, 0, stop_at_brace=False)
+    emitter = buildoracle._FunctionEmitter()
+    first, _tails = emitter.emit_chain(stmts)
+    entry = emitter.new_block().id if first is None else first
+    return Function(id="f", entry=entry, blocks=emitter.blocks, symbol="f")
+
+
+def _shape(fn: Function):
+    return fn.entry, [(blk.id, blk.keyins, blk.succs) for blk in fn.blocks]
+
+
+def test_one_sweep_elision_equals_eliding_one_block_at_a_time():
+    rng = random.Random(7)
+    elided = 0
+    for _ in range(400):
+        body = _random_body(rng)
+        swept, reference = _unelided(body), _unelided(body)
+        before = len(swept.blocks)
+        buildoracle._elide_empty_blocks(swept)
+        _elide_one_at_a_time(reference)
+        assert _shape(swept) == _shape(reference), body
+        elided += before - len(swept.blocks)
+    assert elided > 1000
 
 
 # --- transform chain ---------------------------------------------------------

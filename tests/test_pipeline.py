@@ -18,6 +18,7 @@ from binprov.buildoracle import (
 )
 from binprov.conditions import evaluate
 from binprov.corpusgen import generate_case, generate_corpus
+from binprov.errors import ConfigError
 from binprov.pipeline import (
     NO_SIGNAL,
     Verification,
@@ -402,6 +403,23 @@ def test_matrix_orderings_all_hold(grid0, specs):
             assert result.margin >= 0.01, f"{result.name}: {result.margin}"
         else:
             assert result.margin is None
+
+
+def test_orderings_name_the_point_a_partial_spec_list_misses(grid0, specs):
+    keep = [i for i, s in enumerate(specs) if s.text() != "clang-3.9-O0"]
+    partial = [specs[i] for i in keep]
+    grid = [[grid0[i][j] for j in keep] for i in keep]
+    with pytest.raises(ConfigError, match="specs do not cover clang-3.9-O0"):
+        check_matrix_orderings(grid, partial)
+
+
+def test_orderings_reject_a_grid_not_square_in_the_specs(grid0, specs):
+    with pytest.raises(ConfigError, match=r"grid has 49 rows of \[50\] cells for 50 specs"):
+        check_matrix_orderings(grid0[:-1], specs)
+    ragged = [list(row) for row in grid0]
+    ragged[3].pop()
+    with pytest.raises(ConfigError, match=r"grid has 50 rows of \[49, 50\] cells for 50 specs"):
+        check_matrix_orderings(ragged, specs)
 
 
 def test_matrix_text_rendering(grid0, specs):

@@ -7,6 +7,8 @@ import hashlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binprov import varsource
 from binprov.binmodel import KeyKind
@@ -21,7 +23,7 @@ from binprov.buildoracle import (
 from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import MapGapError, SchemaError
-from binprov.matcher import _payload_key
+from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
@@ -100,7 +102,9 @@ def test_scan_is_deterministic():
 def test_features_read_late_match_the_eager_scan_digest():
     # sha256 over repr((fragment id, features)) of every fragment of every
     # unit of corpus seeds 1-3, computed with the scanner that extracted
-    # every fragment's features during the scan.
+    # every fragment's features during the scan, then with the features of
+    # every function-header line dropped (942 CallSigs): a header compiles
+    # to nothing, and features read only lines inside function bodies.
     digest = hashlib.sha256()
     count = 0
     for seed in (1, 2, 3):
@@ -111,7 +115,7 @@ def test_features_read_late_match_the_eager_scan_digest():
                     count += 1
     assert count == 679
     assert digest.hexdigest() == (
-        "c0e6fdaeae6cf33544f9968a0888607ac956f25ea6ee73ec3499d152d85d47be"
+        "65eddab55a28052ea4f18389de9a2c1ae6a0a073d9dc4cfd5ce34f8c87b495dd"
     )
 
 
@@ -228,8 +232,6 @@ def test_else_if_compiles_its_condition():
 
 
 def test_active_fragment_payloads_occur_in_the_o0_build():
-    # Function header lines are lexed but never compiled, so the function
-    # name a header yields is not looked for.
     checked = 0
     for seed in (1, 2, 3):
         for case in generate_corpus(seed, 21):
@@ -243,14 +245,147 @@ def test_active_fragment_payloads_occur_in_the_o0_build():
                 for frag in scan.conditional_fragments():
                     if not evaluate(frag.condition, config.macro_env()):
                         continue
-                    headers = {name for name, span in scan.functions.items() if span.start in frag.lines}
                     for feat in frag.features:
                         key = _payload_key(feat)
-                        if key is None or isinstance(feat, CallSig) and feat.name in headers:
+                        if key is None:
                             continue
                         assert key in payloads, (seed, case.name, frag.id, feat)
                         checked += 1
     assert checked > 400
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "size_t\nf(int x) {",
+        "static inline int f(int x) {",
+        "const char *f(int x) {",
+        "struct node *f(int x) {",
+    ],
+    ids=["size_t-on-the-line-above", "static-inline-int", "const-char-pointer", "struct-pointer"],
+)
+def test_any_return_type_compiles_its_body(header):
+    tree = SourceTree.from_mapping({"m.c": f'{header}\n  g("s", 3);\n}}\n'})
+    program = build_unoptimized(tree, ConfigAssignment())
+    assert [fn.id for fn in program.functions] == ["f"]
+    assert _payloads(program) == [(KeyKind.STRING_REF, "s"), (KeyKind.CONST_REF, "3"), (KeyKind.CALL, "g")]
+
+
+def test_xmllint_snippet_compiles_its_body():
+    tree = SourceTree.from_mapping({"parser.c": XMLLINT_SNIPPET})
+    (on, _off) = scan_tree(tree)["parser.c"].conditional_fragments()
+    program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"LIBXML_HTML_ENABLED"})))
+    assert [fn.id for fn in program.functions] == ["lookup_sequence"]
+    assert _payloads(program) == [_payload_key(feat) for feat in on.features]
+    assert (KeyKind.STRING_REF, "relaxed") in _payloads(program)
+
+
+@pytest.mark.parametrize("line", ["// }", 'puts("}");'], ids=["comment", "string"])
+def test_a_brace_in_a_comment_or_string_does_not_end_the_body(line):
+    tree = SourceTree.from_mapping({"m.c": f"int f(void) {{\n  a();\n  {line}\n  b(1);\n}}\nint g(void) {{\n  c();\n}}\n"})
+    program = build_unoptimized(tree, ConfigAssignment())
+    calls = [operand for kind, operand in _payloads(program) if kind is KeyKind.CALL]
+    assert calls == (["a", "puts", "b", "c"] if "puts" in line else ["a", "b", "c"])
+    assert {name: (span.start, span.end) for name, span in scan_tree(tree)["m.c"].functions.items()} == {
+        "f": (1, 5),
+        "g": (6, 8),
+    }
+
+
+@pytest.mark.parametrize(
+    "arms, has_else",
+    [
+        (["    g(1);", "  } // or else", "  h(2);"], False),
+        (['    g("{");', "  } else {", "    h(2);", "  }"], True),
+    ],
+    ids=["comment-says-else", "then-arm-holds-an-open-brace"],
+)
+def test_has_else_is_the_builds_own_parse(arms, has_else):
+    body = "\n".join(["  if (x > 5) {", *arms])
+    tree = SourceTree.from_mapping({"m.c": f"int f(int x) {{\n#ifdef A\n{body}\n#endif\n}}\n"})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    (shape,) = [feat for feat in frag.features if isinstance(feat, BranchShape)]
+    assert shape.has_else is has_else
+    # In the build, the then arm falls through to ``h`` exactly when ``h``
+    # is no else arm.
+    program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))
+    calls = {ki.operand: blk for blk in program.functions[0].blocks for ki in blk.keyins if ki.kind is KeyKind.CALL}
+    assert (calls["h"].id in calls["g"].succs) is not has_else
+
+
+def test_a_file_scope_global_yields_no_feature_and_no_absence():
+    text = "#ifdef M\nint buf[64];\n#endif\nint f(void) {\n  g(\"s\");\n}\n"
+    tree = SourceTree.from_mapping({"m.c": text})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    assert frag.features == ()
+    crash = SimulatedToolchain(tree).build(BuildSpec("gcc", "6", "O2"), ConfigAssignment(macros=frozenset({"M"})))
+    decision = decide_fragment(frag, PayloadIndex.for_program(crash), "binary")
+    assert decision.presence is Presence.UNKNOWN
+
+
+def _if_statement(draw, depth: int, lines: list[str], has_else: list[bool]) -> None:
+    """Draw one if statement into ``lines``, recording in ``has_else``, in
+    source order, whether each if has an else arm."""
+    condition = draw(st.sampled_from(["x > 3", "x == 0x1f", 'eq(s, "{")', 'ok("}//")']))
+    lines.append(f"if ({condition}) {{" + draw(_TRAILING))
+    slot = len(has_else)
+    has_else.append(False)
+    _statements(draw, depth + 1, lines, has_else)
+    arm = draw(st.sampled_from(["none", "else", "else-if"]))
+    if arm == "else-if":
+        # ``} else if (c) {`` closes the then arm and opens the nested if,
+        # whose own closing line ends the chain.
+        has_else[slot] = True
+        nested: list[str] = []
+        _if_statement(draw, depth + 1, nested, has_else)
+        lines.append("} else " + nested[0])
+        lines.extend(nested[1:])
+        return
+    if arm == "else":
+        has_else[slot] = True
+        lines.append("} else {" + draw(_TRAILING))
+        _statements(draw, depth + 1, lines, has_else)
+    lines.append("}" + draw(_TRAILING))
+
+
+def _statements(draw, depth: int, lines: list[str], has_else: list[bool]) -> None:
+    for _ in range(draw(st.integers(0, 3))):
+        if depth < 3 and draw(st.booleans()):
+            _if_statement(draw, depth, lines, has_else)
+        else:
+            lines.append(draw(_SIMPLE) + draw(_TRAILING))
+
+
+_STRING = st.text(alphabet="ab{}/ ()", max_size=6).map(lambda text: f'"{text}"')
+_ARG = st.one_of(st.integers(0, 999).map(str), st.integers(0, 255).map(hex), _STRING)
+_SIMPLE = st.one_of(
+    st.builds(lambda f, args: f"{f}({', '.join(args)});", st.sampled_from(["lib", "log_it", "g"]), st.lists(_ARG, max_size=3)),
+    st.builds(lambda value: f"acc = acc + {value};", st.integers(0, 999)),
+    st.just("acc = acc;"),
+    st.just("// } else {"),
+)
+_TRAILING = st.sampled_from(["", " // }", " // { else", " // x"])
+
+
+@st.composite
+def _guarded_body(draw):
+    lines: list[str] = []
+    has_else: list[bool] = []
+    _statements(draw, 0, lines, has_else)
+    return lines, has_else
+
+
+@settings(max_examples=80, deadline=None)
+@given(_guarded_body())
+def test_features_of_random_guarded_bodies_are_what_the_build_compiles(body):
+    lines, has_else = body
+    text = "int f(int x) {\n#ifdef A\n" + "".join(f"  {line}\n" for line in lines) + "#endif\n}\n"
+    tree = SourceTree.from_mapping({"m.c": text})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    program = SimulatedToolchain(tree).build(BuildSpec("gcc", "5", "O0"), ConfigAssignment(macros=frozenset({"A"})))
+    payloads = [_payload_key(feat) for feat in frag.features if not isinstance(feat, BranchShape)]
+    assert payloads == _payloads(program)
+    assert [feat.has_else for feat in frag.features if isinstance(feat, BranchShape)] == has_else
 
 
 def _chain_groups(text: str) -> list[list[int]]:
