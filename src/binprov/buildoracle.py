@@ -707,14 +707,15 @@ class _Backend:
     def __init__(self) -> None:
         self._cache: dict[tuple, BinaryProgram] = {}
         self._indexes: dict[tuple, ProgramIndex] = {}
-        self.build_count = 0
+
+    @property
+    def build_count(self) -> int:
+        return len(self._cache.keys() | self._indexes.keys())
 
     def build(self, spec: BuildSpec, config: ConfigAssignment) -> BinaryProgram:
         key = (spec, config.key())
         if key not in self._cache:
             self._cache[key] = self._compile(spec, config)
-            if key not in self._indexes:
-                self.build_count += 1
         return self._cache[key]
 
     def index(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
@@ -722,10 +723,7 @@ class _Backend:
         backend."""
         key = (spec, config.key())
         if key not in self._indexes:
-            index = self._index_of(spec, config)
-            if key not in self._cache:
-                self.build_count += 1
-            self._indexes[key] = index
+            self._indexes[key] = self._index_of(spec, config)
         return self._indexes[key]
 
     def _index_of(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:

@@ -73,42 +73,34 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-def conj(parts) -> Condition:
-    """n-ary AND with flattening and constant elimination."""
+def _nary(parts, node: type, identity: BoolConst) -> Condition:
+    """n-ary ``node`` (``And`` or ``Or``): nested nodes of the same kind are
+    flattened, ``identity`` is dropped, and its opposite absorbs the rest."""
     flat: list[Condition] = []
     for p in parts:
         if isinstance(p, BoolConst):
-            if not p.value:
-                return FALSE
+            if p.value != identity.value:
+                return p
             continue
-        if isinstance(p, And):
+        if isinstance(p, node):
             flat.extend(p.operands)
         else:
             flat.append(p)
     if not flat:
-        return TRUE
+        return identity
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return node(tuple(flat))
+
+
+def conj(parts) -> Condition:
+    """n-ary AND with flattening and constant elimination."""
+    return _nary(parts, And, TRUE)
 
 
 def disj(parts) -> Condition:
     """n-ary OR with flattening and constant elimination."""
-    flat: list[Condition] = []
-    for p in parts:
-        if isinstance(p, BoolConst):
-            if p.value:
-                return TRUE
-            continue
-        if isinstance(p, Or):
-            flat.extend(p.operands)
-        else:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _nary(parts, Or, FALSE)
 
 
 def neg(cond: Condition) -> Condition:
@@ -143,31 +135,31 @@ def to_text(cond: Condition) -> str:
     raise TypeError(f"not a condition: {cond!r}")
 
 
+def atom_key(cond: Condition) -> str:
+    """An atom's key: a defined(NAME) atom's NAME, an opaque atom's verbatim
+    text."""
+    if isinstance(cond, DefinedAtom):
+        return cond.name
+    if isinstance(cond, OpaqueAtom):
+        return cond.text
+    raise TypeError(f"not an atom: {cond!r}")
+
+
 def atom_keys(cond: Condition) -> list[str]:
     """Atom keys in first-appearance order (defined names and opaque texts)."""
-    out: list[str] = []
-    seen: set[str] = set()
+    keys: dict[str, None] = {}
 
     def walk(c: Condition) -> None:
-        if isinstance(c, DefinedAtom):
-            key = c.name
-        elif isinstance(c, OpaqueAtom):
-            key = c.text
-        elif isinstance(c, Not):
+        if isinstance(c, Not):
             walk(c.operand)
-            return
         elif isinstance(c, (And, Or)):
             for op in c.operands:
                 walk(op)
-            return
-        else:
-            return
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
+        elif isinstance(c, (DefinedAtom, OpaqueAtom)):
+            keys[atom_key(c)] = None
 
     walk(cond)
-    return out
+    return list(keys)
 
 
 def evaluate(cond: Condition, env) -> bool:

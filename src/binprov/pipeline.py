@@ -17,7 +17,8 @@ landscape study: the full cross-comparison grid over all fifty build specs
 and the fifteen ordering checks the grid is expected to satisfy (optimized
 levels isolate O0; same compiler binds tighter than cross compiler; version
 distance is monotone; neighboring levels sit closer, with Os closest to O2;
-plus the diagonal/symmetry sanity check).
+plus the diagonal/symmetry sanity check). Each slack check reports the worst
+gap of one stream of comparisons, with the detail of that one comparison.
 """
 
 from __future__ import annotations
@@ -369,6 +370,29 @@ class OrderingResult:
     detail: str = ""
 
 
+def _specs_for(grid: list[list[float]], specs: list[BuildSpec] | None) -> list[BuildSpec]:
+    """``specs`` as a list, all fifty by default. ``ConfigError`` for an
+    empty list or a ``grid`` not ``len(specs)`` square."""
+    specs = list(specs) if specs is not None else all_option_specs()
+    if not specs:
+        raise ConfigError("no specs to lay the grid out by")
+    if {len(grid)} | {len(row) for row in grid} != {len(specs)}:
+        cells = sorted({len(row) for row in grid})
+        raise ConfigError(f"grid has {len(grid)} rows of {cells} cells for {len(specs)} specs")
+    return specs
+
+
+def _worst(comparisons) -> tuple[float, tuple | None]:
+    """The first smallest value below 1.0 in ``comparisons``, a stream of
+    ``(value, fields)``, with its fields; ``(1.0, None)`` if none is below.
+    Every worst gap of ``check_matrix_orderings`` is read by this rule."""
+    worst, fields = 1.0, None
+    for value, at_value in comparisons:
+        if value < worst:
+            worst, fields = value, at_value
+    return worst, fields
+
+
 def check_matrix_orderings(
     grid: list[list[float]],
     specs: list[BuildSpec] | None = None,
@@ -376,150 +400,93 @@ def check_matrix_orderings(
 ) -> list[OrderingResult]:
     """The fifteen ordering checks a well-behaved option landscape must pass.
 
-    Each check reports its achieved worst-case slack; ``ok`` means the slack
-    meets the requested margin. ``ConfigError`` names a point of the option
-    space that ``specs`` miss, or a ``grid`` not ``len(specs)`` square.
+    Most checks are the worst gap of one stream of comparisons: its first
+    smallest slack below 1.0, with the detail of that comparison alone
+    (margin 1.0 and no detail if none is below). ``same-compiler-*`` sets
+    one minimum against one maximum; ``diagonal-and-symmetry`` is exact.
+    ``ok`` means the slack meets the requested margin. ``ConfigError``
+    names a point of the option space that ``specs`` miss, or rejects an
+    empty ``specs`` or a ``grid`` not ``len(specs)`` square.
     """
-    specs = list(specs) if specs is not None else all_option_specs()
-    if {len(grid)} | {len(row) for row in grid} != {len(specs)}:
-        cells = sorted({len(row) for row in grid})
-        raise ConfigError(f"grid has {len(grid)} rows of {cells} cells for {len(specs)} specs")
-    # Grid position of each (compiler, version, level), so the loops below
-    # index rows and cells instead of building and hashing specs.
+    specs = _specs_for(grid, specs)
     at = {(s.compiler, s.version, s.level): i for i, s in enumerate(specs)}
     missing = [s.text() for s in all_option_specs() if (s.compiler, s.version, s.level) not in at]
     if missing:
         raise ConfigError(f"specs do not cover {', '.join(missing)}")
-
+    # pos[comp][k][lv]: grid position of comp's k-th version at level lv, so
+    # the streams below index rows and cells instead of hashing specs.
+    pos = {c: [{lv: at[c, v, lv] for lv in LEVELS} for v in VERSIONS[c]] for c in COMPILERS}
     results: list[OrderingResult] = []
-    opt = [(s, at[s.compiler, s.version, s.level]) for s in specs if s.level != "O0"]
 
-    min_opt = 1.0
-    min_opt_pair = ""
-    for k, (a, i) in enumerate(opt):
-        row = grid[i]
-        for b, j in opt[k + 1:]:
-            v = row[j]
-            if v < min_opt:
-                min_opt, min_opt_pair = v, f"{a.text()} vs {b.text()}"
+    def check(name, gaps, fields, detail) -> None:
+        worst, at_worst = _worst(zip(gaps, fields))
+        text = "" if at_worst is None else detail(*at_worst)
+        results.append(OrderingResult(name, worst >= margin, worst, text))
 
+    def row_check(name, triples, detail) -> None:
+        """Gaps ``row[near] - row[far]`` over (row, near, far) positions;
+        ``detail`` takes the three specs and the two cells."""
+        gaps = [grid[i][j] - grid[i][k] for i, j, k in triples]
+        check(name, gaps, triples, lambda i, j, k: detail(specs[i], specs[j], specs[k], grid[i][j], grid[i][k]))
+
+    opt = [at[s.compiler, s.version, s.level] for s in specs if s.level != "O0"]
+    min_opt, pair = _worst((grid[i][j], (i, j)) for k, i in enumerate(opt) for j in opt[k + 1:])
+    min_opt_pair = " vs ".join(specs[i].text() for i in pair or ())
     for comp in COMPILERS:
-        worst = 1.0
-        detail = ""
-        for v in VERSIONS[comp]:
-            row = grid[at[comp, v, "O0"]]
-            for b, j in opt:
-                s = row[j]
-                if min_opt - s < worst:
-                    worst = min_opt - s
-                    detail = f"min opt pair {min_opt_pair} ({min_opt:.4f}) vs {comp}-{v}-O0~{b.text()} ({s:.4f})"
-        results.append(OrderingResult(f"o0-isolation-{comp}", worst >= margin, worst, detail))
-
+        cells = [(p["O0"], j) for p in pos[comp] for j in opt]
+        check(f"o0-isolation-{comp}", [min_opt - grid[i][j] for i, j in cells], cells, lambda i, j: (
+            f"min opt pair {min_opt_pair} ({min_opt:.4f}) vs {specs[i].text()}~{specs[j].text()} ({grid[i][j]:.4f})"
+        ))
     for comp in COMPILERS:
-        worst = 1.0
-        detail = ""
-        for vi in VERSIONS[comp]:
-            for vj in VERSIONS[comp]:
-                for la in LEVELS:
-                    row = grid[at[comp, vi, la]]
-                    lhs = row[at[comp, vj, la]]
-                    for lb in LEVELS:
-                        if lb == la:
-                            continue
-                        rhs = row[at[comp, vj, lb]]
-                        if lhs - rhs < worst:
-                            worst = lhs - rhs
-                            detail = f"{comp}-{vi}-{la}: same-level {vj} {lhs:.4f} vs {vj}-{lb} {rhs:.4f}"
-        results.append(OrderingResult(f"level-affinity-{comp}", worst >= margin, worst, detail))
-
+        p = pos[comp]
+        row_check(
+            f"level-affinity-{comp}",
+            [(pi[la], pj[la], pj[lb]) for pi in p for pj in p for la in LEVELS for lb in LEVELS if lb != la],
+            lambda r, n, f, a, b: f"{r.text()}: same-level {n.version} {a:.4f} vs {n.version}-{f.level} {b:.4f}",
+        )
     for comp in COMPILERS:
-        worst = 1.0
-        detail = ""
-        versions = VERSIONS[comp]
-        theta = {v: version_theta(BuildSpec(compiler=comp, version=v, level=LEVELS[0])) for v in versions}
-        for lv in LEVELS:
-            for vi in versions:
-                ti = theta[vi]
-                row = grid[at[comp, vi, lv]]
-                for vj in versions:
-                    dj = abs(ti - theta[vj])
-                    for vk in versions:
-                        if dj >= abs(ti - theta[vk]):
-                            continue
-                        near = row[at[comp, vj, lv]]
-                        far = row[at[comp, vk, lv]]
-                        if near - far < worst:
-                            worst = near - far
-                            detail = f"{comp}-{lv}: {vi}~{vj} {near:.4f} vs {vi}~{vk} {far:.4f}"
-        results.append(OrderingResult(f"version-monotonic-{comp}", worst >= margin, worst, detail))
+        p, ks = pos[comp], range(len(pos[comp]))
+        theta = [version_theta(specs[q["O0"]]) for q in p]
+        d = [[abs(ti - tj) for tj in theta] for ti in theta]
+        row_check(
+            f"version-monotonic-{comp}",
+            [(p[i][lv], p[j][lv], p[k][lv]) for lv in LEVELS for i in ks for j in ks for k in ks if d[i][j] < d[i][k]],
+            lambda r, n, f, a, b: f"{r.compiler}-{r.level}: {r.version}~{n.version} {a:.4f} vs {r.version}~{f.version} {b:.4f}",
+        )
 
     for lv in LEVELS:
-        same_min = 1.0
-        for comp in COMPILERS:
-            versions = VERSIONS[comp]
-            for i, vi in enumerate(versions):
-                row = grid[at[comp, vi, lv]]
-                for vj in versions[i + 1:]:
-                    same_min = min(same_min, row[at[comp, vj, lv]])
-        cross_max = 0.0
+        same = [grid[p[k][lv]][q[lv]] for p in pos.values() for k in range(len(p)) for q in p[k + 1:]]
         # Each pair reads the rows of its earlier compiler: cells are symmetric
         # only to 1e-9, so the other side could move the reported slack.
-        for a, b in itertools.combinations(COMPILERS, 2):
-            for vi in VERSIONS[a]:
-                row = grid[at[a, vi, lv]]
-                for vj in VERSIONS[b]:
-                    cross_max = max(cross_max, row[at[b, vj, lv]])
+        cross = [grid[a[lv]][b[lv]] for ca, cb in itertools.combinations(COMPILERS, 2) for a in pos[ca] for b in pos[cb]]
+        same_min, cross_max = min([1.0, *same]), max([0.0, *cross])
         worst = same_min - cross_max
-        results.append(
-            OrderingResult(
-                f"same-compiler-{lv}",
-                worst >= margin,
-                worst,
-                f"min same {same_min:.4f} vs max cross {cross_max:.4f}",
-            )
+        detail = f"min same {same_min:.4f} vs max cross {cross_max:.4f}"
+        results.append(OrderingResult(f"same-compiler-{lv}", worst >= margin, worst, detail))
+
+    for anchor, closer, farther, name in (
+        ("Os", "O2", ("O0", "O1", "O3"), "os-closest-to-o2"),
+        ("O1", "O2", ("O3",), "o1-closer-to-o2-than-o3"),
+        ("O3", "O2", ("O1",), "o3-closer-to-o2-than-o1"),
+    ):
+        row_check(
+            name,
+            [(p[anchor], p[closer], p[lb]) for c in COMPILERS for p in pos[c] for lb in farther],
+            lambda r, n, f, a, b: f"{r.compiler}-{r.version}: {r.level}~{n.level} {a:.4f} vs {r.level}~{f.level} {b:.4f}",
         )
 
-    def per_version_gap(anchor: str, closer: str, farther: tuple[str, ...], tag: str) -> None:
-        worst = 1.0
-        detail = ""
-        for comp in COMPILERS:
-            for v in VERSIONS[comp]:
-                row = grid[at[comp, v, anchor]]
-                base = row[at[comp, v, closer]]
-                for lb in farther:
-                    other = row[at[comp, v, lb]]
-                    if base - other < worst:
-                        worst = base - other
-                        detail = f"{comp}-{v}: {anchor}~{closer} {base:.4f} vs {anchor}~{lb} {other:.4f}"
-        results.append(OrderingResult(tag, worst >= margin, worst, detail))
-
-    per_version_gap("Os", "O2", ("O0", "O1", "O3"), "os-closest-to-o2")
-    per_version_gap("O1", "O2", ("O3",), "o1-closer-to-o2-than-o3")
-    per_version_gap("O3", "O2", ("O1",), "o3-closer-to-o2-than-o1")
-
-    diag_dev = max(abs(grid[i][i] - 1.0) for i in range(len(specs)))
-    sym_dev = max(
-        abs(grid[i][j] - grid[j][i])
-        for i in range(len(specs))
-        for j in range(i + 1, len(specs))
-    )
-    results.append(
-        OrderingResult(
-            "diagonal-and-symmetry",
-            diag_dev == 0.0 and sym_dev <= 1e-9,
-            None,
-            f"diagonal deviation {diag_dev:.2e}, symmetry deviation {sym_dev:.2e}",
-        )
-    )
+    n = len(specs)
+    diag_dev = max(abs(grid[i][i] - 1.0) for i in range(n))
+    sym_dev = max(abs(grid[i][j] - grid[j][i]) for i in range(n) for j in range(i + 1, n))
+    detail = f"diagonal deviation {diag_dev:.2e}, symmetry deviation {sym_dev:.2e}"
+    results.append(OrderingResult("diagonal-and-symmetry", diag_dev == 0.0 and sym_dev <= 1e-9, None, detail))
     return results
 
 
 def matrix_to_text(grid: list[list[float]], specs: list[BuildSpec] | None = None) -> str:
-    """Compact heat table: one row per spec, two-digit percentages."""
-    specs = list(specs) if specs is not None else all_option_specs()
+    """Compact heat table: one row per spec, two-digit percentages.
+    ``ConfigError`` for an empty spec list or a grid not square in it."""
+    specs = _specs_for(grid, specs)
     width = max(len(s.text()) for s in specs)
-    lines = []
-    for s, row in zip(specs, grid):
-        cells = " ".join(f"{int(round(v * 100)):3d}" for v in row)
-        lines.append(f"{s.text():<{width}} {cells}")
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(f"{int(round(v * 100)):3d}" for v in row) for row in grid)
+    return "".join(f"{s.text():<{width}} {cells}\n" for s, cells in zip(specs, rows))

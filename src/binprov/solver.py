@@ -29,6 +29,7 @@ from .conditions import (
     Not,
     OpaqueAtom,
     Or,
+    atom_key,
     atom_keys,
     evaluate,
     to_text,
@@ -126,14 +127,6 @@ def _nnf(cond: Condition, negated: bool = False) -> Condition:
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def _atom_key(cond: Condition) -> str:
-    if isinstance(cond, DefinedAtom):
-        return cond.name
-    if isinstance(cond, OpaqueAtom):
-        return cond.text
-    raise TypeError(f"not an atom: {cond!r}")
-
-
 def _cnf_clauses(cond: Condition, table: AtomTable, fresh: Iterator[int]) -> list[Clause] | None:
     """Plaisted–Greenbaum CNF of a single condition. None means it is false.
 
@@ -152,9 +145,9 @@ def _cnf_clauses(cond: Condition, table: AtomTable, fresh: Iterator[int]) -> lis
         if isinstance(c, BoolConst):
             return [] if c.value else None
         if isinstance(c, (DefinedAtom, OpaqueAtom)):
-            return [frozenset({(table.intern(_atom_key(c)), True)})]
+            return [frozenset({(table.intern(atom_key(c)), True)})]
         if isinstance(c, Not):
-            return [frozenset({(table.intern(_atom_key(c.operand)), False)})]
+            return [frozenset({(table.intern(atom_key(c.operand)), False)})]
         if isinstance(c, And):
             out: list[Clause] = []
             for op in c.operands:

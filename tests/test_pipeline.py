@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -420,6 +421,79 @@ def test_orderings_reject_a_grid_not_square_in_the_specs(grid0, specs):
     ragged[3].pop()
     with pytest.raises(ConfigError, match=r"grid has 50 rows of \[49, 50\] cells for 50 specs"):
         check_matrix_orderings(ragged, specs)
+
+
+def _synthetic_grid(specs, cell):
+    return [[1.0 if a == b else cell(a, b) for b in specs] for a in specs]
+
+
+def _set(grid, specs, row, col, value):
+    pos = {s.text(): i for i, s in enumerate(specs)}
+    grid[pos[row]][pos[col]] = value
+
+
+def test_orderings_worst_gap_rule_on_synthetic_grids(specs):
+    # Same-level cells 1.0, all others 0.0: every level-affinity gap is 1.0,
+    # none below the 1.0 ceiling, so the margin stays 1.0 with no detail.
+    grid = _synthetic_grid(specs, lambda a, b: 1.0 if a.level == b.level else 0.0)
+    by_name = {r.name: r for r in check_matrix_orderings(grid, specs)}
+    for comp in ("gcc", "clang"):
+        result = by_name[f"level-affinity-{comp}"]
+        assert (result.ok, repr(result.margin), result.detail) == (True, "1.0", "")
+
+    # Two equal worst gaps: the one the loop order (row version, compared
+    # version, row level, other level) reaches first is reported, although
+    # the other lies in an earlier grid row.
+    _set(grid, specs, "gcc-5-O3", "gcc-6-O3", 0.25)
+    _set(grid, specs, "gcc-5-O3", "gcc-6-O1", 0.75)
+    _set(grid, specs, "gcc-5-O0", "gcc-7-O0", 0.25)
+    _set(grid, specs, "gcc-5-O0", "gcc-7-O2", 0.75)
+    result = {r.name: r for r in check_matrix_orderings(grid, specs)}["level-affinity-gcc"]
+    assert repr(result.margin) == repr(0.25 - 0.75)
+    assert result.detail == "gcc-5-O3: same-level 6 0.2500 vs 6-O1 0.7500"
+
+    # The same in one row of os-closest-to-o2: the farther levels are read
+    # O0, O1, O3, and gcc before clang.
+    grid = _synthetic_grid(specs, lambda a, b: 0.5)
+    for row, far in (("clang-3.9-Os", "clang-3.9-O0"), ("gcc-9-Os", "gcc-9-O3"), ("gcc-9-Os", "gcc-9-O1")):
+        _set(grid, specs, row, row[:-2] + "O2", 0.25)
+        _set(grid, specs, row, far, 0.75)
+    result = {r.name: r for r in check_matrix_orderings(grid, specs)}["os-closest-to-o2"]
+    assert result.detail == "gcc-9: Os~O2 0.2500 vs Os~O1 0.7500"
+
+
+def _with_unordered_pair(result):
+    # The min opt pair prints in spec order, so a permutation may swap it.
+    head, sep, rest = result.detail.partition(" (")
+    if head.startswith("min opt pair "):
+        head = " vs ".join(sorted(head[len("min opt pair "):].split(" vs ")))
+    return (result.name, result.ok, repr(result.margin), head + sep + rest)
+
+
+def test_orderings_do_not_depend_on_the_spec_order(specs):
+    rng = random.Random(21)
+    n = len(specs)
+    values = iter(rng.sample(range(1, 10**6), n * (n - 1) // 2))
+    grid = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = grid[j][i] = next(values) / 10**6
+    expected = [_with_unordered_pair(r) for r in check_matrix_orderings(grid, specs)]
+    for _ in range(3):
+        order = rng.sample(range(n), n)
+        permuted = [[grid[i][j] for j in order] for i in order]
+        results = check_matrix_orderings(permuted, [specs[i] for i in order])
+        assert [_with_unordered_pair(r) for r in results] == expected
+
+
+def test_matrix_text_rejects_an_empty_spec_list():
+    with pytest.raises(ConfigError, match="no specs"):
+        matrix_to_text([], [])
+
+
+def test_matrix_text_rejects_a_grid_not_square_in_the_specs():
+    with pytest.raises(ConfigError, match=r"grid has 1 rows of \[1\] cells for 50 specs"):
+        matrix_to_text([[1.0]])
 
 
 def test_matrix_text_rendering(grid0, specs):
