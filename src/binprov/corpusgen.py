@@ -459,12 +459,7 @@ def write_corpus(cases: list[GeneratedCase], root: Path) -> None:
         (cdir / "src").mkdir(parents=True, exist_ok=True)
         for unit in case.tree.units:
             (cdir / "src" / unit.name).write_text(unit.text)
-        map_text = "\n".join(
-            f"{f.name} : "
-            + ", ".join([f"define {m}" for m in f.defines] + [f"unit {u}" for u in f.units])
-            for f in case.config_map.flags
-        )
-        (cdir / "config.map").write_text(map_text + "\n")
+        (cdir / "config.map").write_text(case.config_map.to_text())
         (cdir / "crash.model").write_text(serialize_model(case.crash))
         manifest = {
             "name": case.name,

@@ -3,11 +3,11 @@ binary and derive presence-condition constraints from the decisions.
 
 Coarse matching counts payload occurrences (string contents, call symbols,
 constant values) inside a range of the crash binary, either one matched
-function or the whole binary. Exactly one occurrence is a Found, zero is a
-NotFound, more than one is a NotUnique and supports no conclusion by itself.
-Fine matching handles branch shapes: a comparison block whose payloads cover
-the branch-condition features, with a second successor when the source
-branch has an else arm.
+function or the whole binary. Fine matching handles branch shapes: it counts
+comparison blocks whose payloads cover the branch-condition features, with
+a second successor when the source branch has an else arm. Both read their
+count by one rule: exactly one is a Found, zero is a NotFound, more than one
+is a NotUnique and supports no conclusion by itself.
 
 Fragment decisions run the feature groups in priority order, strings before
 calls before constants, because string payloads survive every optimization
@@ -113,13 +113,15 @@ def _payload_key(feature: Feature) -> tuple[KeyKind, str] | None:
     return None
 
 
-def coarse_match(feature: Feature, index: PayloadIndex) -> MatchVerdict:
-    n = index.occurrences(feature)
+def _verdict(n: int) -> MatchVerdict:
+    """The verdict for ``n`` matches, by the rule in the module docstring."""
     if n == 0:
         return MatchVerdict.NOT_FOUND
-    if n == 1:
-        return MatchVerdict.FOUND
-    return MatchVerdict.NOT_UNIQUE
+    return MatchVerdict.FOUND if n == 1 else MatchVerdict.NOT_UNIQUE
+
+
+def coarse_match(feature: Feature, index: PayloadIndex) -> MatchVerdict:
+    return _verdict(index.occurrences(feature))
 
 
 def _block_payloads(blk: BasicBlock) -> Counter:
@@ -137,18 +139,11 @@ def _shape_block_matches(shape: BranchShape, blk: BasicBlock) -> bool:
     for key, cnt in need.items():
         if have[key] < cnt:
             return False
-    if shape.has_else and len(blk.succs) < 2:
-        return False
-    return bool(blk.succs) or not shape.has_else
+    return not shape.has_else or len(blk.succs) >= 2
 
 
 def fine_match_shape(shape: BranchShape, index: PayloadIndex) -> MatchVerdict:
-    hits = sum(1 for blk in index.blocks if _shape_block_matches(shape, blk))
-    if hits == 0:
-        return MatchVerdict.NOT_FOUND
-    if hits == 1:
-        return MatchVerdict.FOUND
-    return MatchVerdict.NOT_UNIQUE
+    return _verdict(sum(1 for blk in index.blocks if _shape_block_matches(shape, blk)))
 
 
 def decide_fragment(fragment: Fragment, index: PayloadIndex, scope: str) -> FragmentDecision:
@@ -262,7 +257,7 @@ def derive_constraints(
     pairs = {p.left: p for p in diff.pairs}
     whole = PayloadIndex.for_program(crash)
 
-    derived: list[tuple[Condition, FragmentDecision]] = []
+    derived: list[Condition] = []
     for unit_name in sorted(scans):
         scan = scans[unit_name]
         for fragment in scan.conditional_fragments():
@@ -277,32 +272,21 @@ def derive_constraints(
                 decision = decide_fragment(fragment, whole, "binary")
             report.decisions.append(decision)
             if decision.presence is Presence.PRESENT:
-                derived.append((fragment.condition, decision))
+                derived.append(fragment.condition)
             elif decision.presence is Presence.ABSENT:
-                derived.append((neg(fragment.condition), decision))
+                derived.append(neg(fragment.condition))
 
-    by_text: dict[str, list[int]] = {}
-    for i, (cond, _dec) in enumerate(derived):
-        by_text.setdefault(to_text(cond), []).append(i)
-
-    dropped: set[int] = set()
-    for text, idxs in by_text.items():
-        neg_text = to_text(neg(derived[idxs[0]][0]))
-        partners = by_text.get(neg_text)
-        if partners:
-            for i in idxs + partners:
-                dropped.add(i)
+    texts = [to_text(cond) for cond in derived]
+    present = set(texts)
+    kept: set[str] = set()
+    for cond, text in zip(derived, texts):
+        neg_text = to_text(neg(cond))
+        if neg_text in present:
+            report.dropped.append(cond)
             if (text, neg_text) not in report.conflicts and (neg_text, text) not in report.conflicts:
                 report.conflicts.append((text, neg_text))
                 l.warning("conflicting presence evidence, dropping both: %s vs %s", text, neg_text)
-
-    seen: set[str] = set()
-    for i, (cond, _dec) in enumerate(derived):
-        if i in dropped:
-            report.dropped.append(cond)
-            continue
-        text = to_text(cond)
-        if text not in seen:
-            seen.add(text)
+        elif text not in kept:
+            kept.add(text)
             report.constraints.append(cond)
     return report

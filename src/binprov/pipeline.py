@@ -208,19 +208,16 @@ def _configure(
             report.reason = NO_SIGNAL
             return report
 
+        # An optional unit is present when its root fragment, which
+        # scan_unit puts first, is. A unit the tree lacks is not decided.
         whole = PayloadIndex.for_program(crash)
-        present_units: list[str] = []
-        for unit in _optional_units(config_map):
-            # An optional unit is present when its root fragment is.
-            fragments = scans[unit].fragments if unit in scans else ()
-            root = next((f for f in fragments if f.is_root), None)
-            if root is None:
-                continue
-            decision = decide_fragment(root, whole, "binary")
-            report.decisions += (decision,)
-            if decision.presence is Presence.PRESENT:
-                present_units.append(unit)
-        report.present_units = tuple(present_units)
+        roots = {
+            unit: decide_fragment(scans[unit].fragments[0], whole, "binary")
+            for unit in _optional_units(config_map) if unit in scans
+        }
+        report.decisions += tuple(roots.values())
+        report.present_units = tuple(u for u, d in roots.items() if d.presence is Presence.PRESENT)
+        present_units = set(report.present_units)
 
         # Atoms of conflict-dropped evidence stay in the model, free to refine.
         table = AtomTable()
@@ -233,13 +230,13 @@ def _configure(
             report.reason = f"constraints unsatisfiable: {core}"
             return report
         outcome = _refine_free_atoms(
-            backend, crash_index, config_map, spec, base_units, set(present_units), outcome
+            backend, crash_index, config_map, spec, base_units, present_units, outcome
         )
         report.model = outcome
 
         try:
             flags, final_config = _config_for_model(
-                config_map, base_units, set(present_units), outcome
+                config_map, base_units, present_units, outcome
             )
         except MapGapError as exc:
             report.reason = f"configuration map gap: {exc}"
@@ -372,10 +369,14 @@ class OrderingResult:
 
 def _specs_for(grid: list[list[float]], specs: list[BuildSpec] | None) -> list[BuildSpec]:
     """``specs`` as a list, all fifty by default. ``ConfigError`` for an
-    empty list or a ``grid`` not ``len(specs)`` square."""
+    empty list, a spec listed twice, or a ``grid`` not ``len(specs)``
+    square."""
     specs = list(specs) if specs is not None else all_option_specs()
     if not specs:
         raise ConfigError("no specs to lay the grid out by")
+    if len(set(specs)) < len(specs):
+        twice = next(s for i, s in enumerate(specs) if s in specs[:i])
+        raise ConfigError(f"spec {twice.text()} listed twice")
     if {len(grid)} | {len(row) for row in grid} != {len(specs)}:
         cells = sorted({len(row) for row in grid})
         raise ConfigError(f"grid has {len(grid)} rows of {cells} cells for {len(specs)} specs")
@@ -405,8 +406,8 @@ def check_matrix_orderings(
     (margin 1.0 and no detail if none is below). ``same-compiler-*`` sets
     one minimum against one maximum; ``diagonal-and-symmetry`` is exact.
     ``ok`` means the slack meets the requested margin. ``ConfigError``
-    names a point of the option space that ``specs`` miss, or rejects an
-    empty ``specs`` or a ``grid`` not ``len(specs)`` square.
+    names a point of the option space that ``specs`` miss or list twice, or
+    rejects an empty ``specs`` or a ``grid`` not ``len(specs)`` square.
     """
     specs = _specs_for(grid, specs)
     at = {(s.compiler, s.version, s.level): i for i, s in enumerate(specs)}
@@ -485,7 +486,8 @@ def check_matrix_orderings(
 
 def matrix_to_text(grid: list[list[float]], specs: list[BuildSpec] | None = None) -> str:
     """Compact heat table: one row per spec, two-digit percentages.
-    ``ConfigError`` for an empty spec list or a grid not square in it."""
+    ``ConfigError`` for an empty spec list, a spec listed twice, or a grid
+    not square in it."""
     specs = _specs_for(grid, specs)
     width = max(len(s.text()) for s in specs)
     rows = (" ".join(f"{int(round(v * 100)):3d}" for v in row) for row in grid)

@@ -1,12 +1,12 @@
 """Satisfiability over presence conditions.
 
-Each constraint is put in negation normal form and turned into clauses with
-the Plaisted–Greenbaum encoding: an OR disjunct that is more than one clause
-is named by a fresh variable, so clause count grows linearly with formula
-size. A plain DPLL search decides the clauses, trying False before True at
-every decision. Fresh variables are numbered below every atom, so the search
-first decides which disjunct holds and only then touches an atom. The point
-of this module is a precise contract:
+Each constraint is turned into clauses by one walk that tracks the polarity
+of each subformula (the Plaisted–Greenbaum encoding): an OR disjunct that is
+more than one clause is named by a fresh variable, so clause count grows
+linearly with formula size. A plain DPLL search decides the clauses, trying
+False before True at every decision. Fresh variables are numbered below
+every atom, so the search first decides which disjunct holds and only then
+touches an atom. The point of this module is a precise contract:
 
 * ``solve`` returns either a total ``Model`` over every atom the solver has
   seen, or an ``Unsatisfiable`` carrying a minimal-by-deletion core. An atom
@@ -111,82 +111,62 @@ class Unsatisfiable:
     core: tuple[Condition, ...]
 
 
-def _nnf(cond: Condition, negated: bool = False) -> Condition:
-    if isinstance(cond, BoolConst):
-        return BoolConst(cond.value != negated)
-    if isinstance(cond, (DefinedAtom, OpaqueAtom)):
-        return Not(cond) if negated else cond
-    if isinstance(cond, Not):
-        return _nnf(cond.operand, not negated)
-    if isinstance(cond, And):
-        parts = tuple(_nnf(op, negated) for op in cond.operands)
-        return Or(parts) if negated else And(parts)
-    if isinstance(cond, Or):
-        parts = tuple(_nnf(op, negated) for op in cond.operands)
-        return And(parts) if negated else Or(parts)
-    raise TypeError(f"not a condition: {cond!r}")
-
-
 def _cnf_clauses(cond: Condition, table: AtomTable, fresh: Iterator[int]) -> list[Clause] | None:
     """Plaisted–Greenbaum CNF of a single condition. None means it is false.
 
-    In an OR, a disjunct whose CNF is one clause is merged into the OR
-    clause. Any other disjunct gets a fresh variable ``x`` from ``fresh``:
-    ``x`` joins the OR clause and each clause ``C`` of the disjunct becomes
-    ``¬x ∨ C``. After NNF every subformula occurs positively, so ``x`` only
-    has to imply its disjunct: the clauses are satisfiable exactly when the
-    condition is, and any model of them satisfies it. Clause count is linear
-    in formula size, and a condition with no OR above an AND gets the same
-    clauses a distributive conversion would.
+    One walk carries each subformula's polarity: ``Not`` flips it, and a
+    negated AND is encoded as an OR, a negated OR as an AND. In an OR, a
+    disjunct whose CNF is one clause is merged into the OR clause. Any other
+    disjunct gets a fresh variable ``x`` from ``fresh``: ``x`` joins the OR
+    clause and each clause ``C`` of the disjunct becomes ``¬x ∨ C``. Each
+    disjunct is encoded at its own polarity, so ``x`` only has to imply it:
+    the clauses are satisfiable exactly when the condition is, and any model
+    of them satisfies it. Clause count is linear in formula size, and a
+    condition with no OR above an AND gets the same clauses a distributive
+    conversion would.
     """
-    nnf = _nnf(cond)
 
-    def walk(c: Condition) -> list[Clause] | None:
+    def walk(c: Condition, negated: bool) -> list[Clause] | None:
         if isinstance(c, BoolConst):
-            return [] if c.value else None
+            return [] if c.value != negated else None
         if isinstance(c, (DefinedAtom, OpaqueAtom)):
-            return [frozenset({(table.intern(atom_key(c)), True)})]
+            return [frozenset({(table.intern(atom_key(c)), not negated)})]
         if isinstance(c, Not):
-            return [frozenset({(table.intern(atom_key(c.operand)), False)})]
-        if isinstance(c, And):
+            return walk(c.operand, not negated)
+        if not isinstance(c, (And, Or)):
+            raise TypeError(f"not a condition: {c!r}")
+        if isinstance(c, And) != negated:
             out: list[Clause] = []
             for op in c.operands:
-                sub = walk(op)
+                sub = walk(op, negated)
                 if sub is None:
                     return None
                 out.extend(sub)
             return out
-        if isinstance(c, Or):
-            clause: Clause | None = None
-            defs: list[Clause] = []
-            for op in c.operands:
-                sub = walk(op)
-                if sub is None:
-                    continue
-                if not sub:
-                    return []  # one disjunct is trivially true
-                if len(sub) == 1:
-                    lits = sub[0]
-                else:
-                    x = next(fresh)
-                    lits = frozenset({(x, True)})
-                    defs.extend(cl | {(x, False)} for cl in sub)
-                clause = lits if clause is None else clause | lits
-            if clause is None:
-                return None  # every disjunct was false
-            return [clause, *defs]
-        raise TypeError(f"not a condition: {c!r}")
+        clause: Clause | None = None
+        defs: list[Clause] = []
+        for op in c.operands:
+            sub = walk(op, negated)
+            if sub is None:
+                continue
+            if not sub:
+                return []  # one disjunct is trivially true
+            if len(sub) == 1:
+                lits = sub[0]
+            else:
+                x = next(fresh)
+                lits = frozenset({(x, True)})
+                defs.extend(cl | {(x, False)} for cl in sub)
+            clause = lits if clause is None else clause | lits
+        if clause is None:
+            return None  # every disjunct was false
+        return [clause, *defs]
 
-    clauses = walk(nnf)
+    clauses = walk(cond, False)
     if clauses is None:
         return None
     # Drop tautological clauses (contain both polarities of an atom).
-    kept = []
-    for cl in clauses:
-        if any((idx, not pol) in cl for idx, pol in cl):
-            continue
-        kept.append(cl)
-    return kept
+    return [cl for cl in clauses if not any((idx, not pol) in cl for idx, pol in cl)]
 
 
 def _dpll(clauses: list[Clause]) -> dict[int, bool] | None:

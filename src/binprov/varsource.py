@@ -539,6 +539,14 @@ class ConfigMap:
             flags.append(ConfigFlag(name=name, defines=tuple(defines), units=tuple(units)))
         return cls(flags=flags)
 
+    def to_text(self) -> str:
+        """The text format ``parse`` reads, one line per flag."""
+        lines = (
+            f"{f.name} : " + ", ".join([f"define {m}" for m in f.defines] + [f"unit {u}" for u in f.units])
+            for f in self.flags
+        )
+        return "\n".join(lines) + "\n"
+
 
 def resolve_flags(
     config_map: ConfigMap, enabled_macros: set[str], present_units: set[str]

@@ -272,6 +272,38 @@ def test_conflicting_evidence_is_dropped_in_pairs():
     ]
 
 
+def _guarded(*arms):
+    """A unit of one function per (directive, macro, string) arm."""
+    return "".join(
+        f"#{d} {m}\nint f_{text.replace('-', '_')}(void) {{\n    mark(\"{text}\");\n}}\n#endif\n"
+        for d, m, text in arms
+    )
+
+
+def test_conflict_order_with_repeated_evidence_on_each_side():
+    # defined(A) and !defined(A) each arrive twice, !defined(C) before
+    # defined(C), and defined(B) twice; only "d-on" is missing from the crash.
+    tree = SourceTree.from_mapping({
+        "a.c": _guarded(("ifndef", "C", "c-off"), ("ifdef", "A", "a-on-1"), ("ifdef", "B", "b-on-1")),
+        "b.c": _guarded(("ifdef", "A", "a-on-2"), ("ifndef", "A", "a-off-1"), ("ifdef", "C", "c-on")),
+        "c.c": _guarded(("ifndef", "A", "a-off-2"), ("ifdef", "B", "b-on-2"), ("ifdef", "D", "d-on")),
+    })
+    strings = ["c-off", "a-on-1", "b-on-1", "a-on-2", "a-off-1", "c-on", "a-off-2", "b-on-2"]
+    crash = BinaryProgram(
+        name="crash",
+        stripped=True,
+        functions=[Function(id="f000", entry="b0", blocks=[
+            _block("b0", [_ki(KeyKind.STRING_REF, t) for t in strings]),
+        ])],
+    )
+    report = derive_constraints(scan_tree(tree), crash, diff_programs(_built(tree), crash))
+    assert report.conflicts == [("!defined(C)", "defined(C)"), ("defined(A)", "!defined(A)")]
+    assert [to_text(c) for c in report.dropped] == [
+        "!defined(C)", "defined(A)", "defined(A)", "!defined(A)", "defined(C)", "!defined(A)",
+    ]
+    assert [to_text(c) for c in report.constraints] == ["defined(B)", "!defined(D)"]
+
+
 TWIN_SRC = """\
 int twin_one(int x) {
     shared_helper(x);

@@ -423,6 +423,18 @@ def test_orderings_reject_a_grid_not_square_in_the_specs(grid0, specs):
         check_matrix_orderings(ragged, specs)
 
 
+def _with_a_repeat(grid0, specs):
+    """The grid and spec list with ``specs[7]`` (gcc-6-O2) listed again."""
+    idx = [*range(len(specs)), 7]
+    return [[grid0[i][j] for j in idx] for i in idx], [specs[i] for i in idx]
+
+
+def test_orderings_reject_a_spec_listed_twice(grid0, specs):
+    grid, repeated = _with_a_repeat(grid0, specs)
+    with pytest.raises(ConfigError, match="spec gcc-6-O2 listed twice"):
+        check_matrix_orderings(grid, repeated)
+
+
 def _synthetic_grid(specs, cell):
     return [[1.0 if a == b else cell(a, b) for b in specs] for a in specs]
 
@@ -494,6 +506,12 @@ def test_matrix_text_rejects_an_empty_spec_list():
 def test_matrix_text_rejects_a_grid_not_square_in_the_specs():
     with pytest.raises(ConfigError, match=r"grid has 1 rows of \[1\] cells for 50 specs"):
         matrix_to_text([[1.0]])
+
+
+def test_matrix_text_rejects_a_spec_listed_twice(grid0, specs):
+    grid, repeated = _with_a_repeat(grid0, specs)
+    with pytest.raises(ConfigError, match="spec gcc-6-O2 listed twice"):
+        matrix_to_text(grid, repeated)
 
 
 def test_matrix_text_rendering(grid0, specs):

@@ -23,7 +23,9 @@ from binprov.conditions import (
     BoolConst,
     DefinedAtom,
     Not,
+    OpaqueAtom,
     Or,
+    atom_key,
     atom_keys,
     evaluate,
     neg,
@@ -366,3 +368,83 @@ def test_solve_agrees_with_enumeration_on_nested_guards(constraints):
         assert not enumerate_models(core, limit=1)
         for i in range(len(core)):
             assert enumerate_models(core[:i] + core[i + 1:], limit=1)
+
+
+def _reference_nnf(cond, negated=False):
+    if isinstance(cond, BoolConst):
+        return BoolConst(cond.value != negated)
+    if isinstance(cond, (DefinedAtom, OpaqueAtom)):
+        return Not(cond) if negated else cond
+    if isinstance(cond, Not):
+        return _reference_nnf(cond.operand, not negated)
+    if isinstance(cond, And):
+        parts = tuple(_reference_nnf(op, negated) for op in cond.operands)
+        return Or(parts) if negated else And(parts)
+    if isinstance(cond, Or):
+        parts = tuple(_reference_nnf(op, negated) for op in cond.operands)
+        return And(parts) if negated else Or(parts)
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+def _reference_cnf_clauses(cond, table, fresh):
+    """The encoding as an NNF copy followed by a walk over the copy: the
+    reference the one-walk ``_cnf_clauses`` must reproduce exactly."""
+
+    def walk(c):
+        if isinstance(c, BoolConst):
+            return [] if c.value else None
+        if isinstance(c, (DefinedAtom, OpaqueAtom)):
+            return [frozenset({(table.intern(atom_key(c)), True)})]
+        if isinstance(c, Not):
+            return [frozenset({(table.intern(atom_key(c.operand)), False)})]
+        if isinstance(c, And):
+            out = []
+            for op in c.operands:
+                sub = walk(op)
+                if sub is None:
+                    return None
+                out.extend(sub)
+            return out
+        clause, defs = None, []
+        for op in c.operands:
+            sub = walk(op)
+            if sub is None:
+                continue
+            if not sub:
+                return []
+            if len(sub) == 1:
+                lits = sub[0]
+            else:
+                x = next(fresh)
+                lits = frozenset({(x, True)})
+                defs.extend(cl | {(x, False)} for cl in sub)
+            clause = lits if clause is None else clause | lits
+        return None if clause is None else [clause, *defs]
+
+    clauses = walk(_reference_nnf(cond))
+    if clauses is None:
+        return None
+    return [cl for cl in clauses if not any((idx, not pol) in cl for idx, pol in cl)]
+
+
+# Built from the node classes, not conj/disj, so constants inside AND/OR,
+# one-operand nodes and double negations all occur.
+_raw_leaves = st.sampled_from(
+    [DefinedAtom(n) for n in "ABC"] + [OpaqueAtom("X > 1"), BoolConst(True), BoolConst(False)]
+)
+
+
+def _raw_nodes(children):
+    operands = st.lists(children, min_size=1, max_size=3).map(tuple)
+    return st.one_of(st.builds(Not, children), st.builds(And, operands), st.builds(Or, operands))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.recursive(_raw_leaves, _raw_nodes, max_leaves=10), min_size=1, max_size=3))
+def test_one_walk_encoding_equals_the_nnf_reference(conds):
+    got_table, want_table = AtomTable(), AtomTable()
+    got_fresh, want_fresh = itertools.count(-1, -1), itertools.count(-1, -1)
+    for cond in conds:
+        assert _cnf_clauses(cond, got_table, got_fresh) == _reference_cnf_clauses(cond, want_table, want_fresh)
+    assert next(got_fresh) == next(want_fresh)
+    assert got_table.keys() == want_table.keys()

@@ -29,6 +29,7 @@ from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
     BranchShape,
     CallSig,
+    ConfigFlag,
     ConfigMap,
     IntConst,
     SourceTree,
@@ -483,6 +484,18 @@ def test_config_map_parse_and_lookup():
     assert cmap.macros_for(["with_cache"]) == {"USE_CACHE", "CACHE_STATS"}
     assert cmap.macros_for(["with_net", "with_dbg"]) == {"USE_NET"}
     assert cmap.units_for(["with_net", "with_dbg"]) == {"net.c", "dbg.c"}
+
+
+def test_config_map_text_round_trips():
+    hand = ConfigMap(flags=[
+        ConfigFlag("with_net", defines=("USE_NET", "NET_V6"), units=("net.c",)),
+        ConfigFlag("bare"),
+    ])
+    assert hand.to_text() == "with_net : define USE_NET, define NET_V6, unit net.c\nbare : \n"
+    maps = [hand] + [case.config_map for seed in (1, 2, 3) for case in generate_corpus(seed, 21)]
+    assert any(f.units for m in maps[1:] for f in m.flags)
+    for cmap in maps:
+        assert ConfigMap.parse(cmap.to_text()) == cmap
 
 
 def test_config_map_rejects_malformed_lines():
