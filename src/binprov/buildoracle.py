@@ -1,10 +1,11 @@
 """Build oracle: turn source plus a configuration into a binary model.
 
 The simulated toolchain builds an unoptimized program directly from source,
-as ``varsource``'s scan, parse and lexer read it, like the fragment features
-(one basic block per statement, explicit branch diamonds). It then applies a
-deterministic transform chain that reproduces how real compilers leave
-structural traces of their identity:
+as ``varsource``'s scan and parse read it, like the fragment features (one
+basic block per statement, explicit branch diamonds). A block copies the key
+instructions the scan read for its line, so no line is lexed here. It then
+applies a deterministic transform chain that reproduces how real compilers
+leave structural traces of their identity:
 
 * version pads: a version-indexed number of extra constants appended to
   comparison blocks, chosen in a compiler-salted order so the pad sets of
@@ -80,13 +81,7 @@ from .binmodel import (
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
 from .simdiff import KIND_PRIMES, ProgramIndex, index_program
-from .varsource import (
-    ConfigMap,
-    SourceTree,
-    _IfStmt,
-    _parse_statements,
-    _scan_expression,
-)
+from .varsource import ConfigMap, SourceTree, _IfStmt, _parse_statements, _UnitCode
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
 from .varsource import scan_unit  # noqa: F401
@@ -217,9 +212,11 @@ class ConfigAssignment:
 
 
 class _FunctionEmitter:
-    """Statement-per-block emission with explicit branch diamonds."""
+    """Statement-per-block emission with explicit branch diamonds. A block
+    holds its line's key instructions, as the scan read them (``keyins``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, keyins: list[tuple[KeyInstruction, ...]]) -> None:
+        self.keyins = keyins
         self.blocks: list[BasicBlock] = []
         self.by_id: dict[str, BasicBlock] = {}
 
@@ -235,17 +232,15 @@ class _FunctionEmitter:
         tails: list[str] = []
         for stmt in stmts:
             head = self.new_block()
-            if isinstance(stmt, _IfStmt):
-                _scan_expression(stmt.condition, head.keyins)
-                head.keyins.append(KeyInstruction(KeyKind.COMPARE))
-            else:
-                _scan_expression(stmt, head.keyins)
+            is_if = isinstance(stmt, _IfStmt)
+            head.keyins.extend(self.keyins[(stmt.line if is_if else stmt) - 1])
             if first is None:
                 first = head.id
             for t in tails:
                 self.by_id[t].succs.append(head.id)
             tails = [head.id]
-            if isinstance(stmt, _IfStmt):
+            if is_if:
+                head.keyins.append(KeyInstruction(KeyKind.COMPARE))
                 # Each arm branches from the head; a missing or empty arm
                 # falls through to the join.
                 join = self.new_block()
@@ -313,18 +308,18 @@ def build_unoptimized(
             key = (uname, fname, body_lines)
             fn = bodies.get(key)
             if fn is None:
-                fn = bodies[key] = _emit_function(fname, [scan.code.text[ln - 1] for ln in body_lines])
+                fn = bodies[key] = _emit_function(fname, scan.code, body_lines)
             functions.append(fn)
 
     functions.sort(key=lambda f: f.id)
     return BinaryProgram(name=name, stripped=False, functions=functions)
 
 
-def _emit_function(fname: str, body: list[str]) -> Function:
-    """The unoptimized function of one body, given as the compiled text of
-    its active lines."""
-    stmts, _ = _parse_statements(body, 0, stop_at_brace=False)
-    emitter = _FunctionEmitter()
+def _emit_function(fname: str, code: _UnitCode, body_lines: tuple[int, ...]) -> Function:
+    """The unoptimized function of one body, given as its active lines of
+    its unit's code."""
+    stmts, _ = _parse_statements(code, body_lines, 0, stop_at_brace=False)
+    emitter = _FunctionEmitter(code.keyins)
     first, _tails = emitter.emit_chain(stmts)
     entry = emitter.new_block().id if first is None else first
     fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)

@@ -212,6 +212,8 @@ class ConstraintReport:
     decisions: list[FragmentDecision] = field(default_factory=list)
     conflicts: list[tuple[str, str]] = field(default_factory=list)
     dropped: list[Condition] = field(default_factory=list)
+    # The payload index of the whole crash binary the decisions read.
+    whole_index: PayloadIndex | None = field(default=None, repr=False, compare=False)
 
     def all_unknown(self) -> bool:
         return bool(self.decisions) and all(
@@ -250,19 +252,24 @@ def derive_constraints(
 
     Decisions that contradict each other by asserting both a condition and
     its negation are discarded in pairs and logged; what remains goes to the
-    solver.
+    solver. The crash's payloads are indexed once for the whole binary
+    (``whole_index``) and once per matched function.
     """
-    report = ConstraintReport()
     crash_fns = crash.function_map()
     pairs = {p.left: p for p in diff.pairs}
     whole = PayloadIndex.for_program(crash)
+    report = ConstraintReport(whole_index=whole)
+    scoped: dict[str, PayloadIndex] = {}  # scope -> index of its blocks
 
     derived: list[Condition] = []
     for unit_name in sorted(scans):
         scan = scans[unit_name]
         for fragment in scan.conditional_fragments():
             scope, blocks = _fragment_scope(fragment, scan, pairs, crash_fns)
-            index = whole if blocks is None else PayloadIndex(blocks)
+            if blocks is None:
+                index = whole
+            elif (index := scoped.get(scope)) is None:
+                index = scoped[scope] = PayloadIndex(blocks)
             decision = decide_fragment(fragment, index, scope)
             if blocks is not None and decision.presence is not Presence.PRESENT:
                 # Function pairing is content-blind, so configured payloads

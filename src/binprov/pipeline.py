@@ -45,7 +45,6 @@ from .errors import BinprovError, ConfigError, MapGapError
 from .matcher import (
     ConstraintReport,
     FragmentDecision,
-    PayloadIndex,
     Presence,
     decide_fragment,
     derive_constraints,
@@ -210,7 +209,7 @@ def _configure(
 
         # An optional unit is present when its root fragment, which
         # scan_unit puts first, is. A unit the tree lacks is not decided.
-        whole = PayloadIndex.for_program(crash)
+        whole = constraint_report.whole_index
         roots = {
             unit: decide_fragment(scans[unit].fragments[0], whole, "binary")
             for unit in _optional_units(config_map) if unit in scans

@@ -5,15 +5,23 @@ For every unit the scanner builds the tree of preprocessor fragments
 line to exactly one fragment (the innermost one for ordinary lines, the
 enclosing one for the chain directives themselves), and reads in the same
 pass the function spans and what the build compiles of each line
-(``_UnitCode``). The build parses each body with ``_parse_statements`` and
-lexes it with ``_scan_expression``; a fragment's features, computed when
-first read, come from the same parse of its lines inside function bodies, so
-they are exactly what the build compiles, ``has_else`` included.
+(``_UnitCode``). ``_read_line`` is the one reader of a line outside
+directives: one left-to-right pass gives its code, its brace balance and the
+key instructions the build emits for it, and the scan keeps those per line,
+so each line is lexed once. The build parses each body into statements that
+are line numbers (``_parse_statements``) and copies their key instructions;
+a fragment's features, computed when first read, are the same key
+instructions of the same parse of its lines inside function bodies, so they
+are exactly what the build compiles, ``has_else`` included.
 
 The C subset read: ``{`` must end a function header (``name(params) {`` at
-brace depth 0, after any return type) and an ``if`` line. Braces count outside
-strings and ``//`` comments; char literals, ``/* */``, ``while`` and ``for``
-blocks are not read.
+brace depth 0, after any return type) and an ``if`` line. Braces count
+outside string literals, char literals and comments. A ``/* */`` comment,
+also one over several lines, reads as one space, and a ``#`` line inside it
+is no directive; directive lines themselves are not read for comments. A
+string or char literal left open runs to the end of its line, and a char
+literal compiles to nothing. ``while``, ``for`` and ``switch`` blocks are not
+read.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -86,11 +94,14 @@ Feature = StringLit | IntConst | CallSig | BranchShape
 
 @dataclass(frozen=True)
 class _UnitCode:
-    """What the build compiles of a unit. Per line: ``text``, its ``//`` comment
-    cut, blank for a directive or outside function bodies, and ``body``, the
-    header line of the body holding it, else 0. ``errors``: line -> message."""
+    """What the build compiles of a unit, per line. ``text`` is the line's
+    code (see ``_read_line``) and ``keyins`` the key instructions the build
+    emits for it, for a line inside a function body; any other line, a
+    directive included, has blank ``text`` and ``()``. ``body`` is the header
+    line of the body holding the line, else 0. ``errors``: line -> message."""
 
     text: list[str]
+    keyins: list[tuple[KeyInstruction, ...]]
     body: list[int]
     errors: dict[int, str]
 
@@ -212,9 +223,10 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     (``_FUNC_HEADER_RE``) at brace depth 0 opens a function, and the line where
     the depth is back to 0 closes it; one still open closes past the end."""
     lines = text.splitlines()
-    code = _UnitCode(text=[""] * len(lines), body=[0] * len(lines), errors={})
+    code = _UnitCode(text=[""] * len(lines), keyins=[()] * len(lines), body=[0] * len(lines), errors={})
     functions: dict[str, FunctionSpan] = {}
     fname, header, depth = "", 0, 0  # open function, its header line (0: none)
+    comment = False  # a block comment is open
     root = Fragment(
         id=f"{name}#0",
         unit=name,
@@ -242,7 +254,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
         return frag
 
     for lineno, raw in enumerate(lines, start=1):
-        is_directive = raw.lstrip().startswith("#")
+        is_directive = not comment and raw.lstrip().startswith("#")
         m = _DIRECTIVE_RE.match(raw) if is_directive else None
         directive = m.group(1) if m else None
         if is_directive:
@@ -250,19 +262,18 @@ def scan_unit(name: str, text: str) -> UnitVariability:
                 code.errors[lineno] = m.group(2) or "#error"
             code.body[lineno - 1] = header
         else:
-            cut = _strip_comment(raw)
+            cut, balance, keyins, comment = _read_line(raw, comment)
             if not header and depth == 0:
                 h = _FUNC_HEADER_RE.search(cut)
                 if h and h.group(1) not in _KEYWORDS:
                     fname, header = h.group(1), lineno
-            if "{" in cut or "}" in cut:
-                depth += _brace_balance(cut)
+            depth += balance
             if depth <= 0:
                 if header:
                     functions[fname] = FunctionSpan(name=fname, start=header, end=lineno)
                 depth = header = 0
             elif header and lineno > header:
-                code.text[lineno - 1], code.body[lineno - 1] = cut, header
+                code.text[lineno - 1], code.keyins[lineno - 1], code.body[lineno - 1] = cut, keyins, header
 
         if directive not in _CHAIN_DIRECTIVES:
             frag = innermost()
@@ -307,98 +318,78 @@ def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
 
 
 _KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
-_IF_RE = re.compile(r"^\s*if\s*\((.*)\)\s*\{\s*$")
+_IF_RE = re.compile(r"^\s*if\s*\(.*\)\s*\{\s*$")
 # The closing line of a then arm that opens an ``else if``: the build
 # compiles its condition as a nested if.
-_ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\((.*)\)\s*\{\s*$")
+_ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\(.*\)\s*\{\s*$")
 _NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
 _WORD_RE = re.compile(r"\w+")
-_STRING_BODY_RE = re.compile(r'[^"\\]*(?:\\.?[^"\\]*)*')
+_CALL_OPEN_RE = re.compile(r"[ \t]*\(")
+# A string or char literal runs to the first unescaped quote of its kind,
+# else to the end of the line.
+_LITERAL_BODY_RE = {quote: re.compile(rf"[^{quote}\\]*(?:\\.?[^{quote}\\]*)*") for quote in "\"'"}
 
 
-def _string_end(text: str, i: int) -> int:
-    """The index of the first unescaped ``"`` after ``text[i]``, which
-    closes the string literal opened there; ``len(text)`` if there is none."""
-    return _STRING_BODY_RE.match(text, i + 1).end()
-
-
-def _strip_comment(line: str) -> str:
-    """The line up to its first ``//`` outside a string literal."""
-    i = 0
-    while (cut := line.find("//", i)) >= 0:
-        quote = line.find('"', i, cut)
-        if quote < 0:
-            return line[:cut]
-        i = _string_end(line, quote) + 1
-    return line
-
-
-def _scan_expression(text: str, out: list[KeyInstruction]) -> None:
-    """Emit key instructions for one expression, left to right, arguments
-    before their call."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            j = _string_end(text, i)
-            out.append(KeyInstruction(KeyKind.STRING_REF, operand=text[i + 1 : j]))
-            i = j + 1
+def _read_line(line: str, comment: bool) -> tuple[str, int, tuple[KeyInstruction, ...], bool]:
+    """One left-to-right read of a line, ``comment`` telling whether a block
+    comment is open at its start. Returns the line's code up to a ``//``
+    comment, each block comment a space; the code's count of ``{`` less
+    ``}``; the key instructions the build emits for it; and whether a block
+    comment is open at its end. A literal is skipped whole, and only a string
+    literal emits. A call opens at ``name(`` and closes at its ``)`` or at
+    the end of the line, so its arguments come before it."""
+    out: list[KeyInstruction] = []
+    parens: list[str | None] = []  # per open paren, the call it closes, if any
+    pieces: list[str] = []  # the code before each block comment, and a space
+    balance = i = start = 0
+    end = len(line)
+    if comment:
+        close = line.find("*/")
+        comment = close < 0
+        i = start = end if comment else close + 2
+        pieces.append(" ")
+    while i < end:
+        ch = line[i]
+        i += 1
+        if ch == " ":  # the commonest character, so it is tested first
             continue
-        if ch.isdecimal():
-            token = _NUMBER_RE.match(text, i).group()
+        if ch == '"' or ch == "'":
+            j = _LITERAL_BODY_RE[ch].match(line, i).end()
+            if ch == '"':
+                out.append(KeyInstruction(KeyKind.STRING_REF, line[i:j]))
+            i = j + 1
+        elif ch == "/" and line.startswith("/", i):
+            end = i - 1
+        elif ch == "/" and line.startswith("*", i):
+            pieces.append(line[start : i - 1] + " ")
+            close = line.find("*/", i + 1)
+            comment = close < 0
+            i = start = end if comment else close + 2
+        elif ch == "{":
+            balance += 1
+        elif ch == "}":
+            balance -= 1
+        elif ch == "(":
+            parens.append(None)
+        elif ch == ")":
+            if parens and (call := parens.pop()):
+                out.append(KeyInstruction(KeyKind.CALL, call))
+        elif ch.isdecimal():
+            token = _NUMBER_RE.match(line, i - 1).group()
             if "." not in token:
                 value = int(token, 16) if token[:2] in ("0x", "0X") else int(token)
-                out.append(KeyInstruction(KeyKind.CONST_REF, operand=str(value)))
-            i += len(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = _WORD_RE.match(text, i).end()
-            ident = text[i:j]
-            k = j
-            while k < n and text[k] in " \t":
-                k += 1
-            if k < n and text[k] == "(" and ident not in _KEYWORDS:
-                depth = 0
-                m = k
-                while m < n:
-                    if text[m] == '"':
-                        m = _string_end(text, m)
-                    elif text[m] == "(":
-                        depth += 1
-                    elif text[m] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    m += 1
-                _scan_expression(text[k + 1 : m], out)
-                out.append(KeyInstruction(KeyKind.CALL, operand=ident))
-                i = m + 1
-                continue
+                out.append(KeyInstruction(KeyKind.CONST_REF, str(value)))
+            i += len(token) - 1
+        elif ch.isalpha() or ch == "_":
+            j = _WORD_RE.match(line, i - 1).end()
+            word = line[i - 1 : j]
+            if word not in _KEYWORDS and (m := _CALL_OPEN_RE.match(line, j)):
+                parens.append(word)
+                j = m.end()
             i = j
-            continue
-        i += 1
-
-
-def _text_features(text: str) -> list[Feature]:
-    """The features of the key instructions the build emits for ``text``."""
-    keyins: list[KeyInstruction] = []
-    _scan_expression(text, keyins)
-    return [
-        StringLit(ki.operand) if ki.kind is KeyKind.STRING_REF
-        else CallSig(ki.operand) if ki.kind is KeyKind.CALL
-        else IntConst(int(ki.operand))
-        for ki in keyins
-    ]
-
-
-def _brace_balance(text: str) -> int:
-    """The count of ``{`` less the count of ``}`` outside string literals."""
-    balance = i = 0
-    while (quote := text.find('"', i)) >= 0:
-        balance += text.count("{", i, quote) - text.count("}", i, quote)
-        i = _string_end(text, quote) + 1
-    return balance + text.count("{", i) - text.count("}", i)
+    out.extend(KeyInstruction(KeyKind.CALL, call) for call in reversed(parens) if call)
+    pieces.append(line[start:end])
+    return "".join(pieces), balance, tuple(out), comment
 
 
 _FUNC_HEADER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{\s*$")
@@ -406,56 +397,68 @@ _FUNC_HEADER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{\s*$")
 
 @dataclass
 class _IfStmt:
-    condition: str
+    line: int
     then_body: list
     else_body: list | None
 
 
-def _parse_statements(lines: list[str], i: int, stop_at_brace: bool) -> tuple[list, int]:
-    """The statements (``_IfStmt`` or a simple statement's text) from line
-    ``i`` of a body, up to the first ``}`` line if ``stop_at_brace``."""
+def _parse_statements(
+    code: _UnitCode, lines: tuple[int, ...], i: int, stop_at_brace: bool
+) -> tuple[list, int]:
+    """The statements (``_IfStmt`` or a simple statement's line number) from
+    ``lines[i]`` of a body, up to the first ``}`` line if ``stop_at_brace``."""
     stmts: list = []
     while i < len(lines):
-        stripped = lines[i].strip()
+        stripped = code.text[lines[i] - 1].strip()
         if stripped.startswith("}") and stop_at_brace:
             return stmts, i
-        if m := _IF_RE.match(stripped):
-            stmt, i = _parse_if(lines, i + 1, m.group(1))
+        if _IF_RE.match(stripped):
+            stmt, i = _parse_if(code, lines, i + 1, lines[i])
             stmts.append(stmt)
             continue
         if stripped and not stripped.startswith("}"):
-            stmts.append(stripped.rstrip(";"))
+            stmts.append(lines[i])
         i += 1
     return stmts, i
 
 
-def _parse_if(lines: list[str], i: int, condition: str) -> tuple[_IfStmt, int]:
-    """The if statement of ``condition`` whose then arm starts at line ``i``,
+def _parse_if(code: _UnitCode, lines: tuple[int, ...], i: int, line: int) -> tuple[_IfStmt, int]:
+    """The if statement on ``line`` whose then arm starts at ``lines[i]``,
     and the index past its closing brace. A closing ``} else if (c) {``
     makes the else arm one nested ``if (c)``, whose own closing brace ends
     the chain."""
-    then_body, i = _parse_statements(lines, i, stop_at_brace=True)
-    closing = lines[i].strip() if i < len(lines) else "}"
-    if m := _ELSE_IF_RE.match(closing):
-        nested, i = _parse_if(lines, i + 1, m.group(1))
-        return _IfStmt(condition, then_body, [nested]), i
+    then_body, i = _parse_statements(code, lines, i, stop_at_brace=True)
+    closing = code.text[lines[i] - 1].strip() if i < len(lines) else "}"
+    if _ELSE_IF_RE.match(closing):
+        nested, i = _parse_if(code, lines, i + 1, lines[i])
+        return _IfStmt(line, then_body, [nested]), i
     else_body = None
     if "else" in closing:
-        else_body, i = _parse_statements(lines, i + 1, stop_at_brace=True)
-    return _IfStmt(condition, then_body, else_body), i + 1
+        else_body, i = _parse_statements(code, lines, i + 1, stop_at_brace=True)
+    return _IfStmt(line, then_body, else_body), i + 1
 
 
-def _statement_features(stmts: list, out: list[Feature]) -> None:
+def _line_features(code: _UnitCode, line: int) -> tuple[Feature, ...]:
+    """The features of the key instructions the build emits for ``line``."""
+    return tuple(
+        StringLit(ki.operand) if ki.kind is KeyKind.STRING_REF
+        else CallSig(ki.operand) if ki.kind is KeyKind.CALL
+        else IntConst(int(ki.operand))
+        for ki in code.keyins[line - 1]
+    )
+
+
+def _statement_features(code: _UnitCode, stmts: list, out: list[Feature]) -> None:
     """Append the features of ``stmts``: an if's shape, condition, then arms."""
     for stmt in stmts:
         if isinstance(stmt, _IfStmt):
-            condition = _text_features(stmt.condition)
-            out.append(BranchShape(tuple(condition), stmt.else_body is not None))
+            condition = _line_features(code, stmt.line)
+            out.append(BranchShape(condition, stmt.else_body is not None))
             out.extend(condition)
-            _statement_features(stmt.then_body, out)
-            _statement_features(stmt.else_body or [], out)
+            _statement_features(code, stmt.then_body, out)
+            _statement_features(code, stmt.else_body or [], out)
         else:
-            out.extend(_text_features(stmt))
+            out.extend(_line_features(code, stmt))
 
 
 def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
@@ -463,8 +466,8 @@ def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
     feats: list[Feature] = []
     for header, body in groupby(frag.lines, key=lambda ln: code.body[ln - 1]):
         if header:
-            stmts, _ = _parse_statements([code.text[ln - 1] for ln in body], 0, stop_at_brace=False)
-            _statement_features(stmts, feats)
+            stmts, _ = _parse_statements(code, tuple(body), 0, stop_at_brace=False)
+            _statement_features(code, stmts, feats)
     return tuple(feats)
 
 

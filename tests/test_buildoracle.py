@@ -308,8 +308,9 @@ def _random_body(rng, depth=0) -> list[str]:
 
 
 def _unelided(body: list[str]) -> Function:
-    stmts, _ = varsource._parse_statements(body, 0, stop_at_brace=False)
-    emitter = buildoracle._FunctionEmitter()
+    code = varsource.scan_unit("m.c", "int f(int x) {\n" + "".join(f"{line}\n" for line in body) + "}\n").code
+    stmts, _ = varsource._parse_statements(code, tuple(range(2, len(body) + 2)), 0, stop_at_brace=False)
+    emitter = buildoracle._FunctionEmitter(code.keyins)
     first, _tails = emitter.emit_chain(stmts)
     entry = emitter.new_block().id if first is None else first
     return Function(id="f", entry=entry, blocks=emitter.blocks, symbol="f")
@@ -657,8 +658,8 @@ def test_simulated_toolchain_emits_and_plans_each_body_once(case0, specs, monkey
     emitted, walked = [], []
     emit_function, merge_chains = buildoracle._emit_function, buildoracle._merge_chains
 
-    def emitting(fname, body):
-        fn = emit_function(fname, body)
+    def emitting(*args):
+        fn = emit_function(*args)
         emitted.append(fn)
         return fn
 

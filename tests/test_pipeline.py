@@ -20,6 +20,7 @@ from binprov.buildoracle import (
 from binprov.conditions import evaluate
 from binprov.corpusgen import generate_case, generate_corpus
 from binprov.errors import ConfigError
+from binprov.matcher import PayloadIndex
 from binprov.pipeline import (
     NO_SIGNAL,
     Verification,
@@ -243,6 +244,32 @@ def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):
         report = run_generated_case(case)
         assert report.option_trace is not None
         assert indexed.count(id(case.crash)) == 1, case.name
+
+
+def test_run_case_indexes_the_crash_payloads_once(corpus21, monkeypatch):
+    # One payload index over the whole crash binary per case, read by the
+    # fragment decisions and the optional-unit decisions alike, and one per
+    # matched crash function, however many fragments share that function.
+    built = []
+
+    def counting(self, blocks):
+        built.append(blocks)
+        payload_init(self, blocks)
+
+    payload_init = PayloadIndex.__init__
+    monkeypatch.setattr(PayloadIndex, "__init__", counting)
+    scoped_total = 0
+    for case in corpus21:
+        built.clear()
+        report = run_generated_case(case)
+        assert report.decisions, case.name
+        n_blocks = sum(len(fn.blocks) for fn in case.crash.functions)
+        whole = [blocks for blocks in built if len(blocks) == n_blocks]
+        scoped = [blocks for blocks in built if len(blocks) < n_blocks]
+        assert len(whole) == 1, case.name
+        assert len({id(blocks) for blocks in scoped}) == len(scoped), case.name
+        scoped_total += len(scoped)
+    assert scoped_total > 0
 
 
 def test_run_case_indexes_each_program_once(corpus21, monkeypatch):

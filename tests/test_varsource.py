@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binprov import varsource
-from binprov.binmodel import KeyKind
+from binprov.binmodel import KeyInstruction, KeyKind
 from binprov.buildoracle import (
     DEFAULT_COMPILER,
     BuildSpec,
@@ -22,7 +22,7 @@ from binprov.buildoracle import (
 )
 from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
-from binprov.errors import MapGapError, SchemaError
+from binprov.errors import BinprovError, MapGapError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
@@ -314,6 +314,67 @@ def test_has_else_is_the_builds_own_parse(arms, has_else):
     assert (calls["h"].id in calls["g"].succs) is not has_else
 
 
+@pytest.mark.parametrize(
+    "line", ["/* } */", "c = '}';", r"c = '\'';", "c = '{'; /* { */"],
+    ids=["block-comment", "char-literal", "escaped-quote-char", "char-and-comment"],
+)
+def test_a_brace_in_a_block_comment_or_char_literal_does_not_end_the_body(line):
+    tree = SourceTree.from_mapping({"m.c": f"int f(void) {{\n  a();\n  {line}\n  b();\n}}\n"})
+    program = build_unoptimized(tree, ConfigAssignment())
+    assert _payloads(program) == [(KeyKind.CALL, "a"), (KeyKind.CALL, "b")]
+    assert {name: (span.start, span.end) for name, span in scan_tree(tree)["m.c"].functions.items()} == {"f": (1, 5)}
+
+
+def test_a_block_comment_over_lines_compiles_nothing():
+    # Neither the call nor the brace inside the comment is read, and a
+    # directive inside it is no directive.
+    text = "int f(void) {\n  a();\n  /* x(1)\n  }\n#ifdef A\n  */\n  b(2);\n}\n"
+    tree = SourceTree.from_mapping({"m.c": text})
+    scan = scan_tree(tree)["m.c"]
+    assert len(scan.fragments) == 1
+    assert {name: (span.start, span.end) for name, span in scan.functions.items()} == {"f": (1, 8)}
+    program = build_unoptimized(tree, ConfigAssignment())
+    assert _payloads(program) == [(KeyKind.CALL, "a"), (KeyKind.CONST_REF, "2"), (KeyKind.CALL, "b")]
+
+
+def test_a_block_comment_on_a_header_or_if_line_reads_as_a_space():
+    text = "int f(int x) /* { */ {\n#ifdef A\n  if (x > 5) /* y */ {\n    g(1); /* g(2) */ h(3);\n  }\n#endif\n}\n"
+    tree = SourceTree.from_mapping({"m.c": text})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    assert frag.features == (
+        BranchShape(condition_features=(IntConst(5),), has_else=False),
+        IntConst(5),
+        IntConst(1),
+        CallSig("g"),
+        IntConst(3),
+        CallSig("h"),
+    )
+    program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))
+    keyins = [(ki.kind, ki.operand) for blk in program.functions[0].blocks for ki in blk.keyins]
+    assert keyins == [
+        (KeyKind.CONST_REF, "5"),
+        (KeyKind.COMPARE, None),
+        (KeyKind.CONST_REF, "1"),
+        (KeyKind.CALL, "g"),
+        (KeyKind.CONST_REF, "3"),
+        (KeyKind.CALL, "h"),
+    ]
+
+
+def test_a_string_left_open_runs_to_the_end_of_its_line():
+    # One read of the whole line: an open string keeps a statement's
+    # trailing ``;`` and an if line's ``) {``. (Lexing the statement without
+    # its ``;``, or the condition up to its last ``)``, gave ``x`` for both.)
+    for line, operand in [('  s = "x;', "x;"), ('  if (s == "x) {', "x) {")]:
+        _code, balance, keyins, comment = varsource._read_line(line, False)
+        assert [(ki.kind, ki.operand) for ki in keyins] == [(KeyKind.STRING_REF, operand)]
+        assert (balance, comment) == (0, False)
+    tree = SourceTree.from_mapping({"m.c": 'int f(int s) {\n#ifdef A\n  s = "x;\n#endif\n}\n'})
+    (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
+    assert frag.features == (StringLit("x;"),)
+    assert _payloads(build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))) == [(KeyKind.STRING_REF, "x;")]
+
+
 def test_a_file_scope_global_yields_no_feature_and_no_absence():
     text = "#ifdef M\nint buf[64];\n#endif\nint f(void) {\n  g(\"s\");\n}\n"
     tree = SourceTree.from_mapping({"m.c": text})
@@ -387,6 +448,120 @@ def test_features_of_random_guarded_bodies_are_what_the_build_compiles(body):
     payloads = [_payload_key(feat) for feat in frag.features if not isinstance(feat, BranchShape)]
     assert payloads == _payloads(program)
     assert [feat.has_else for feat in frag.features if isinstance(feat, BranchShape)] == has_else
+
+
+# The reference reader: the three routines that read a line before one pass
+# did, a comment cutter, a brace counter and a recursive expression lexer,
+# each with its own copy of the string-literal rule.
+_REF_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
+_REF_STRING_BODY_RE = re.compile(r'[^"\\]*(?:\\.?[^"\\]*)*')
+_REF_WORD_RE = re.compile(r"\w+")
+_REF_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
+
+
+def _ref_string_end(text: str, i: int) -> int:
+    return _REF_STRING_BODY_RE.match(text, i + 1).end()
+
+
+def _ref_strip_comment(line: str) -> str:
+    i = 0
+    while (cut := line.find("//", i)) >= 0:
+        quote = line.find('"', i, cut)
+        if quote < 0:
+            return line[:cut]
+        i = _ref_string_end(line, quote) + 1
+    return line
+
+
+def _ref_brace_balance(text: str) -> int:
+    balance = i = 0
+    while (quote := text.find('"', i)) >= 0:
+        balance += text.count("{", i, quote) - text.count("}", i, quote)
+        i = _ref_string_end(text, quote) + 1
+    return balance + text.count("{", i) - text.count("}", i)
+
+
+def _ref_scan_expression(text: str, out: list[KeyInstruction]) -> None:
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            j = _ref_string_end(text, i)
+            out.append(KeyInstruction(KeyKind.STRING_REF, operand=text[i + 1 : j]))
+            i = j + 1
+        elif ch.isdecimal():
+            token = _REF_NUMBER_RE.match(text, i).group()
+            if "." not in token:
+                value = int(token, 16) if token[:2] in ("0x", "0X") else int(token)
+                out.append(KeyInstruction(KeyKind.CONST_REF, operand=str(value)))
+            i += len(token)
+        elif ch.isalpha() or ch == "_":
+            j = _REF_WORD_RE.match(text, i).end()
+            k = j
+            while k < n and text[k] in " \t":
+                k += 1
+            if k < n and text[k] == "(" and text[i:j] not in _REF_KEYWORDS:
+                depth, m = 0, k
+                while m < n:
+                    if text[m] == '"':
+                        m = _ref_string_end(text, m)
+                    elif text[m] == "(":
+                        depth += 1
+                    elif text[m] == ")":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    m += 1
+                _ref_scan_expression(text[k + 1 : m], out)
+                out.append(KeyInstruction(KeyKind.CALL, operand=text[i:j]))
+                i = m + 1
+            else:
+                i = j
+        else:
+            i += 1
+
+
+_LINE_PIECES = [
+    '"', "\\", "//", "/", "*", "(", ")", "{", "}", " ", "\t", ";", ",", "=",
+    "if", "else", "sizeof", "f", "lib", "_x", "g (", "0x1F", "0x", "1.5", "42", "007", "é", "²", "٣",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=16).map("".join).filter(lambda line: "/*" not in line))
+def test_one_read_of_a_line_equals_the_three_reader_reference(line):
+    # Without block comments and char literals, the one pass gives the
+    # reference's code, brace balance and key instructions.
+    cut = _ref_strip_comment(line)
+    expected: list[KeyInstruction] = []
+    _ref_scan_expression(cut, expected)
+    assert varsource._read_line(line, False) == (cut, _ref_brace_balance(cut), tuple(expected), False)
+
+
+_FUZZ_PIECES = [
+    "#ifdef A", "#ifndef B", "#if defined(A) && B > 1", "#if (", "#elif A", "#else", "#endif", "#error stop", "#",
+    "int f(int x) {", "static void g(void) {", "size_t", "h(x) {", "{", "}", "} else {", "} else if (x > 1) {",
+    "if (x > 2) {", 'if (f("}")) {', 'lib("a\\"b", 0x1F);', "x = '{';", "'", '"', "/* {", "} */", "/*", "*/",
+    "// }", "x = y;", "g(1, h(2", "",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_FUZZ_PIECES), min_size=1, max_size=3).map(" ".join), max_size=24))
+def test_scan_build_and_features_raise_only_binprov_errors(lines):
+    text = "\n".join(lines)
+    try:
+        scan = scan_unit("m.c", text)
+    except BinprovError:
+        return
+    for frag in scan.fragments:
+        assert isinstance(frag.features, tuple)
+    tree = SourceTree.from_mapping({"m.c": text})
+    for macros in (frozenset(), frozenset({"A"})):
+        try:
+            build_unoptimized(tree, ConfigAssignment(macros=macros))
+        except BinprovError:
+            pass
 
 
 def _chain_groups(text: str) -> list[list[int]]:
