@@ -31,8 +31,8 @@ the control flow, and fold sites depend only on the compiler, so where each
 of the first four passes acts is fixed by the base and the compiler. Every
 site lies within one function, so each function is planned on its own, for
 every compiler: its part (``_FunctionPlan``) holds its sites. Only the pad
-order spans functions, and it is a sort by per-site ranks, which each build
-makes across its parts. ``apply_transforms`` replays the parts up to a
+order spans functions: a sort by per-site ranks across the parts, done once
+per base and compiler. ``apply_transforms`` replays the parts up to a
 spec's version and level, then runs inline and dedup. The merge chains do
 not depend on the compiler at all: each part walks them once, and each
 compiler only salts the pad ranks and the fold choice.
@@ -43,31 +43,32 @@ instructions, which no pass rewrites in place. So bases can share function
 objects: ``SimulatedToolchain`` emits and plans each distinct function body
 once per tree, assembles each configuration's base and its list of parts
 once from those, and each source unit is scanned once per tree
-(``SourceTree.scan``), so a probe costs only the replay of its parts and its
-inline or dedup pass. The source tree is immutable, so none of these caches
-can go stale.
+(``SourceTree.scan``). The source tree is immutable, so none of these
+caches can go stale.
 
 An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
 prints. Either backend caches its builds and indexes each build once
 (``index``): the pipeline reads builds only through their indexes. The
-simulated toolchain computes an O0, O1 or O2 index from the parts without
-making the program: those passes add and remove no call, function or
-symbol, so the index is the base's with new signatures (``_index_parts``).
-An O3 or Os index is the index of the built program, since inline and
-dedup act on the whole program. ``apply_transforms`` stays the one code
-that makes a program.
+simulated toolchain computes every index from the parts without making the
+program (``_index_parts``): pads, the flavor marker, merge and fold change
+only the signatures; inline trades each call to a leaf for the leaf's
+fingerprints and drops its edge; dedup groups functions by body keys the
+parts give and renumbers. ``apply_transforms`` stays the one code that
+makes a program, and every index from the parts equals the index of what
+it makes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shlex
 import signal
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .binmodel import (
     BasicBlock,
@@ -373,14 +374,14 @@ _PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
 class _FunctionPlan:
     """Where the transform chain acts on one base function, for every
     compiler, as block indices into that function; ``apply_transforms``
-    replays a program's parts for any spec, and ``SimulatedToolchain``
-    indexes O0 to O2 builds from them.
+    replays a program's parts for any spec, and ``_index_parts`` computes
+    the index of any build from them.
 
     * ``unmerged``: the O0 layout, one output block per base block. No
       compiler changes it.
     * ``pad_ranks``, per compiler: (rank, block index) of every comparison
-      block. A build sorts the ranks of all its parts, and a version fills
-      the first ``PADS_PER_THETA * theta`` sites of that order.
+      block. A base sorts the ranks of all its parts (``_pad_order``), and a
+      version fills the first ``PADS_PER_THETA * theta`` sites of that order.
     * ``flavor``: the blocks that carry the clang marker.
     * ``merged``, per compiler: the layout at O1 and up, with the
       compiler's fold choice. A merged block lists every base block of its
@@ -388,6 +389,12 @@ class _FunctionPlan:
     * ``primes`` and ``consts``, per base block: the product of the kind
       primes of its instructions other than ``CONST_REF``, and its count of
       ``CONST_REF``. A block's fingerprint is ``primes * 7 ** consts``.
+    * ``leaf``: O3 inlines the function into its callers, since it makes no
+      call and merges to at most ``INLINE_MAX_BLOCKS`` blocks.
+    * ``calls`` and ``body_keys``, per compiler, filled on first use: the
+      (merged block, target) of each call that names a target, which inline
+      reads at O3, and the body key dedup groups the function by at Os when
+      it carries no pad.
     """
 
     unmerged: tuple[_PlannedBlock, ...]
@@ -396,10 +403,14 @@ class _FunctionPlan:
     merged: dict[str, tuple[_PlannedBlock, ...]]
     primes: tuple[int, ...]
     consts: tuple[int, ...]
+    leaf: bool
+    calls: dict[str, tuple[tuple[int, str], ...]] = field(default_factory=dict, compare=False)
+    body_keys: dict[str, tuple] = field(default_factory=dict, compare=False)
 
 
 _CONST_PRIME = KIND_PRIMES[KeyKind.CONST_REF]
 _COMPARE_PRIME = KIND_PRIMES[KeyKind.COMPARE]
+_CALL_PRIME = KIND_PRIMES[KeyKind.CALL]
 
 
 def _plan_function(fn: Function) -> _FunctionPlan:
@@ -436,6 +447,7 @@ def _plan_function(fn: Function) -> _FunctionPlan:
         },
         primes=tuple(primes),
         consts=tuple(consts),
+        leaf=len(chains) <= INLINE_MAX_BLOCKS and all(p % _CALL_PRIME for p in primes),
     )
 
 
@@ -571,29 +583,38 @@ def _retarget(ki: KeyInstruction, remap: dict[str, str]) -> KeyInstruction:
     return KeyInstruction(KeyKind.CALL, operand=("?" + target) if marked else target)
 
 
-def _additions(
-    parts: list[_FunctionPlan], spec: BuildSpec
-) -> dict[int, dict[int, list[KeyInstruction]]]:
-    """The instructions a build at ``spec`` appends to base blocks: function
-    index -> block index -> the block's pad, then its flavor marker.
-
-    The pads fill the first ``PADS_PER_THETA * theta`` sites of the rank
-    order across all ``parts``; clang marks each part's ``flavor`` blocks.
-    """
-    added: dict[int, dict[int, list[KeyInstruction]]] = {}
+def _pad_order(parts: list[_FunctionPlan], compiler: str) -> list[tuple[int, int]]:
+    """(function index, block index) of the sites the versions of
+    ``compiler`` pad, in pad order: the lowest ranks across all ``parts``,
+    as many as the last version fills."""
     ranked = sorted(
-        (rank, fi, bi)
-        for fi, part in enumerate(parts)
-        for rank, bi in part.pad_ranks[spec.compiler]
+        (rank, fi, bi) for fi, part in enumerate(parts) for rank, bi in part.pad_ranks[compiler]
     )
-    for n, (_rank, fi, bi) in enumerate(ranked[: PADS_PER_THETA * THETA[spec.version_index]]):
-        added.setdefault(fi, {})[bi] = [KeyInstruction(KeyKind.CONST_REF, operand=str(7100 + n))]
-    if spec.compiler == "clang":
-        for fi, part in enumerate(parts):
-            for bi in part.flavor:
-                added.setdefault(fi, {}).setdefault(bi, []).append(
-                    KeyInstruction(KeyKind.STRING_REF, operand=FLAVOR_MARKER)
-                )
+    return [(fi, bi) for _rank, fi, bi in ranked[: PADS_PER_THETA * THETA[-1]]]
+
+
+def _pad_sites(order: list[tuple[int, int]], spec: BuildSpec) -> dict[int, dict[int, int]]:
+    """Function index -> block index -> pad number of the sites ``spec``'s
+    version fills: the first ``PADS_PER_THETA * theta`` of ``order``."""
+    sites: dict[int, dict[int, int]] = {}
+    for n, (fi, bi) in enumerate(order[: PADS_PER_THETA * version_theta(spec)]):
+        sites.setdefault(fi, {})[bi] = n
+    return sites
+
+
+# What a build appends to one function's base blocks: block index -> the
+# instructions appended to that block.
+_Extra = dict[int, list[KeyInstruction]]
+
+
+def _additions(part: _FunctionPlan, compiler: str, pads: dict[int, int]) -> _Extra:
+    """What a build appends to the part's function: each block's pad, then
+    its flavor marker. ``pads`` maps each padded block to its pad number;
+    clang marks the ``flavor`` blocks."""
+    added = {bi: [KeyInstruction(KeyKind.CONST_REF, str(7100 + n))] for bi, n in pads.items()}
+    if compiler == "clang":
+        for bi in part.flavor:
+            added.setdefault(bi, []).append(KeyInstruction(KeyKind.STRING_REF, FLAVOR_MARKER))
     return added
 
 
@@ -602,8 +623,24 @@ def _layout(part: _FunctionPlan, spec: BuildSpec) -> tuple[_PlannedBlock, ...]:
 
 
 _FOLD_LEVELS = ("O2", "O3", "Os")
-# The levels whose pass acts on the whole program: inline and dedup.
-_WHOLE_PROGRAM_LEVELS = ("O3", "Os")
+
+
+def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, extra: _Extra) -> Function:
+    """``fn`` built at ``spec`` with ``extra`` appended to its base blocks,
+    before inline and dedup, in fresh function and block shells."""
+    fold = spec.level in _FOLD_LEVELS
+    base = fn.blocks
+    blocks = []
+    for chain, succs, folds in _layout(part, spec):
+        keyins: list[KeyInstruction] = []
+        for bi in chain:
+            keyins += base[bi].keyins
+            if bi in extra:
+                keyins += extra[bi]
+        if fold and folds:
+            keyins = [ki for ki in keyins if ki.kind is not KeyKind.CONST_REF]
+        blocks.append(BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs)))
+    return Function(id=fn.id, entry=fn.entry, blocks=blocks, symbol=fn.symbol)
 
 
 def apply_transforms(
@@ -623,23 +660,11 @@ def apply_transforms(
     """
     if parts is None:
         parts = [_plan_function(fn) for fn in program.functions]
-    added = _additions(parts, spec)
-    fold = spec.level in _FOLD_LEVELS
-    functions = []
-    for fi, (fn, part) in enumerate(zip(program.functions, parts, strict=True)):
-        base = fn.blocks
-        extra = added.get(fi, {})
-        blocks = []
-        for chain, succs, folds in _layout(part, spec):
-            keyins: list[KeyInstruction] = []
-            for bi in chain:
-                keyins += base[bi].keyins
-                if bi in extra:
-                    keyins += extra[bi]
-            if fold and folds:
-                keyins = [ki for ki in keyins if ki.kind is not KeyKind.CONST_REF]
-            blocks.append(BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs)))
-        functions.append(Function(id=fn.id, entry=fn.entry, blocks=blocks, symbol=fn.symbol))
+    pads = _pad_sites(_pad_order(parts, spec.compiler), spec)
+    functions = [
+        _replay(fn, part, spec, _additions(part, spec.compiler, pads.get(fi, {})))
+        for fi, (fn, part) in enumerate(zip(program.functions, parts, strict=True))
+    ]
     out = BinaryProgram(
         name=f"{program.name}@{spec.text()}", stripped=program.stripped, functions=functions
     )
@@ -650,38 +675,130 @@ def apply_transforms(
     return out
 
 
-def _index_parts(base: ProgramIndex, parts: list[_FunctionPlan], spec: BuildSpec) -> ProgramIndex:
-    """The index of ``apply_transforms(program, spec, parts)`` at O0 to O2,
-    where ``base`` is the index of ``program``, without building it.
+def _fingerprints(part: _FunctionPlan, spec: BuildSpec, extra: _Extra) -> list[int]:
+    """The fingerprint of each block of ``_replay``, in order, from the
+    part: the product of its chain's block fingerprints and of its
+    additions' primes, with every ``CONST_REF`` factor dropped where the
+    block folds."""
+    fold = spec.level in _FOLD_LEVELS
+    primes, consts = part.primes, part.consts
+    out = []
+    for chain, _succs, folds in _layout(part, spec):
+        fp, n = 1, 0
+        for bi in chain:
+            fp *= primes[bi]
+            n += consts[bi]
+            for ki in extra.get(bi, ()):
+                if ki.kind is KeyKind.CONST_REF:
+                    n += 1
+                else:
+                    fp *= KIND_PRIMES[ki.kind]
+        out.append(fp if fold and folds else fp * _CONST_PRIME**n)
+    return out
+
+
+def _index_parts(base: _Base, spec: BuildSpec) -> ProgramIndex:
+    """The index of ``apply_transforms(base.program, spec, base.parts)``,
+    computed from the base's index and parts without building it.
 
     Pads, the flavor marker, merge and fold add and remove no call, function
-    or symbol, and a merge chain lists consecutive base blocks, so a
-    function's calls keep their order: only the signatures differ from the
-    base's. A merged block's fingerprint is the product of its chain's
-    block fingerprints and of its additions' primes, with every ``CONST_REF``
-    factor dropped where the block folds.
+    or symbol, so they change only the signatures (``_fingerprints``).
+    Inline (O3) and dedup (Os) then adjust the index as they adjust the
+    program (``_inline_index``, ``_dedup_index``).
     """
-    added = _additions(parts, spec)
-    fold = spec.level in _FOLD_LEVELS
-    signatures = []
-    for fi, part in enumerate(parts):
-        extra = added.get(fi, {})
-        primes, consts = part.primes, part.consts
-        fingerprints = []
-        for chain, _succs, folds in _layout(part, spec):
-            fp, n = 1, 0
-            for bi in chain:
-                fp *= primes[bi]
-                n += consts[bi]
-                for ki in extra.get(bi, ()):
-                    if ki.kind is KeyKind.CONST_REF:
-                        n += 1
-                    else:
-                        fp *= KIND_PRIMES[ki.kind]
-            fingerprints.append(fp if fold and folds else fp * _CONST_PRIME**n)
-        fingerprints.sort()
-        signatures.append(tuple(fingerprints))
-    return replace(base, signatures=tuple(signatures))
+    if base.index is None:
+        base.index = index_program(base.program)
+    if spec.compiler not in base.pad_orders:
+        base.pad_orders[spec.compiler] = _pad_order(base.parts, spec.compiler)
+    pads = _pad_sites(base.pad_orders[spec.compiler], spec)
+    fingerprints = [
+        _fingerprints(part, spec, _additions(part, spec.compiler, pads.get(fi, {})))
+        for fi, part in enumerate(base.parts)
+    ]
+    index = base.index
+    if spec.level == "O3":
+        index = _inline_index(index, base, spec, fingerprints)
+    index = replace(index, signatures=tuple(tuple(sorted(fps)) for fps in fingerprints))
+    if spec.level == "Os":
+        index = _dedup_index(index, base, spec, pads)
+    return index
+
+
+def _inline_index(
+    index: ProgramIndex, base: _Base, spec: BuildSpec, fingerprints: list[list[int]]
+) -> ProgramIndex:
+    """``_apply_inline`` at index level: each call to a leaf leaves
+    ``callees`` and ``callers``, and its block, in ``fingerprints``, trades
+    the call's prime for the product of the leaf's block fingerprints. A
+    leaf makes no call, so it inlines nothing and changes in no way."""
+    parts, functions = base.parts, base.program.functions
+    leaves = {index.ids[k]: k for k, part in enumerate(parts) if part.leaf}
+    products = {fid: math.prod(fingerprints[k]) for fid, k in leaves.items()}
+    numbers = set(leaves.values())
+    for k, out in enumerate(index.callees):
+        if numbers.isdisjoint(out):
+            continue
+        fps, part = fingerprints[k], parts[k]
+        if spec.compiler not in part.calls:
+            part.calls[spec.compiler] = tuple(
+                (pos, call_target(ki.operand))
+                for pos, (chain, _succs, _folds) in enumerate(part.merged[spec.compiler])
+                for bi in chain
+                for ki in functions[k].blocks[bi].keyins
+                if ki.kind is KeyKind.CALL and ki.operand
+            )
+        for pos, target in part.calls[spec.compiler]:
+            if target in products:
+                fps[pos] = fps[pos] // _CALL_PRIME * products[target]
+    return replace(
+        index,
+        callees=tuple(tuple(m for m in out if m not in numbers) for out in index.callees),
+        callers=tuple(() if m in numbers else into for m, into in enumerate(index.callers)),
+    )
+
+
+def _dedup_index(
+    index: ProgramIndex, base: _Base, spec: BuildSpec, pads: dict[int, dict[int, int]]
+) -> ProgramIndex:
+    """``_apply_dedup`` at index level: the first function, in id order, of
+    each group of equal body keys stays, the calls to the others go to it,
+    and the functions are renumbered. A function's body key is its part's
+    cached one, unless it carries a pad, whose operand is its pad number."""
+    functions, parts = base.program.functions, base.parts
+
+    def body_key(k: int) -> tuple:
+        fn, part, c = functions[k], parts[k], spec.compiler
+        if k in pads:
+            return _body_key(_replay(fn, part, spec, _additions(part, c, pads[k])))
+        if c not in part.body_keys:
+            part.body_keys[c] = _body_key(_replay(fn, part, spec, _additions(part, c, {})))
+        return part.body_keys[c]
+
+    # Equal bodies have equal signatures, so a function whose signature no
+    # other function shares has no duplicate and needs no body key.
+    shared = Counter(index.signatures)
+    groups: dict[tuple, int] = {}
+    keepers = [
+        groups.setdefault(body_key(k), k) if shared[signature] > 1 else k
+        for k, signature in enumerate(index.signatures)
+    ]
+    kept = [k for k, keeper in enumerate(keepers) if keeper == k]
+    if len(kept) == len(keepers):
+        return index
+    number = {k: n for n, k in enumerate(kept)}
+    callees = tuple(tuple(number[keepers[m]] for m in index.callees[k]) for k in kept)
+    callers: list[list[int]] = [[] for _ in kept]
+    for n, out in enumerate(callees):
+        for m in out:
+            callers[m].append(n)
+    return ProgramIndex(
+        ids=tuple(index.ids[k] for k in kept),
+        unique_symbols={sym: number[k] for sym, k in index.unique_symbols.items() if k in number},
+        callees=callees,
+        libcalls=tuple(index.libcalls[k] for k in kept),
+        callers=tuple(map(tuple, callers)),
+        signatures=tuple(index.signatures[k] for k in kept),
+    )
 
 
 # --- backends -------------------------------------------------------------
@@ -728,11 +845,13 @@ class _Backend:
 @dataclass(slots=True)
 class _Base:
     """One configuration's unoptimized program, the parts of its functions
-    in order, and its index, computed on the first plan-path ``index``."""
+    in order, and what every index of its builds reads, computed on the
+    first ``index``: the base's own index, and the pad order per compiler."""
 
     program: BinaryProgram
     parts: list[_FunctionPlan]
     index: ProgramIndex | None = None
+    pad_orders: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 class SimulatedToolchain(_Backend):
@@ -741,17 +860,15 @@ class SimulatedToolchain(_Backend):
     Builds and their indexes are cached by (spec, configuration); the
     caches are shared by the option-inference search and the configuration
     stage, which never pay twice for the same probe.
-    The unoptimized base, the parts of its functions and the base's index
-    are cached together per configuration (``_Base``), and the tree keeps
-    each unit's scan, so a fresh build only replays the parts up to its
-    version and level and runs inline or dedup; it never mutates the cached
-    base.
+    The unoptimized base, the parts of its functions, the base's index and
+    its pad orders are cached together per configuration (``_Base``), and
+    the tree keeps each unit's scan, so a fresh build only replays the parts
+    up to its version and level and runs inline or dedup; it never mutates
+    the cached base.
 
-    At O0, O1 and O2, ``index`` builds no program: it takes the base's index
-    and computes only the signatures from the parts (``_index_parts``). At
-    O3 and Os, whose passes act on the whole program, it indexes the built
-    program. So a subclass that overrides ``build`` sees only O3 and Os
-    indexes, and the builds it is asked for.
+    ``index`` builds no program at any level: it computes the index from
+    the base's index and parts (``_index_parts``). So a subclass that
+    overrides ``build`` sees only the builds it is asked for, and no index.
 
     Configurations of one case mostly differ in a few conditional lines, so
     their bases share most function bodies. Each distinct body, keyed by
@@ -788,12 +905,7 @@ class SimulatedToolchain(_Backend):
 
     def _index_of(self, spec: BuildSpec, config: ConfigAssignment) -> ProgramIndex:
         spec.validate()
-        if spec.level in _WHOLE_PROGRAM_LEVELS:
-            return super()._index_of(spec, config)
-        base = self._base(config)
-        if base.index is None:
-            base.index = index_program(base.program)
-        return _index_parts(base.index, base.parts, spec)
+        return _index_parts(self._base(config), spec)
 
 
 # Seconds an external process (a toolchain command, a run-case trigger) may

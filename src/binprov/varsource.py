@@ -45,7 +45,7 @@ from .conditions import (
     parse_expression,
     to_text,
 )
-from .errors import MapGapError, SchemaError
+from .errors import MapGapError, NestingError, SchemaError
 
 __all__ = [
     "StringLit",
@@ -98,8 +98,10 @@ class _UnitCode:
     code (see ``_read_line``) and ``keyins`` the key instructions the build
     emits for it, for a line inside a function body; any other line, a
     directive included, has blank ``text`` and ``()``. ``body`` is the header
-    line of the body holding the line, else 0. ``errors``: line -> message."""
+    line of the body holding the line, else 0. ``errors``: line -> message.
+    ``unit`` names the unit."""
 
+    unit: str
     text: list[str]
     keyins: list[tuple[KeyInstruction, ...]]
     body: list[int]
@@ -223,7 +225,10 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     (``_FUNC_HEADER_RE``) at brace depth 0 opens a function, and the line where
     the depth is back to 0 closes it; one still open closes past the end."""
     lines = text.splitlines()
-    code = _UnitCode(text=[""] * len(lines), keyins=[()] * len(lines), body=[0] * len(lines), errors={})
+    code = _UnitCode(
+        unit=name, text=[""] * len(lines), keyins=[()] * len(lines), body=[0] * len(lines),
+        errors={},
+    )
     functions: dict[str, FunctionSpan] = {}
     fname, header, depth = "", 0, 0  # open function, its header line (0: none)
     comment = False  # a block comment is open
@@ -402,18 +407,24 @@ class _IfStmt:
     else_body: list | None
 
 
+# How deep ``if``s may nest, an ``else if`` one level more: the parse, build and
+# features recurse per level, so deeper bodies are refused short of Python's limit.
+MAX_IF_DEPTH = 200
+
+
 def _parse_statements(
-    code: _UnitCode, lines: tuple[int, ...], i: int, stop_at_brace: bool
+    code: _UnitCode, lines: tuple[int, ...], i: int, stop_at_brace: bool, depth: int = 0
 ) -> tuple[list, int]:
     """The statements (``_IfStmt`` or a simple statement's line number) from
-    ``lines[i]`` of a body, up to the first ``}`` line if ``stop_at_brace``."""
+    ``lines[i]`` of a body, inside ``depth`` ifs, up to the first ``}`` line
+    if ``stop_at_brace``."""
     stmts: list = []
     while i < len(lines):
         stripped = code.text[lines[i] - 1].strip()
         if stripped.startswith("}") and stop_at_brace:
             return stmts, i
         if _IF_RE.match(stripped):
-            stmt, i = _parse_if(code, lines, i + 1, lines[i])
+            stmt, i = _parse_if(code, lines, i + 1, lines[i], depth + 1)
             stmts.append(stmt)
             continue
         if stripped and not stripped.startswith("}"):
@@ -422,19 +433,23 @@ def _parse_statements(
     return stmts, i
 
 
-def _parse_if(code: _UnitCode, lines: tuple[int, ...], i: int, line: int) -> tuple[_IfStmt, int]:
-    """The if statement on ``line`` whose then arm starts at ``lines[i]``,
-    and the index past its closing brace. A closing ``} else if (c) {``
-    makes the else arm one nested ``if (c)``, whose own closing brace ends
-    the chain."""
-    then_body, i = _parse_statements(code, lines, i, stop_at_brace=True)
+def _parse_if(
+    code: _UnitCode, lines: tuple[int, ...], i: int, line: int, depth: int
+) -> tuple[_IfStmt, int]:
+    """The if statement on ``line``, at nesting ``depth``, whose then arm
+    starts at ``lines[i]``, and the index past its closing brace. A closing
+    ``} else if (c) {`` makes the else arm one nested ``if (c)``, whose own
+    closing brace ends the chain."""
+    if depth > MAX_IF_DEPTH:
+        raise NestingError(f"{code.unit}:{line}: if statements nest deeper than {MAX_IF_DEPTH}")
+    then_body, i = _parse_statements(code, lines, i, stop_at_brace=True, depth=depth)
     closing = code.text[lines[i] - 1].strip() if i < len(lines) else "}"
     if _ELSE_IF_RE.match(closing):
-        nested, i = _parse_if(code, lines, i + 1, lines[i])
+        nested, i = _parse_if(code, lines, i + 1, lines[i], depth + 1)
         return _IfStmt(line, then_body, [nested]), i
     else_body = None
     if "else" in closing:
-        else_body, i = _parse_statements(code, lines, i + 1, stop_at_brace=True)
+        else_body, i = _parse_statements(code, lines, i + 1, stop_at_brace=True, depth=depth)
     return _IfStmt(line, then_body, else_body), i + 1
 
 

@@ -9,6 +9,8 @@ import subprocess
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binprov import buildoracle, varsource
 from binprov.binmodel import (
@@ -40,6 +42,7 @@ from binprov.corpusgen import generate_corpus
 from binprov.errors import (
     BuildFailureError,
     ConfigError,
+    NestingError,
     OracleUnavailableError,
     SchemaError,
 )
@@ -796,6 +799,184 @@ def test_index_from_the_parts_equals_the_index_of_the_build(corpus21, specs):
                     )
                 checked += 1
     assert checked > len(corpus21) * len(specs)  # 41 configurations at this writing
+
+
+def _nested_ifs(depth: int) -> str:
+    return "int f(int x) {\n" + "if (x) {\n" * depth + "g(1);\n" + "}\n" * depth + "}\n"
+
+
+def test_build_refuses_ifs_nested_past_the_limit_by_unit_and_line():
+    deep = SourceTree.from_mapping({"deep.c": _nested_ifs(600)})
+    line = varsource.MAX_IF_DEPTH + 2  # the first if past the limit; the header is line 1
+    with pytest.raises(NestingError, match=rf"^deep\.c:{line}: "):
+        build_unoptimized(deep, EMPTY_CONFIG)
+    with pytest.raises(NestingError, match=rf"^deep\.c:{line}: "):
+        SimulatedToolchain(deep).index(BuildSpec("gcc", "6", "O3"), EMPTY_CONFIG)
+    limit = SourceTree.from_mapping({"deep.c": _nested_ifs(varsource.MAX_IF_DEPTH)})
+    (fn,) = build_unoptimized(limit, EMPTY_CONFIG).functions
+    assert sum(ki.kind is KeyKind.COMPARE for blk in fn.blocks for ki in blk.keyins) == varsource.MAX_IF_DEPTH
+
+
+# Every hand-made unit below also holds a leaf that ``main`` calls and a
+# duplicate that it calls, so each one checks both the inline and the
+# dedup step of the index from the parts.
+_SCAFFOLD = """\
+int dup_a(int x) {
+  lib_a("s");
+}
+int dup_b(int x) {
+  lib_a("s");
+}
+int tiny(int x) {
+  x = 5;
+}
+int main(int x) {
+  tiny(1);
+  dup_b(2);
+}
+"""
+
+_LEAFY = "int leafy(int x) {\n  if (x > 7) {\n    x = 8;\n  }\n}\n"
+
+
+def _unit_program(text: str) -> BinaryProgram:
+    return build_unoptimized(SourceTree.from_mapping({"m.c": _SCAFFOLD + text}), EMPTY_CONFIG)
+
+
+def _check_index_from_the_parts(program: BinaryProgram) -> dict[str, BinaryProgram]:
+    """Assert that at every spec the index from the parts of ``program``
+    equals the index of its build; return the builds by spec text."""
+    base = buildoracle._Base(program, [buildoracle._plan_function(fn) for fn in program.functions])
+    builds = {}
+    for spec in all_option_specs():
+        build = builds[spec.text()] = apply_transforms(program, spec)
+        expected = index_program(build)
+        index = buildoracle._index_parts(base, spec)
+        for f in dataclasses.fields(index):
+            assert getattr(index, f.name) == getattr(expected, f.name), (spec.text(), f.name)
+    return builds
+
+
+def _keyins(program: BinaryProgram, fid: str) -> list[tuple[KeyKind, str | None]]:
+    fn = next(fn for fn in program.functions if fn.id == fid)
+    return [(ki.kind, ki.operand) for blk in fn.blocks for ki in blk.keyins]
+
+
+def _called(program: BinaryProgram, fid: str) -> list[str | None]:
+    return [operand for kind, operand in _keyins(program, fid) if kind is KeyKind.CALL]
+
+
+def test_dedup_from_the_parts_tells_a_source_7100_from_a_pad():
+    # At gcc-6-Os pad_me carries pad 7100 after its comparison, and src_7100
+    # compiles the constant 7100 before its own: the same instructions in
+    # another order, so dedup keeps both. At gcc-5 neither twin carries a
+    # pad and dedup drops twin; at gcc-6 each carries its own, and both stay.
+    builds = _check_index_from_the_parts(
+        _unit_program(
+            "".join(
+                f"int {name}(int x) {{\n  if (x > {cond}) {{\n    lib_b(\"t\");\n  }}\n}}\n"
+                for name, cond in (("pad_me", "1"), ("src_7100", "1 + 7100"), ("twin", "1"))
+            )
+        )
+    )
+    o6 = builds["gcc-6-Os"]
+    padded, unpadded = _keyins(o6, "pad_me"), _keyins(o6, "src_7100")
+    assert padded != unpadded and sorted(map(repr, padded)) == sorted(map(repr, unpadded))
+    assert (KeyKind.CONST_REF, "7100") in padded and (KeyKind.CONST_REF, "7101") in _keyins(o6, "twin")
+    assert "twin" not in {fn.id for fn in builds["gcc-5-Os"].functions}
+
+
+def test_inline_from_the_parts_keeps_a_call_without_a_target():
+    # nameless merges to one block and makes a call whose operand is empty:
+    # it makes a call, so it is no leaf, and caller's call to it stays.
+    program = _unit_program("int nameless(int x) {\n  x = 3;\n  hook();\n}\nint caller(int x) {\n  nameless(4);\n}\n")
+    nameless = next(fn for fn in program.functions if fn.id == "nameless")
+    for blk in nameless.blocks:
+        blk.keyins = [KeyInstruction(KeyKind.CALL, "") if ki.kind is KeyKind.CALL else ki for ki in blk.keyins]
+    builds = _check_index_from_the_parts(program)
+    o3 = builds["gcc-7-O3"]
+    assert len(next(fn for fn in o3.functions if fn.id == "nameless").blocks) == 1
+    assert _called(o3, "nameless") == [""] and _called(o3, "caller") == ["nameless"]
+
+
+def test_inline_from_the_parts_inlines_one_leaf_twice_in_one_block():
+    builds = _check_index_from_the_parts(_unit_program(_LEAFY + "int twice(int x) {\n  leafy(1);\n  x = x;\n  leafy(2);\n}\n"))
+    for spec in ("gcc-9-O3", "clang-7.0-O3"):
+        twice = next(fn for fn in builds[spec].functions if fn.id == "twice")
+        assert len(twice.blocks) == 1 and _called(builds[spec], "twice") == []
+        assert [kind for kind, _ in _keyins(builds[spec], "twice")].count(KeyKind.COMPARE) == 2
+
+
+def test_dedup_from_the_parts_retargets_calls_to_removed_duplicates():
+    builds = _check_index_from_the_parts(
+        _unit_program(
+            'int dup_c(int x) {\n  lib_a("s");\n}\n'
+            "int caller(int x) {\n  dup_c(1);\n  dup_a(2);\n  if (x > 3) {\n    dup_b(4);\n  }\n}\n"
+        )
+    )
+    for spec in ("gcc-5-Os", "clang-6.0-Os"):
+        assert {"dup_b", "dup_c"}.isdisjoint(fn.id for fn in builds[spec].functions)
+        assert _called(builds[spec], "caller") == ["dup_a"] * 3
+
+
+def test_inline_from_the_parts_keeps_library_calls_among_leaf_calls():
+    builds = _check_index_from_the_parts(
+        _unit_program(
+            _LEAFY + 'int mixed(int x) {\n  tiny(1);\n  puts("a");\n  if (x > 2) {\n'
+            "    leafy(3);\n    exit(4);\n  }\n}\n"
+        )
+    )
+    assert _called(builds["gcc-8-O3"], "mixed") == ["puts", "exit"]
+    assert _called(builds["gcc-8-O2"], "mixed") == ["tiny", "puts", "leafy", "exit"]
+
+
+_UNIT_CONST = st.sampled_from(["1", "2", "7100", "7101"])
+
+
+def _unit_statements(draw, names: list[str], depth: int, calls: bool) -> list[str]:
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ("const", "if", "call", "library") if calls else ("const", "if")
+        kind = draw(st.sampled_from(kinds if depth < 2 else kinds[:1] + kinds[2:]))
+        if kind == "call":
+            lines.append(f"{draw(st.sampled_from(names))}({draw(_UNIT_CONST)});")
+        elif kind == "library":
+            lines.append(f'lib("{draw(st.sampled_from("ab"))}");')
+        elif kind == "const":
+            lines.append(f"x = {draw(_UNIT_CONST)};")
+        else:
+            lines.append(f"if (x > {draw(_UNIT_CONST)}) {{")
+            lines += _unit_statements(draw, names, depth + 1, calls)
+            if draw(st.booleans()):
+                lines.append("} else {")
+                lines += _unit_statements(draw, names, depth + 1, calls)
+            lines.append("}")
+    return lines
+
+
+@st.composite
+def _random_unit(draw) -> str:
+    """Two to six functions that call each other and the library. A body
+    may repeat an earlier one, for dedup, or make no call, which makes
+    short ones leaves."""
+    names = [f"f{k}" for k in range(draw(st.integers(2, 6)))]
+    bodies: list[list[str]] = []
+    for _ in names:
+        shape = draw(st.sampled_from(("repeat", "call-free", "any") if bodies else ("call-free", "any")))
+        if shape == "repeat":
+            bodies.append(draw(st.sampled_from(bodies)))
+        else:
+            bodies.append(_unit_statements(draw, names, 0, calls=shape == "any"))
+    return "".join(
+        f"int {name}(int x) {{\n" + "".join(f"  {line}\n" for line in body) + "}\n"
+        for name, body in zip(names, bodies)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_unit())
+def test_index_from_the_parts_of_random_units_equals_the_index_of_the_build(text):
+    _check_index_from_the_parts(build_unoptimized(SourceTree.from_mapping({"m.c": text}), EMPTY_CONFIG))
 
 
 def test_external_toolchain_manifest_parsing():

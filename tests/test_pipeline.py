@@ -273,11 +273,10 @@ def test_run_case_indexes_the_crash_payloads_once(corpus21, monkeypatch):
 
 
 def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
-    # An O3 or Os index indexes its built program. An O0 to O2 index is
-    # computed from the functions' parts and the index of the base, which
-    # is indexed once per configuration. So each built program is indexed
-    # at most once, each base once if any O0 to O2 index reads it and never
-    # otherwise, and the crash once.
+    # Every index, O3 and Os included, is computed from the functions' parts
+    # and the index of the base, which is indexed once per configuration.
+    # So no built program is indexed, each base exactly once, and the crash
+    # once.
     indexed = []
 
     def counting(program):
@@ -297,7 +296,6 @@ def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
     monkeypatch.setattr(buildoracle, "build_unoptimized", recording)
     for case in corpus21[:4]:
         built = {}
-        plan_configs = set()  # configurations indexed at O0 to O2
 
         class Recording(SimulatedToolchain):
             def build(self, spec, config):
@@ -305,22 +303,34 @@ def test_run_case_indexes_each_program_once(corpus21, monkeypatch):
                 built[id(program)] = program
                 return program
 
-            def index(self, spec, config):
-                if spec.level in ("O0", "O1", "O2"):
-                    plan_configs.add(config.key())
-                return super().index(spec, config)
-
         indexed.clear()
         bases.clear()
         report = run_generated_case(case, backend=Recording(case.tree, base_name=case.name))
         assert report.option_trace is not None
         counts = Counter(indexed)
-        assert all(counts[p] <= 1 for p in built), case.name
-        assert plan_configs, case.name
+        assert not set(counts) & set(built), case.name
+        assert bases, case.name
         for key, base in bases.items():
-            assert counts[id(base)] == (key in plan_configs), (case.name, key)
+            assert counts[id(base)] == 1, (case.name, key)
         assert counts[id(case.crash)] == 1, case.name
-        assert set(counts) <= {*built, *map(id, bases.values()), id(case.crash)}, case.name
+        assert set(counts) <= {*map(id, bases.values()), id(case.crash)}, case.name
+
+
+def test_similarity_matrix_makes_no_program(case0, specs, monkeypatch):
+    # Each of the fifty indexes of a grid comes from the parts: a fresh
+    # toolchain never runs the transform chain.
+    calls = []
+    apply_transforms = buildoracle.apply_transforms
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return apply_transforms(*args, **kwargs)
+
+    monkeypatch.setattr(buildoracle, "apply_transforms", counting)
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    grid = similarity_matrix(backend, case0.seed_config(), specs)
+    assert len(grid) == len(specs) and backend.build_count == len(specs)
+    assert calls == []
 
 
 # --- option landscape ---------------------------------------------------------

@@ -22,7 +22,7 @@ from binprov.buildoracle import (
 )
 from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
-from binprov.errors import BinprovError, MapGapError, SchemaError
+from binprov.errors import BinprovError, MapGapError, NestingError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
@@ -448,6 +448,17 @@ def test_features_of_random_guarded_bodies_are_what_the_build_compiles(body):
     payloads = [_payload_key(feat) for feat in frag.features if not isinstance(feat, BranchShape)]
     assert payloads == _payloads(program)
     assert [feat.has_else for feat in frag.features if isinstance(feat, BranchShape)] == has_else
+
+
+def test_features_refuse_ifs_nested_past_the_limit_by_unit_and_line():
+    # 600 nested ifs, and an else-if chain as long, each level one more.
+    depth = 600
+    nested = "if (x) {\n" * depth + "g(1);\n" + "}\n" * depth
+    chain = "if (x > 0) {\n" + "".join(f"}} else if (x > {k}) {{\n" for k in range(1, depth)) + "}\n"
+    for body in (nested, chain):
+        (root,) = scan_unit("deep.c", "int f(int x) {\n" + body + "}\n").fragments
+        with pytest.raises(NestingError, match=rf"^deep\.c:{varsource.MAX_IF_DEPTH + 2}: "):
+            root.features
 
 
 # The reference reader: the three routines that read a line before one pass
