@@ -1,11 +1,11 @@
 """Build oracle: turn source plus a configuration into a binary model.
 
 The simulated toolchain builds an unoptimized program directly from source,
-as ``varsource``'s scan and parse read it, like the fragment features (one
-basic block per statement, explicit branch diamonds). A block copies the key
-instructions the scan read for its line, so no line is lexed here. It then
-applies a deterministic transform chain that reproduces how real compilers
-leave structural traces of their identity:
+along ``varsource``'s one flat statement walk, like the fragment features
+(one basic block per statement, explicit branch diamonds). A block copies
+the key instructions the scan read for its line, so no line is lexed here.
+It then applies a deterministic transform chain that reproduces how real
+compilers leave structural traces of their identity:
 
 * version pads: a version-indexed number of extra constants appended to
   comparison blocks, chosen in a compiler-salted order so the pad sets of
@@ -82,7 +82,7 @@ from .binmodel import (
 from .conditions import evaluate
 from .errors import BuildFailureError, ConfigError, OracleUnavailableError, SchemaError
 from .simdiff import KIND_PRIMES, ProgramIndex, index_program
-from .varsource import ConfigMap, SourceTree, _IfStmt, _parse_statements, _UnitCode
+from .varsource import ConfigMap, SourceTree, _statements, _UnitCode
 # ``scan_unit`` is not called here (``SourceTree.scan`` is), but stays a module
 # attribute: perfbench's tracer rebinds ``buildoracle.scan_unit`` by name.
 from .varsource import scan_unit  # noqa: F401
@@ -212,48 +212,6 @@ class ConfigAssignment:
 # --- unoptimized builder -------------------------------------------------
 
 
-class _FunctionEmitter:
-    """Statement-per-block emission with explicit branch diamonds. A block
-    holds its line's key instructions, as the scan read them (``keyins``)."""
-
-    def __init__(self, keyins: list[tuple[KeyInstruction, ...]]) -> None:
-        self.keyins = keyins
-        self.blocks: list[BasicBlock] = []
-        self.by_id: dict[str, BasicBlock] = {}
-
-    def new_block(self) -> BasicBlock:
-        blk = BasicBlock(id=f"b{len(self.blocks)}")
-        self.blocks.append(blk)
-        self.by_id[blk.id] = blk
-        return blk
-
-    def emit_chain(self, stmts: list) -> tuple[str, list[str]]:
-        """Emit a statement list; returns (first block id, loose tail ids)."""
-        first: str | None = None
-        tails: list[str] = []
-        for stmt in stmts:
-            head = self.new_block()
-            is_if = isinstance(stmt, _IfStmt)
-            head.keyins.extend(self.keyins[(stmt.line if is_if else stmt) - 1])
-            if first is None:
-                first = head.id
-            for t in tails:
-                self.by_id[t].succs.append(head.id)
-            tails = [head.id]
-            if is_if:
-                head.keyins.append(KeyInstruction(KeyKind.COMPARE))
-                # Each arm branches from the head; a missing or empty arm
-                # falls through to the join.
-                join = self.new_block()
-                for arm in (stmt.then_body, stmt.else_body or []):
-                    arm_first, arm_tails = self.emit_chain(arm)
-                    head.succs.append(join.id if arm_first is None else arm_first)
-                    for t in arm_tails:
-                        self.by_id[t].succs.append(join.id)
-                tails = [join.id]
-        return first, tails
-
-
 def build_unoptimized(
     tree: SourceTree,
     config: ConfigAssignment,
@@ -319,18 +277,50 @@ def build_unoptimized(
 def _emit_function(fname: str, code: _UnitCode, body_lines: tuple[int, ...]) -> Function:
     """The unoptimized function of one body, given as its active lines of
     its unit's code."""
-    stmts, _ = _parse_statements(code, body_lines, 0, stop_at_brace=False)
-    emitter = _FunctionEmitter(code.keyins)
-    first, _tails = emitter.emit_chain(stmts)
-    entry = emitter.new_block().id if first is None else first
-    fn = Function(id=fname, entry=entry, blocks=emitter.blocks, symbol=fname)
+    fn = Function(id=fname, entry="b0", blocks=_emit_blocks(code, body_lines), symbol=fname)
     _elide_empty_blocks(fn)
     return fn
 
 
+def _emit_blocks(code: _UnitCode, lines: tuple[int, ...]) -> list[BasicBlock]:
+    """The blocks of one body before elision, emitted along ``_statements``:
+    one block per statement, holding its line's key instructions as the scan
+    read them, and an explicit diamond per if. An if's head compares and
+    branches to each arm, a missing or empty arm falling through to the
+    if's join, and each arm's loose tails go to the join. The entry is
+    ``b0``, an empty block for an empty body."""
+    blocks: list[BasicBlock] = []
+    open_ifs: list[tuple[BasicBlock, BasicBlock]] = []  # (head, join) per open if
+    tails: list[BasicBlock] = []  # the loose tails of the statements so far
+    for event, line in _statements(code, lines):
+        if event in ("else", "end"):
+            head, join = open_ifs[-1]
+            for t in tails:
+                t.succs.append(join.id)
+            if event == "else":
+                tails = [head]  # the else arm branches from the head
+                continue
+            open_ifs.pop()
+            if len(head.succs) == 1:  # no else arm: the head falls through to the join
+                head.succs.append(join.id)
+            tails = [join]
+            continue
+        head = BasicBlock(id=f"b{len(blocks)}", keyins=list(code.keyins[line - 1]))
+        blocks.append(head)
+        for t in tails:
+            t.succs.append(head.id)
+        tails = [head]
+        if event == "if":
+            head.keyins.append(KeyInstruction(KeyKind.COMPARE))
+            join = BasicBlock(id=f"b{len(blocks)}")
+            blocks.append(join)
+            open_ifs.append((head, join))
+    return blocks or [BasicBlock(id="b0")]
+
+
 def _elide_empty_blocks(fn: Function) -> None:
     """Remove pass-through blocks with no key instructions, rerouting their
-    predecessors. Join points the emitter materializes as empty blocks do
+    predecessors. Join points ``_emit_blocks`` materializes as empty blocks do
     not exist in real code layout.
 
     Emitted bodies have no loops, so no removal makes another block pass
@@ -988,7 +978,10 @@ class ExternalToolchain(_Backend):
                     f"on line {seen[key]}"
                 )
             seen[key] = lineno
-            command = shlex.split(rhs.strip())
+            try:
+                command = shlex.split(rhs.strip())
+            except ValueError as exc:  # an unclosed quote or a trailing backslash
+                raise SchemaError(f"toolchain manifest line {lineno}: {exc}") from None
             if not command:
                 raise SchemaError(f"toolchain manifest line {lineno}: empty command")
             manifest[key] = command

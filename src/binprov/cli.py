@@ -208,7 +208,7 @@ def _load_case_inputs(args, path: Path):
     return crash, tree, config_map, crash.name, None
 
 
-def _run_trigger(command: str, report: CaseReport) -> dict:
+def _run_trigger(command: str) -> dict:
     """Run a user command after the report; record how the process ended.
 
     The command runs through the shell as given; no portability guarantees
@@ -259,7 +259,7 @@ def _run_one(args, path: Path) -> tuple[str, dict]:
     payload = _report_payload(report)
     text = report.to_text()
     if args.run_trigger:
-        trigger = _run_trigger(args.run_trigger, report)
+        trigger = _run_trigger(args.run_trigger)
         payload["trigger"] = trigger
         if trigger["timed_out"]:
             ended = f"timed out after {buildoracle.EXTERNAL_TIMEOUT_S:g} s"

@@ -11,10 +11,6 @@ class SchemaError(BinprovError):
     """Input document is structurally malformed (bad field, bad line, bad type)."""
 
 
-class NestingError(SchemaError):
-    """A function body nests ``if`` statements deeper than ``varsource.MAX_IF_DEPTH``."""
-
-
 class InvariantError(BinprovError):
     """The solver produced a model that violates one of its constraints.
 

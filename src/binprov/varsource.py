@@ -8,11 +8,12 @@ pass the function spans and what the build compiles of each line
 (``_UnitCode``). ``_read_line`` is the one reader of a line outside
 directives: one left-to-right pass gives its code, its brace balance and the
 key instructions the build emits for it, and the scan keeps those per line,
-so each line is lexed once. The build parses each body into statements that
-are line numbers (``_parse_statements``) and copies their key instructions;
-a fragment's features, computed when first read, are the same key
-instructions of the same parse of its lines inside function bodies, so they
-are exactly what the build compiles, ``has_else`` included.
+so each line is lexed once. The build walks each body's lines in one flat
+pass (``_statements``), which keeps its open ifs on a list, so any nesting
+depth reads, and copies each statement line's key instructions; a
+fragment's features, computed when first read, are the same key
+instructions of the same walk over its lines inside function bodies, so
+they are exactly what the build compiles, ``has_else`` included.
 
 The C subset read: ``{`` must end a function header (``name(params) {`` at
 brace depth 0, after any return type) and an ``if`` line. Braces count
@@ -20,8 +21,9 @@ outside string literals, char literals and comments. A ``/* */`` comment,
 also one over several lines, reads as one space, and a ``#`` line inside it
 is no directive; directive lines themselves are not read for comments. A
 string or char literal left open runs to the end of its line, and a char
-literal compiles to nothing. ``while``, ``for`` and ``switch`` blocks are not
-read.
+literal compiles to nothing. A ``}`` line opens an else arm only when the
+code after its ``}`` starts with the word ``else``. ``while``, ``for`` and
+``switch`` blocks are not read.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -31,6 +33,7 @@ chain are mutually unsatisfiable and every child implies its parent.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -45,7 +48,7 @@ from .conditions import (
     parse_expression,
     to_text,
 )
-from .errors import MapGapError, NestingError, SchemaError
+from .errors import MapGapError, SchemaError
 
 __all__ = [
     "StringLit",
@@ -324,8 +327,9 @@ def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
 
 _KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
 _IF_RE = re.compile(r"^\s*if\s*\(.*\)\s*\{\s*$")
-# The closing line of a then arm that opens an ``else if``: the build
-# compiles its condition as a nested if.
+# A ``}`` line that opens an else arm, and one whose else arm is one ``if``:
+# the build compiles its condition as a nested if.
+_ELSE_RE = re.compile(r"\}\s*else\b")
 _ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\(.*\)\s*\{\s*$")
 _NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
 _WORD_RE = re.compile(r"\w+")
@@ -400,57 +404,43 @@ def _read_line(line: str, comment: bool) -> tuple[str, int, tuple[KeyInstruction
 _FUNC_HEADER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{\s*$")
 
 
-@dataclass
-class _IfStmt:
-    line: int
-    then_body: list
-    else_body: list | None
-
-
-# How deep ``if``s may nest, an ``else if`` one level more: the parse, build and
-# features recurse per level, so deeper bodies are refused short of Python's limit.
-MAX_IF_DEPTH = 200
-
-
-def _parse_statements(
-    code: _UnitCode, lines: tuple[int, ...], i: int, stop_at_brace: bool, depth: int = 0
-) -> tuple[list, int]:
-    """The statements (``_IfStmt`` or a simple statement's line number) from
-    ``lines[i]`` of a body, inside ``depth`` ifs, up to the first ``}`` line
-    if ``stop_at_brace``."""
-    stmts: list = []
-    while i < len(lines):
-        stripped = code.text[lines[i] - 1].strip()
-        if stripped.startswith("}") and stop_at_brace:
-            return stmts, i
-        if _IF_RE.match(stripped):
-            stmt, i = _parse_if(code, lines, i + 1, lines[i], depth + 1)
-            stmts.append(stmt)
-            continue
-        if stripped and not stripped.startswith("}"):
-            stmts.append(lines[i])
-        i += 1
-    return stmts, i
-
-
-def _parse_if(
-    code: _UnitCode, lines: tuple[int, ...], i: int, line: int, depth: int
-) -> tuple[_IfStmt, int]:
-    """The if statement on ``line``, at nesting ``depth``, whose then arm
-    starts at ``lines[i]``, and the index past its closing brace. A closing
-    ``} else if (c) {`` makes the else arm one nested ``if (c)``, whose own
-    closing brace ends the chain."""
-    if depth > MAX_IF_DEPTH:
-        raise NestingError(f"{code.unit}:{line}: if statements nest deeper than {MAX_IF_DEPTH}")
-    then_body, i = _parse_statements(code, lines, i, stop_at_brace=True, depth=depth)
-    closing = code.text[lines[i] - 1].strip() if i < len(lines) else "}"
-    if _ELSE_IF_RE.match(closing):
-        nested, i = _parse_if(code, lines, i + 1, lines[i], depth + 1)
-        return _IfStmt(line, then_body, [nested]), i
-    else_body = None
-    if "else" in closing:
-        else_body, i = _parse_statements(code, lines, i + 1, stop_at_brace=True, depth=depth)
-    return _IfStmt(line, then_body, else_body), i + 1
+def _statements(code: _UnitCode, lines: Iterable[int]) -> Iterator[tuple[str, int]]:
+    """The statements of a body, given as line numbers, in one pass with no
+    tree: ``("stmt", line)`` for a simple statement, ``("if", line)`` as an if
+    opens, ``("else", if_line)`` as its then arm closes into an else arm, and
+    ``("end", if_line)`` as it closes. A ``}`` line closes the then arm of the
+    innermost open if, into an else arm when the code after the ``}`` starts
+    with the word ``else``; ``} else if (c) {`` makes that else arm one if,
+    whose end ends the if above it too. Any ``}`` line closes an else arm, a
+    ``}`` line outside every if is skipped, and ifs still open at the last
+    line close there."""
+    # Per open if: its line, whether its end ends the if above, whether its
+    # else arm is open.
+    open_ifs: list[tuple[int, bool, bool]] = []
+    for line in lines:
+        stripped = code.text[line - 1].strip()
+        if stripped.startswith("}"):
+            if not open_ifs:
+                continue
+            if_line, chained, in_else = open_ifs[-1]
+            if not in_else and _ELSE_RE.match(stripped):
+                open_ifs[-1] = (if_line, chained, True)
+                yield "else", if_line
+                if _ELSE_IF_RE.match(stripped):
+                    open_ifs.append((line, True, False))
+                    yield "if", line
+                continue
+            chained = True
+            while chained:
+                if_line, chained, _ = open_ifs.pop()
+                yield "end", if_line
+        elif _IF_RE.match(stripped):
+            open_ifs.append((line, False, False))
+            yield "if", line
+        elif stripped:
+            yield "stmt", line
+    while open_ifs:
+        yield "end", open_ifs.pop()[0]
 
 
 def _line_features(code: _UnitCode, line: int) -> tuple[Feature, ...]:
@@ -463,26 +453,27 @@ def _line_features(code: _UnitCode, line: int) -> tuple[Feature, ...]:
     )
 
 
-def _statement_features(code: _UnitCode, stmts: list, out: list[Feature]) -> None:
-    """Append the features of ``stmts``: an if's shape, condition, then arms."""
-    for stmt in stmts:
-        if isinstance(stmt, _IfStmt):
-            condition = _line_features(code, stmt.line)
-            out.append(BranchShape(condition, stmt.else_body is not None))
-            out.extend(condition)
-            _statement_features(code, stmt.then_body, out)
-            _statement_features(code, stmt.else_body or [], out)
-        else:
-            out.extend(_line_features(code, stmt))
-
-
 def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
-    """The features of the fragment's lines in each body, parsed as the build does."""
-    feats: list[Feature] = []
+    """The features of the fragment's lines in each body, walked as the build
+    walks them: per if, its branch shape, its condition, then its arms."""
+    feats: list = []
+    shapes: dict[int, int] = {}  # open if line -> index of its shape's placeholder
+    has_else: set[int] = set()
     for header, body in groupby(frag.lines, key=lambda ln: code.body[ln - 1]):
-        if header:
-            stmts, _ = _parse_statements(code, tuple(body), 0, stop_at_brace=False)
-            _statement_features(code, stmts, feats)
+        if not header:
+            continue
+        for event, line in _statements(code, body):
+            if event == "else":
+                has_else.add(line)
+            elif event == "end":
+                i = shapes.pop(line)
+                feats[i] = BranchShape(feats[i], line in has_else)
+            else:
+                features = _line_features(code, line)
+                if event == "if":
+                    shapes[line] = len(feats)
+                    feats.append(features)  # the placeholder holds the condition
+                feats.extend(features)
     return tuple(feats)
 
 

@@ -42,7 +42,6 @@ from binprov.corpusgen import generate_corpus
 from binprov.errors import (
     BuildFailureError,
     ConfigError,
-    NestingError,
     OracleUnavailableError,
     SchemaError,
 )
@@ -312,11 +311,8 @@ def _random_body(rng, depth=0) -> list[str]:
 
 def _unelided(body: list[str]) -> Function:
     code = varsource.scan_unit("m.c", "int f(int x) {\n" + "".join(f"{line}\n" for line in body) + "}\n").code
-    stmts, _ = varsource._parse_statements(code, tuple(range(2, len(body) + 2)), 0, stop_at_brace=False)
-    emitter = buildoracle._FunctionEmitter(code.keyins)
-    first, _tails = emitter.emit_chain(stmts)
-    entry = emitter.new_block().id if first is None else first
-    return Function(id="f", entry=entry, blocks=emitter.blocks, symbol="f")
+    blocks = buildoracle._emit_blocks(code, tuple(range(2, len(body) + 2)))
+    return Function(id="f", entry="b0", blocks=blocks, symbol="f")
 
 
 def _shape(fn: Function):
@@ -335,6 +331,145 @@ def test_one_sweep_elision_equals_eliding_one_block_at_a_time():
         assert _shape(swept) == _shape(reference), body
         elided += before - len(swept.blocks)
     assert elided > 1000
+
+
+# The reference statement tree: the recursive parse, emitter and feature
+# walk that the one flat walk (``varsource._statements``) replaced. Its
+# ``}`` line opens an else arm when its code holds ``else`` anywhere.
+
+
+@dataclasses.dataclass
+class _ReferenceIf:
+    line: int
+    then_body: list
+    else_body: list | None
+
+
+def _reference_parse_statements(code, lines, i, stop_at_brace):
+    stmts = []
+    while i < len(lines):
+        stripped = code.text[lines[i] - 1].strip()
+        if stripped.startswith("}") and stop_at_brace:
+            return stmts, i
+        if varsource._IF_RE.match(stripped):
+            stmt, i = _reference_parse_if(code, lines, i + 1, lines[i])
+            stmts.append(stmt)
+            continue
+        if stripped and not stripped.startswith("}"):
+            stmts.append(lines[i])
+        i += 1
+    return stmts, i
+
+
+def _reference_parse_if(code, lines, i, line):
+    then_body, i = _reference_parse_statements(code, lines, i, stop_at_brace=True)
+    closing = code.text[lines[i] - 1].strip() if i < len(lines) else "}"
+    if varsource._ELSE_IF_RE.match(closing):
+        nested, i = _reference_parse_if(code, lines, i + 1, lines[i])
+        return _ReferenceIf(line, then_body, [nested]), i
+    else_body = None
+    if "else" in closing:
+        else_body, i = _reference_parse_statements(code, lines, i + 1, stop_at_brace=True)
+    return _ReferenceIf(line, then_body, else_body), i + 1
+
+
+def _reference_emit_blocks(code, lines) -> list[BasicBlock]:
+    blocks: list[BasicBlock] = []
+
+    def new_block() -> BasicBlock:
+        blocks.append(BasicBlock(id=f"b{len(blocks)}"))
+        return blocks[-1]
+
+    def emit_chain(stmts):
+        first, tails = None, []
+        for stmt in stmts:
+            head = new_block()
+            is_if = isinstance(stmt, _ReferenceIf)
+            head.keyins.extend(code.keyins[(stmt.line if is_if else stmt) - 1])
+            first = first or head
+            for t in tails:
+                t.succs.append(head.id)
+            tails = [head]
+            if is_if:
+                head.keyins.append(KeyInstruction(KeyKind.COMPARE))
+                join = new_block()
+                for arm in (stmt.then_body, stmt.else_body or []):
+                    arm_first, arm_tails = emit_chain(arm)
+                    head.succs.append((arm_first or join).id)
+                    for t in arm_tails:
+                        t.succs.append(join.id)
+                tails = [join]
+        return first, tails
+
+    stmts, _ = _reference_parse_statements(code, lines, 0, stop_at_brace=False)
+    if emit_chain(stmts)[0] is None:
+        new_block()
+    return blocks
+
+
+def _reference_statement_features(code, stmts, out) -> None:
+    for stmt in stmts:
+        if isinstance(stmt, _ReferenceIf):
+            condition = varsource._line_features(code, stmt.line)
+            out.append(varsource.BranchShape(condition, stmt.else_body is not None))
+            out.extend(condition)
+            _reference_statement_features(code, stmt.then_body, out)
+            _reference_statement_features(code, stmt.else_body or [], out)
+        else:
+            out.extend(varsource._line_features(code, stmt))
+
+
+_CONDITIONS = st.sampled_from(["x > 3", "x == 0x1f", 'eq(s, "}")', "g(7)"])
+_SIMPLE_STATEMENTS = st.sampled_from(["g(1);", "x = y;", 'lib("s", 2);', "", "// } else {", "acc = 5; // else"])
+
+
+def _draw_statements(draw, depth: int, lines: list[str]) -> None:
+    """Draw statements into ``lines``: ifs nested up to 4 deep, each with up
+    to two ``else if`` arms and an optional ``else`` arm; at most about 40
+    lines in all."""
+    for _ in range(draw(st.integers(0, 3))):
+        if len(lines) > 40:
+            return
+        if depth < 4 and draw(st.booleans()):
+            lines.append(f"if ({draw(_CONDITIONS)}) {{")
+            _draw_statements(draw, depth + 1, lines)
+            for _ in range(draw(st.integers(0, 2))):
+                lines.append(f"}} else if ({draw(_CONDITIONS)}) {{")
+                _draw_statements(draw, depth + 1, lines)
+            if draw(st.booleans()):
+                lines.append("} else {")
+                _draw_statements(draw, depth + 1, lines)
+            lines.append("}")
+        else:
+            lines.append(draw(_SIMPLE_STATEMENTS))
+
+
+@st.composite
+def _body_and_active_lines(draw):
+    """A random body and the line numbers of the lines left active, as a
+    configuration may leave any subset of a body active."""
+    body: list[str] = []
+    _draw_statements(draw, 0, body)
+    dropped = draw(st.sets(st.integers(0, len(body) - 1))) if body else set()
+    return body, tuple(k + 2 for k in range(len(body)) if k not in dropped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_body_and_active_lines())
+def test_the_flat_walk_emits_and_features_what_the_statement_tree_did(drawn):
+    body, active = drawn
+    scan = varsource.scan_unit("m.c", "int f(int x) {\n" + "".join(f"{line}\n" for line in body) + "}\n")
+    code = scan.code
+    walked = buildoracle._emit_blocks(code, active)
+    assert [(b.id, b.keyins, b.succs) for b in walked] == [
+        (b.id, b.keyins, b.succs) for b in _reference_emit_blocks(code, active)
+    ]
+    expected: list = []
+    stmts, _ = _reference_parse_statements(code, active, 0, stop_at_brace=False)
+    _reference_statement_features(code, stmts, expected)
+    (root,) = scan.fragments
+    # The header line is in no body, so the walk reads only the active lines.
+    assert varsource._fragment_features(dataclasses.replace(root, lines=[1, *active]), code) == tuple(expected)
 
 
 # --- transform chain ---------------------------------------------------------
@@ -805,16 +940,18 @@ def _nested_ifs(depth: int) -> str:
     return "int f(int x) {\n" + "if (x) {\n" * depth + "g(1);\n" + "}\n" * depth + "}\n"
 
 
-def test_build_refuses_ifs_nested_past_the_limit_by_unit_and_line():
-    deep = SourceTree.from_mapping({"deep.c": _nested_ifs(600)})
-    line = varsource.MAX_IF_DEPTH + 2  # the first if past the limit; the header is line 1
-    with pytest.raises(NestingError, match=rf"^deep\.c:{line}: "):
-        build_unoptimized(deep, EMPTY_CONFIG)
-    with pytest.raises(NestingError, match=rf"^deep\.c:{line}: "):
-        SimulatedToolchain(deep).index(BuildSpec("gcc", "6", "O3"), EMPTY_CONFIG)
-    limit = SourceTree.from_mapping({"deep.c": _nested_ifs(varsource.MAX_IF_DEPTH)})
-    (fn,) = build_unoptimized(limit, EMPTY_CONFIG).functions
-    assert sum(ki.kind is KeyKind.COMPARE for blk in fn.blocks for ki in blk.keyins) == varsource.MAX_IF_DEPTH
+def _else_if_chain(arms: int) -> str:
+    return "int f(int x) {\nif (x > 0) {\n" + "".join(f"}} else if (x > {k}) {{\n" for k in range(1, arms)) + "}\n}\n"
+
+
+@pytest.mark.parametrize("text", [_nested_ifs(600), _else_if_chain(600)], ids=["nested", "else-if-chain"])
+def test_600_nested_ifs_or_else_if_arms_build_with_no_depth_limit(text):
+    deep = SourceTree.from_mapping({"deep.c": text})
+    base = build_unoptimized(deep, EMPTY_CONFIG)
+    (fn,) = base.functions
+    assert sum(ki.kind is KeyKind.COMPARE for blk in fn.blocks for ki in blk.keyins) == 600
+    spec = BuildSpec("gcc", "6", "O3")
+    assert SimulatedToolchain(deep).index(spec, EMPTY_CONFIG) == index_program(apply_transforms(base, spec))
 
 
 # Every hand-made unit below also holds a leaf that ``main`` calls and a
@@ -993,6 +1130,25 @@ def test_external_toolchain_manifest_parsing():
 def test_external_toolchain_manifest_rejects_a_repeated_entry():
     with pytest.raises(SchemaError, match="line 3: gcc/7 already listed on line 1"):
         ExternalToolchain.parse_manifest("gcc/7 : ./a.sh\nclang/4.0 : ./c.sh\n gcc / 7 : ./b.sh\n")
+
+
+@pytest.mark.parametrize("line", ['gcc/7 : ./drv "unclosed', "gcc/7 : ./drv 'unclosed", "gcc/7 : ./drv \\"])
+def test_external_toolchain_manifest_rejects_an_unclosed_quote_by_line(line):
+    with pytest.raises(SchemaError, match=r"^toolchain manifest line 2: "):
+        ExternalToolchain.parse_manifest(f"clang/4.0 : ./c.sh\n{line}\n")
+
+
+_MANIFEST_PIECES = ["gcc/7", "clang/4.0", "gcc/", " : ", ":", "/", "'", '"', "\\", " ", "\t", "./drv", "-x", "#", "\n"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_MANIFEST_PIECES), max_size=20).map("".join))
+def test_manifest_texts_with_quotes_and_backslashes_raise_only_schema_errors(text):
+    try:
+        tc = ExternalToolchain.parse_manifest(text)
+    except SchemaError:
+        return
+    assert all(tc.manifest.values())
 
 
 FAKE_CC = """\

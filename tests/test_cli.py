@@ -295,7 +295,7 @@ def test_run_case_records_trigger_timeout(case_dir, capsys, monkeypatch):
     assert main(["run-case", str(cdir), "--run-trigger", "echo started; exec sleep 5"]) == 0
     assert time.monotonic() - started < 1.0
     assert "trigger: timed out after 0.2 s" in capsys.readouterr().out
-    trigger = _run_trigger("echo started; exec sleep 5", None)
+    trigger = _run_trigger("echo started; exec sleep 5")
     assert trigger["timed_out"] is True
     assert trigger["exit_code"] is None and trigger["signal"] is None
     assert trigger["stdout_tail"] == "started\n"
@@ -306,7 +306,7 @@ def test_trigger_timeout_kills_forked_children(tmp_path, monkeypatch):
     # the timeout, unless the trigger's whole process group is killed.
     monkeypatch.setattr(buildoracle, "EXTERNAL_TIMEOUT_S", 0.2)
     marker = tmp_path / "M"
-    trigger = _run_trigger(f"(sleep 0.5; touch {marker}) & exec sleep 5", None)
+    trigger = _run_trigger(f"(sleep 0.5; touch {marker}) & exec sleep 5")
     assert trigger["timed_out"] is True
     time.sleep(1.0)
     assert not marker.exists()

@@ -22,7 +22,7 @@ from binprov.buildoracle import (
 )
 from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
-from binprov.errors import BinprovError, MapGapError, NestingError, SchemaError
+from binprov.errors import BinprovError, MapGapError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
@@ -298,8 +298,10 @@ def test_a_brace_in_a_comment_or_string_does_not_end_the_body(line):
     [
         (["    g(1);", "  } // or else", "  h(2);"], False),
         (['    g("{");', "  } else {", "    h(2);", "  }"], True),
+        (["    g(1);", "  } n_else = 0;", "  h(2);"], False),
+        (["    g(1);", "  }else{", "    h(2);", "  }"], True),
     ],
-    ids=["comment-says-else", "then-arm-holds-an-open-brace"],
+    ids=["comment-says-else", "then-arm-holds-an-open-brace", "word-holds-else", "else-without-spaces"],
 )
 def test_has_else_is_the_builds_own_parse(arms, has_else):
     body = "\n".join(["  if (x > 5) {", *arms])
@@ -450,15 +452,20 @@ def test_features_of_random_guarded_bodies_are_what_the_build_compiles(body):
     assert [feat.has_else for feat in frag.features if isinstance(feat, BranchShape)] == has_else
 
 
-def test_features_refuse_ifs_nested_past_the_limit_by_unit_and_line():
-    # 600 nested ifs, and an else-if chain as long, each level one more.
+def test_features_of_600_nested_ifs_or_else_if_arms_have_no_depth_limit():
+    # The walk keeps its open ifs on a list, so neither 600 nested ifs nor
+    # an else-if chain of 600 arms meets a limit.
     depth = 600
     nested = "if (x) {\n" * depth + "g(1);\n" + "}\n" * depth
     chain = "if (x > 0) {\n" + "".join(f"}} else if (x > {k}) {{\n" for k in range(1, depth)) + "}\n"
-    for body in (nested, chain):
+    for body, conditions, has_else in (
+        (nested, [()] * depth, [False] * depth),
+        (chain, [(IntConst(k),) for k in range(depth)], [True] * (depth - 1) + [False]),
+    ):
         (root,) = scan_unit("deep.c", "int f(int x) {\n" + body + "}\n").fragments
-        with pytest.raises(NestingError, match=rf"^deep\.c:{varsource.MAX_IF_DEPTH + 2}: "):
-            root.features
+        shapes = [feat for feat in root.features if isinstance(feat, BranchShape)]
+        assert [shape.condition_features for shape in shapes] == conditions
+        assert [shape.has_else for shape in shapes] == has_else
 
 
 # The reference reader: the three routines that read a line before one pass
