@@ -64,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -930,13 +931,22 @@ def run_external(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
+# A shell word: unquoted characters, escapes and quoted strings. A quote left
+# open or a trailing backslash runs to the end, for ``shlex`` to refuse.
+_SHELL_WORD_RE = re.compile(r"""(?:[^\s'"\\]|\\.?|'[^']*'?|"(?:[^"\\]|\\.?)*"?)+""")
+
+
 class ExternalToolchain(_Backend):
     """Shells out to real compiler commands listed in a toolchain manifest.
 
-    Manifest format, one entry per line, '#' comments allowed:
+    Manifest format, one entry per line:
 
+        # a line that starts with '#' is a comment
         gcc/7   : ./drivers/gcc7.sh
-        clang/4.0 : python3 drivers/clang.py --version 4.0
+        clang/4.0 : python3 drivers/clang.py --version 4.0  # trailing note
+
+    A command is split as the shell splits it, so a ``#`` starts a comment
+    only at the start of a word: ``./drv a#b`` passes ``a#b``.
 
     The command is invoked with the level (-O2 style), -D<macro> for every
     defined macro, and the selected unit paths; it must print the
@@ -959,8 +969,8 @@ class ExternalToolchain(_Backend):
         manifest: dict[tuple[str, str], list[str]] = {}
         seen: dict[tuple[str, str], int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if ":" not in line:
                 raise SchemaError(f"toolchain manifest line {lineno}: missing ':'")
@@ -978,8 +988,9 @@ class ExternalToolchain(_Backend):
                     f"on line {seen[key]}"
                 )
             seen[key] = lineno
+            comment = next((w.start() for w in _SHELL_WORD_RE.finditer(rhs) if w[0].startswith("#")), None)
             try:
-                command = shlex.split(rhs.strip())
+                command = shlex.split(rhs[:comment])
             except ValueError as exc:  # an unclosed quote or a trailing backslash
                 raise SchemaError(f"toolchain manifest line {lineno}: {exc}") from None
             if not command:

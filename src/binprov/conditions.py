@@ -6,13 +6,19 @@ grammar mirrors what #if lines actually contain:
     expr  := or
     or    := and ('||' and)*
     and   := unary ('&&' unary)*
-    unary := '!' unary | '(' expr ')' | 'defined' '(' IDENT ')'
-             | IDENT | INTEGER | comparison
+    unary := '!' unary | '(' expr ')' | atom (CMP value)?
+    atom  := 'defined' '(' IDENT ')' | 'defined' IDENT | value
+    value := IDENT | INTEGER
 
-Comparisons (``FOO > 2``) and bare identifiers are kept as opaque atoms: they
-only matter for satisfiability, never for macro decisions. Parentheses and
-``!`` may nest at most ``MAX_NESTING`` deep; deeper input raises
-``ParseError`` rather than exhausting the Python stack.
+An INTEGER is a C integer literal, decimal, octal or hex, with an optional
+``u``, ``l`` or ``ll`` suffix (``10``, ``0200``, ``0x0200UL``); any other
+suffix is an error. Alone it is true when nonzero, and a bare IDENT reads as
+``defined(IDENT)``. A comparison (``FOO >= 0x0200``) is one opaque atom,
+kept verbatim: it only matters for satisfiability, never for macro
+decisions. Not read: arithmetic (``B+1``), character constants, comments
+(``varsource`` drops them from a directive line first) and a backslash
+that continues a directive line. Parentheses and ``!`` may nest at most
+``MAX_NESTING`` deep; deeper input raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from .errors import ParseError
 
 l = logging.getLogger(__name__)
 
-# Far beyond any real #if; keeps the recursive-descent parser well inside
-# Python's recursion limit.
+# Far beyond any real #if.
 MAX_NESTING = 100
 
 
@@ -188,124 +193,116 @@ def evaluate(cond: Condition, env) -> bool:
     raise TypeError(f"not a condition: {cond!r}")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<and>&&)
-  | (?P<or>\|\|)
-  | (?P<cmp>==|!=|<=|>=|<|>)
-  | (?P<not>!)
-  | (?P<lp>\()
-  | (?P<rp>\))
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# Tokens, longest first: an operator, a number (digits with any letters glued
+# on, read as a C integer literal where the parser meets one), an identifier.
+_TOKENS = r"&&|\|\||[=!<>]=|[<>!()]|\d[\dA-Za-z_]*|[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"{_TOKENS}|\S")  # \S: a character no token starts with
+_LEXABLE_RE = re.compile(rf"(?:\s|{_TOKENS})*")
+_INTEGER_RE = re.compile(r"(?:0[xX]([0-9a-fA-F]+)|(\d+))(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?")
+_CMP = frozenset(("==", "!=", "<=", ">=", "<", ">"))
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(("eof", "", len(text) + 1))
-    return tokens
+def _error(text: str, j: int, message: str) -> ParseError:
+    """The ParseError at token ``j``, unless some character of ``text`` starts
+    no token: that character is the error, as no token of the text is read."""
+    end = _LEXABLE_RE.match(text).end()
+    if end < len(text):
+        return ParseError(f"unexpected character {text[end]!r}", end + 1)
+    starts = [m.start() + 1 for m in _TOKEN_RE.finditer(text)]
+    return ParseError(message, starts[j] if j < len(starts) else len(text) + 1)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'}", tok[2])
-        return tok
-
-    def parse(self) -> Condition:
-        cond = self.parse_or()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return cond
-
-    def parse_or(self) -> Condition:
-        parts = [self.parse_and()]
-        while self.peek()[0] == "or":
-            self.take()
-            parts.append(self.parse_and())
-        return disj(parts) if len(parts) > 1 else parts[0]
-
-    def parse_and(self) -> Condition:
-        parts = [self.parse_unary()]
-        while self.peek()[0] == "and":
-            self.take()
-            parts.append(self.parse_unary())
-        return conj(parts) if len(parts) > 1 else parts[0]
-
-    def parse_unary(self) -> Condition:
-        kind, value, col = self.peek()
-        if kind in ("not", "lp"):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", col)
-            self.take()
-            if kind == "not":
-                inner = neg(self.parse_unary())
-            else:
-                inner = self.parse_or()
-                self.expect("rp")
-            self.depth -= 1
-            return inner
-        if kind == "ident" and value == "defined":
-            self.take()
-            self.expect("lp")
-            name = self.expect("ident")[1]
-            self.expect("rp")
-            return self._maybe_comparison(DefinedAtom(name), f"defined({name})")
-        if kind == "ident":
-            # Bare IDENT means defined-and-nonzero; abstract to defined(IDENT)
-            # unless a comparison operator follows.
-            self.take()
-            return self._maybe_comparison(DefinedAtom(value), value)
-        if kind == "int":
-            self.take()
-            return self._maybe_comparison(None, value, is_int=True)
-        raise ParseError(f"expected expression, found {value or 'end of input'}", col)
-
-    def _maybe_comparison(self, node, left_text: str, is_int: bool = False) -> Condition:
-        # A comparison operator folds the whole thing into one opaque atom.
-        if self.peek()[0] == "cmp":
-            op = self.take()[1]
-            kind, value, col = self.take()
-            if kind not in ("ident", "int"):
-                raise ParseError(f"expected comparison operand, found {value or 'end of input'}", col)
-            return OpaqueAtom(f"{left_text} {op} {value}")
-        if node is not None:
-            return node
-        if is_int:
-            return BoolConst(int(left_text) != 0)
-        return OpaqueAtom(left_text)
+def _nonzero(text: str, toks: list[str], j: int) -> bool:
+    """Whether the integer literal ``toks[j]`` is nonzero: whether any digit
+    is, in any base. A suffix other than ``u``, ``l`` or ``ll`` is an error."""
+    m = _INTEGER_RE.fullmatch(toks[j])
+    if m is None:
+        raise _error(text, j, f"bad integer literal {toks[j]!r}")
+    return any(int(c, 16) for c in m[1] or m[2])
 
 
 def parse_expression(text: str) -> Condition:
-    """Parse a preprocessor condition; raises ParseError with column info."""
-    return _Parser(text).parse()
+    """Parse a preprocessor condition; raises ParseError with column info.
+    One ``findall`` splits the text into tokens and one loop reads them by
+    index; each ``(`` saves the state of the group around it on ``frames``."""
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")  # the end of input
+    frames: list[tuple[list[Condition], list[Condition], int]] = []
+    ors: list[Condition] = []  # the group's finished '&&' runs
+    ands: list[Condition] = []  # the '&&' run being read
+    nots = depth = i = 0  # '!'s before the operand; '!'s and '('s still open
+    while True:
+        tok = toks[i]
+        if tok == "!" or tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _error(text, i, f"nesting deeper than {MAX_NESTING}")
+            if tok == "!":
+                nots += 1
+            else:
+                frames.append((ors, ands, nots))
+                ors, ands, nots = [], [], 0
+            i += 1
+            continue
+        if tok == "defined":
+            name = toks[i + 1]
+            if name == "(":
+                name = toks[i + 2]
+                if name[:1] not in _IDENT_START:
+                    raise _error(text, i + 2, f"expected ident, found {name or 'end of input'}")
+                if toks[i + 3] != ")":
+                    raise _error(text, i + 3, f"expected rp, found {toks[i + 3] or 'end of input'}")
+                i += 4
+            elif name[:1] in _IDENT_START:
+                i += 2
+            else:
+                raise _error(text, i + 1, f"expected lp, found {name or 'end of input'}")
+            cond = DefinedAtom(name)
+        elif tok[:1] in _IDENT_START:
+            # Bare IDENT means defined-and-nonzero; abstract to defined(IDENT).
+            cond = DefinedAtom(tok)
+            i += 1
+        elif tok[:1].isdecimal():
+            cond = BoolConst(_nonzero(text, toks, i))
+            i += 1
+        else:
+            raise _error(text, i, f"expected expression, found {tok or 'end of input'}")
+        op = toks[i]
+        if op in _CMP:
+            # A comparison folds the whole thing into one opaque atom.
+            right = toks[i + 1]
+            if right[:1].isdecimal():
+                _nonzero(text, toks, i + 1)
+            elif right[:1] not in _IDENT_START:
+                raise _error(text, i + 1, f"expected comparison operand, found {right or 'end of input'}")
+            left = f"defined({cond.name})" if tok == "defined" else tok
+            cond = OpaqueAtom(f"{left} {op} {right}")
+            i += 2
+            op = toks[i]
+        # An operand is read: apply its '!'s and go on with the '&&' run; a
+        # '||', ')' or the end of input closes the run, and ')' the group too.
+        while True:
+            depth -= nots
+            if nots & 1:
+                cond = neg(cond)
+            ands.append(cond)
+            if op == "&&":
+                break
+            ors.append(ands[0] if len(ands) == 1 else conj(ands))
+            if op == "||":
+                ands = []
+                break
+            cond = ors[0] if len(ors) == 1 else disj(ors)
+            if not frames:
+                if op:
+                    raise _error(text, i, f"trailing input {op!r}")
+                return cond
+            if op != ")":
+                raise _error(text, i, f"expected rp, found {op or 'end of input'}")
+            depth -= 1
+            ors, ands, nots = frames.pop()
+            i += 1
+            op = toks[i]
+        nots = 0
+        i += 1

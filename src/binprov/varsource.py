@@ -5,10 +5,11 @@ For every unit the scanner builds the tree of preprocessor fragments
 line to exactly one fragment (the innermost one for ordinary lines, the
 enclosing one for the chain directives themselves), and reads in the same
 pass the function spans and what the build compiles of each line
-(``_UnitCode``). ``_read_line`` is the one reader of a line outside
-directives: one left-to-right pass gives its code, its brace balance and the
-key instructions the build emits for it, and the scan keeps those per line,
-so each line is lexed once. The build walks each body's lines in one flat
+(``_UnitCode``). ``_read_line`` is the one reader of a line: one
+left-to-right pass gives its code, its brace balance and the key
+instructions the build emits for it, and the scan keeps those per line
+outside directives, so each line is lexed once; of a directive line with a
+``/`` it keeps only the code, comments dropped. The build walks each body's lines in one flat
 pass (``_statements``), which keeps its open ifs on a list, so any nesting
 depth reads, and copies each statement line's key instructions; a
 fragment's features, computed when first read, are the same key
@@ -19,9 +20,10 @@ The C subset read: ``{`` must end a function header (``name(params) {`` at
 brace depth 0, after any return type) and an ``if`` line. Braces count
 outside string literals, char literals and comments. A ``/* */`` comment,
 also one over several lines, reads as one space, and a ``#`` line inside it
-is no directive; directive lines themselves are not read for comments. A
-string or char literal left open runs to the end of its line, and a char
-literal compiles to nothing. A ``}`` line opens an else arm only when the
+is no directive. A directive line is read for comments too, so its text
+ends at a ``//`` or at a ``/*`` left open, which runs on into the next
+lines. A string or char literal left open runs to the end of its line, and
+a char literal compiles to nothing. A ``}`` line opens an else arm only when the
 code after its ``}`` starts with the word ``else``. ``while``, ``for`` and
 ``switch`` blocks are not read.
 
@@ -263,6 +265,8 @@ def scan_unit(name: str, text: str) -> UnitVariability:
 
     for lineno, raw in enumerate(lines, start=1):
         is_directive = not comment and raw.lstrip().startswith("#")
+        if is_directive and "/" in raw:  # a directive's comments read as on any line
+            raw, _, _, comment = _read_line(raw, False)
         m = _DIRECTIVE_RE.match(raw) if is_directive else None
         directive = m.group(1) if m else None
         if is_directive:

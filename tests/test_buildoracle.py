@@ -1138,6 +1138,17 @@ def test_external_toolchain_manifest_rejects_an_unclosed_quote_by_line(line):
         ExternalToolchain.parse_manifest(f"clang/4.0 : ./c.sh\n{line}\n")
 
 
+def test_external_toolchain_manifest_reads_a_hash_where_the_shell_does():
+    # A '#' starts a comment only at the start of a word of the command.
+    for line, command in [
+        ('gcc/7 : ./drv "a#b"', ["./drv", "a#b"]),
+        ("gcc/7 : ./drv a#b", ["./drv", "a#b"]),
+        ("gcc/7 : ./drv a  # note", ["./drv", "a"]),
+    ]:
+        assert ExternalToolchain.parse_manifest(f"{line}\n").manifest == {("gcc", "7"): command}
+    assert ExternalToolchain.parse_manifest("# gcc/7 : ./drv\n").manifest == {}
+
+
 _MANIFEST_PIECES = ["gcc/7", "clang/4.0", "gcc/", " : ", ":", "/", "'", '"', "\\", " ", "\t", "./drv", "-x", "#", "\n"]
 
 

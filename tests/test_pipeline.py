@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -560,3 +562,63 @@ def test_matrix_text_rendering(grid0, specs):
     assert len(cells) == 50
     assert cells[0] == "100"  # self-similarity renders as 100 percent
     assert all(0 <= int(c) <= 100 for c in cells)
+
+
+# Pipeline invariants: run_case's answer must not depend on the order of the
+# units or the config map's flags, nor on what the macros and flags are
+# called. Renaming functions is not an invariant: the simulated toolchain
+# ranks version-pad sites by a hash of function ids (``_site_rank``), so a
+# rename moves pads and changes similarities.
+def _renamer(mapping: dict[str, str]):
+    pattern = re.compile(r"\b(?:" + "|".join(map(re.escape, mapping)) + r")\b")
+    return lambda text: pattern.sub(lambda m: mapping[m.group()], text)
+
+
+def _reversing_names(names, prefix: str) -> dict[str, str]:
+    """New names that sort in the reverse order of ``names``."""
+    ordered = sorted(names)
+    return {name: f"{prefix}{len(ordered) - k:02d}" for k, name in enumerate(ordered)}
+
+
+def _units_reversed(case):
+    return SourceTree(units=case.tree.units[::-1]), case.config_map, case.base_units[::-1], str
+
+
+def _flags_reversed(case):
+    return case.tree, ConfigMap(flags=case.config_map.flags[::-1]), case.base_units, str
+
+
+def _macros_renamed(case):
+    names = _reversing_names({m for flag in case.config_map.flags for m in flag.defines}, "ZM")
+    new = _renamer(names)
+    tree = SourceTree(units=tuple(dataclasses.replace(u, text=new(u.text)) for u in case.tree.units))
+    flags = [dataclasses.replace(f, defines=tuple(map(new, f.defines))) for f in case.config_map.flags]
+    return tree, ConfigMap(flags=flags), case.base_units, _renamer({v: k for k, v in names.items()})
+
+
+def _flags_renamed(case):
+    names = _reversing_names([f.name for f in case.config_map.flags], "opt")
+    flags = [dataclasses.replace(f, name=names[f.name]) for f in case.config_map.flags]
+    return case.tree, ConfigMap(flags=flags), case.base_units, _renamer({v: k for k, v in names.items()})
+
+
+def _answer(report, back) -> tuple:
+    """What a relation must keep, with names mapped back through ``back``."""
+    return (
+        report.decided_options,
+        sorted(map(back, report.decided_configs)),
+        report.verification,
+        round(report.similarity, 6),
+        back(report.reason),
+    )
+
+
+# Seed 1: plain O0, an optional unit present at O2, the planted conflict,
+# clang O3, a signal-free case and Os.
+@pytest.mark.parametrize("index", [0, 1, 3, 6, 7, 9])
+@pytest.mark.parametrize("relation", [_units_reversed, _flags_reversed, _macros_renamed, _flags_renamed])
+def test_run_case_ignores_the_order_and_names_of_its_inputs(corpus21, index, relation):
+    case = corpus21[index]
+    tree, config_map, base_units, back = relation(case)
+    report = run_case(case.crash, tree, config_map, name=case.name, base_units=base_units)
+    assert _answer(report, back) == _answer(run_generated_case(case), str)

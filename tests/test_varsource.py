@@ -20,7 +20,7 @@ from binprov.buildoracle import (
     build_unoptimized,
     default_spec,
 )
-from binprov.conditions import BoolConst, DefinedAtom, Not, evaluate, neg, to_text
+from binprov.conditions import BoolConst, DefinedAtom, Not, conj, disj, evaluate, neg, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import BinprovError, MapGapError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
@@ -361,6 +361,32 @@ def test_a_block_comment_on_a_header_or_if_line_reads_as_a_space():
         (KeyKind.CONST_REF, "3"),
         (KeyKind.CALL, "h"),
     ]
+
+
+@pytest.mark.parametrize(
+    "line, guard",
+    [
+        ("#if defined(A) /* why */", DefinedAtom("A")),
+        ("#if defined(A) // why", DefinedAtom("A")),
+        ("#if /* a */ defined(A) /* b */ && !B // c", conj([DefinedAtom("A"), Not(DefinedAtom("B"))])),
+        ('#if defined(A) /* "// */ || B', disj([DefinedAtom("A"), DefinedAtom("B")])),
+        ("#ifdef A// why", DefinedAtom("A")),
+    ],
+)
+def test_comments_on_a_directive_line_are_no_part_of_its_condition(line, guard):
+    scan = scan_unit("u.c", f"{line}\nx;\n#elif defined(C) /* or */\ny;\n#endif // A\n")
+    assert [frag.condition for frag in scan.conditional_fragments()] == [
+        guard, conj([neg(guard), DefinedAtom("C")])
+    ]
+
+
+def test_a_block_comment_left_open_on_a_directive_line_runs_on():
+    # The #endif and the brace inside the comment are not read.
+    text = "#if defined(A) /* why:\n  #endif }\n*/\nint f(void) {\n  g(1);\n}\n#endif\n"
+    scan = scan_unit("u.c", text)
+    (frag,) = scan.conditional_fragments()
+    assert (frag.condition, frag.lines) == (DefinedAtom("A"), [2, 3, 4, 5, 6])
+    assert {name: (span.start, span.end) for name, span in scan.functions.items()} == {"f": (4, 6)}
 
 
 def test_a_string_left_open_runs_to_the_end_of_its_line():
