@@ -2,8 +2,8 @@
 
 The simulated toolchain builds an unoptimized program directly from source,
 along ``varsource``'s one flat statement walk, like the fragment features
-(one basic block per statement, explicit branch diamonds). A block copies
-the key instructions the scan read for its line, so no line is lexed here.
+(one block per statement, an explicit diamond per if or loop head). A block
+copies the key instructions the scan read for its statement, lexing nothing.
 It then applies a deterministic transform chain that reproduces how real
 compilers leave structural traces of their identity:
 
@@ -285,15 +285,15 @@ def _emit_function(fname: str, code: _UnitCode, body_lines: tuple[int, ...]) -> 
 
 def _emit_blocks(code: _UnitCode, lines: tuple[int, ...]) -> list[BasicBlock]:
     """The blocks of one body before elision, emitted along ``_statements``:
-    one block per statement, holding its line's key instructions as the scan
-    read them, and an explicit diamond per if. An if's head compares and
+    one block per statement, holding its key instructions as the scan read
+    them, and an explicit diamond per if or loop. An if's head compares and
     branches to each arm, a missing or empty arm falling through to the
     if's join, and each arm's loose tails go to the join. The entry is
     ``b0``, an empty block for an empty body."""
     blocks: list[BasicBlock] = []
     open_ifs: list[tuple[BasicBlock, BasicBlock]] = []  # (head, join) per open if
     tails: list[BasicBlock] = []  # the loose tails of the statements so far
-    for event, line in _statements(code, lines):
+    for event, keyins in _statements(code, lines):
         if event in ("else", "end"):
             head, join = open_ifs[-1]
             for t in tails:
@@ -306,7 +306,7 @@ def _emit_blocks(code: _UnitCode, lines: tuple[int, ...]) -> list[BasicBlock]:
                 head.succs.append(join.id)
             tails = [join]
             continue
-        head = BasicBlock(id=f"b{len(blocks)}", keyins=list(code.keyins[line - 1]))
+        head = BasicBlock(id=f"b{len(blocks)}", keyins=keyins)
         blocks.append(head)
         for t in tails:
             t.succs.append(head.id)

@@ -15,9 +15,9 @@ An INTEGER is a C integer literal, decimal, octal or hex, with an optional
 suffix is an error. Alone it is true when nonzero, and a bare IDENT reads as
 ``defined(IDENT)``. A comparison (``FOO >= 0x0200``) is one opaque atom,
 kept verbatim: it only matters for satisfiability, never for macro
-decisions. Not read: arithmetic (``B+1``), character constants, comments
-(``varsource`` drops them from a directive line first) and a backslash
-that continues a directive line. Parentheses and ``!`` may nest at most
+decisions. Not read: arithmetic (``B+1``), character constants and
+comments (``varsource`` drops them from a directive, and joins the lines its
+backslashes continue, first). Parentheses and ``!`` may nest at most
 ``MAX_NESTING`` deep; deeper input raises ``ParseError``.
 """
 

@@ -4,28 +4,12 @@ For every unit the scanner builds the tree of preprocessor fragments
 (#if/#ifdef/#ifndef/#elif/#else/#endif constructs), assigns every source
 line to exactly one fragment (the innermost one for ordinary lines, the
 enclosing one for the chain directives themselves), and reads in the same
-pass the function spans and what the build compiles of each line
-(``_UnitCode``). ``_read_line`` is the one reader of a line: one
-left-to-right pass gives its code, its brace balance and the key
-instructions the build emits for it, and the scan keeps those per line
-outside directives, so each line is lexed once; of a directive line with a
-``/`` it keeps only the code, comments dropped. The build walks each body's lines in one flat
-pass (``_statements``), which keeps its open ifs on a list, so any nesting
-depth reads, and copies each statement line's key instructions; a
-fragment's features, computed when first read, are the same key
-instructions of the same walk over its lines inside function bodies, so
-they are exactly what the build compiles, ``has_else`` included.
-
-The C subset read: ``{`` must end a function header (``name(params) {`` at
-brace depth 0, after any return type) and an ``if`` line. Braces count
-outside string literals, char literals and comments. A ``/* */`` comment,
-also one over several lines, reads as one space, and a ``#`` line inside it
-is no directive. A directive line is read for comments too, so its text
-ends at a ``//`` or at a ``/*`` left open, which runs on into the next
-lines. A string or char literal left open runs to the end of its line, and
-a char literal compiles to nothing. A ``}`` line opens an else arm only when the
-code after its ``}`` starts with the word ``else``. ``while``, ``for`` and
-``switch`` blocks are not read.
+pass, from the tokens of one regex (``_token_re``), the function spans and
+the key instructions of each statement in a body (``_UnitCode``). The build
+walks a body's statements in one flat pass (``_statements``) that keeps its
+open arms on a list, so any nesting depth reads; a fragment's features,
+computed when first read, are the key instructions of the same walk over
+its lines, exactly what the build compiles, ``has_else`` included.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -35,12 +19,12 @@ chain are mutually unsatisfiable and every child implies its parent.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 
-from .binmodel import KeyInstruction, KeyKind
+from .binmodel import KeyInstruction, KeyKind, _collector_paused
 from .conditions import (
     TRUE,
     Condition,
@@ -99,16 +83,18 @@ Feature = StringLit | IntConst | CallSig | BranchShape
 
 @dataclass(frozen=True)
 class _UnitCode:
-    """What the build compiles of a unit, per line. ``text`` is the line's
-    code (see ``_read_line``) and ``keyins`` the key instructions the build
-    emits for it, for a line inside a function body; any other line, a
-    directive included, has blank ``text`` and ``()``. ``body`` is the header
-    line of the body holding the line, else 0. ``errors``: line -> message.
-    ``unit`` names the unit."""
+    """What the build compiles of a unit. ``stmts`` holds per line the body
+    statements whose first token is on it, each ``(kind, begin, end,
+    spread)``: ``kind`` is ``"stmt"``, ``"{"``, ``"}"``, ``"if"``, ``"else"``
+    or ``"loop"``; ``keyins[begin:end]`` and ``where[begin:end]`` are the key
+    instructions of its tokens and their lines, ``spread`` whether it runs
+    over lines. ``body`` is the header line of the body holding the line,
+    else 0. ``errors``: line -> message. ``unit`` names the unit."""
 
     unit: str
-    text: list[str]
-    keyins: list[tuple[KeyInstruction, ...]]
+    stmts: list[tuple[tuple[str, int, int, bool], ...]]
+    keyins: list[KeyInstruction]
+    where: list[int]
     body: list[int]
     errors: dict[int, str]
 
@@ -204,16 +190,43 @@ class SourceTree:
         return cls(units=tuple(SourceUnit(name=k, text=v) for k, v in sorted(mapping.items())))
 
 
-_DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\b\s*(.*?)\s*$")
+# A string's quote and text, and a char literal: each ends at its line's end at the latest.
+_STRING_OPEN = r'"[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*'
+_CHAR = r"'[^'\\\n]*(?:\\[^\n]?[^'\\\n]*)*'?"
+
+
+def _token_re(odd: str = "", flags: int = re.ASCII) -> re.Pattern[str]:
+    """The lexer of C, a group per token: one of ``{}();``; a line break or
+    block comment, with the directive that starts the next line, backslashes
+    continuing it; ``name(``; a string; a hex or decimal number; ``else``.
+    It skips the rest: blanks, punctuation, other words, ``//`` comments, char
+    literals, numbers with a ``.``, and ``odd``, the text's word characters
+    that are neither letters nor digits (``²``), where a word would start."""
+    word = rf"[^\W\d{odd}]\w*"
+    skip = rf"[^\w\n\"'/{{}}();]+|(?!else\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
+    skip += f"|[{odd}]" if odd else ""
+    directive = rf"\#(?:[^\n\\/\"']|\\\n?|/(?![/*])|/\*(?:[^*\n]|\*(?!/))*\*/|{_STRING_OPEN}\"?|{_CHAR})*"
+    return re.compile(  # the commonest tokens first
+        rf"(?:{skip})*(?:([{{}}();])|(\n[^\S\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)((?<=[\n \t]){directive})?"
+        rf"|({word})[ \t]*\(|({_STRING_OPEN})\"?|0[xX]([0-9a-fA-F]+)|(\d+)|(else)\b)",
+        flags,
+    )
+
+
+_TOKEN_RE = _token_re()
+# A directive's comments read as spaces, and a continuing backslash goes with its newline.
+_DIRECTIVE_NOISE_RE = re.compile(rf"({_STRING_OPEN}\"?|{_CHAR})|/\*.*?\*/|\\\n")
+_DIRECTIVE_RE = re.compile(r"#\s*(\w+)\s*(.*?)\s*$")
 _CHAIN_DIRECTIVES = {"if", "ifdef", "ifndef", "elif", "else", "endif"}
 
 
 def _guard_of(directive: str, rest: str, where: str) -> Condition:
     if directive == "if":
         return parse_expression(rest)
-    if not rest:
-        raise SchemaError(f"{where}: #{directive} needs a macro name")
-    atom = DefinedAtom(rest.split()[0])
+    name = rest.split()[0] if rest else ""
+    if not (name.isascii() and name.isidentifier()):  # as ``parse_expression`` reads a name
+        raise SchemaError(f"{where}: #{directive} needs a macro name, got {name!r}")
+    atom = DefinedAtom(name)
     return atom if directive == "ifdef" else neg(atom)
 
 
@@ -225,103 +238,153 @@ class _OpenChain:
     saw_else: bool = False
 
 
+_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
+_HEADS = {"if": "if", "while": "loop", "for": "loop", "switch": "loop"}
+_CALL, _STRING, _CONST = KeyKind.CALL, KeyKind.STRING_REF, KeyKind.CONST_REF
+
+
+@_collector_paused()
 def scan_unit(name: str, text: str) -> UnitVariability:
-    """The fragment tree, ``_UnitCode`` and function spans of one unit. A header
-    (``_FUNC_HEADER_RE``) at brace depth 0 opens a function, and the line where
-    the depth is back to 0 closes it; one still open closes past the end."""
-    lines = text.splitlines()
-    code = _UnitCode(
-        unit=name, text=[""] * len(lines), keyins=[()] * len(lines), body=[0] * len(lines),
-        errors={},
-    )
+    """The fragment tree, ``_UnitCode`` and function spans of one unit, in one
+    pass over its tokens. A ``{`` at brace depth 0 right after ``name(params)``
+    opens a function, spanning its name's line to the ``}`` back at depth 0."""
+    source = "\n".join(["", *text.splitlines(), ""])
+    n = source.count("\n") - 1
+    code = _UnitCode(unit=name, stmts=[()] * n, keyins=[], where=[], body=[0] * n, errors={})
+    stmts, keyins, where = code.stmts, code.keyins, code.where
     functions: dict[str, FunctionSpan] = {}
-    fname, header, depth = "", 0, 0  # open function, its header line (0: none)
-    comment = False  # a block comment is open
-    root = Fragment(
-        id=f"{name}#0",
-        unit=name,
-        condition=TRUE,
-        parent=None,
-        span=(1, len(lines)),
-        code=code,
-    )
-    fragments: list[Fragment] = [root]
+    fragments: list[Fragment] = []
     chains: list[_OpenChain] = []
+    done = 0  # the lines up to this one have their fragment
 
-    def innermost() -> Fragment:
-        return chains[-1].current if chains else root
-
-    def new_fragment(parent: Fragment, guard: Condition, start: int) -> Fragment:
+    def new_fragment(parent: Fragment | None, guard: Condition, start: int) -> Fragment:
         frag = Fragment(
             id=f"{name}#{len(fragments)}",
             unit=name,
-            condition=conj([parent.condition, guard]),
-            parent=parent.id,
+            condition=conj([parent.condition, guard]) if parent else guard,
+            parent=parent.id if parent else None,
             span=(start, start - 1),
             code=code,
         )
         fragments.append(frag)
         return frag
 
-    for lineno, raw in enumerate(lines, start=1):
-        is_directive = not comment and raw.lstrip().startswith("#")
-        if is_directive and "/" in raw:  # a directive's comments read as on any line
-            raw, _, _, comment = _read_line(raw, False)
-        m = _DIRECTIVE_RE.match(raw) if is_directive else None
-        directive = m.group(1) if m else None
-        if is_directive:
-            if directive == "error":
-                code.errors[lineno] = m.group(2) or "#error"
-            code.body[lineno - 1] = header
-        else:
-            cut, balance, keyins, comment = _read_line(raw, comment)
-            if not header and depth == 0:
-                h = _FUNC_HEADER_RE.search(cut)
-                if h and h.group(1) not in _KEYWORDS:
-                    fname, header = h.group(1), lineno
-            depth += balance
-            if depth <= 0:
-                if header:
-                    functions[fname] = FunctionSpan(name=fname, start=header, end=lineno)
-                depth = header = 0
-            elif header and lineno > header:
-                code.text[lineno - 1], code.keyins[lineno - 1], code.body[lineno - 1] = cut, keyins, header
+    root = new_fragment(None, TRUE, 1)
 
-        if directive not in _CHAIN_DIRECTIVES:
-            frag = innermost()
-            frag.lines.append(lineno)
-            frag.span = (frag.span[0], max(frag.span[1], lineno))
-            continue
+    line = depth = 0  # the token's line, and the brace depth
+    fname, header = "", 0  # the open function and the line of its name (0: none)
+    # The statement read: its first token's line (0: none yet), its head, its
+    # first key instruction's index, the call whose ``)`` came last at paren
+    # depth 0 (a header's name if ``{`` follows), and per open paren its call.
+    first, kind, begin, named = 0, "", 0, None
+    parens: list[tuple[str, int] | None] = []
 
-        where = f"{name}:{lineno}"
-        if directive in ("if", "ifdef", "ifndef"):
-            parent = innermost()
-            parent.lines.append(lineno)
-            guard = _guard_of(directive, m.group(2), where)
-            chains.append(_OpenChain(parent, [guard], new_fragment(parent, guard, lineno + 1)))
+    def end(as_kind: str) -> None:
+        """Keep the statement read as ``as_kind`` if it is in a body."""
+        nonlocal first, kind, begin, named
+        if header and first:
+            stmts[first - 1] += ((as_kind, begin, len(keyins), line > first),)
+            begin = len(keyins)
+        first, kind, named = 0, "", None
+        parens.clear()
+
+    tokens = _TOKEN_RE
+    if not text.isascii():
+        odd = "".join(ch for ch in set(text) if ch.isalnum() and not (ch.isalpha() or ch.isdecimal()))
+        tokens = _token_re(re.escape(odd), 0)
+    for punct, gap, directive, call, string, hexa, decimal, else_ in tokens.findall(source):
+        if gap:
+            line += gap.count("\n")
+            if not directive:
+                continue
+            last = min(line + directive.count("\n"), n)  # the line its last backslash continues to
+            directive = _DIRECTIVE_NOISE_RE.sub(lambda m: m[1] or (" " if m[0][0] == "/" else ""), directive)
+            m = _DIRECTIVE_RE.match(directive)
+            found = m[1] if m else None
+            if found == "error":
+                code.errors[line] = m[2] or "#error"
+            if found in _CHAIN_DIRECTIVES:
+                frag = chains[-1].current if chains else root
+                if done + 1 < line:
+                    frag.lines.extend(range(done + 1, line))
+                    frag.span = (frag.span[0], max(frag.span[1], line - 1))
+                done = last
+                at = f"{name}:{line}"
+                if found in ("if", "ifdef", "ifndef"):
+                    frag.lines.extend(range(line, last + 1))
+                    guard = _guard_of(found, m[2], at)
+                    chains.append(_OpenChain(frag, [guard], new_fragment(frag, guard, last + 1)))
+                elif not chains:
+                    raise SchemaError(f"{at}: #{found} without #if")
+                else:
+                    chain = chains[-1]
+                    chain.parent.lines.extend(range(line, last + 1))
+                    if found == "endif":
+                        chains.pop()
+                    elif chain.saw_else:
+                        raise SchemaError(f"{at}: #{found} after #else")
+                    else:
+                        local = [neg(g) for g in chain.guards]
+                        if found == "elif":
+                            local.append(_guard_of("if", m[2], at))
+                            chain.guards.append(local[-1])
+                        else:
+                            chain.saw_else = True
+                        chain.current = new_fragment(chain.parent, conj(local), last + 1)
+            line = last
             continue
-        if not chains:
-            raise SchemaError(f"{where}: #{directive} without #if")
-        chain = chains[-1]
-        chain.parent.lines.append(lineno)
-        if directive == "endif":
-            chains.pop()
-            continue
-        if chain.saw_else:
-            raise SchemaError(f"{where}: #{directive} after #else")
-        local = [neg(g) for g in chain.guards]
-        if directive == "elif":
-            local.append(_guard_of("if", m.group(2), where))
-            chain.guards.append(local[-1])
-        else:
-            chain.saw_else = True
-        chain.current = new_fragment(chain.parent, conj(local), lineno + 1)
+        if not first:
+            first = line
+            if else_:
+                end("else")
+            kind = _HEADS.get(call, "")
+        elif punct == "}" and not parens:  # a ``}`` ends the statement before it
+            end("stmt")
+            first = line
+        if punct == ")" and parens:
+            opened = parens.pop()
+            if opened and header:
+                keyins.append(KeyInstruction(_CALL, opened[0]))
+                where.append(opened[1])
+            named = opened if not (header or parens) else None
+            if kind and not parens:  # the paren that closes a head ends it
+                end(kind)
+        elif call:
+            parens.append(None if call in _KEYWORDS else (call, line))
+        elif punct == ";" and not parens:
+            end("stmt")
+        elif header and (string or decimal or hexa):
+            value = string[1:] if string else str(int(decimal) if decimal else int(hexa, 16))
+            keyins.append(KeyInstruction(_STRING if string else _CONST, value))
+            where.append(line)
+        elif punct == "(":
+            parens.append(None)
+        elif punct == "{" and not parens:
+            opens = None if depth else named  # ``name(params) {`` opens a function
+            end("{")
+            if opens:
+                fname, header = opens
+            depth += 1
+        elif punct == "}" and not parens:
+            depth = max(depth - 1, 0)
+            if header and not depth:
+                functions[fname] = FunctionSpan(name=fname, start=header, end=line)
+                code.body[header : line - 1] = [header] * (line - 1 - header)
+                header = 0
+            end("}")
+    while parens and header:  # the calls a statement cut off by the end leaves open close there
+        if opened := parens.pop():
+            keyins.append(KeyInstruction(_CALL, opened[0]))
+            where.append(opened[1])
+    end(kind or "stmt")
 
     if chains:
         raise SchemaError(f"{name}: unterminated #if (opened near line {chains[-1].current.span[0] - 1})")
+    root.lines.extend(range(done + 1, n + 1))
+    root.span = (1, n)
     if header:
-        functions[fname] = FunctionSpan(name=fname, start=header, end=len(lines) + 1)
-
+        functions[fname] = FunctionSpan(name=fname, start=header, end=n + 1)
+        code.body[header:n] = [header] * (n - header)
     return UnitVariability(unit=name, fragments=fragments, functions=functions, code=code)
 
 
@@ -329,153 +392,89 @@ def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
     return {u.name: tree.scan(u) for u in tree.units}
 
 
-_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
-_IF_RE = re.compile(r"^\s*if\s*\(.*\)\s*\{\s*$")
-# A ``}`` line that opens an else arm, and one whose else arm is one ``if``:
-# the build compiles its condition as a nested if.
-_ELSE_RE = re.compile(r"\}\s*else\b")
-_ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\(.*\)\s*\{\s*$")
-_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
-_WORD_RE = re.compile(r"\w+")
-_CALL_OPEN_RE = re.compile(r"[ \t]*\(")
-# A string or char literal runs to the first unescaped quote of its kind,
-# else to the end of the line.
-_LITERAL_BODY_RE = {quote: re.compile(rf"[^{quote}\\]*(?:\\.?[^{quote}\\]*)*") for quote in "\"'"}
+def _statements(code: _UnitCode, lines: tuple[int, ...]) -> Iterator[tuple[str, list[KeyInstruction]]]:
+    """The statements of a body, given as line numbers, whose first token is
+    on ``lines``, in one pass with no tree: ``("stmt", keyins)``, ``("if",
+    keyins)`` as an if or loop head opens, ``("else", [])`` as its then arm
+    ends into an else arm, and ``("end", [])`` as it ends; ``keyins`` is a
+    new list of the key instructions of its tokens on ``lines``. A head's
+    body is the next statement, a ``{}`` block included; a ``}`` outside
+    every block is skipped, and so is an ``else`` no if waits for, with its
+    heads up to a ``{``. Whatever is open at the last line closes there."""
+    frames: list[str] = []  # per open arm or block, innermost last: "if" (a then arm), "else", "loop" or "{"
+    waiting = False  # the innermost if's then arm has ended: an else may follow
+    skipping = False  # after an else no if waits for
+    active = set(lines)
 
+    def complete() -> Iterator[tuple[str, list]]:
+        """End the arms a complete statement is the body of; True at a then arm, which may take an else."""
+        while frames and frames[-1] != "{":
+            if frames.pop() == "if":
+                return True
+            yield "end", []
+        return False
 
-def _read_line(line: str, comment: bool) -> tuple[str, int, tuple[KeyInstruction, ...], bool]:
-    """One left-to-right read of a line, ``comment`` telling whether a block
-    comment is open at its start. Returns the line's code up to a ``//``
-    comment, each block comment a space; the code's count of ``{`` less
-    ``}``; the key instructions the build emits for it; and whether a block
-    comment is open at its end. A literal is skipped whole, and only a string
-    literal emits. A call opens at ``name(`` and closes at its ``)`` or at
-    the end of the line, so its arguments come before it."""
-    out: list[KeyInstruction] = []
-    parens: list[str | None] = []  # per open paren, the call it closes, if any
-    pieces: list[str] = []  # the code before each block comment, and a space
-    balance = i = start = 0
-    end = len(line)
-    if comment:
-        close = line.find("*/")
-        comment = close < 0
-        i = start = end if comment else close + 2
-        pieces.append(" ")
-    while i < end:
-        ch = line[i]
-        i += 1
-        if ch == " ":  # the commonest character, so it is tested first
-            continue
-        if ch == '"' or ch == "'":
-            j = _LITERAL_BODY_RE[ch].match(line, i).end()
-            if ch == '"':
-                out.append(KeyInstruction(KeyKind.STRING_REF, line[i:j]))
-            i = j + 1
-        elif ch == "/" and line.startswith("/", i):
-            end = i - 1
-        elif ch == "/" and line.startswith("*", i):
-            pieces.append(line[start : i - 1] + " ")
-            close = line.find("*/", i + 1)
-            comment = close < 0
-            i = start = end if comment else close + 2
-        elif ch == "{":
-            balance += 1
-        elif ch == "}":
-            balance -= 1
-        elif ch == "(":
-            parens.append(None)
-        elif ch == ")":
-            if parens and (call := parens.pop()):
-                out.append(KeyInstruction(KeyKind.CALL, call))
-        elif ch.isdecimal():
-            token = _NUMBER_RE.match(line, i - 1).group()
-            if "." not in token:
-                value = int(token, 16) if token[:2] in ("0x", "0X") else int(token)
-                out.append(KeyInstruction(KeyKind.CONST_REF, str(value)))
-            i += len(token) - 1
-        elif ch.isalpha() or ch == "_":
-            j = _WORD_RE.match(line, i - 1).end()
-            word = line[i - 1 : j]
-            if word not in _KEYWORDS and (m := _CALL_OPEN_RE.match(line, j)):
-                parens.append(word)
-                j = m.end()
-            i = j
-    out.extend(KeyInstruction(KeyKind.CALL, call) for call in reversed(parens) if call)
-    pieces.append(line[start:end])
-    return "".join(pieces), balance, tuple(out), comment
-
-
-_FUNC_HEADER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{\s*$")
-
-
-def _statements(code: _UnitCode, lines: Iterable[int]) -> Iterator[tuple[str, int]]:
-    """The statements of a body, given as line numbers, in one pass with no
-    tree: ``("stmt", line)`` for a simple statement, ``("if", line)`` as an if
-    opens, ``("else", if_line)`` as its then arm closes into an else arm, and
-    ``("end", if_line)`` as it closes. A ``}`` line closes the then arm of the
-    innermost open if, into an else arm when the code after the ``}`` starts
-    with the word ``else``; ``} else if (c) {`` makes that else arm one if,
-    whose end ends the if above it too. Any ``}`` line closes an else arm, a
-    ``}`` line outside every if is skipped, and ifs still open at the last
-    line close there."""
-    # Per open if: its line, whether its end ends the if above, whether its
-    # else arm is open.
-    open_ifs: list[tuple[int, bool, bool]] = []
     for line in lines:
-        stripped = code.text[line - 1].strip()
-        if stripped.startswith("}"):
-            if not open_ifs:
+        for kind, begin, end, spread in code.stmts[line - 1]:
+            keyins = code.keyins[begin:end]
+            if spread:
+                keyins = [ki for ki, at in zip(keyins, code.where[begin:end]) if at in active]
+            if skipping and kind in ("if", "loop", "{"):  # up to the first ``{``
+                skipping = kind != "{"
                 continue
-            if_line, chained, in_else = open_ifs[-1]
-            if not in_else and _ELSE_RE.match(stripped):
-                open_ifs[-1] = (if_line, chained, True)
-                yield "else", if_line
-                if _ELSE_IF_RE.match(stripped):
-                    open_ifs.append((line, True, False))
-                    yield "if", line
-                continue
-            chained = True
-            while chained:
-                if_line, chained, _ = open_ifs.pop()
-                yield "end", if_line
-        elif _IF_RE.match(stripped):
-            open_ifs.append((line, False, False))
-            yield "if", line
-        elif stripped:
-            yield "stmt", line
-    while open_ifs:
-        yield "end", open_ifs.pop()[0]
-
-
-def _line_features(code: _UnitCode, line: int) -> tuple[Feature, ...]:
-    """The features of the key instructions the build emits for ``line``."""
-    return tuple(
-        StringLit(ki.operand) if ki.kind is KeyKind.STRING_REF
-        else CallSig(ki.operand) if ki.kind is KeyKind.CALL
-        else IntConst(int(ki.operand))
-        for ki in code.keyins[line - 1]
-    )
+            skipping = kind == "else" and not waiting
+            if kind == "else" and waiting:
+                waiting = False
+                frames.append("else")
+                yield "else", []
+            while waiting:
+                yield "end", []
+                waiting = yield from complete()
+            if kind == "}":
+                while frames and frames[-1] != "{":
+                    frames.pop()
+                    yield "end", []
+                if frames:
+                    frames.pop()
+                    waiting = yield from complete()
+            elif kind == "{":
+                if keyins:
+                    yield "stmt", keyins
+                frames.append("{")
+            elif kind == "stmt":
+                yield "stmt", keyins
+                waiting = yield from complete()
+            elif kind != "else":
+                yield "if", keyins
+                frames.append(kind)
+    if waiting:
+        yield "end", []
+    yield from (("end", []) for frame in reversed(frames) if frame != "{")
 
 
 def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
     """The features of the fragment's lines in each body, walked as the build
     walks them: per if, its branch shape, its condition, then its arms."""
     feats: list = []
-    shapes: dict[int, int] = {}  # open if line -> index of its shape's placeholder
-    has_else: set[int] = set()
+    shapes: list[list] = []  # per open if: the index of its shape's placeholder, whether it has an else arm
     for header, body in groupby(frag.lines, key=lambda ln: code.body[ln - 1]):
         if not header:
             continue
-        for event, line in _statements(code, body):
+        for event, keyins in _statements(code, tuple(body)):
             if event == "else":
-                has_else.add(line)
+                shapes[-1][1] = True
             elif event == "end":
-                i = shapes.pop(line)
-                feats[i] = BranchShape(feats[i], line in has_else)
+                i, has_else = shapes.pop()
+                feats[i] = BranchShape(feats[i], has_else)
             else:
-                features = _line_features(code, line)
+                features = tuple(
+                    StringLit(ki.operand) if ki.kind is _STRING
+                    else CallSig(ki.operand) if ki.kind is _CALL
+                    else IntConst(int(ki.operand))
+                    for ki in keyins
+                )
                 if event == "if":
-                    shapes[line] = len(feats)
+                    shapes.append([len(feats), False])
                     feats.append(features)  # the placeholder holds the condition
                 feats.extend(features)
     return tuple(feats)

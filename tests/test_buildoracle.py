@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 import subprocess
 import time
 
@@ -334,8 +335,65 @@ def test_one_sweep_elision_equals_eliding_one_block_at_a_time():
 
 
 # The reference statement tree: the recursive parse, emitter and feature
-# walk that the one flat walk (``varsource._statements``) replaced. Its
-# ``}`` line opens an else arm when its code holds ``else`` anywhere.
+# walk that the one flat walk (``varsource._statements``) replaced, over the
+# line reader that came before the statement reader. Its ``}`` line opens an
+# else arm when its code holds ``else`` anywhere.
+_REF_IF_RE = re.compile(r"^\s*if\s*\(.*\)\s*\{\s*$")
+_REF_ELSE_IF_RE = re.compile(r"^\s*\}\s*else\s+if\s*\(.*\)\s*\{\s*$")
+_REF_KEYWORDS = {"if", "else", "while", "for", "return", "switch", "sizeof"}
+_REF_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
+_REF_WORD_RE = re.compile(r"\w+")
+_REF_CALL_OPEN_RE = re.compile(r"[ \t]*\(")
+_REF_LITERAL_BODY_RE = {quote: re.compile(rf"[^{quote}\\]*(?:\\.?[^{quote}\\]*)*") for quote in "\"'"}
+
+
+def _reference_read_line(line: str) -> tuple[str, list[KeyInstruction]]:
+    """The line reader's one left-to-right read of a line with no block
+    comment: its code, up to a ``//`` comment, and the key instructions the
+    build emitted for it. A call closes at its ``)`` or at the end of the
+    line, so its arguments come before it."""
+    out: list[KeyInstruction] = []
+    parens: list[str | None] = []
+    i, end = 0, len(line)
+    while i < end:
+        ch = line[i]
+        i += 1
+        if ch in "\"'":
+            j = _REF_LITERAL_BODY_RE[ch].match(line, i).end()
+            if ch == '"':
+                out.append(KeyInstruction(KeyKind.STRING_REF, line[i:j]))
+            i = j + 1
+        elif ch == "/" and line.startswith("/", i):
+            end = i - 1
+        elif ch == "(":
+            parens.append(None)
+        elif ch == ")":
+            if parens and (call := parens.pop()):
+                out.append(KeyInstruction(KeyKind.CALL, call))
+        elif ch.isdecimal():
+            token = _REF_NUMBER_RE.match(line, i - 1).group()
+            if "." not in token:
+                value = int(token, 16) if token[:2] in ("0x", "0X") else int(token)
+                out.append(KeyInstruction(KeyKind.CONST_REF, str(value)))
+            i += len(token) - 1
+        elif ch.isalpha() or ch == "_":
+            j = _REF_WORD_RE.match(line, i - 1).end()
+            word = line[i - 1 : j]
+            if word not in _REF_KEYWORDS and (m := _REF_CALL_OPEN_RE.match(line, j)):
+                parens.append(word)
+                j = m.end()
+            i = j
+    out.extend(KeyInstruction(KeyKind.CALL, call) for call in reversed(parens) if call)
+    return line[:end], out
+
+
+def _reference_features(keyins) -> tuple:
+    return tuple(
+        varsource.StringLit(ki.operand) if ki.kind is KeyKind.STRING_REF
+        else varsource.CallSig(ki.operand) if ki.kind is KeyKind.CALL
+        else varsource.IntConst(int(ki.operand))
+        for ki in keyins
+    )
 
 
 @dataclasses.dataclass
@@ -345,14 +403,14 @@ class _ReferenceIf:
     else_body: list | None
 
 
-def _reference_parse_statements(code, lines, i, stop_at_brace):
+def _reference_parse_statements(read, lines, i, stop_at_brace):
     stmts = []
     while i < len(lines):
-        stripped = code.text[lines[i] - 1].strip()
+        stripped = read[lines[i] - 1][0].strip()
         if stripped.startswith("}") and stop_at_brace:
             return stmts, i
-        if varsource._IF_RE.match(stripped):
-            stmt, i = _reference_parse_if(code, lines, i + 1, lines[i])
+        if _REF_IF_RE.match(stripped):
+            stmt, i = _reference_parse_if(read, lines, i + 1, lines[i])
             stmts.append(stmt)
             continue
         if stripped and not stripped.startswith("}"):
@@ -361,19 +419,19 @@ def _reference_parse_statements(code, lines, i, stop_at_brace):
     return stmts, i
 
 
-def _reference_parse_if(code, lines, i, line):
-    then_body, i = _reference_parse_statements(code, lines, i, stop_at_brace=True)
-    closing = code.text[lines[i] - 1].strip() if i < len(lines) else "}"
-    if varsource._ELSE_IF_RE.match(closing):
-        nested, i = _reference_parse_if(code, lines, i + 1, lines[i])
+def _reference_parse_if(read, lines, i, line):
+    then_body, i = _reference_parse_statements(read, lines, i, stop_at_brace=True)
+    closing = read[lines[i] - 1][0].strip() if i < len(lines) else "}"
+    if _REF_ELSE_IF_RE.match(closing):
+        nested, i = _reference_parse_if(read, lines, i + 1, lines[i])
         return _ReferenceIf(line, then_body, [nested]), i
     else_body = None
     if "else" in closing:
-        else_body, i = _reference_parse_statements(code, lines, i + 1, stop_at_brace=True)
+        else_body, i = _reference_parse_statements(read, lines, i + 1, stop_at_brace=True)
     return _ReferenceIf(line, then_body, else_body), i + 1
 
 
-def _reference_emit_blocks(code, lines) -> list[BasicBlock]:
+def _reference_emit_blocks(read, lines) -> list[BasicBlock]:
     blocks: list[BasicBlock] = []
 
     def new_block() -> BasicBlock:
@@ -385,7 +443,7 @@ def _reference_emit_blocks(code, lines) -> list[BasicBlock]:
         for stmt in stmts:
             head = new_block()
             is_if = isinstance(stmt, _ReferenceIf)
-            head.keyins.extend(code.keyins[(stmt.line if is_if else stmt) - 1])
+            head.keyins.extend(read[(stmt.line if is_if else stmt) - 1][1])
             first = first or head
             for t in tails:
                 t.succs.append(head.id)
@@ -401,22 +459,22 @@ def _reference_emit_blocks(code, lines) -> list[BasicBlock]:
                 tails = [join]
         return first, tails
 
-    stmts, _ = _reference_parse_statements(code, lines, 0, stop_at_brace=False)
+    stmts, _ = _reference_parse_statements(read, lines, 0, stop_at_brace=False)
     if emit_chain(stmts)[0] is None:
         new_block()
     return blocks
 
 
-def _reference_statement_features(code, stmts, out) -> None:
+def _reference_statement_features(read, stmts, out) -> None:
     for stmt in stmts:
         if isinstance(stmt, _ReferenceIf):
-            condition = varsource._line_features(code, stmt.line)
+            condition = _reference_features(read[stmt.line - 1][1])
             out.append(varsource.BranchShape(condition, stmt.else_body is not None))
             out.extend(condition)
-            _reference_statement_features(code, stmt.then_body, out)
-            _reference_statement_features(code, stmt.else_body or [], out)
+            _reference_statement_features(read, stmt.then_body, out)
+            _reference_statement_features(read, stmt.else_body or [], out)
         else:
-            out.extend(varsource._line_features(code, stmt))
+            out.extend(_reference_features(read[stmt - 1][1]))
 
 
 _CONDITIONS = st.sampled_from(["x > 3", "x == 0x1f", 'eq(s, "}")', "g(7)"])
@@ -458,15 +516,17 @@ def _body_and_active_lines(draw):
 @given(_body_and_active_lines())
 def test_the_flat_walk_emits_and_features_what_the_statement_tree_did(drawn):
     body, active = drawn
-    scan = varsource.scan_unit("m.c", "int f(int x) {\n" + "".join(f"{line}\n" for line in body) + "}\n")
+    text = "int f(int x) {\n" + "".join(f"{line}\n" for line in body) + "}\n"
+    scan = varsource.scan_unit("m.c", text)
     code = scan.code
+    read = [_reference_read_line(line) for line in text.splitlines()]
     walked = buildoracle._emit_blocks(code, active)
     assert [(b.id, b.keyins, b.succs) for b in walked] == [
-        (b.id, b.keyins, b.succs) for b in _reference_emit_blocks(code, active)
+        (b.id, b.keyins, b.succs) for b in _reference_emit_blocks(read, active)
     ]
     expected: list = []
-    stmts, _ = _reference_parse_statements(code, active, 0, stop_at_brace=False)
-    _reference_statement_features(code, stmts, expected)
+    stmts, _ = _reference_parse_statements(read, active, 0, stop_at_brace=False)
+    _reference_statement_features(read, stmts, expected)
     (root,) = scan.fragments
     # The header line is in no body, so the walk reads only the active lines.
     assert varsource._fragment_features(dataclasses.replace(root, lines=[1, *active]), code) == tuple(expected)

@@ -20,7 +20,7 @@ from binprov.buildoracle import (
     build_unoptimized,
     default_spec,
 )
-from binprov.conditions import BoolConst, DefinedAtom, Not, conj, disj, evaluate, neg, to_text
+from binprov.conditions import BoolConst, DefinedAtom, Not, conj, disj, evaluate, neg, parse_expression, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import BinprovError, MapGapError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
@@ -213,6 +213,7 @@ def test_features_and_build_read_c_literals_alike(line, features):
 
 
 def test_only_a_compiled_if_line_carries_a_branch_shape():
+    # A braceless ``if`` is an if too: it takes the next statement as its body.
     text = """\
 int f(int x) {
 #ifdef A
@@ -228,6 +229,7 @@ int f(int x) {
     (frag,) = scan_unit("m.c", text).conditional_fragments()
     shapes = [feat for feat in frag.features if isinstance(feat, BranchShape)]
     assert shapes == [
+        BranchShape(condition_features=(IntConst(5),), has_else=False),
         BranchShape(condition_features=(IntConst(6),), has_else=True),
         BranchShape(condition_features=(IntConst(5),), has_else=False),
     ]
@@ -283,8 +285,13 @@ def test_active_fragment_payloads_occur_in_the_o0_build():
         "static inline int f(int x) {",
         "const char *f(int x) {",
         "struct node *f(int x) {",
+        "void\nf(int num)\n{",
+        "int f(int a,\n      int b) {",
     ],
-    ids=["size_t-on-the-line-above", "static-inline-int", "const-char-pointer", "struct-pointer"],
+    ids=[
+        "size_t-on-the-line-above", "static-inline-int", "const-char-pointer", "struct-pointer",
+        "brace-on-its-own-line", "parameters-over-lines",
+    ],
 )
 def test_any_return_type_compiles_its_body(header):
     tree = SourceTree.from_mapping({"m.c": f'{header}\n  g("s", 3);\n}}\n'})
@@ -330,11 +337,110 @@ def test_has_else_is_the_builds_own_parse(arms, has_else):
     (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
     (shape,) = [feat for feat in frag.features if isinstance(feat, BranchShape)]
     assert shape.has_else is has_else
-    # In the build, the then arm falls through to ``h`` exactly when ``h``
-    # is no else arm.
+    # In the build, the then arm runs on into ``h`` exactly when ``h`` is no
+    # else arm. (``n_else = 0`` is a statement of its own between them.)
     program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))
-    calls = {ki.operand: blk for blk in program.functions[0].blocks for ki in blk.keyins if ki.kind is KeyKind.CALL}
-    assert (calls["h"].id in calls["g"].succs) is not has_else
+    blocks = {blk.id: blk for blk in program.functions[0].blocks}
+    calls = {ki.operand: blk for blk in blocks.values() for ki in blk.keyins if ki.kind is KeyKind.CALL}
+    reached, todo = set(), list(calls["g"].succs)
+    while todo:
+        if (bid := todo.pop()) not in reached:
+            reached.add(bid)
+            todo.extend(blocks[bid].succs)
+    assert (calls["h"].id in reached) is not has_else
+
+
+def _blocks(text: str, macros: frozenset[str] = frozenset()) -> list[tuple[str, list, list[str]]]:
+    """The blocks of the one function built from ``text``: per block its id,
+    its key instructions as (kind, operand) and its successors."""
+    (fn,) = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment(macros=macros)).functions
+    return [(blk.id, [(ki.kind, ki.operand) for ki in blk.keyins], blk.succs) for blk in fn.blocks]
+
+
+_CMP = (KeyKind.COMPARE, None)
+
+
+def _str(value: str) -> tuple[KeyKind, str]:
+    return (KeyKind.STRING_REF, value)
+
+
+def _call(name: str) -> tuple[KeyKind, str]:
+    return (KeyKind.CALL, name)
+
+
+def test_an_if_condition_over_two_lines_is_one_head():
+    text = 'int f(int x) {\n  if (x > 5 &&\n      x < 9) {\n    g("a");\n  }\n}\n'
+    head, *_ = _blocks(text)
+    assert head[1] == [(KeyKind.CONST_REF, "5"), (KeyKind.CONST_REF, "9"), _CMP]
+
+
+@pytest.mark.parametrize(
+    "head, consts",
+    [("while (x > 5) {", ["5"]), ("for (i = 0; i < 3; i++) {", ["0", "3"]), ("switch (x) {", [])],
+    ids=["while", "for", "switch"],
+)
+def test_a_loop_or_switch_head_compiles_as_an_if_with_no_else_arm(head, consts):
+    # The head compares, then branches into the body and past it; there is
+    # no back edge, so every edge runs forward.
+    text = f'int f(int x) {{\n  {head}\n    g("a");\n  }}\n  h("b");\n}}\n'
+    blocks = _blocks(text)
+    (_, keyins, succs), (body, body_keyins, body_succs), (after, after_keyins, _) = blocks
+    assert keyins == [(KeyKind.CONST_REF, value) for value in consts] + [_CMP]
+    assert (body_keyins, after_keyins) == ([_str("a"), _call("g")], [_str("b"), _call("h")])
+    assert (succs, body_succs) == ([body, after], [after])
+    order = [bid for bid, _, _ in blocks]
+    assert all(order.index(succ) > k for k, (_, _, out) in enumerate(blocks) for succ in out)
+
+
+def test_an_else_on_the_line_after_its_brace_opens_the_else_arm():
+    # GNU style: the head branches to both arms, and the then arm runs on
+    # past the else arm, not into it.
+    text = 'int f(int x) {\n  if (x > 5) {\n    g("a");\n  }\n  else {\n    h("b");\n  }\n  k("c");\n}\n'
+    (_, _, succs), (then, _, then_succs), (other, other_keyins, other_succs), (join, join_keyins, _) = _blocks(text)
+    assert (other_keyins, join_keyins) == ([_str("b"), _call("h")], [_str("c"), _call("k")])
+    assert (succs, then_succs, other_succs) == ([then, other], [join], [join])
+
+
+@pytest.mark.parametrize(
+    "body, arms",
+    [
+        ('  if (x > 5)\n    g("a");\n  h("b");', 1),
+        ('  if (x > 5)\n    g("a");\n  else\n    h("b");\n  k("c");', 2),
+        ('  if (x > 5) g("a"); else h("b");\n  k("c");', 2),
+    ],
+    ids=["braceless-if", "braceless-else", "on-one-line"],
+)
+def test_a_braceless_if_or_else_takes_the_next_statement_as_its_body(body, arms):
+    text = f"int f(int x) {{\n#ifdef A\n{body}\n#endif\n}}\n"
+    blocks = _blocks(text, frozenset({"A"}))
+    (_, keyins, succs), (then, then_keyins, then_succs) = blocks[:2]
+    (after, after_keyins, _) = blocks[-1]
+    assert (keyins, then_keyins) == ([(KeyKind.CONST_REF, "5"), _CMP], [_str("a"), _call("g")])
+    assert then_succs == [after] and succs[0] == then
+    assert succs[1] == (after if arms == 1 else blocks[2][0])
+    (frag,) = scan_unit("m.c", text).conditional_fragments()
+    assert frag.features[0] == BranchShape((IntConst(5),), arms == 2)
+
+
+def test_each_statement_is_one_block():
+    (_, first, succs), (second, second_keyins, _) = _blocks('int f(void) {\n  g("a"); h("b");\n}\n')
+    assert (first, second_keyins, succs) == ([_str("a"), _call("g")], [_str("b"), _call("h")], [second])
+
+
+def test_a_statement_split_by_an_if_compiles_with_the_line_of_its_first_token():
+    # It compiles when that line is active, with the key instructions of its
+    # tokens on active lines; one that starts on an inactive line compiles
+    # nothing, its tokens on active lines neither.
+    text = 'int f(void) {\n  g("a",\n#ifdef A\n    "b",\n#endif\n    "c");\n#ifdef B\n  h("d",\n#endif\n    "e");\n}\n'
+    payloads = {}
+    for macros in ("", "A", "B"):
+        program = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment(macros=frozenset(macros)))
+        payloads[macros] = _payloads(program)
+    assert payloads[""] == [_str("a"), _str("c"), _call("g")]
+    assert payloads["A"] == [_str("a"), _str("b"), _str("c"), _call("g")]
+    assert payloads["B"] == [_str("a"), _str("c"), _call("g"), _str("d"), _str("e"), _call("h")]
+    on_a, on_b = scan_unit("m.c", text).conditional_fragments()
+    assert (on_a.features, on_b.features) == ((), (StringLit("d"), CallSig("h")))
 
 
 @pytest.mark.parametrize(
@@ -401,6 +507,34 @@ def test_comments_on_a_directive_line_are_no_part_of_its_condition(line, guard):
     ]
 
 
+def test_a_directive_continued_with_a_backslash_reads_as_one_line():
+    # Its continuation line belongs where the directive line belongs.
+    text = '#if defined(A) && \\\n    defined(B)\nint f(void) {\n  g("a");\n}\n#endif\n'
+    root, frag = scan_unit("u.c", text).fragments
+    assert frag.condition == conj([DefinedAtom("A"), DefinedAtom("B")])
+    assert (root.lines, frag.lines, frag.span) == ([1, 2, 6], [3, 4, 5], (3, 5))
+
+
+@pytest.mark.parametrize("line, got", [("#ifdef (A)", "(A)"), ("#ifndef 3x", "3x"), ("#ifdef", "")])
+def test_an_ifdef_needs_a_macro_name(line, got):
+    # ``#ifdef (A)`` once scanned to ``defined((A))``, a text
+    # ``parse_expression`` refuses.
+    directive = line[1:].split()[0]
+    with pytest.raises(SchemaError, match=re.escape(f"u.c:1: #{directive} needs a macro name, got {got!r}")):
+        scan_unit("u.c", f"{line}\n#endif\n")
+
+
+def test_every_condition_text_of_the_corpus_parses_back():
+    count = 0
+    for seed in (1, 2, 3):
+        for case in generate_corpus(seed, 21):
+            for unit in case.tree.units:
+                for frag in scan_unit(unit.name, unit.text).fragments:
+                    assert parse_expression(frag.condition_text()) == frag.condition
+                    count += 1
+    assert count == 679
+
+
 def test_a_block_comment_left_open_on_a_directive_line_runs_on():
     # The #endif and the brace inside the comment are not read.
     text = "#if defined(A) /* why:\n  #endif }\n*/\nint f(void) {\n  g(1);\n}\n#endif\n"
@@ -411,13 +545,16 @@ def test_a_block_comment_left_open_on_a_directive_line_runs_on():
 
 
 def test_a_string_left_open_runs_to_the_end_of_its_line():
-    # One read of the whole line: an open string keeps a statement's
-    # trailing ``;`` and an if line's ``) {``. (Lexing the statement without
-    # its ``;``, or the condition up to its last ``)``, gave ``x`` for both.)
-    for line, operand in [('  s = "x;', "x;"), ('  if (s == "x) {', "x) {")]:
-        _code, balance, keyins, comment = varsource._read_line(line, False)
-        assert [(ki.kind, ki.operand) for ki in keyins] == [(KeyKind.STRING_REF, operand)]
-        assert (balance, comment) == (0, False)
+    # An open string keeps a statement's trailing ``;`` and an if head's
+    # ``) {``. (Lexing the statement without its ``;``, or the condition up to
+    # its last ``)``, gave ``x`` for both.) The if head's paren stays open,
+    # so its statement runs on to the end of the unit.
+    for line, features in [
+        ('  s = "x;', (StringLit("x;"),)),
+        ('  if (s == "x) {', (BranchShape((StringLit("x) {"),), False), StringLit("x) {"))),
+    ]:
+        (frag,) = scan_unit("m.c", f"int f(int s) {{\n#ifdef A\n{line}\n#endif\n}}\n").conditional_fragments()
+        assert frag.features == features
     tree = SourceTree.from_mapping({"m.c": 'int f(int s) {\n#ifdef A\n  s = "x;\n#endif\n}\n'})
     (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
     assert frag.features == (StringLit("x;"),)
@@ -435,26 +572,44 @@ def test_a_file_scope_global_yields_no_feature_and_no_absence():
 
 
 def _if_statement(draw, depth: int, lines: list[str], has_else: list[bool]) -> None:
-    """Draw one if statement into ``lines``, recording in ``has_else``, in
-    source order, whether each if has an else arm."""
-    condition = draw(st.sampled_from(["x > 3", "x == 0x1f", 'eq(s, "{")', 'ok("}//")']))
-    lines.append(f"if ({condition}) {{" + draw(_TRAILING))
+    """Draw one if or loop statement into ``lines``, recording in
+    ``has_else``, in source order, whether each if has an else arm; a loop
+    has none. An if is braced or braceless, and the else of a braced one may
+    follow its ``}`` on the next line (GNU style)."""
+    form = draw(st.sampled_from(["braced", "braceless", "loop"]))
     slot = len(has_else)
     has_else.append(False)
+    if form == "loop":
+        lines.append(draw(_LOOP_HEADS) + draw(_TRAILING))
+        _statements(draw, depth + 1, lines, has_else)
+        lines.append("}" + draw(_TRAILING))
+        return
+    condition = draw(st.sampled_from(["x > 3", "x == 0x1f", 'eq(s, "{")', 'ok("}//")']))
+    if form == "braceless":
+        # Each arm is the one statement after its head.
+        lines.append(f"if ({condition})" + draw(_TRAILING))
+        lines.append(draw(_SIMPLE_STATEMENT) + draw(_TRAILING))
+        if draw(st.booleans()):
+            has_else[slot] = True
+            lines.append("else" + draw(_TRAILING))
+            lines.append(draw(_SIMPLE_STATEMENT) + draw(_TRAILING))
+        return
+    lines.append(f"if ({condition}) {{" + draw(_TRAILING))
     _statements(draw, depth + 1, lines, has_else)
     arm = draw(st.sampled_from(["none", "else", "else-if"]))
+    gnu = draw(st.booleans())
     if arm == "else-if":
         # ``} else if (c) {`` closes the then arm and opens the nested if,
         # whose own closing line ends the chain.
         has_else[slot] = True
         nested: list[str] = []
         _if_statement(draw, depth + 1, nested, has_else)
-        lines.append("} else " + nested[0])
+        lines.extend(["}", "else " + nested[0]] if gnu else ["} else " + nested[0]])
         lines.extend(nested[1:])
         return
     if arm == "else":
         has_else[slot] = True
-        lines.append("} else {" + draw(_TRAILING))
+        lines.extend(["}", "else {" + draw(_TRAILING)] if gnu else ["} else {" + draw(_TRAILING)])
         _statements(draw, depth + 1, lines, has_else)
     lines.append("}" + draw(_TRAILING))
 
@@ -469,13 +624,14 @@ def _statements(draw, depth: int, lines: list[str], has_else: list[bool]) -> Non
 
 _STRING = st.text(alphabet="ab{}/ ()", max_size=6).map(lambda text: f'"{text}"')
 _ARG = st.one_of(st.integers(0, 999).map(str), st.integers(0, 255).map(hex), _STRING)
-_SIMPLE = st.one_of(
+_SIMPLE_STATEMENT = st.one_of(
     st.builds(lambda f, args: f"{f}({', '.join(args)});", st.sampled_from(["lib", "log_it", "g"]), st.lists(_ARG, max_size=3)),
     st.builds(lambda value: f"acc = acc + {value};", st.integers(0, 999)),
     st.just("acc = acc;"),
-    st.just("// } else {"),
 )
+_SIMPLE = st.one_of(_SIMPLE_STATEMENT, st.just("// } else {"))
 _TRAILING = st.sampled_from(["", " // }", " // { else", " // x"])
+_LOOP_HEADS = st.sampled_from(["while (x > 1) {", "for (i = 0; i < 3; i++) {", "switch (x) {"])
 
 
 @st.composite
@@ -515,9 +671,10 @@ def test_features_of_600_nested_ifs_or_else_if_arms_have_no_depth_limit():
         assert [shape.has_else for shape in shapes] == has_else
 
 
-# The reference reader: the three routines that read a line before one pass
-# did, a comment cutter, a brace counter and a recursive expression lexer,
-# each with its own copy of the string-literal rule.
+# The reference reader: two of the three routines that read a line before
+# one pass did, a comment cutter and a recursive expression lexer, each with
+# its own copy of the string-literal rule. (The third, a brace counter, has
+# no line balance left to check: braces end statements.)
 _REF_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[\d.]+")
 _REF_STRING_BODY_RE = re.compile(r'[^"\\]*(?:\\.?[^"\\]*)*')
 _REF_WORD_RE = re.compile(r"\w+")
@@ -536,14 +693,6 @@ def _ref_strip_comment(line: str) -> str:
             return line[:cut]
         i = _ref_string_end(line, quote) + 1
     return line
-
-
-def _ref_brace_balance(text: str) -> int:
-    balance = i = 0
-    while (quote := text.find('"', i)) >= 0:
-        balance += text.count("{", i, quote) - text.count("}", i, quote)
-        i = _ref_string_end(text, quote) + 1
-    return balance + text.count("{", i) - text.count("}", i)
 
 
 def _ref_scan_expression(text: str, out: list[KeyInstruction]) -> None:
@@ -595,19 +744,23 @@ _LINE_PIECES = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_LINE_PIECES), max_size=16).map("".join).filter(lambda line: "/*" not in line))
 def test_one_read_of_a_line_equals_the_three_reader_reference(line):
-    # Without block comments and char literals, the one pass gives the
-    # reference's code, brace balance and key instructions.
+    # Without block comments and char literals, the statements the scan
+    # reads from a one-line body hold the reference's key instructions, in
+    # its order. The extra braces keep the line inside the body whatever
+    # braces it holds, and the line after it holds none to read.
     cut = _ref_strip_comment(line)
     expected: list[KeyInstruction] = []
     _ref_scan_expression(cut, expected)
-    assert varsource._read_line(line, False) == (cut, _ref_brace_balance(cut), tuple(expected), False)
+    code = scan_unit("m.c", "int f(void) {" + "{" * 16 + f"\n{line}\n" + "}" * 17 + "\n").code
+    assert [ki for _kind, begin, end, _spread in code.stmts[1] for ki in code.keyins[begin:end]] == expected
 
 
 _FUZZ_PIECES = [
     "#ifdef A", "#ifndef B", "#if defined(A) && B > 1", "#if (", "#elif A", "#else", "#endif", "#error stop", "#",
-    "int f(int x) {", "static void g(void) {", "size_t", "h(x) {", "{", "}", "} else {", "} else if (x > 1) {",
-    "if (x > 2) {", 'if (f("}")) {', 'lib("a\\"b", 0x1F);', "x = '{';", "'", '"', "/* {", "} */", "/*", "*/",
-    "// }", "x = y;", "g(1, h(2", "",
+    "#ifdef (A)", "int f(int x) {", "static void g(void) {", "size_t", "h(x) {", "{", "}", "} else {",
+    "} else if (x > 1) {", "if (x > 2) {", 'if (f("}")) {', "if (x)", "else", "while (x > 1) {",
+    "for (i = 0; i < 3; i++) {", "switch (x) {", "case 1: f();", "do {", "} while (x);", 'lib("a\\"b", 0x1F);',
+    "x = '{';", "'", '"', "/* {", "} */", "/*", "*/", "// }", "x = y;", "g(1, h(2", "\\", "",
 ]
 
 
