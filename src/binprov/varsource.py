@@ -199,9 +199,9 @@ def _token_re(odd: str = "", flags: int = re.ASCII) -> re.Pattern[str]:
     """The lexer of C, a group per token: one of ``{}();``; a line break or
     block comment, with the directive that starts the next line, backslashes
     continuing it; ``name(``; a string; a hex or decimal number; ``else``.
-    It skips the rest: blanks, punctuation, other words, ``//`` comments, char
-    literals, numbers with a ``.``, and ``odd``, the text's word characters
-    that are neither letters nor digits (``²``), where a word would start."""
+    It skips blanks, punctuation, other words, ``//`` comments, char literals,
+    numbers with a ``.``, and ``odd``: word characters neither letters nor
+    digits (``²``) where a word would start. ASCII text takes ``re.ASCII``."""
     word = rf"[^\W\d{odd}]\w*"
     skip = rf"[^\w\n\"'/{{}}();]+|(?!else\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
     skip += f"|[{odd}]" if odd else ""
