@@ -747,7 +747,8 @@ def test_one_read_of_a_line_equals_the_three_reader_reference(line):
     # Without block comments and char literals, the statements the scan
     # reads from a one-line body hold the reference's key instructions, in
     # its order. The extra braces keep the line inside the body whatever
-    # braces it holds, and the line after it holds none to read.
+    # braces it holds; a statement it leaves open runs on over the closing
+    # line, which holds nothing but braces.
     cut = _ref_strip_comment(line)
     expected: list[KeyInstruction] = []
     _ref_scan_expression(cut, expected)
