@@ -232,7 +232,7 @@ def build_unoptimized(
     returned as the same object, shared by every program that has it. No
     pass edits a base function, so the sharing is safe.
     """
-    unit_map = tree.unit_map()
+    unit_map = {u.name: u for u in tree.units}
     if config.units is None:
         selected = [u.name for u in tree.units]
     else:

@@ -8,8 +8,8 @@ pass, from the tokens of one regex (``_token_re``), the function spans and
 the key instructions of each statement in a body (``_UnitCode``). The build
 walks a body's statements in one flat pass (``_statements``) that keeps its
 open arms on a list, so any nesting depth reads; a fragment's features,
-computed when first read, are the key instructions of the same walk over
-its lines, exactly what the build compiles, ``has_else`` included.
+computed when first read, are the key instructions the same walk compiles
+from its lines, ``has_else`` included.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -89,9 +89,8 @@ class _UnitCode:
     or ``"loop"``; ``keyins[begin:end]`` and ``where[begin:end]`` are the key
     instructions of its tokens and their lines, ``spread`` whether it runs
     over lines. ``body`` is the header line of the body holding the line,
-    else 0. ``errors``: line -> message. ``unit`` names the unit."""
+    else 0. ``errors``: line -> message."""
 
-    unit: str
     stmts: list[tuple[tuple[str, int, int, bool], ...]]
     keyins: list[KeyInstruction]
     where: list[int]
@@ -138,7 +137,6 @@ class FunctionSpan:
 
 @dataclass
 class UnitVariability:
-    unit: str
     fragments: list[Fragment]
     functions: dict[str, FunctionSpan]
     code: _UnitCode
@@ -175,9 +173,6 @@ class SourceTree:
             repeated = next(n for n in names if names.count(n) > 1)
             raise SchemaError(f"source tree lists unit {repeated!r} twice")
 
-    def unit_map(self) -> dict[str, SourceUnit]:
-        return {u.name: u for u in self.units}
-
     def scan(self, unit: SourceUnit) -> UnitVariability:
         """``scan_unit`` of one unit of this tree, run once per name.
         Callers treat it as read-only."""
@@ -196,18 +191,18 @@ _CHAR = r"'[^'\\\n]*(?:\\[^\n]?[^'\\\n]*)*'?"
 
 
 def _token_re(odd: str = "", flags: int = re.ASCII) -> re.Pattern[str]:
-    """The lexer of C, a group per token: one of ``{}();``; a line break or
+    """The lexer of C, a group per token: one of ``{}();=``; a line break or
     block comment, with the directive that starts the next line, backslashes
     continuing it; ``name(``; a string; a hex or decimal number; ``else``.
     It skips blanks, punctuation, other words, ``//`` comments, char literals,
     numbers with a ``.``, and ``odd``: word characters neither letters nor
     digits (``²``) where a word would start. ASCII text takes ``re.ASCII``."""
     word = rf"[^\W\d{odd}]\w*"
-    skip = rf"[^\w\n\"'/{{}}();]+|(?!else\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
+    skip = rf"[^\w\n\"'/{{}}();=]+|(?!else\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
     skip += f"|[{odd}]" if odd else ""
     directive = rf"\#(?:[^\n\\/\"']|\\\n?|/(?![/*])|/\*(?:[^*\n]|\*(?!/))*\*/|{_STRING_OPEN}\"?|{_CHAR})*"
     return re.compile(  # the commonest tokens first
-        rf"(?:{skip})*(?:([{{}}();])|(\n[^\S\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)((?<=[\n \t]){directive})?"
+        rf"(?:{skip})*(?:([{{}}();=])|(\n[^\S\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)((?<=[\n \t]){directive})?"
         rf"|({word})[ \t]*\(|({_STRING_OPEN})\"?|0[xX]([0-9a-fA-F]+)|(\d+)|(else)\b)",
         flags,
     )
@@ -235,6 +230,7 @@ class _OpenChain:
     parent: Fragment
     guards: list[Condition]
     current: Fragment
+    state: tuple  # the reader at the #if (first, parens, depth, fname, header): each later branch reads on from it
     saw_else: bool = False
 
 
@@ -247,10 +243,11 @@ _CALL, _STRING, _CONST = KeyKind.CALL, KeyKind.STRING_REF, KeyKind.CONST_REF
 def scan_unit(name: str, text: str) -> UnitVariability:
     """The fragment tree, ``_UnitCode`` and function spans of one unit, in one
     pass over its tokens. A ``{`` at brace depth 0 right after ``name(params)``
-    opens a function, spanning its name's line to the ``}`` back at depth 0."""
+    opens a function, spanning its name's line to the ``}`` back at depth 0.
+    Each branch of an #if chain reads on from the reader's state at its #if."""
     source = "\n".join(["", *text.splitlines(), ""])
     n = source.count("\n") - 1
-    code = _UnitCode(unit=name, stmts=[()] * n, keyins=[], where=[], body=[0] * n, errors={})
+    code = _UnitCode(stmts=[()] * n, keyins=[], where=[], body=[0] * n, errors={})
     stmts, keyins, where = code.stmts, code.keyins, code.where
     functions: dict[str, FunctionSpan] = {}
     fragments: list[Fragment] = []
@@ -280,8 +277,12 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     parens: list[tuple[str, int] | None] = []
 
     def end(as_kind: str) -> None:
-        """Keep the statement read as ``as_kind`` if it is in a body."""
+        """Keep the statement read as ``as_kind`` if it is in a body; its open calls close here."""
         nonlocal first, kind, begin, named
+        while parens and header:
+            if opened := parens.pop():
+                keyins.append(KeyInstruction(_CALL, opened[0]))
+                where.append(opened[1])
         if header and first:
             stmts[first - 1] += ((as_kind, begin, len(keyins), line > first),)
             begin = len(keyins)
@@ -313,7 +314,8 @@ def scan_unit(name: str, text: str) -> UnitVariability:
                 if found in ("if", "ifdef", "ifndef"):
                     frag.lines.extend(range(line, last + 1))
                     guard = _guard_of(found, m[2], at)
-                    chains.append(_OpenChain(frag, [guard], new_fragment(frag, guard, last + 1)))
+                    state = (first, parens.copy(), depth, fname, header)
+                    chains.append(_OpenChain(frag, [guard], new_fragment(frag, guard, last + 1), state))
                 elif not chains:
                     raise SchemaError(f"{at}: #{found} without #if")
                 else:
@@ -331,16 +333,20 @@ def scan_unit(name: str, text: str) -> UnitVariability:
                         else:
                             chain.saw_else = True
                         chain.current = new_fragment(chain.parent, conj(local), last + 1)
+                        if first != chain.state[0]:  # a statement begun in the branch ends with it
+                            end(kind or "stmt")
+                        else:  # one open at the #if reads on with the calls it had open there
+                            parens[:] = chain.state[1]
+                        depth, fname, header = chain.state[2:]
             line = last
             continue
+        if first and not parens and (punct == "}" or call in _HEADS):  # each ends the statement before it
+            end("stmt")
         if not first:
             first = line
             if else_:
                 end("else")
             kind = _HEADS.get(call, "")
-        elif punct == "}" and not parens:  # a ``}`` ends the statement before it
-            end("stmt")
-            first = line
         if punct == ")" and parens:
             opened = parens.pop()
             if opened and header:
@@ -360,7 +366,8 @@ def scan_unit(name: str, text: str) -> UnitVariability:
         elif punct == "(":
             parens.append(None)
         elif punct == "{" and not parens:
-            opens = None if depth else named  # ``name(params) {`` opens a function
+            # ``name(params) {`` opens a function, but an upper-case ``NAME(...) {`` is a macro.
+            opens = named if not depth and named and not named[0].isupper() else None
             end("{")
             if opens:
                 fname, header = opens
@@ -372,10 +379,8 @@ def scan_unit(name: str, text: str) -> UnitVariability:
                 code.body[header : line - 1] = [header] * (line - 1 - header)
                 header = 0
             end("}")
-    while parens and header:  # the calls a statement cut off by the end leaves open close there
-        if opened := parens.pop():
-            keyins.append(KeyInstruction(_CALL, opened[0]))
-            where.append(opened[1])
+        elif punct == "=":  # an initializer's ``= {`` opens no function
+            named = None
     end(kind or "stmt")
 
     if chains:
@@ -385,7 +390,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     if header:
         functions[fname] = FunctionSpan(name=fname, start=header, end=n + 1)
         code.body[header:n] = [header] * (n - header)
-    return UnitVariability(unit=name, fragments=fragments, functions=functions, code=code)
+    return UnitVariability(fragments=fragments, functions=functions, code=code)
 
 
 def scan_tree(tree: SourceTree) -> dict[str, UnitVariability]:
@@ -454,13 +459,20 @@ def _statements(code: _UnitCode, lines: tuple[int, ...]) -> Iterator[tuple[str, 
 
 def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
     """The features of the fragment's lines in each body, walked as the build
-    walks them: per if, its branch shape, its condition, then its arms."""
+    walks them: per if, its branch shape, its condition, then its arms. A
+    statement begun on an earlier line of the body and still open where the
+    fragment's lines begin gives its key instructions on them first."""
     feats: list = []
     shapes: list[list] = []  # per open if: the index of its shape's placeholder, whether it has an else arm
     for header, body in groupby(frag.lines, key=lambda ln: code.body[ln - 1]):
         if not header:
             continue
-        for event, keyins in _statements(code, tuple(body)):
+        body = tuple(body)
+        # The last statement begun on the nearest earlier line holding one is the open one.
+        ln = next((i for i in range(body[0] - 1, header, -1) if code.stmts[i - 1]), 0)
+        _, begin, end, _ = code.stmts[ln - 1][-1] if ln else ("", 0, 0, False)
+        cut = [ki for ki, at in zip(code.keyins[begin:end], code.where[begin:end]) if at in body]
+        for event, keyins in [("stmt", cut), *_statements(code, body)]:
             if event == "else":
                 shapes[-1][1] = True
             elif event == "end":
@@ -532,23 +544,19 @@ class ConfigMap:
                     f"config map line {lineno}: flag {name!r} already defined on line {seen[name]}"
                 )
             seen[name] = lineno
-            defines: list[str] = []
-            units: list[str] = []
+            entries: dict[str, list[str]] = {"define": [], "unit": []}
             for part in rhs.split(","):
                 part = part.strip()
                 if not part:
                     continue
                 kind, _, value = part.partition(" ")
                 value = value.strip()
-                if kind == "define" and value:
-                    defines.append(value)
-                elif kind == "unit" and value:
-                    units.append(value)
-                else:
+                if kind not in entries or not value:
                     raise SchemaError(
                         f"config map line {lineno}: expected 'define <MACRO>' or 'unit <file>', got {part!r}"
                     )
-            flags.append(ConfigFlag(name=name, defines=tuple(defines), units=tuple(units)))
+                entries[kind].append(value)
+            flags.append(ConfigFlag(name=name, defines=tuple(entries["define"]), units=tuple(entries["unit"])))
         return cls(flags=flags)
 
     def to_text(self) -> str:

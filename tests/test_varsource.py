@@ -440,7 +440,82 @@ def test_a_statement_split_by_an_if_compiles_with_the_line_of_its_first_token():
     assert payloads["A"] == [_str("a"), _str("b"), _str("c"), _call("g")]
     assert payloads["B"] == [_str("a"), _str("c"), _call("g"), _str("d"), _str("e"), _call("h")]
     on_a, on_b = scan_unit("m.c", text).conditional_fragments()
-    assert (on_a.features, on_b.features) == ((), (StringLit("d"), CallSig("h")))
+    assert (on_a.features, on_b.features) == ((StringLit("b"),), (StringLit("d"), CallSig("h")))
+
+
+def test_each_branch_of_an_if_chain_reads_on_from_the_state_at_its_if():
+    # Two alternative partial heads: the #else branch starts again from the
+    # paren and brace depth at the #ifdef, so the paren the first branch
+    # leaves open does not swallow the rest of the unit.
+    text = (
+        "int f(int a, int b, int c) {\n#ifdef A\n  if (a > 1 &&\n#else\n  if (b > 2 &&\n#endif\n"
+        '      c) {\n    g("x");\n  }\n  h("y");\n}\nint k(void) {\n  m("z");\n}\n'
+    )
+    scan = scan_unit("m.c", text)
+    assert {name: (span.start, span.end) for name, span in scan.functions.items()} == {"f": (1, 11), "k": (12, 14)}
+    for macros, const in ((frozenset({"A"}), 1), (frozenset(), 2)):
+        f, k = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment(macros=macros)).functions
+        assert [(ki.kind, ki.operand) for blk in k.blocks for ki in blk.keyins] == [_str("z"), _call("m")]
+        blocks = [(blk.id, [(ki.kind, ki.operand) for ki in blk.keyins], blk.succs) for blk in f.blocks]
+        (_, keyins, succs), (then, then_keyins, then_succs), (after, after_keyins, _) = blocks
+        assert keyins == [(KeyKind.CONST_REF, str(const)), _CMP]
+        assert (then_keyins, after_keyins) == ([_str("x"), _call("g")], [_str("y"), _call("h")])
+        assert (succs, then_succs) == ([then, after], [after])
+    assert [frag.features for frag in scan.conditional_fragments()] == [
+        (BranchShape((IntConst(const),), False), IntConst(const)) for const in (1, 2)
+    ]
+
+
+def test_a_call_left_open_in_a_branch_does_not_hold_the_parens_after_it():
+    # The #else branch reads on with the calls open at the #ifdef, so the
+    # ``h(`` the first branch leaves open does not keep ``;`` and ``}`` from
+    # ending anything.
+    text = (
+        "int f(void) {\n  r = g(1,\n#ifdef A\n        h(2,\n#else\n        k(3,\n#endif\n        4));\n"
+        "  m(5);\n}\nint z(void) {\n  n(6);\n}\n"
+    )
+    scan = scan_unit("m.c", text)
+    assert {name: (span.start, span.end) for name, span in scan.functions.items()} == {"f": (1, 10), "z": (11, 13)}
+    program = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment())
+    consts = [(KeyKind.CONST_REF, str(value)) for value in (1, 3, 4, 5, 6)]
+    assert _payloads(program) == [*consts[:3], _call("k"), _call("g"), consts[3], _call("m"), consts[4], _call("n")]
+
+
+def test_a_function_closed_in_each_branch_ends_at_the_last_close():
+    text = "int f(int a) {\n#ifdef A\n  g(1);\n}\n#else\n  g(2);\n}\n#endif\nint k(void) {\n  m(3);\n}\n"
+    scan = scan_unit("m.c", text)
+    assert {name: (span.start, span.end) for name, span in scan.functions.items()} == {"f": (1, 7), "k": (9, 11)}
+    for macros, const in ((frozenset({"A"}), "1"), (frozenset(), "2")):
+        program = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment(macros=macros))
+        assert _payloads(program) == [(KeyKind.CONST_REF, const), _call("g"), (KeyKind.CONST_REF, "3"), _call("m")]
+
+
+def test_a_head_ends_a_statement_left_without_its_semicolon():
+    # ``FOO(x)`` has no ``;``; the if after it is still an if.
+    (_, first, succs), (head, keyins, head_succs), (join, _, _), (then, then_keyins, then_succs) = _blocks(
+        'int f(int y) {\n  FOO(x)\n  if (y > 5) {\n    g("a");\n  }\n}\n'
+    )
+    assert (first, keyins, then_keyins) == ([_call("FOO")], [(KeyKind.CONST_REF, "5"), _CMP], [_str("a"), _call("g")])
+    assert (succs, head_succs, then_succs) == ([head], [then, join], [join])
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "FOO(x)\nstatic int t[] = { 1 };",
+        "foo(x)\nstatic int t[] = { 1 };",
+        "__attribute__((aligned(8))) static const int t[] = {1};",
+        "PNG_FUNCTION(png_voidp, png_malloc, (png_const_structrp png_ptr, png_alloc_size_t size), PNG_ALLOCATED)\n"
+        "{\n  return g(1);\n}",
+    ],
+    ids=["macro-then-initializer", "call-then-initializer", "attribute-initializer", "macro-header"],
+)
+def test_an_initializer_or_a_macro_written_header_opens_no_function(decl):
+    # Two units declare the same; neither names a function after the macro.
+    tree = SourceTree.from_mapping({"a.c": f'{decl}\nint f(void) {{\n  h("a");\n}}\n', "b.c": f"{decl}\n"})
+    assert [list(scan.functions) for scan in scan_tree(tree).values()] == [["f"], []]
+    program = build_unoptimized(tree, ConfigAssignment())
+    assert ([fn.id for fn in program.functions], _payloads(program)) == (["f"], [_str("a"), _call("h")])
 
 
 @pytest.mark.parametrize(
@@ -762,6 +837,7 @@ _FUZZ_PIECES = [
     "} else if (x > 1) {", "if (x > 2) {", 'if (f("}")) {', "if (x)", "else", "while (x > 1) {",
     "for (i = 0; i < 3; i++) {", "switch (x) {", "case 1: f();", "do {", "} while (x);", 'lib("a\\"b", 0x1F);',
     "x = '{';", "'", '"', "/* {", "} */", "/*", "*/", "// }", "x = y;", "g(1, h(2", "\\", "",
+    "if (a &&", "t[] = {", "PNG_FUNCTION(a, (b), c)",
 ]
 
 
