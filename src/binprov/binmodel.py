@@ -25,6 +25,16 @@ set, ``json.dumps`` runs CPython's pure-Python encoder, which is several
 times slower. Strings are quoted by the same C function ``json.dumps``
 uses.
 
+``ingest_model`` reads a model in one pass. The JSON decoder's object hook
+turns each well-formed key-instruction object (``{"kind": k}``, or
+``{"kind": k, "operand": s}`` in that key order) into a ``KeyInstruction``
+as it reads it. One walk over the functions and blocks then type-checks
+every other field, builds the blocks and functions, and notes the first
+structural fault: a duplicate function or block id, a missing entry, a
+dangling successor or a call without an operand. The first type or shape
+fault in document order is raised; a document with none raises its first
+structural fault, in the order ``serialize_model``'s check finds them.
+
 ``ingest_model`` (and ``simdiff.diff_programs``) pause the cyclic garbage
 collector while they run. The graphs they build are acyclic (dataclass
 trees, dicts, lists, tuples), so reference counting frees them just as soon,
@@ -101,40 +111,128 @@ class BinaryProgram:
         return {f.id: f for f in self.functions}
 
 
+def _function_fault(fn: Function, seen_fn: set[str]) -> str | None:
+    """The first structural fault of ``fn``, given the ids of the functions
+    before it: a duplicate function or block id, a missing entry, a
+    dangling successor, then a call without an operand, block by block."""
+    if fn.id in seen_fn:
+        return f"duplicate function id {fn.id!r}"
+    block_ids: set[str] = set()
+    for blk in fn.blocks:
+        if blk.id in block_ids:
+            return f"duplicate block id {blk.id!r} in function {fn.id!r}"
+        block_ids.add(blk.id)
+    if fn.entry not in block_ids:
+        return f"entry block {fn.entry!r} missing in function {fn.id!r}"
+    for blk in fn.blocks:
+        for succ in blk.succs:
+            if succ not in block_ids:
+                return f"successor {succ!r} of block {blk.id!r} missing in function {fn.id!r}"
+        for ki in blk.keyins:
+            if ki.kind is KeyKind.CALL and not ki.operand:
+                return f"call without operand in block {blk.id!r} of function {fn.id!r}"
+    return None
+
+
 def _validate(program: BinaryProgram) -> None:
     seen_fn: set[str] = set()
     for fn in program.functions:
-        if fn.id in seen_fn:
-            raise SchemaError(f"duplicate function id {fn.id!r}")
+        fault = _function_fault(fn, seen_fn)
+        if fault is not None:
+            raise SchemaError(fault)
         seen_fn.add(fn.id)
-        block_ids: set[str] = set()
-        for blk in fn.blocks:
-            if blk.id in block_ids:
-                raise SchemaError(f"duplicate block id {blk.id!r} in function {fn.id!r}")
-            block_ids.add(blk.id)
-        if fn.entry not in block_ids:
-            raise SchemaError(f"entry block {fn.entry!r} missing in function {fn.id!r}")
-        for blk in fn.blocks:
-            for succ in blk.succs:
-                if succ not in block_ids:
-                    raise SchemaError(
-                        f"successor {succ!r} of block {blk.id!r} missing in function {fn.id!r}"
-                    )
-            for ki in blk.keyins:
-                if ki.kind is KeyKind.CALL and not ki.operand:
-                    raise SchemaError(
-                        f"call without operand in block {blk.id!r} of function {fn.id!r}"
-                    )
 
 
+_BY_ID = attrgetter("id")
 _KINDS = {kind.value: kind for kind in KeyKind}
+_BARE_KINDS = {text: kind for text, kind in _KINDS.items() if kind is not KeyKind.CALL}
+
+
+def _keyin_hook(obj: dict):
+    """Decoder hook: a well-formed key-instruction object becomes a
+    ``KeyInstruction`` as the decoder reads it; any other object is
+    returned as it is.
+
+    Well-formed is ``{"kind": k}`` or ``{"kind": k, "operand": s}`` in that
+    key order, with ``k`` a known kind and ``s`` a string, non-empty for a
+    call. The key order is what lets ``_plain`` give back the very object
+    that was read."""
+    size = len(obj)
+    if size == 1:
+        text = obj.get("kind")
+        if type(text) is str and text in _BARE_KINDS:
+            return KeyInstruction(_BARE_KINDS[text])
+    elif size == 2:
+        first, second = obj
+        if first == "kind" and second == "operand":
+            text, operand = obj["kind"], obj["operand"]
+            if type(text) is str and type(operand) is str and text in _KINDS:
+                kind = _KINDS[text]
+                if operand or kind is not KeyKind.CALL:
+                    return KeyInstruction(kind, operand)
+    return obj
+
+
+def _plain(value):
+    """The JSON value a decoded one was read from: each key instruction
+    the hook built becomes its object again."""
+    if type(value) is KeyInstruction:
+        if value.operand is None:
+            return {"kind": value.kind.value}
+        return {"kind": value.kind.value, "operand": value.operand}
+    if type(value) is list:
+        return [_plain(item) for item in value]
+    if type(value) is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 def _wrong(what: str, expected: str, value) -> SchemaError:
-    shown = json.dumps(value)
+    shown = json.dumps(_plain(value))
     if len(shown) > 40:
         shown = shown[:37] + "..."
     return SchemaError(f"{what} must be {expected}, got {shown}")
+
+
+def _as_object(value, what: str) -> dict:
+    """A function or block that did not decode to a dict. A key-instruction
+    object there gives back its fields, so the missing-key check names it
+    as it names any other object; anything else is the wrong type."""
+    if type(value) is KeyInstruction:
+        return _plain(value)
+    raise _wrong(what, "an object", value)
+
+
+def _block_fields(braw, fid: str) -> tuple:
+    """The id, key instructions and successors of a block that is not an
+    object holding all three; absent lists read as empty."""
+    if type(braw) is not dict:
+        braw = _as_object(braw, f"a block of function {fid!r}")
+    if "id" not in braw:
+        raise SchemaError("block missing 'id'")
+    return braw["id"], braw.get("keyins", []), braw.get("succs", [])
+
+
+def _read_keyins(keyins_raw: list, bid: str) -> list[KeyInstruction]:
+    """A block's key instructions when some item was not built as it was
+    read: each field is checked in document order."""
+    keyins = []
+    for kraw in keyins_raw:
+        if type(kraw) is KeyInstruction:
+            keyins.append(kraw)
+            continue
+        if not isinstance(kraw, dict):
+            raise _wrong(f"a key instruction of block {bid!r}", "an object", kraw)
+        kind_text = kraw.get("kind")
+        try:
+            kind = _KINDS[kind_text]
+        except (KeyError, TypeError):
+            raise SchemaError(f"unknown key-instruction kind {_plain(kind_text)!r}") from None
+        operand = kraw.get("operand")
+        if operand is not None and not isinstance(operand, str):
+            raise _wrong(f"a {kind.value} operand in block {bid!r}", "a string", operand)
+        keyins.append(KeyInstruction(kind=kind, operand=operand))
+    return keyins
 
 
 @contextmanager
@@ -155,12 +253,19 @@ def ingest_model(text: str) -> BinaryProgram:
     """Parse a JSON model file into a validated BinaryProgram.
 
     Every field is type-checked: a document of the wrong shape raises
-    ``SchemaError``, never a ``TypeError`` or ``AttributeError``.
+    ``SchemaError``, never a ``TypeError`` or ``AttributeError``. The
+    first type or shape fault in document order is raised; only a
+    document with none raises its first structural fault, in the order
+    ``serialize_model`` checks them.
     """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_hook=_keyin_hook)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise SchemaError(f"model file is not valid JSON: {exc}") from exc
+    if type(raw) is KeyInstruction:
+        raw = _plain(raw)
     if not isinstance(raw, dict):
         raise SchemaError("model file must be a JSON object")
     for key in ("name", "stripped", "functions"):
@@ -174,55 +279,66 @@ def ingest_model(text: str) -> BinaryProgram:
         raise _wrong("'functions'", "an array", raw["functions"])
 
     functions = []
+    seen_fn: set[str] = set()
+    fault = None
     for fraw in raw["functions"]:
-        if not isinstance(fraw, dict):
-            raise _wrong("a function", "an object", fraw)
+        if type(fraw) is not dict:
+            fraw = _as_object(fraw, "a function")
         if "id" not in fraw or "entry" not in fraw:
             raise SchemaError("function missing 'id' or 'entry'")
         fid, entry, symbol = fraw["id"], fraw["entry"], fraw.get("symbol")
-        if not isinstance(fid, str):
+        if type(fid) is not str:
             raise _wrong("a function id", "a string", fid)
-        if not isinstance(entry, str):
+        if type(entry) is not str:
             raise _wrong(f"the entry of function {fid!r}", "a string", entry)
-        if symbol is not None and not isinstance(symbol, str):
+        if symbol is not None and type(symbol) is not str:
             raise _wrong(f"the symbol of function {fid!r}", "a string", symbol)
         blocks_raw = fraw.get("blocks", [])
-        if not isinstance(blocks_raw, list):
+        if type(blocks_raw) is not list:
             raise _wrong(f"the blocks of function {fid!r}", "an array", blocks_raw)
         blocks = []
+        every_succ: list[str] = []
+        read_apart = False
         for braw in blocks_raw:
-            if not isinstance(braw, dict):
-                raise _wrong(f"a block of function {fid!r}", "an object", braw)
-            if "id" not in braw:
-                raise SchemaError("block missing 'id'")
-            bid, keyins_raw, succs = braw["id"], braw.get("keyins", []), braw.get("succs", [])
-            if not isinstance(bid, str):
+            try:
+                bid, keyins, succs = braw["id"], braw["keyins"], braw["succs"]
+            except (KeyError, TypeError):
+                bid, keyins, succs = _block_fields(braw, fid)
+            if type(bid) is not str:
                 raise _wrong(f"a block id in function {fid!r}", "a string", bid)
-            if not isinstance(keyins_raw, list):
-                raise _wrong(f"the keyins of block {bid!r}", "an array", keyins_raw)
-            if not isinstance(succs, list):
+            if type(keyins) is not list:
+                raise _wrong(f"the keyins of block {bid!r}", "an array", keyins)
+            if type(succs) is not list:
                 raise _wrong(f"the succs of block {bid!r}", "an array", succs)
             for succ in succs:
-                if not isinstance(succ, str):
+                if type(succ) is not str:
                     raise _wrong(f"a successor of block {bid!r}", "a string", succ)
-            keyins = []
-            for kraw in keyins_raw:
-                if not isinstance(kraw, dict):
-                    raise _wrong(f"a key instruction of block {bid!r}", "an object", kraw)
-                kind_text = kraw.get("kind")
-                try:
-                    kind = _KINDS[kind_text]
-                except (KeyError, TypeError):
-                    raise SchemaError(f"unknown key-instruction kind {kind_text!r}") from None
-                operand = kraw.get("operand")
-                if operand is not None and not isinstance(operand, str):
-                    raise _wrong(f"a {kind.value} operand in block {bid!r}", "a string", operand)
-                keyins.append(KeyInstruction(kind=kind, operand=operand))
-            blocks.append(BasicBlock(id=bid, keyins=keyins, succs=list(succs)))
-        functions.append(Function(id=fid, entry=entry, blocks=blocks, symbol=symbol))
-    program = BinaryProgram(name=raw["name"], stripped=raw["stripped"], functions=functions)
-    _validate(program)
-    return program
+            for ki in keyins:
+                if type(ki) is not KeyInstruction:
+                    keyins = _read_keyins(keyins, bid)
+                    read_apart = True
+                    break
+            blocks.append(BasicBlock(bid, keyins, succs))
+            every_succ += succs
+        fn = Function(fid, entry, blocks, symbol)
+        functions.append(fn)
+        if fault is None:
+            # Structural faults wait for the type walk to finish. A block
+            # whose key instructions were read apart may hold a call
+            # without an operand; the hook builds none.
+            block_ids = set(map(_BY_ID, blocks))
+            if (
+                read_apart
+                or fid in seen_fn
+                or len(block_ids) < len(blocks)
+                or entry not in block_ids
+                or not block_ids.issuperset(every_succ)
+            ):
+                fault = _function_fault(fn, seen_fn)
+            seen_fn.add(fid)
+    if fault is not None:
+        raise SchemaError(fault)
+    return BinaryProgram(name=raw["name"], stripped=raw["stripped"], functions=functions)
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -234,7 +350,6 @@ def _json_list(items: list[str], indent: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
 
 
-_BY_ID = attrgetter("id")
 _KEYIN_OPEN = '{\n              "kind": '
 _KEYIN_CLOSE = "\n            }"
 _BARE_KEYINS = {kind: _KEYIN_OPEN + _quote(kind.value) + _KEYIN_CLOSE for kind in KeyKind}
@@ -302,11 +417,15 @@ _QUOTED_RE = re.compile(r'"([^"]*)"')
 _INT_RE = re.compile(r"^-?\d+$|^0[xX][0-9a-fA-F]+$")
 
 
-def _first_integer(tokens: list[str]) -> str | None:
+def _first_integer(tokens: list[str], lineno: int) -> str | None:
     for tok in tokens:
         tok = tok.rstrip(",")
         if _INT_RE.match(tok):
-            return str(int(tok, 16) if tok[:2] in ("0x", "0X") else int(tok))
+            try:
+                return str(int(tok, 16) if tok[:2] in ("0x", "0X") else int(tok))
+            except ValueError:
+                # Past the interpreter's limit on the digits of a decimal.
+                raise SchemaError(f"line {lineno}: integer operand has too many digits") from None
     return None
 
 
@@ -383,7 +502,7 @@ def ingest_disassembly_export(text: str, name: str = "export") -> ExportIngest:
                     KeyInstruction(KeyKind.STRING_REF, operand=quoted.group(1))
                 )
                 continue
-        value = _first_integer(tokens[1:])
+        value = _first_integer(tokens[1:], lineno)
         if value is not None:
             cur_blk.keyins.append(KeyInstruction(KeyKind.CONST_REF, operand=value))
             continue
