@@ -414,7 +414,9 @@ class ExportIngest:
 
 
 _QUOTED_RE = re.compile(r'"([^"]*)"')
-_INT_RE = re.compile(r"^-?\d+$|^0[xX][0-9a-fA-F]+$")
+# ASCII digits only: a disassembler writes no other, and ``\d`` would take
+# an Arabic-Indic or a full-width digit for one.
+_INT_RE = re.compile(r"^-?[0-9]+$|^0[xX][0-9a-fA-F]+$")
 
 
 def _first_integer(tokens: list[str], lineno: int) -> str | None:

@@ -29,13 +29,13 @@ dominates the largest same-compiler version distance.
 Pads and the flavor marker add no comparison and no edge, merge reads only
 the control flow, and fold sites depend only on the compiler, so where each
 of the first four passes acts is fixed by the base and the compiler. Every
-site lies within one function, so each function is planned on its own, for
-every compiler: its part (``_FunctionPlan``) holds its sites. Only the pad
-order spans functions: a sort by per-site ranks across the parts, done once
-per base and compiler. ``apply_transforms`` replays the parts up to a
-spec's version and level, then runs inline and dedup. The merge chains do
-not depend on the compiler at all: each part walks them once, and each
-compiler only salts the pad ranks and the fold choice.
+site lies within one function, so each function is planned on its own: its
+part (``_FunctionPlan``) holds its sites. A part's layouts and calls do not
+depend on the compiler: the part walks the merge chains and the calls once,
+and each compiler only salts the pad ranks and the fold choice. Only the
+pad order spans functions: a sort by per-site ranks across the parts, done
+once per base and compiler. ``apply_transforms`` replays the parts up to a
+spec's version and level, then runs inline and dedup.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
@@ -50,13 +50,13 @@ An external toolchain backend is provided for real compilers; it shells out
 per the toolchain manifest and reads the disassembly export the command
 prints. Either backend caches its builds and indexes each build once
 (``index``): the pipeline reads builds only through their indexes. The
-simulated toolchain computes every index from the parts without making the
-program (``_index_parts``): pads, the flavor marker, merge and fold change
-only the signatures; inline trades each call to a leaf for the leaf's
-fingerprints and drops its edge; dedup groups functions by body keys the
-parts give and renumbers. ``apply_transforms`` stays the one code that
-makes a program, and every index from the parts equals the index of what
-it makes.
+simulated toolchain computes every index from the parts, with no program
+built (``_index_parts``): pads, the flavor marker, merge and fold change
+only the signatures, which the parts give from the pad numbers; inline
+trades each call to a leaf for the leaf's fingerprints and drops its edge;
+dedup groups functions by body keys the parts give and renumbers.
+``apply_transforms`` stays the one code that makes a program, and every
+index from the parts equals the index of what it makes.
 """
 
 from __future__ import annotations
@@ -357,69 +357,84 @@ def _site_rank(*parts: str) -> str:
 
 # One output block of a layout: the indices into the base function's block
 # list of the base blocks whose key instructions it concatenates, its own
-# first; its successors; whether its constants fold (O2 and up).
-_PlannedBlock = tuple[tuple[int, ...], tuple[str, ...], bool]
+# first, and its successors.
+_PlannedBlock = tuple[tuple[int, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True, slots=True)
 class _FunctionPlan:
-    """Where the transform chain acts on one base function, for every
-    compiler, as block indices into that function; ``apply_transforms``
-    replays a program's parts for any spec, and ``_index_parts`` computes
-    the index of any build from them.
+    """Where the transform chain acts on one base function, as block
+    indices into that function; ``apply_transforms`` replays a program's
+    parts for any spec, and ``_index_parts`` computes the index of any build
+    from them. The layouts, the calls and the flavor blocks do not depend on
+    the compiler; per compiler, a part holds only its pad ranks, its fold
+    positions and its Os body key.
 
-    * ``unmerged``: the O0 layout, one output block per base block. No
-      compiler changes it.
-    * ``pad_ranks``, per compiler: (rank, block index) of every comparison
-      block. A base sorts the ranks of all its parts (``_pad_order``), and a
-      version fills the first ``PADS_PER_THETA * theta`` sites of that order.
+    * ``unmerged``: the O0 layout, one output block per base block.
+    * ``merged``: the layout at O1 and up. A merged block lists every base
+      block of its chain, its own first, and takes the chain's successors.
+    * ``calls``: the (merged position, target) of each call that names a
+      target, which inline reads at O3.
     * ``flavor``: the blocks that carry the clang marker.
-    * ``merged``, per compiler: the layout at O1 and up, with the
-      compiler's fold choice. A merged block lists every base block of its
-      chain, its own first, and takes the chain's successors.
     * ``primes`` and ``consts``, per base block: the product of the kind
       primes of its instructions other than ``CONST_REF``, and its count of
       ``CONST_REF``. A block's fingerprint is ``primes * 7 ** consts``.
     * ``leaf``: O3 inlines the function into its callers, since it makes no
       call and merges to at most ``INLINE_MAX_BLOCKS`` blocks.
-    * ``calls`` and ``body_keys``, per compiler, filled on first use: the
-      (merged block, target) of each call that names a target, which inline
-      reads at O3, and the body key dedup groups the function by at Os when
-      it carries no pad.
+    * ``pad_ranks``, per compiler: (rank, block index) of every comparison
+      block. A base sorts the ranks of all its parts once per compiler
+      (``_pad_order``), and a version fills the first ``PADS_PER_THETA *
+      theta`` sites of that order.
+    * ``folds``, per compiler: the merged positions whose constants fold at
+      O2 and up, the compiler's fold choice.
+    * ``body_keys``, per compiler, filled on first use: the body key dedup
+      groups the function by at Os when it carries no pad.
     """
 
     unmerged: tuple[_PlannedBlock, ...]
-    pad_ranks: dict[str, tuple[tuple[str, int], ...]]
-    flavor: tuple[int, ...]
-    merged: dict[str, tuple[_PlannedBlock, ...]]
+    merged: tuple[_PlannedBlock, ...]
+    calls: tuple[tuple[int, str], ...]
+    flavor: frozenset[int]
     primes: tuple[int, ...]
     consts: tuple[int, ...]
     leaf: bool
-    calls: dict[str, tuple[tuple[int, str], ...]] = field(default_factory=dict, compare=False)
+    pad_ranks: dict[str, tuple[tuple[str, int], ...]]
+    folds: dict[str, frozenset[int]]
     body_keys: dict[str, tuple] = field(default_factory=dict, compare=False)
 
 
 _CONST_PRIME = KIND_PRIMES[KeyKind.CONST_REF]
+_STRING_PRIME = KIND_PRIMES[KeyKind.STRING_REF]
 _COMPARE_PRIME = KIND_PRIMES[KeyKind.COMPARE]
 _CALL_PRIME = KIND_PRIMES[KeyKind.CALL]
 
 
 def _plan_function(fn: Function) -> _FunctionPlan:
     blocks = fn.blocks
-    primes, consts = [], []
-    for blk in blocks:
+    primes, consts, calls = [], [], []
+    for bi, blk in enumerate(blocks):
         product, n = 1, 0
         for ki in blk.keyins:
             if ki.kind is KeyKind.CONST_REF:
                 n += 1
             else:
-                product *= KIND_PRIMES[ki.kind]
+                prime = KIND_PRIMES[ki.kind]
+                product *= prime
+                if prime == _CALL_PRIME and ki.operand:
+                    calls.append((bi, call_target(ki.operand)))
         primes.append(product)
         consts.append(n)
     compares = [product % _COMPARE_PRIME == 0 for product in primes]
     chains = _merge_chains(fn, compares)
+    position = {bi: pos for pos, (chain, _succs, _foldable) in enumerate(chains) for bi in chain}
     return _FunctionPlan(
-        unmerged=tuple(((bi,), tuple(blk.succs), False) for bi, blk in enumerate(blocks)),
+        unmerged=tuple(((bi,), tuple(blk.succs)) for bi, blk in enumerate(blocks)),
+        merged=tuple((chain, succs) for chain, succs, _foldable in chains),
+        calls=tuple((position[bi], target) for bi, target in calls),
+        flavor=_flavor_blocks(fn, primes),
+        primes=tuple(primes),
+        consts=tuple(consts),
+        leaf=len(chains) <= INLINE_MAX_BLOCKS and all(p % _CALL_PRIME for p in primes),
         pad_ranks={
             c: tuple(
                 (_site_rank("pad", c, fn.id, blocks[bi].id), bi)
@@ -428,31 +443,27 @@ def _plan_function(fn: Function) -> _FunctionPlan:
             )
             for c in COMPILERS
         },
-        flavor=tuple(_flavor_blocks(fn, compares)),
-        merged={
-            c: tuple(
-                (chain, succs, foldable and _folds(c, fn.id, blocks[chain[0]].id))
-                for chain, succs, foldable in chains
+        folds={
+            c: frozenset(
+                pos
+                for pos, (chain, _succs, foldable) in enumerate(chains)
+                if foldable and _folds(c, fn.id, blocks[chain[0]].id)
             )
             for c in COMPILERS
         },
-        primes=tuple(primes),
-        consts=tuple(consts),
-        leaf=len(chains) <= INLINE_MAX_BLOCKS and all(p % _CALL_PRIME for p in primes),
     )
 
 
-def _flavor_blocks(fn: Function, compares: list[bool]) -> list[int]:
+def _flavor_blocks(fn: Function, primes: list[int]) -> frozenset[int]:
     """Compiler-family code-gen trait: clang plants a guard string in every
     comparison block, and in the entry block of branch-free functions that
     make calls (those have no comparison block to carry it). Call-free
-    straight-line functions are left bare."""
-    marked = [bi for bi, is_cmp in enumerate(compares) if is_cmp]
-    if marked or not fn.blocks:
+    straight-line functions are left bare. ``primes`` holds the plan's
+    product of kind primes per block."""
+    marked = frozenset(bi for bi, p in enumerate(primes) if p % _COMPARE_PRIME == 0)
+    if marked or all(p % _CALL_PRIME for p in primes):
         return marked
-    if any(ki.kind is KeyKind.CALL for blk in fn.blocks for ki in blk.keyins):
-        return [next((bi for bi, blk in enumerate(fn.blocks) if blk.id == fn.entry), 0)]
-    return []
+    return frozenset((next((bi for bi, blk in enumerate(fn.blocks) if blk.id == fn.entry), 0),))
 
 
 _FOLD_THRESHOLD = int(FOLD_RATE * 0xFFFFFFFF)
@@ -464,9 +475,11 @@ def _folds(compiler: str, fid: str, bid: str) -> bool:
     return int(_site_rank("fold", compiler, fid, bid)[:8], 16) <= _FOLD_THRESHOLD
 
 
-def _merge_chains(fn: Function, compares: list[bool]) -> tuple[_PlannedBlock, ...]:
-    """The merged layout (O1 and up) of one function, before fold;
-    ``compares`` flags its comparison blocks.
+def _merge_chains(
+    fn: Function, compares: list[bool]
+) -> tuple[tuple[tuple[int, ...], tuple[str, ...], bool], ...]:
+    """The merged layout (O1 and up) of one function, each block with
+    whether it may fold; ``compares`` flags its comparison blocks.
 
     Merge coalesces single-successor/single-predecessor chains to a
     fixpoint. A merge changes no block's predecessor count and only the
@@ -593,42 +606,37 @@ def _pad_sites(order: list[tuple[int, int]], spec: BuildSpec) -> dict[int, dict[
     return sites
 
 
-# What a build appends to one function's base blocks: block index -> the
-# instructions appended to that block.
-_Extra = dict[int, list[KeyInstruction]]
-
-
-def _additions(part: _FunctionPlan, compiler: str, pads: dict[int, int]) -> _Extra:
-    """What a build appends to the part's function: each block's pad, then
-    its flavor marker. ``pads`` maps each padded block to its pad number;
-    clang marks the ``flavor`` blocks."""
-    added = {bi: [KeyInstruction(KeyKind.CONST_REF, str(7100 + n))] for bi, n in pads.items()}
-    if compiler == "clang":
-        for bi in part.flavor:
-            added.setdefault(bi, []).append(KeyInstruction(KeyKind.STRING_REF, FLAVOR_MARKER))
-    return added
-
-
-def _layout(part: _FunctionPlan, spec: BuildSpec) -> tuple[_PlannedBlock, ...]:
-    return part.unmerged if spec.level == "O0" else part.merged[spec.compiler]
+def _layout(
+    part: _FunctionPlan, spec: BuildSpec
+) -> tuple[tuple[_PlannedBlock, ...], frozenset[int]]:
+    """The blocks of ``part`` at ``spec``'s level, and the positions among
+    them whose constants fold."""
+    if spec.level == "O0":
+        return part.unmerged, frozenset()
+    return part.merged, part.folds[spec.compiler] if spec.level in _FOLD_LEVELS else frozenset()
 
 
 _FOLD_LEVELS = ("O2", "O3", "Os")
 
 
-def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, extra: _Extra) -> Function:
-    """``fn`` built at ``spec`` with ``extra`` appended to its base blocks,
-    before inline and dedup, in fresh function and block shells."""
-    fold = spec.level in _FOLD_LEVELS
+def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> Function:
+    """``fn`` built at ``spec`` before inline and dedup, in fresh function
+    and block shells. ``pads`` maps each padded base block to its pad
+    number; a base block's pad, then its clang marker, follow its own
+    instructions."""
     base = fn.blocks
+    layout, folds = _layout(part, spec)
+    flavor = part.flavor if spec.compiler == "clang" else ()
     blocks = []
-    for chain, succs, folds in _layout(part, spec):
+    for pos, (chain, succs) in enumerate(layout):
         keyins: list[KeyInstruction] = []
         for bi in chain:
             keyins += base[bi].keyins
-            if bi in extra:
-                keyins += extra[bi]
-        if fold and folds:
+            if bi in pads:
+                keyins.append(KeyInstruction(KeyKind.CONST_REF, str(7100 + pads[bi])))
+            if bi in flavor:
+                keyins.append(KeyInstruction(KeyKind.STRING_REF, FLAVOR_MARKER))
+        if pos in folds:
             keyins = [ki for ki in keyins if ki.kind is not KeyKind.CONST_REF]
         blocks.append(BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs)))
     return Function(id=fn.id, entry=fn.entry, blocks=blocks, symbol=fn.symbol)
@@ -653,7 +661,7 @@ def apply_transforms(
         parts = [_plan_function(fn) for fn in program.functions]
     pads = _pad_sites(_pad_order(parts, spec.compiler), spec)
     functions = [
-        _replay(fn, part, spec, _additions(part, spec.compiler, pads.get(fi, {})))
+        _replay(fn, part, spec, pads.get(fi, {}))
         for fi, (fn, part) in enumerate(zip(program.functions, parts, strict=True))
     ]
     out = BinaryProgram(
@@ -666,25 +674,26 @@ def apply_transforms(
     return out
 
 
-def _fingerprints(part: _FunctionPlan, spec: BuildSpec, extra: _Extra) -> list[int]:
-    """The fingerprint of each block of ``_replay``, in order, from the
-    part: the product of its chain's block fingerprints and of its
-    additions' primes, with every ``CONST_REF`` factor dropped where the
-    block folds."""
-    fold = spec.level in _FOLD_LEVELS
+def _fingerprints(part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> list[int]:
+    """The fingerprint of each block of ``_replay(fn, part, spec, pads)``,
+    in order, from the part: the product of its chain's block fingerprints,
+    of a ``CONST_REF`` prime per pad and of a ``STRING_REF`` prime per
+    clang marker, with every ``CONST_REF`` factor dropped where the block
+    folds."""
+    layout, folds = _layout(part, spec)
+    flavor = part.flavor if spec.compiler == "clang" else ()
     primes, consts = part.primes, part.consts
     out = []
-    for chain, _succs, folds in _layout(part, spec):
+    for pos, (chain, _succs) in enumerate(layout):
         fp, n = 1, 0
         for bi in chain:
             fp *= primes[bi]
             n += consts[bi]
-            for ki in extra.get(bi, ()):
-                if ki.kind is KeyKind.CONST_REF:
-                    n += 1
-                else:
-                    fp *= KIND_PRIMES[ki.kind]
-        out.append(fp if fold and folds else fp * _CONST_PRIME**n)
+            if bi in pads:
+                n += 1
+            if bi in flavor:
+                fp *= _STRING_PRIME
+        out.append(fp if pos in folds else fp * _CONST_PRIME**n)
     return out
 
 
@@ -703,12 +712,11 @@ def _index_parts(base: _Base, spec: BuildSpec) -> ProgramIndex:
         base.pad_orders[spec.compiler] = _pad_order(base.parts, spec.compiler)
     pads = _pad_sites(base.pad_orders[spec.compiler], spec)
     fingerprints = [
-        _fingerprints(part, spec, _additions(part, spec.compiler, pads.get(fi, {})))
-        for fi, part in enumerate(base.parts)
+        _fingerprints(part, spec, pads.get(fi, {})) for fi, part in enumerate(base.parts)
     ]
     index = base.index
     if spec.level == "O3":
-        index = _inline_index(index, base, spec, fingerprints)
+        index = _inline_index(index, base.parts, fingerprints)
     index = replace(index, signatures=tuple(tuple(sorted(fps)) for fps in fingerprints))
     if spec.level == "Os":
         index = _dedup_index(index, base, spec, pads)
@@ -716,29 +724,20 @@ def _index_parts(base: _Base, spec: BuildSpec) -> ProgramIndex:
 
 
 def _inline_index(
-    index: ProgramIndex, base: _Base, spec: BuildSpec, fingerprints: list[list[int]]
+    index: ProgramIndex, parts: list[_FunctionPlan], fingerprints: list[list[int]]
 ) -> ProgramIndex:
     """``_apply_inline`` at index level: each call to a leaf leaves
     ``callees`` and ``callers``, and its block, in ``fingerprints``, trades
     the call's prime for the product of the leaf's block fingerprints. A
     leaf makes no call, so it inlines nothing and changes in no way."""
-    parts, functions = base.parts, base.program.functions
     leaves = {index.ids[k]: k for k, part in enumerate(parts) if part.leaf}
     products = {fid: math.prod(fingerprints[k]) for fid, k in leaves.items()}
     numbers = set(leaves.values())
     for k, out in enumerate(index.callees):
         if numbers.isdisjoint(out):
             continue
-        fps, part = fingerprints[k], parts[k]
-        if spec.compiler not in part.calls:
-            part.calls[spec.compiler] = tuple(
-                (pos, call_target(ki.operand))
-                for pos, (chain, _succs, _folds) in enumerate(part.merged[spec.compiler])
-                for bi in chain
-                for ki in functions[k].blocks[bi].keyins
-                if ki.kind is KeyKind.CALL and ki.operand
-            )
-        for pos, target in part.calls[spec.compiler]:
+        fps = fingerprints[k]
+        for pos, target in parts[k].calls:
             if target in products:
                 fps[pos] = fps[pos] // _CALL_PRIME * products[target]
     return replace(
@@ -760,9 +759,9 @@ def _dedup_index(
     def body_key(k: int) -> tuple:
         fn, part, c = functions[k], parts[k], spec.compiler
         if k in pads:
-            return _body_key(_replay(fn, part, spec, _additions(part, c, pads[k])))
+            return _body_key(_replay(fn, part, spec, pads[k]))
         if c not in part.body_keys:
-            part.body_keys[c] = _body_key(_replay(fn, part, spec, _additions(part, c, {})))
+            part.body_keys[c] = _body_key(_replay(fn, part, spec, {}))
         return part.body_keys[c]
 
     # Equal bodies have equal signatures, so a function whose signature no

@@ -108,6 +108,15 @@ def test_export_reads_decimals_in_base_ten(operand, value):
     assert (ki.kind, ki.operand) == (KeyKind.CONST_REF, value)
 
 
+def test_export_reads_ascii_digits_only():
+    # An Arabic-Indic or a full-width digit is no integer operand: the line
+    # is dropped and tallied like any other line without key information.
+    out = ingest_disassembly_export("FUNC f\nBLOCK b0\nmov eax, \u0663\nmov ebx, \uff15\nmov ecx, 7\n")
+    assert out.dropped == {"mov": 2}
+    (ki,) = out.program.functions[0].blocks[0].keyins
+    assert (ki.kind, ki.operand) == (KeyKind.CONST_REF, "7")
+
+
 @pytest.mark.parametrize("text", [EXPORT_BRANCHY, EXPORT_LOOP, EXPORT_DROPPED])
 def test_export_models_roundtrip_byte_exact(text):
     prog = ingest_disassembly_export(text).program

@@ -47,7 +47,7 @@ from binprov.errors import (
     SchemaError,
 )
 from binprov.pipeline import run_generated_case
-from binprov.simdiff import index_program
+from binprov.simdiff import index_program, spp_fingerprint
 from binprov.varsource import SourceTree, scan_tree
 
 EMPTY_CONFIG = ConfigAssignment()
@@ -1174,6 +1174,25 @@ def _random_unit(draw) -> str:
 @given(_random_unit())
 def test_index_from_the_parts_of_random_units_equals_the_index_of_the_build(text):
     _check_index_from_the_parts(build_unoptimized(SourceTree.from_mapping({"m.c": text}), EMPTY_CONFIG))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_fingerprints_from_the_parts_equal_those_of_the_replay_for_any_pads(data):
+    # ``_fingerprints`` and ``_replay`` both read a function's pad numbers.
+    # Any pad map over its comparison blocks, not only those a version's pad
+    # order gives, yields the same block fingerprints from the part as from
+    # the replayed blocks, at every spec.
+    text = data.draw(_random_unit())
+    for fn in build_unoptimized(SourceTree.from_mapping({"m.c": text}), EMPTY_CONFIG).functions:
+        part = buildoracle._plan_function(fn)
+        sites = [bi for _rank, bi in part.pad_ranks[COMPILERS[0]]]
+        pads = data.draw(st.dictionaries(st.sampled_from(sites), st.integers(0, 19))) if sites else {}
+        for spec in all_option_specs():
+            replayed = buildoracle._replay(fn, part, spec, pads)
+            assert buildoracle._fingerprints(part, spec, pads) == [
+                spp_fingerprint(blk) for blk in replayed.blocks
+            ], (fn.id, spec.text(), pads)
 
 
 def test_external_toolchain_manifest_parsing():
