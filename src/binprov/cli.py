@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _finite(text: str) -> float:
+    """A float flag's value; a usage error unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A float flag's value; a usage error unless it is a number in [0, 1]."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def _backend_for(args, tree: SourceTree, name: str):
@@ -388,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("case", help="case directory, corpus root, or a crash model file")
     p.add_argument("--source-dir")
     p.add_argument("--config-map")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--run-trigger", metavar="CMD",
                    help="shell command to run afterwards; its exit status or "
                         "terminating signal is recorded (no portability "
@@ -400,7 +420,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("matrix", help="option grid and ordering checks")
     p.add_argument("--source-dir", required=True)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
+    p.add_argument("--margin", type=_finite, default=DEFAULT_MARGIN)
     _add_common(p)
     _add_backend(p)
     p.set_defaults(func=cmd_matrix)

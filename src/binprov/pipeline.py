@@ -50,7 +50,17 @@ from .matcher import (
     derive_constraints,
 )
 from .optinfer import InferenceTrace, infer_options
-from .simdiff import ProgramIndex, _similarities, diff_programs, index_program, similarity
+from .simdiff import (
+    ProgramIndex,
+    _match,
+    _Pairing,
+    _similarities,
+    _symbol_pairing,
+    _symbol_table,
+    diff_programs,
+    index_program,
+    similarity,
+)
 # ``compare_programs`` is not called here, but stays a module attribute:
 # perfbench's tracer rebinds ``pipeline.compare_programs`` by name.
 from .simdiff import compare_programs  # noqa: F401
@@ -338,10 +348,17 @@ def similarity_matrix(
     pair, in the order of ``specs`` (all fifty by default).
 
     Each unordered pair is matched once and fills both of its cells; the
-    diagonal is computed like any other cell. A function pair's fraction
-    depends only on the two signatures, and the builds of one base share
-    most of theirs, so one memo for the whole grid scores each distinct
-    signature pair once."""
+    diagonal is computed like any other cell. The builds of one base share
+    most of their facts, and the grid computes each shared one once:
+
+    - Pass 1 of the matcher reads only the two symbol tables, so it runs
+      once per ordered pair of distinct tables. Where it leaves a side fully
+      paired, the match ends there, and every build pair with those tables
+      takes that pairing. Any other pair is matched on its own.
+    - A function pair's fraction depends only on the two signatures, so one
+      memo for the whole grid scores each distinct signature pair once.
+    - A pairing whose pairs come in the same order on both sides gives both
+      cells from one sum."""
     specs = list(specs) if specs is not None else all_option_specs()
     indexes = [backend.index(s, config) for s in specs]
     n = len(indexes)
@@ -351,10 +368,20 @@ def similarity_matrix(
     ids_of: dict[tuple, int] = {}
     classes = [[ids_of.setdefault(sig, len(ids_of)) for sig in ix.signatures] for ix in indexes]
     fractions: dict[tuple[int, int], float] = {}
+    # Each distinct symbol table gets a small int; ``symbol_pairings`` maps
+    # an ordered pair of them to pass 1's pairing, None where it is partial.
+    table_ids: dict[tuple, int] = {}
+    tables = [table_ids.setdefault(_symbol_table(ix), len(table_ids)) for ix in indexes]
+    symbol_pairings: dict[tuple[int, int], _Pairing | None] = {}
     for i, ia in enumerate(indexes):
         row = grid[i]
         for j in range(i, n):
-            row[j], grid[j][i] = _similarities(ia, indexes[j], fractions, classes[i], classes[j])
+            ib = indexes[j]
+            key = (tables[i], tables[j])
+            if key not in symbol_pairings:
+                symbol_pairings[key] = _symbol_pairing(ia, ib)
+            pairing = symbol_pairings[key] or _Pairing.of(*_match(ia, ib))
+            row[j], grid[j][i] = _similarities(ia, ib, pairing, fractions, classes[i], classes[j])
     return grid
 
 

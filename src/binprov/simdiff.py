@@ -31,7 +31,12 @@ directions of a pair from one match. A pair's fraction depends only on the
 two function signatures, and is exactly 1.0 when they are equal; a caller
 that scores many programs built from one source, as ``similarity_matrix``
 does, keeps one memo of fractions per distinct signature pair for the
-length of its call.
+length of its call. Pass 1 reads only the two symbol tables
+(``_symbol_table``), and where it leaves a side fully paired the match ends
+there, so such a caller also matches each pair of distinct tables once
+(``_symbol_pairing``). The scores read a match as a ``_Pairing``, its pairs
+in left order and in right order; when the two orders are one list, one
+sum gives both directions with the same bits.
 
 Every per-program fact the matcher and the scores read (symbols, call
 edges and fingerprint signatures, which also give the block counts) comes
@@ -232,24 +237,37 @@ def _neighborhood_keys(index: ProgramIndex, unmatched: list[int], token: list[in
         yield k, (libcalls[k], tuple(ctoks), tuple(rtoks), len(signatures[k]))
 
 
-def _match(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int]]:
-    """The four-pass matcher on function numbers. Returns ``(lr, rl)``:
-    ``lr[l]`` is the right number paired with left function ``l`` and
-    ``rl[r]`` the left number paired with right function ``r``, -1 where a
-    function is unmatched."""
-    nl, nr = len(left.ids), len(right.ids)
-    lr = [-1] * nl
-    rl = [-1] * nr
+def _symbol_table(index: ProgramIndex) -> tuple:
+    """All that pass 1 reads of an index, as a hashable key: its function
+    count and its unique symbols."""
+    return len(index.ids), frozenset(index.unique_symbols.items())
 
-    # Pass 1: symbols, where both sides carry them. A unique symbol names
-    # one function on each side, so no two of these pairs share a number.
+
+def _symbol_pass(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int], int]:
+    """Pass 1 of the matcher: symbols, where both sides carry them. Returns
+    ``(lr, rl, matched)`` as ``_match`` does, with the number of pairs. It
+    reads only the two ``_symbol_table``s, so indexes with equal tables get
+    equal results."""
+    lr = [-1] * len(left.ids)
+    rl = [-1] * len(right.ids)
+    # A unique symbol names one function on each side, so no two of these
+    # pairs share a number.
     right_symbols = right.unique_symbols
     for sym, l in left.unique_symbols.items():
         r = right_symbols.get(sym)
         if r is not None:
             lr[l] = r
             rl[r] = l
-    matched = nl - lr.count(-1)
+    return lr, rl, len(lr) - lr.count(-1)
+
+
+def _match(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int]]:
+    """The four-pass matcher on function numbers. Returns ``(lr, rl)``:
+    ``lr[l]`` is the right number paired with left function ``l`` and
+    ``rl[r]`` the left number paired with right function ``r``, -1 where a
+    function is unmatched."""
+    nl, nr = len(left.ids), len(right.ids)
+    lr, rl, matched = _symbol_pass(left, right)
 
     def one_side_done() -> bool:
         # Every later pass pairs only functions unmatched on both sides, so
@@ -379,38 +397,63 @@ def similarities(left: ProgramIndex, right: ProgramIndex) -> tuple[float, float]
     summation differs: left-id order for the first value, right-id order for
     the second. The explicit loops keep the float bits of ``similarity``.
     """
-    return _similarities(left, right, {}, left.signatures, right.signatures)
+    pairing = _Pairing.of(*_match(left, right))
+    return _similarities(left, right, pairing, {}, left.signatures, right.signatures)
+
+
+@dataclass(frozen=True, slots=True)
+class _Pairing:
+    """A match as the scores read it: the matched ``(l, r)`` pairs in left
+    order, the same pairs in right order (None when that is the same list)
+    and the larger function count."""
+
+    pairs: list[tuple[int, int]]
+    by_right: list[tuple[int, int]] | None
+    denom: int
+
+    @classmethod
+    def of(cls, lr: list[int], rl: list[int]) -> _Pairing:
+        pairs = [(l, r) for l, r in enumerate(lr) if r >= 0]
+        by_right = [(l, r) for r, l in enumerate(rl) if l >= 0]
+        return cls(pairs, None if by_right == pairs else by_right, max(len(lr), len(rl)))
+
+
+def _symbol_pairing(left: ProgramIndex, right: ProgramIndex) -> _Pairing | None:
+    """The ``_Pairing`` of ``_match(left, right)`` when pass 1 alone leaves a
+    side with no unmatched function, where ``_match`` stops; else None."""
+    lr, rl, matched = _symbol_pass(left, right)
+    return _Pairing.of(lr, rl) if matched in (len(lr), len(rl)) else None
 
 
 def _similarities(
     left: ProgramIndex,
     right: ProgramIndex,
+    pairing: _Pairing,
     fractions: dict,
     left_classes: Sequence,
     right_classes: Sequence,
 ) -> tuple[float, float]:
-    """``similarities``, reading and filling ``fractions``, which maps a
-    (left class, right class) pair to that function pair's fraction. A class
-    sequence gives each function number of its side a key that is equal
-    exactly when the signatures are. A caller that scores many pairs of
-    programs passes one dict and one key space to them all, so each distinct
-    signature pair is scored once."""
-    lr, rl = _match(left, right)
-    scored = [0.0] * len(lr)
+    """``similarities`` of a ``pairing`` of ``left`` and ``right``, reading
+    and filling ``fractions``, which maps a (left class, right class) pair to
+    that function pair's fraction. A class sequence gives each function
+    number of its side a key that is equal exactly when the signatures are.
+    A caller that scores many pairs of programs passes one dict and one key
+    space to them all, so each distinct signature pair is scored once. When
+    the pairs in right order are the same list, the right-order sum adds the
+    same values in the same order, so one sum gives both values."""
     forward = 0.0
-    for l, r in enumerate(lr):
-        if r >= 0:
-            key = (left_classes[l], right_classes[r])
-            f = fractions.get(key)
-            if f is None:
-                f = fractions[key] = _pair_fraction(left, l, right, r)
-            scored[l] = f
-            forward += f
-    backward = 0.0
-    for l in rl:
-        if l >= 0:
-            backward += scored[l]
-    denom = max(len(lr), len(rl))
+    for l, r in pairing.pairs:
+        key = (left_classes[l], right_classes[r])
+        f = fractions.get(key)
+        if f is None:
+            f = fractions[key] = _pair_fraction(left, l, right, r)
+        forward += f
+    backward = forward
+    if pairing.by_right is not None:
+        backward = 0.0
+        for l, r in pairing.by_right:
+            backward += fractions[left_classes[l], right_classes[r]]
+    denom = pairing.denom
     if denom == 0:
         return 1.0, 1.0
     return forward / denom, backward / denom

@@ -193,17 +193,18 @@ _CHAR = r"'[^'\\\n]*(?:\\[^\n]?[^'\\\n]*)*'?"
 def _token_re(odd: str = "", flags: int = re.ASCII) -> re.Pattern[str]:
     """The lexer of C, a group per token: one of ``{}();=``; a line break or
     block comment, with the directive that starts the next line, backslashes
-    continuing it; ``name(``; a string; a hex or decimal number; ``else``.
-    It skips blanks, punctuation, other words, ``//`` comments, char literals,
-    numbers with a ``.``, and ``odd``: word characters neither letters nor
-    digits (``²``) where a word would start. ASCII text takes ``re.ASCII``."""
+    continuing it; ``name(``; a string; a hex or decimal number; ``else``;
+    ``struct``, ``union`` or ``enum``. It skips blanks, punctuation, other
+    words, ``//`` comments, char literals, numbers with a ``.``, and ``odd``:
+    word characters neither letters nor digits (``²``) where a word would
+    start. ASCII text takes ``re.ASCII``."""
     word = rf"[^\W\d{odd}]\w*"
-    skip = rf"[^\w\n\"'/{{}}();=]+|(?!else\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
+    skip = rf"[^\w\n\"'/{{}}();=]+|(?!(?:else|struct|union|enum)\b){word}(?![ \t]*\(|\w)|//[^\n]*|{_CHAR}|\d+\.[\d.]*|/(?![/*])"
     skip += f"|[{odd}]" if odd else ""
     directive = rf"\#(?:[^\n\\/\"']|\\\n?|/(?![/*])|/\*(?:[^*\n]|\*(?!/))*\*/|{_STRING_OPEN}\"?|{_CHAR})*"
     return re.compile(  # the commonest tokens first
         rf"(?:{skip})*(?:([{{}}();=])|(\n[^\S\n]*|/\*(?:[^*]|\*(?!/))*(?:\*/)?)((?<=[\n \t]){directive})?"
-        rf"|({word})[ \t]*\(|({_STRING_OPEN})\"?|0[xX]([0-9a-fA-F]+)|(\d+)|(else)\b)",
+        rf"|({word})[ \t]*\(|({_STRING_OPEN})\"?|0[xX]([0-9a-fA-F]+)|(\d+)|(else)\b|(struct|union|enum)\b)",
         flags,
     )
 
@@ -293,7 +294,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
     if not text.isascii():
         odd = "".join(ch for ch in set(text) if ch.isalnum() and not (ch.isalpha() or ch.isdecimal()))
         tokens = _token_re(re.escape(odd), 0)
-    for punct, gap, directive, call, string, hexa, decimal, else_ in tokens.findall(source):
+    for punct, gap, directive, call, string, hexa, decimal, else_, tag in tokens.findall(source):
         if gap:
             line += gap.count("\n")
             if not directive:
@@ -379,7 +380,7 @@ def scan_unit(name: str, text: str) -> UnitVariability:
                 code.body[header : line - 1] = [header] * (line - 1 - header)
                 header = 0
             end("}")
-        elif punct == "=":  # an initializer's ``= {`` opens no function
+        elif punct == "=" or tag:  # an initializer's ``= {`` and a tag's body open no function
             named = None
     end(kind or "stmt")
 

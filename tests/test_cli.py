@@ -39,6 +39,30 @@ def test_usage_errors_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.01", "high"])
+def test_run_case_threshold_outside_the_unit_interval_is_a_usage_error(value, case_dir, capsys):
+    cdir, _root = case_dir
+    with pytest.raises(SystemExit) as exc:
+        main(["run-case", str(cdir), f"--threshold={value}"])
+    assert exc.value.code == 1
+    assert "argument --threshold:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "wide"])
+def test_matrix_margin_not_finite_is_a_usage_error(value, case_dir, capsys):
+    cdir, _root = case_dir
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--source-dir", str(cdir / "src"), f"--margin={value}"])
+    assert exc.value.code == 1
+    assert "argument --margin:" in capsys.readouterr().err
+
+
+def test_float_flags_take_their_bounds():
+    parser = build_parser()
+    assert [parser.parse_args(["run-case", "c", "--threshold", t]).threshold for t in ("0", "1")] == [0.0, 1.0]
+    assert parser.parse_args(["matrix", "--source-dir", "s", "--margin", "-0.5"]).margin == -0.5
+
+
 def test_invalid_model_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

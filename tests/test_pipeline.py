@@ -385,6 +385,78 @@ def test_matrix_equals_every_ordered_pair_scored_apart(study_grids, specs):
         assert repr(grid) == repr(naive), label
 
 
+def _hand_index(*functions: tuple[str, str | None, tuple[int, ...]]) -> simdiff.ProgramIndex:
+    """The index of ``(id, symbol or None, block fingerprints)`` triples,
+    given in sorted-id order, with no calls."""
+    ids = tuple(fid for fid, _sym, _sig in functions)
+    assert list(ids) == sorted(ids)
+    carriers = Counter(sym for _fid, sym, _sig in functions if sym)
+    none = ((),) * len(ids)
+    return simdiff.ProgramIndex(
+        ids=ids,
+        unique_symbols={sym: k for k, (_f, sym, _s) in enumerate(functions) if sym and carriers[sym] == 1},
+        callees=none,
+        libcalls=none,
+        callers=none,
+        signatures=tuple(tuple(sorted(sig)) for _fid, _sym, sig in functions),
+    )
+
+
+# Hand-made indexes for every path of ``similarity_matrix``. "named" and
+# "renamed" share one symbol table; "reversed" pairs with both in reverse
+# order, with fractions 1/7, 1/7 and 1/2 whose sum depends on its order.
+HAND_INDEXES = {
+    "named": _hand_index(("a", "x", (2, 3, 3, 3, 3, 3, 3)), ("b", "y", (5, 7, 7, 7, 7, 7, 7)), ("c", "z", (2, 3))),
+    "renamed": _hand_index(("a", "x", (2,)), ("b", "y", (5, 7)), ("c", "z", (2, 7))),
+    "reversed": _hand_index(("a", "z", (2, 5)), ("b", "y", (5,)), ("c", "x", (2,))),
+    "wider": _hand_index(("a", "x", (2,)), ("b", "y", (5,)), ("c", "z", (2, 3)), ("d", "w", (3,))),
+    "stripped": _hand_index(("a", None, (2, 3)), ("b", None, (5,)), ("c", None, (2, 7))),
+    "shared": _hand_index(("a", "x", (2, 3)), ("b", "x", (5,)), ("c", "z", (2, 7))),
+    "partial": _hand_index(("a", "x", (2,)), ("b", None, (5, 7)), ("c", None, (3,)), ("d", None, (2, 3))),
+    "empty": _hand_index(),
+}
+
+
+def test_matrix_memo_never_changes_a_cell(specs):
+    # Pairings kept per pair of symbol tables and single sums must give the
+    # bits ``similarities`` gives each pair on its own, on every path.
+    served = dict(zip(specs, HAND_INDEXES.values()))
+
+    class HandBackend:
+        def index(self, spec, config):
+            return served[spec]
+
+    ix = HAND_INDEXES
+    assert simdiff._symbol_table(ix["named"]) == simdiff._symbol_table(ix["renamed"])
+    assert simdiff._symbol_pairing(ix["named"], ix["reversed"]).by_right is not None
+    assert simdiff._symbol_pairing(ix["wider"], ix["named"]) is not None
+    for partial in ("stripped", "shared", "partial"):
+        assert simdiff._symbol_pairing(ix[partial], ix["named"]) is None, partial
+    grid = similarity_matrix(HandBackend(), ConfigAssignment(), list(served))
+    names = list(HAND_INDEXES)
+    for i, a in enumerate(names):
+        for j, b in enumerate(names[i:], i):
+            apart = simdiff.similarities(ix[a], ix[b])
+            assert (grid[i][j].hex(), grid[j][i].hex()) == tuple(map(float.hex, apart)), (a, b)
+    n, r = names.index("named"), names.index("reversed")
+    assert grid[n][r].hex() != grid[r][n].hex()  # the two summation orders differ in bits
+
+
+def test_matrix_runs_pass_one_once_per_pair_of_symbol_tables(study_grids, specs, monkeypatch):
+    _label, backend, config, grid = study_grids[0]
+    runs = []
+    symbol_pass = simdiff._symbol_pass
+
+    def counting(left, right):
+        runs.append(1)
+        return symbol_pass(left, right)
+
+    monkeypatch.setattr(simdiff, "_symbol_pass", counting)
+    assert repr(similarity_matrix(backend, config, specs)) == repr(grid)
+    tables = {simdiff._symbol_table(backend.index(s, config)) for s in specs}
+    assert len(tables) == 2 and len(runs) <= 4
+
+
 def test_matrix_orderings_match_golden_digest(study_grids, specs):
     # Every check's name, verdict, margin bits and detail text over the study
     # grids, recorded before the checks indexed grid positions directly.

@@ -507,8 +507,14 @@ def test_a_head_ends_a_statement_left_without_its_semicolon():
         "__attribute__((aligned(8))) static const int t[] = {1};",
         "PNG_FUNCTION(png_voidp, png_malloc, (png_const_structrp png_ptr, png_alloc_size_t size), PNG_ALLOCATED)\n"
         "{\n  return g(1);\n}",
+        "foo(x)\nstruct s {\n  int a;\n};",
+        "foo(x)\nunion u {\n  int a;\n};",
+        "foo(x)\nenum e {\n  A,\n  B\n};",
     ],
-    ids=["macro-then-initializer", "call-then-initializer", "attribute-initializer", "macro-header"],
+    ids=[
+        "macro-then-initializer", "call-then-initializer", "attribute-initializer", "macro-header",
+        "call-then-struct", "call-then-union", "call-then-enum",
+    ],
 )
 def test_an_initializer_or_a_macro_written_header_opens_no_function(decl):
     # Two units declare the same; neither names a function after the macro.
