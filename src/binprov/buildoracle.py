@@ -35,7 +35,7 @@ depend on the compiler: the part walks the merge chains and the calls once,
 and each compiler only salts the pad ranks and the fold choice. Only the
 pad order spans functions: a sort by per-site ranks across the parts, done
 once per base and compiler. ``apply_transforms`` replays the parts up to a
-spec's version and level, then runs inline and dedup.
+spec's version and level (``_replay``), then runs inline and dedup.
 
 The transform chain never mutates its input: ``apply_transforms`` gives the
 output fresh function and block shells and shares the unchanged key
@@ -51,10 +51,17 @@ per the toolchain manifest and reads the disassembly export the command
 prints. Either backend caches its builds and indexes each build once
 (``index``): the pipeline reads builds only through their indexes. The
 simulated toolchain computes every index from the parts, with no program
-built (``_index_parts``): pads, the flavor marker, merge and fold change
-only the signatures, which the parts give from the pad numbers; inline
-trades each call to a leaf for the leaf's fingerprints and drops its edge;
-dedup groups functions by body keys the parts give and renumbers.
+built and no function replayed (``_index_parts``). Each part keeps its
+index pieces with no pad, keyed by compiler and layout kind (O0, merged,
+merged and folded), computed once and shared by every base that has the
+part (``_Pieces``): its block fingerprints, their sorted signature, and
+for the folded layout its Os body key. A spec only adds its pads: a pad
+lands in a comparison block, whose chain never folds, so it multiplies one
+``CONST_REF`` prime into its chain's fingerprint and rebuilds its chain's
+row of the body key. Inline trades each call to a leaf for the leaf's
+fingerprints and drops its edge; dedup groups functions by body key and
+renumbers. Both start from a skeleton the base keeps: its index with the
+O3 call edges, and with the Os numbers per set of kept functions.
 ``apply_transforms`` stays the one code that makes a program, and every
 index from the parts equals the index of what it makes.
 """
@@ -69,7 +76,7 @@ import shlex
 import signal
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .binmodel import (
     BasicBlock,
@@ -367,12 +374,13 @@ class _FunctionPlan:
     indices into that function; ``apply_transforms`` replays a program's
     parts for any spec, and ``_index_parts`` computes the index of any build
     from them. The layouts, the calls and the flavor blocks do not depend on
-    the compiler; per compiler, a part holds only its pad ranks, its fold
-    positions and its Os body key.
+    the compiler; per compiler, a part holds only its pad ranks and its fold
+    positions, and, filled on first use, its index pieces.
 
     * ``unmerged``: the O0 layout, one output block per base block.
     * ``merged``: the layout at O1 and up. A merged block lists every base
       block of its chain, its own first, and takes the chain's successors.
+    * ``position``, per base block: the merged position of its chain.
     * ``calls``: the (merged position, target) of each call that names a
       target, which inline reads at O3.
     * ``flavor``: the blocks that carry the clang marker.
@@ -387,12 +395,15 @@ class _FunctionPlan:
       theta`` sites of that order.
     * ``folds``, per compiler: the merged positions whose constants fold at
       O2 and up, the compiler's fold choice.
-    * ``body_keys``, per compiler, filled on first use: the body key dedup
-      groups the function by at Os when it carries no pad.
+    * ``pieces``, keyed by (compiler, layout kind), filled on first use: the
+      part's index pieces with no pad (``_Pieces``). The layout kinds are
+      ``O0``, ``merged`` (O1) and ``folded`` (O2, O3 and Os), so a part has
+      at most six.
     """
 
     unmerged: tuple[_PlannedBlock, ...]
     merged: tuple[_PlannedBlock, ...]
+    position: dict[int, int]
     calls: tuple[tuple[int, str], ...]
     flavor: frozenset[int]
     primes: tuple[int, ...]
@@ -400,7 +411,26 @@ class _FunctionPlan:
     leaf: bool
     pad_ranks: dict[str, tuple[tuple[str, int], ...]]
     folds: dict[str, frozenset[int]]
-    body_keys: dict[str, tuple] = field(default_factory=dict, compare=False)
+    pieces: dict[tuple[str, str], _Pieces] = field(default_factory=dict, compare=False)
+
+
+@dataclass(slots=True)
+class _Pieces:
+    """What every index reads of one part at one compiler and layout kind,
+    with no pad: its block fingerprints in layout order (``_fingerprints``)
+    and their sorted signature. A spec pads only comparison blocks, whose
+    chains never fold, so a pad multiplies one ``CONST_REF`` prime into its
+    chain's fingerprint (``_padded``).
+
+    For the ``folded`` layout, dedup's Os body key, filled on first use
+    (``_os_body_key``): ``body_key`` is ``_body_key`` of the build's function
+    with no pad, whose rows come in block-id order, and ``row_of`` gives the
+    row of each layout position. A pad rebuilds only the row of its chain."""
+
+    fingerprints: tuple[int, ...]
+    signature: tuple[int, ...]
+    body_key: tuple | None = None
+    row_of: tuple[int, ...] = ()
 
 
 _CONST_PRIME = KIND_PRIMES[KeyKind.CONST_REF]
@@ -430,6 +460,7 @@ def _plan_function(fn: Function) -> _FunctionPlan:
     return _FunctionPlan(
         unmerged=tuple(((bi,), tuple(blk.succs)) for bi, blk in enumerate(blocks)),
         merged=tuple((chain, succs) for chain, succs, _foldable in chains),
+        position=position,
         calls=tuple((position[bi], target) for bi, target in calls),
         flavor=_flavor_blocks(fn, primes),
         primes=tuple(primes),
@@ -617,18 +648,19 @@ def _layout(
 
 
 _FOLD_LEVELS = ("O2", "O3", "Os")
+_LAYOUT_KINDS = {"O0": "O0", "O1": "merged", "O2": "folded", "O3": "folded", "Os": "folded"}
 
 
-def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> Function:
-    """``fn`` built at ``spec`` before inline and dedup, in fresh function
-    and block shells. ``pads`` maps each padded base block to its pad
-    number; a base block's pad, then its clang marker, follow its own
-    instructions."""
-    base = fn.blocks
-    layout, folds = _layout(part, spec)
-    flavor = part.flavor if spec.compiler == "clang" else ()
-    blocks = []
-    for pos, (chain, succs) in enumerate(layout):
+def _layout_keyins(
+    base: list[BasicBlock], layout, pads: dict[int, int], flavor, folds
+) -> list[list[KeyInstruction]]:
+    """The key instructions of each block of ``layout``: each base block's
+    own, then its pad, then its clang marker, with every ``CONST_REF``
+    dropped where the block folds. ``pads`` maps each padded base block to
+    its pad number; ``flavor`` and ``folds`` hold base block indices and
+    layout positions."""
+    out = []
+    for pos, (chain, _succs) in enumerate(layout):
         keyins: list[KeyInstruction] = []
         for bi in chain:
             keyins += base[bi].keyins
@@ -638,7 +670,20 @@ def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, 
                 keyins.append(KeyInstruction(KeyKind.STRING_REF, FLAVOR_MARKER))
         if pos in folds:
             keyins = [ki for ki in keyins if ki.kind is not KeyKind.CONST_REF]
-        blocks.append(BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs)))
+        out.append(keyins)
+    return out
+
+
+def _replay(fn: Function, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> Function:
+    """``fn`` built at ``spec`` before inline and dedup, in fresh function
+    and block shells (``_layout_keyins``)."""
+    base = fn.blocks
+    layout, folds = _layout(part, spec)
+    flavor = part.flavor if spec.compiler == "clang" else ()
+    blocks = [
+        BasicBlock(id=base[chain[0]].id, keyins=keyins, succs=list(succs))
+        for (chain, succs), keyins in zip(layout, _layout_keyins(base, layout, pads, flavor, folds))
+    ]
     return Function(id=fn.id, entry=fn.entry, blocks=blocks, symbol=fn.symbol)
 
 
@@ -676,10 +721,9 @@ def apply_transforms(
 
 def _fingerprints(part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> list[int]:
     """The fingerprint of each block of ``_replay(fn, part, spec, pads)``,
-    in order, from the part: the product of its chain's block fingerprints,
-    of a ``CONST_REF`` prime per pad and of a ``STRING_REF`` prime per
-    clang marker, with every ``CONST_REF`` factor dropped where the block
-    folds."""
+    in order, from the part: the product of its chain's block fingerprints
+    and of a ``STRING_REF`` prime per clang marker, times a ``CONST_REF``
+    prime per constant unless the block folds, then padded (``_padded``)."""
     layout, folds = _layout(part, spec)
     flavor = part.flavor if spec.compiler == "clang" else ()
     primes, consts = part.primes, part.consts
@@ -689,106 +733,180 @@ def _fingerprints(part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) ->
         for bi in chain:
             fp *= primes[bi]
             n += consts[bi]
-            if bi in pads:
-                n += 1
             if bi in flavor:
                 fp *= _STRING_PRIME
         out.append(fp if pos in folds else fp * _CONST_PRIME**n)
+    return _padded(out, part, spec, pads)
+
+
+def _padded(fingerprints, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> list[int]:
+    """``fingerprints``, those of ``part`` at ``spec`` with no pad, with
+    ``pads`` added. A pad lands in a comparison block, whose chain never
+    folds, so it multiplies one ``CONST_REF`` prime into its chain's
+    fingerprint."""
+    out = list(fingerprints)
+    for bi in pads:
+        out[bi if spec.level == "O0" else part.position[bi]] *= _CONST_PRIME
     return out
+
+
+def _pieces(part: _FunctionPlan, spec: BuildSpec) -> _Pieces:
+    """``part``'s pieces at ``spec``'s compiler and layout kind, computed
+    once per part."""
+    key = (spec.compiler, _LAYOUT_KINDS[spec.level])
+    pieces = part.pieces.get(key)
+    if pieces is None:
+        fingerprints = tuple(_fingerprints(part, spec, {}))
+        pieces = part.pieces[key] = _Pieces(fingerprints, tuple(sorted(fingerprints)))
+    return pieces
 
 
 def _index_parts(base: _Base, spec: BuildSpec) -> ProgramIndex:
     """The index of ``apply_transforms(base.program, spec, base.parts)``,
-    computed from the base's index and parts without building it.
+    computed from the base's index and its parts' pieces without building it.
 
     Pads, the flavor marker, merge and fold add and remove no call, function
-    or symbol, so they change only the signatures (``_fingerprints``).
-    Inline (O3) and dedup (Os) then adjust the index as they adjust the
-    program (``_inline_index``, ``_dedup_index``).
+    or symbol, so they change only the signatures: a function with no pad
+    takes its piece's signature as it is, and a padded one sorts its padded
+    fingerprints. Inline (O3) and dedup (Os) then adjust the index as they
+    adjust the program (``_inline_index``, ``_dedup_index``), from a
+    skeleton the base keeps: its index with their edges and numbers.
     """
     if base.index is None:
         base.index = index_program(base.program)
     if spec.compiler not in base.pad_orders:
         base.pad_orders[spec.compiler] = _pad_order(base.parts, spec.compiler)
     pads = _pad_sites(base.pad_orders[spec.compiler], spec)
-    fingerprints = [
-        _fingerprints(part, spec, pads.get(fi, {})) for fi, part in enumerate(base.parts)
-    ]
-    index = base.index
+    pieces = [_pieces(part, spec) for part in base.parts]
+    fingerprints = [p.fingerprints for p in pieces]
+    signatures = [p.signature for p in pieces]
+    for fi, sites in pads.items():
+        fingerprints[fi] = _padded(fingerprints[fi], base.parts[fi], spec, sites)
+        signatures[fi] = tuple(sorted(fingerprints[fi]))
+    skeleton = base.index
     if spec.level == "O3":
-        index = _inline_index(index, base.parts, fingerprints)
-    index = replace(index, signatures=tuple(tuple(sorted(fps)) for fps in fingerprints))
-    if spec.level == "Os":
-        index = _dedup_index(index, base, spec, pads)
-    return index
-
-
-def _inline_index(
-    index: ProgramIndex, parts: list[_FunctionPlan], fingerprints: list[list[int]]
-) -> ProgramIndex:
-    """``_apply_inline`` at index level: each call to a leaf leaves
-    ``callees`` and ``callers``, and its block, in ``fingerprints``, trades
-    the call's prime for the product of the leaf's block fingerprints. A
-    leaf makes no call, so it inlines nothing and changes in no way."""
-    leaves = {index.ids[k]: k for k, part in enumerate(parts) if part.leaf}
-    products = {fid: math.prod(fingerprints[k]) for fid, k in leaves.items()}
-    numbers = set(leaves.values())
-    for k, out in enumerate(index.callees):
-        if numbers.isdisjoint(out):
-            continue
-        fps = fingerprints[k]
-        for pos, target in parts[k].calls:
-            if target in products:
-                fps[pos] = fps[pos] // _CALL_PRIME * products[target]
-    return replace(
-        index,
-        callees=tuple(tuple(m for m in out if m not in numbers) for out in index.callees),
-        callers=tuple(() if m in numbers else into for m, into in enumerate(index.callers)),
+        skeleton = _inline_index(base, fingerprints, signatures)
+    elif spec.level == "Os":
+        skeleton, signatures = _dedup_index(base, spec, pads, signatures)
+    return ProgramIndex(
+        ids=skeleton.ids,
+        unique_symbols=skeleton.unique_symbols,
+        callees=skeleton.callees,
+        libcalls=skeleton.libcalls,
+        callers=skeleton.callers,
+        signatures=tuple(signatures),
     )
+
+
+def _inline_index(base: _Base, fingerprints: list, signatures: list) -> ProgramIndex:
+    """``_apply_inline`` at index level: each call to a leaf leaves
+    ``callees`` and ``callers`` of the skeleton this returns, and trades
+    its block's call prime for the product of the leaf's block fingerprints,
+    in ``signatures``. A leaf makes no call, so it inlines nothing and
+    changes in no way. The skeleton and the calls to leaves depend only on
+    the base, which keeps them (``base.inlined``)."""
+    if base.inlined is None:
+        index, parts = base.index, base.parts
+        leaves = {index.ids[k]: k for k, part in enumerate(parts) if part.leaf}
+        numbers = set(leaves.values())
+        skeleton = ProgramIndex(
+            ids=index.ids,
+            unique_symbols=index.unique_symbols,
+            callees=tuple(tuple(m for m in out if m not in numbers) for out in index.callees),
+            libcalls=index.libcalls,
+            callers=tuple(() if m in numbers else into for m, into in enumerate(index.callers)),
+            signatures=(),
+        )
+        calls = (
+            (k, tuple((pos, leaves[t]) for pos, t in part.calls if t in leaves))
+            for k, part in enumerate(parts)
+        )
+        base.inlined = skeleton, tuple((k, sites) for k, sites in calls if sites)
+    skeleton, callers_of_leaves = base.inlined
+    products: dict[int, int] = {}
+    for k, sites in callers_of_leaves:
+        fps = list(fingerprints[k])
+        for pos, m in sites:
+            if m not in products:
+                products[m] = math.prod(fingerprints[m])
+            fps[pos] = fps[pos] // _CALL_PRIME * products[m]
+        signatures[k] = tuple(sorted(fps))
+    return skeleton
 
 
 def _dedup_index(
-    index: ProgramIndex, base: _Base, spec: BuildSpec, pads: dict[int, dict[int, int]]
-) -> ProgramIndex:
+    base: _Base, spec: BuildSpec, pads: dict[int, dict[int, int]], signatures: list
+) -> tuple[ProgramIndex, list]:
     """``_apply_dedup`` at index level: the first function, in id order, of
-    each group of equal body keys stays, the calls to the others go to it,
-    and the functions are renumbered. A function's body key is its part's
-    cached one, unless it carries a pad, whose operand is its pad number."""
+    each group of equal body keys (``_os_body_key``) stays, the calls to the
+    others go to it, and the functions are renumbered. Returns the skeleton
+    and the signatures of the functions that stay. The skeleton depends only
+    on which functions stay, so the base keeps it per keeper tuple."""
     functions, parts = base.program.functions, base.parts
-
-    def body_key(k: int) -> tuple:
-        fn, part, c = functions[k], parts[k], spec.compiler
-        if k in pads:
-            return _body_key(_replay(fn, part, spec, pads[k]))
-        if c not in part.body_keys:
-            part.body_keys[c] = _body_key(_replay(fn, part, spec, {}))
-        return part.body_keys[c]
-
     # Equal bodies have equal signatures, so a function whose signature no
     # other function shares has no duplicate and needs no body key.
-    shared = Counter(index.signatures)
+    shared = Counter(signatures)
     groups: dict[tuple, int] = {}
-    keepers = [
-        groups.setdefault(body_key(k), k) if shared[signature] > 1 else k
-        for k, signature in enumerate(index.signatures)
-    ]
-    kept = [k for k, keeper in enumerate(keepers) if keeper == k]
-    if len(kept) == len(keepers):
-        return index
-    number = {k: n for n, k in enumerate(kept)}
-    callees = tuple(tuple(number[keepers[m]] for m in index.callees[k]) for k in kept)
-    callers: list[list[int]] = [[] for _ in kept]
-    for n, out in enumerate(callees):
-        for m in out:
-            callers[m].append(n)
-    return ProgramIndex(
-        ids=tuple(index.ids[k] for k in kept),
-        unique_symbols={sym: number[k] for sym, k in index.unique_symbols.items() if k in number},
-        callees=callees,
-        libcalls=tuple(index.libcalls[k] for k in kept),
-        callers=tuple(map(tuple, callers)),
-        signatures=tuple(index.signatures[k] for k in kept),
+    keepers = tuple(
+        groups.setdefault(_os_body_key(functions[k], parts[k], spec, pads.get(k)), k)
+        if shared[signature] > 1
+        else k
+        for k, signature in enumerate(signatures)
     )
+    if keepers not in base.deduped:
+        index = base.index
+        kept = tuple(k for k, keeper in enumerate(keepers) if keeper == k)
+        number = {k: n for n, k in enumerate(kept)}
+        callees = tuple(tuple(number[keepers[m]] for m in index.callees[k]) for k in kept)
+        callers: list[list[int]] = [[] for _ in kept]
+        for n, out in enumerate(callees):
+            for m in out:
+                callers[m].append(n)
+        base.deduped[keepers] = kept, ProgramIndex(
+            ids=tuple(index.ids[k] for k in kept),
+            unique_symbols={sym: number[k] for sym, k in index.unique_symbols.items() if k in number},
+            callees=callees,
+            libcalls=tuple(index.libcalls[k] for k in kept),
+            callers=tuple(map(tuple, callers)),
+            signatures=(),
+        )
+    kept, skeleton = base.deduped[keepers]
+    return skeleton, [signatures[k] for k in kept]
+
+
+def _os_body_key(
+    fn: Function, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int] | None
+) -> tuple:
+    """``_body_key`` of ``fn`` built at ``spec`` (an Os spec) with ``pads``
+    (None for none), before dedup. The key with no pad is a piece of the
+    part; a pad rebuilds the row of its chain, which never folds."""
+    pieces = _pieces(part, spec)
+    flavor = part.flavor if spec.compiler == "clang" else ()
+    if pieces.body_key is None:
+        keyins = _layout_keyins(fn.blocks, part.merged, {}, flavor, part.folds[spec.compiler])
+        rows = [_body_row(fn, block, k) for block, k in zip(part.merged, keyins)]
+        order = sorted(range(len(rows)), key=lambda pos: rows[pos][0])
+        row_of = [0] * len(rows)
+        for r, pos in enumerate(order):
+            row_of[pos] = r
+        pieces.body_key = (fn.entry, tuple(rows[pos] for pos in order))
+        pieces.row_of = tuple(row_of)
+    if not pads:
+        return pieces.body_key
+    rows = list(pieces.body_key[1])
+    for bi in pads:
+        pos = part.position[bi]
+        block = part.merged[pos]
+        (keyins,) = _layout_keyins(fn.blocks, (block,), pads, flavor, ())
+        rows[pieces.row_of[pos]] = _body_row(fn, block, keyins)
+    return (fn.entry, tuple(rows))
+
+
+def _body_row(fn: Function, block: _PlannedBlock, keyins: list[KeyInstruction]) -> tuple:
+    """The ``_body_key`` row of planned ``block`` of ``fn``'s build, which
+    holds ``keyins``."""
+    chain, succs = block
+    return (fn.blocks[chain[0]].id, tuple((ki.kind, ki.operand) for ki in keyins), succs)
 
 
 # --- backends -------------------------------------------------------------
@@ -835,13 +953,17 @@ class _Backend:
 @dataclass(slots=True)
 class _Base:
     """One configuration's unoptimized program, the parts of its functions
-    in order, and what every index of its builds reads, computed on the
-    first ``index``: the base's own index, and the pad order per compiler."""
+    in order, and what every index of its builds reads, computed on first
+    use: the base's own index, the pad order per compiler, the O3 skeleton
+    with the calls to leaves (``_inline_index``), and the Os skeleton per
+    keeper tuple (``_dedup_index``)."""
 
     program: BinaryProgram
     parts: list[_FunctionPlan]
     index: ProgramIndex | None = None
     pad_orders: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    inlined: tuple | None = None
+    deduped: dict[tuple[int, ...], tuple] = field(default_factory=dict)
 
 
 class SimulatedToolchain(_Backend):

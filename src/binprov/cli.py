@@ -91,6 +91,18 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """An integer flag's value; a usage error unless it is a whole number
+    of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _backend_for(args, tree: SourceTree, name: str):
     if getattr(args, "toolchains", None):
         return ExternalToolchain.parse_manifest(read_text(args.toolchains))
@@ -362,7 +374,7 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_infer(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=_count, default=None,
                      help="abort after this many fresh builds")
 
 
@@ -428,7 +440,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("gen-corpus", help="generate a benchmark corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--size", type=int, default=21)
+    p.add_argument("--size", type=_count, default=21)
     _add_common(p)
     p.set_defaults(func=cmd_gen_corpus)
 

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ from binprov.errors import (
     OracleUnavailableError,
     SchemaError,
 )
-from binprov.pipeline import run_generated_case
+from binprov.pipeline import run_generated_case, similarity_matrix
 from binprov.simdiff import index_program, spp_fingerprint
 from binprov.varsource import SourceTree, scan_tree
 
@@ -994,6 +995,61 @@ def test_index_from_the_parts_equals_the_index_of_the_build(corpus21, specs):
                     )
                 checked += 1
     assert checked > len(corpus21) * len(specs)  # 41 configurations at this writing
+
+
+def _indexes_or_failure(backend, config, specs):
+    try:
+        return [backend.index(spec, config) for spec in specs]
+    except BuildFailureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_index_after_another_configuration_equals_the_index_in_a_fresh_toolchain(corpus21, specs, data):
+    # The bases of one toolchain share the parts of their common functions,
+    # and with them the parts' index pieces. A configuration's indexes,
+    # computed after another's in one toolchain, equal those of a fresh one.
+    case = data.draw(st.sampled_from(corpus21), label="case")
+    flags = [flag.name for flag in case.config_map.flags]
+
+    def config() -> ConfigAssignment:
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(flags), max_size=len(flags)))
+        picked = [flag for flag, on in zip(flags, chosen) if on]
+        return ConfigAssignment.for_flags(case.config_map, picked, case.base_units)
+
+    first, second = config(), config()
+    shared = SimulatedToolchain(case.tree, base_name=case.name)
+    _indexes_or_failure(shared, first, specs)
+    assert _indexes_or_failure(shared, second, specs) == _indexes_or_failure(
+        SimulatedToolchain(case.tree, base_name=case.name), second, specs
+    ), (case.name, first, second)
+
+
+def test_the_grid_replays_nothing_and_fingerprints_each_piece_once(case0, seed_config0, specs, monkeypatch):
+    # Every index of the grid joins pieces its parts computed once per
+    # compiler and layout kind (O0, merged, merged and folded); none
+    # replays a function.
+    calls = Counter()
+    replay, fingerprints = buildoracle._replay, buildoracle._fingerprints
+
+    def replaying(*args):
+        calls["replay"] += 1
+        return replay(*args)
+
+    def fingerprinting(part, spec, pads):
+        kind = spec.level if spec.level in ("O0", "O1") else "folded"
+        calls[id(part), spec.compiler, kind] += 1
+        return fingerprints(part, spec, pads)
+
+    monkeypatch.setattr(buildoracle, "_replay", replaying)
+    monkeypatch.setattr(buildoracle, "_fingerprints", fingerprinting)
+    backend = SimulatedToolchain(case0.tree, base_name=case0.name)
+    similarity_matrix(backend, seed_config0, specs)
+    parts = backend._base(seed_config0).parts
+    assert calls["replay"] == 0
+    del calls["replay"]
+    assert set(calls.values()) == {1} and len(calls) == len(COMPILERS) * 3 * len(parts) == 84
 
 
 def _nested_ifs(depth: int) -> str:

@@ -57,6 +57,32 @@ def test_matrix_margin_not_finite_is_a_usage_error(value, case_dir, capsys):
     assert "argument --margin:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "value"),
+    [("run-case", "--budget", "-3"), ("infer-options", "--budget", "-1"),
+     ("gen-corpus", "--size", "-2"), ("gen-corpus", "--size", "many"), ("run-case", "--budget", "1.5")],
+)
+def test_integer_flags_below_zero_or_not_integers_are_usage_errors(command, flag, value, case_dir, tmp_path, capsys):
+    cdir, _root = case_dir
+    args = {
+        "run-case": ["run-case", str(cdir)],
+        "infer-options": ["infer-options", str(cdir / "crash.model"), "--source-dir", str(cdir / "src")],
+        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "out")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, f"{flag}={value}"])
+    assert exc.value.code == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_flags_take_zero_and_budget_zero_aborts_before_the_first_fresh_build(case_dir, capsys):
+    cdir, _root = case_dir
+    assert build_parser().parse_args(["gen-corpus", "--out", "o", "--size", "0"]).size == 0
+    main(["run-case", str(cdir), "--budget", "0"])
+    assert "probe budget 0 exhausted before trying" in capsys.readouterr().out
+
+
 def test_float_flags_take_their_bounds():
     parser = build_parser()
     assert [parser.parse_args(["run-case", "c", "--threshold", t]).threshold for t in ("0", "1")] == [0.0, 1.0]
