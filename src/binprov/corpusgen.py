@@ -482,7 +482,9 @@ def load_case_dir(cdir: Path) -> GeneratedCase:
     cdir = Path(cdir)
     try:
         manifest = json.loads(_read(cdir, "manifest.json"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise SchemaError(f"{cdir}: manifest.json is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise SchemaError(f"{cdir}: manifest.json must hold an object")

@@ -23,6 +23,7 @@ gap of one stream of comparisons, with the detail of that one comparison.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -301,7 +302,28 @@ def run_case(
     budget: int | None = None,
 ) -> CaseReport:
     """Run the full reproduction pipeline for one crash model: the option
-    stage, then the configuration stage at the inferred options."""
+    stage, then the configuration stage at the inferred options. The
+    cyclic collector is off throughout, one burst as ``binmodel``
+    describes."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_case(crash, tree, config_map, backend, name, base_units, threshold, budget)
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def _run_case(
+    crash: BinaryProgram,
+    tree: SourceTree,
+    config_map: ConfigMap,
+    backend,
+    name: str | None,
+    base_units: tuple[str, ...] | None,
+    threshold: float,
+    budget: int | None,
+) -> CaseReport:
     name = name or crash.name
     if backend is None:
         backend = SimulatedToolchain(tree, base_name=name)

@@ -11,6 +11,11 @@ unmatched, and only when the pairing key is unique on both sides:
 3. whole-function fingerprint signature,
 4. positional pairing inside equal-signature classes, in sorted-id order.
 
+While no pair is matched yet (a stripped side, so pass 1 paired nothing),
+every token is -1, so the first round of pass 2 keys each function by its
+library callees and block count straight from the index (``_bare_keys``),
+without mapping a call edge through the tokens.
+
 Pass 4 is what makes a program compare equal to itself even when it contains
 byte-identical duplicate functions, which passes 1-3 can never tell apart in
 a stripped binary. Matching stops as soon as either side has no unmatched
@@ -55,8 +60,10 @@ back only where they leave the module: the ``(left_id, right_id)`` pairs of
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 from .binmodel import (
@@ -64,7 +71,6 @@ from .binmodel import (
     BinaryProgram,
     Function,
     KeyKind,
-    _collector_paused,
     call_target,
 )
 from .errors import SchemaError
@@ -237,6 +243,14 @@ def _neighborhood_keys(index: ProgramIndex, unmatched: list[int], token: list[in
         yield k, (libcalls[k], tuple(ctoks), tuple(rtoks), len(signatures[k]))
 
 
+def _bare_keys(index: ProgramIndex):
+    """``_neighborhood_keys`` of every function while no function is
+    matched: its library callees, two empty token tuples and its block
+    count."""
+    empty = repeat(())
+    return enumerate(zip(index.libcalls, empty, empty, map(len, index.signatures)))
+
+
 def _symbol_table(index: ProgramIndex) -> tuple:
     """All that pass 1 reads of an index, as a hashable key: its function
     count and its unique symbols."""
@@ -294,6 +308,10 @@ def _match(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int
         return [k for k, other in enumerate(side) if other < 0]
 
     def neighborhood_pass() -> bool:
+        if not matched:
+            # Every token is -1, so no function has a matched callee or
+            # caller: the keys come straight from the index.
+            return record(_unique_key_matches(_bare_keys(left), _bare_keys(right)))
         return record(_unique_key_matches(
             _neighborhood_keys(left, unmatched(lr), ltok),
             _neighborhood_keys(right, unmatched(rl), rl),
@@ -532,7 +550,6 @@ def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
     return out
 
 
-@_collector_paused()
 def diff_programs(
     left: BinaryProgram | ProgramIndex, right: BinaryProgram | ProgramIndex
 ) -> DiffReport:
@@ -543,8 +560,21 @@ def diff_programs(
     Either side may be given as its ``ProgramIndex``, so a caller that holds
     the crash's index does not index it again.
 
-    The cyclic collector is paused throughout: the indexes and the report
-    are acyclic, so it would only rescan them as they grow."""
+    The cyclic collector is off throughout, as ``binmodel`` describes: the
+    indexes and the report are acyclic, so it would only rescan them as
+    they grow."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return _diff_programs(left, right)
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def _diff_programs(
+    left: BinaryProgram | ProgramIndex, right: BinaryProgram | ProgramIndex
+) -> DiffReport:
     lidx, ridx = _indexed(left), _indexed(right)
     lr, rl = _match(lidx, ridx)
     lids, rids = lidx.ids, ridx.ids

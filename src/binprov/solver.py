@@ -206,8 +206,7 @@ def _dpll(clauses: list[Clause]) -> dict[int, bool] | None:
             assignment[idx] = val
             nxt = simplify(cls, idx, val)
             if nxt is None:
-                del assignment[idx]
-                return False
+                return False  # the frame's undo drops ``idx`` with the rest
             cls = nxt
         if not cls:
             return True
@@ -222,19 +221,23 @@ def _dpll(clauses: list[Clause]) -> dict[int, bool] | None:
         # The smallest open index, as (index, polarity) pairs sort by index.
         return cls, min(literals)[0]
 
-    # One frame per open decision: [clauses, index, values tried so far],
-    # where the values go False, then True.
+    # One frame per open decision: [clauses, index, values tried so far,
+    # size of the assignment when the frame opened], where the values go
+    # False, then True. Keys are only ever added on top of the ones a frame
+    # saw, so dropping the newest ones back to that size undoes a failed
+    # value: its decision, unit propagations and pure literals alike.
     trail: list[list] = []
     step = propagate(list(clauses))
     while step is not True:
         if step is False:
             if not trail:
                 return None
-            del assignment[trail[-1][1]]  # the current value failed
+            for _ in range(len(assignment) - trail[-1][3]):
+                assignment.popitem()
         else:
-            trail.append([*step, 0])
+            trail.append([*step, 0, len(assignment)])
         frame = trail[-1]
-        cls, pick, tried = frame
+        cls, pick, tried, _ = frame
         if tried == 2:
             trail.pop()  # both values failed: so did the parent's choice
             step = False

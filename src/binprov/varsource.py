@@ -18,13 +18,14 @@ chain are mutually unsatisfiable and every child implies its parent.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 
-from .binmodel import KeyInstruction, KeyKind, _collector_paused
+from .binmodel import KeyInstruction, KeyKind
 from .conditions import (
     TRUE,
     Condition,
@@ -240,12 +241,22 @@ _HEADS = {"if": "if", "while": "loop", "for": "loop", "switch": "loop"}
 _CALL, _STRING, _CONST = KeyKind.CALL, KeyKind.STRING_REF, KeyKind.CONST_REF
 
 
-@_collector_paused()
 def scan_unit(name: str, text: str) -> UnitVariability:
     """The fragment tree, ``_UnitCode`` and function spans of one unit, in one
     pass over its tokens. A ``{`` at brace depth 0 right after ``name(params)``
     opens a function, spanning its name's line to the ``}`` back at depth 0.
-    Each branch of an #if chain reads on from the reader's state at its #if."""
+    Each branch of an #if chain reads on from the reader's state at its #if.
+    The cyclic collector is off throughout, as ``binmodel`` describes."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return _scan_unit(name, text)
+    finally:
+        if was_on:
+            gc.enable()
+
+
+def _scan_unit(name: str, text: str) -> UnitVariability:
     source = "\n".join(["", *text.splitlines(), ""])
     n = source.count("\n") - 1
     code = _UnitCode(stmts=[()] * n, keyins=[], where=[], body=[0] * n, errors={})

@@ -42,6 +42,7 @@ from binprov.buildoracle import (
 )
 from binprov.corpusgen import generate_corpus
 from binprov.errors import (
+    BinprovError,
     BuildFailureError,
     ConfigError,
     OracleUnavailableError,
@@ -95,6 +96,32 @@ def test_spec_validation_rejects_unknowns():
         BuildSpec("gcc", "6", "O4").validate()
     with pytest.raises(ConfigError):
         BuildSpec.from_text("gcc-6")
+
+
+_SPEC_PIECES = [*COMPILERS, *{v for vs in VERSIONS.values() for v in vs}, *LEVELS, "-", "--", "", " ", "icc", "O4", "é", "\n"]
+
+
+@st.composite
+def _spec_texts(draw) -> str:
+    how = draw(st.sampled_from(["pieces", "truncated", "mutated"]))
+    if how == "pieces":
+        return "".join(draw(st.lists(st.sampled_from(_SPEC_PIECES), max_size=7)))
+    text = draw(st.sampled_from(all_option_specs())).text()
+    if how == "truncated":
+        return text[: draw(st.integers(0, len(text)))]
+    parts = text.split("-")
+    parts[draw(st.integers(0, 2))] = draw(st.sampled_from(_SPEC_PIECES))
+    return "-".join(parts)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_spec_texts())
+def test_spec_from_text_raises_only_binprov_errors(text):
+    try:
+        spec = BuildSpec.from_text(text)
+    except BinprovError:
+        return
+    assert spec.text() == text
 
 
 def test_version_theta_ladder():

@@ -7,11 +7,13 @@ import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binprov.binmodel import serialize_model
 from binprov.buildoracle import SimulatedToolchain, all_option_specs
 from binprov.conditions import evaluate
-from binprov.errors import SchemaError
+from binprov.errors import BinprovError, SchemaError
 from binprov.corpusgen import (
     conflict_index,
     generate_case,
@@ -142,6 +144,66 @@ def test_load_case_dir_rejects_a_malformed_manifest(tmp_path, corpus21, edit, me
     manifest.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     with pytest.raises(SchemaError, match=re.escape(f"{cdir}: ") + ".*" + re.escape(message)):
         load_case_dir(cdir)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000, '{"index": ' + "9" * 5000 + "}"])
+def test_load_case_dir_reads_a_huge_integer_or_deep_nesting_as_not_json(tmp_path, corpus21, text):
+    write_corpus(corpus21[:1], tmp_path)
+    cdir = tmp_path / corpus21[0].name
+    (cdir / "manifest.json").write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(f"{cdir}: manifest.json is not JSON")):
+        load_case_dir(cdir)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_case_dir(tmp_path_factory, corpus21):
+    """A case directory whose manifest each fuzz example overwrites."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_corpus(corpus21[:1], root)
+    return root / corpus21[0].name
+
+
+_MANIFEST_JUNK = [None, True, 0, -1, 1.5, "", "x", "gcc-6-O9", "gcc-6-O2", "main.c", [], ["main.c", 7],
+                  ["main.c", "main.c"], {}, {"spec": "gcc-6-O2"}, {"flags": []}]
+_MANIFEST_KEYS = ["name", "index", "base_units", "signal_free", "vulnerable_fragment", "hidden", "spec",
+                  "flags", "extra", ""]
+
+
+@st.composite
+def _manifest_texts(draw, original: dict) -> str:
+    how = draw(st.sampled_from(["mutated", "mutated", "not an object", "truncated"]))
+    if how == "not an object":
+        return json.dumps(draw(st.sampled_from([[], [original], 7, "manifest", None, True])))
+    if how == "truncated":
+        text = json.dumps(original, indent=2)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    manifest = json.loads(json.dumps(original))
+    for _ in range(draw(st.integers(1, 3))):
+        target = manifest["hidden"] if draw(st.booleans()) and isinstance(manifest.get("hidden"), dict) else manifest
+        key = draw(st.sampled_from(_MANIFEST_KEYS))
+        change = draw(st.sampled_from(["set", "drop", "rename"]))
+        if change == "set":
+            target[key] = draw(st.sampled_from(_MANIFEST_JUNK))
+        elif key in target:
+            value = target.pop(key)
+            if change == "rename":
+                target[draw(st.sampled_from(_MANIFEST_KEYS))] = value
+    return json.dumps(manifest)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_load_case_dir_raises_only_binprov_errors_on_fuzzed_manifests(fuzzed_case_dir, corpus21, data):
+    manifest = fuzzed_case_dir / "manifest.json"
+    original = json.loads(manifest.read_text())
+    manifest.write_text(data.draw(_manifest_texts(original)))
+    try:
+        case = load_case_dir(fuzzed_case_dir)
+    except BinprovError:
+        return
+    finally:
+        manifest.write_text(json.dumps(original))
+    assert serialize_model(case.crash) == serialize_model(corpus21[0].crash)
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "config.map", "crash.model", "src"])

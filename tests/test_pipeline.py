@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -13,11 +14,13 @@ from collections import Counter
 import pytest
 
 from binprov import buildoracle, pipeline, simdiff
-from binprov.binmodel import KeyInstruction, KeyKind
+from binprov.binmodel import KeyInstruction, KeyKind, strip_program
 from binprov.buildoracle import (
     BuildSpec,
     ConfigAssignment,
     SimulatedToolchain,
+    apply_transforms,
+    build_unoptimized,
 )
 from binprov.conditions import evaluate
 from binprov.corpusgen import generate_case, generate_corpus
@@ -230,6 +233,52 @@ def test_run_case_recovers_hidden_os(seed, name):
     if not case.signal_free:
         assert sorted(report.decided_configs) == sorted(case.hidden_flags)
         assert report.verification is Verification.REPRODUCED_STRUCTURALLY
+
+
+def test_run_case_pauses_and_restores_the_collector(collector, corpus21, monkeypatch):
+    seen = []
+    infer = pipeline.infer_options
+    monkeypatch.setattr(
+        pipeline, "infer_options", lambda *args, **kw: seen.append(gc.isenabled()) or infer(*args, **kw)
+    )
+    case = corpus21[0]
+    report = run_generated_case(case)
+    assert seen == [False]
+    assert report.verification is Verification.REPRODUCED_STRUCTURALLY
+    assert gc.isenabled() is collector
+    with pytest.raises(AttributeError):
+        run_case(None, case.tree, case.config_map)
+    assert gc.isenabled() is collector
+
+
+def _bulk_case(copies: int):
+    """Seed 1's ``case00`` with a ``bulk.c`` of ``copies`` copies of
+    ``fn_a0``, each renamed and its strings suffixed, built at the hidden
+    spec and the truth configuration: the crash, the tree, the base units."""
+    case = generate_case(1, 0)
+    units = {u.name: u.text for u in case.tree.units}
+    start = units["main.c"].index("int fn_a0(")
+    body = units["main.c"][start : units["main.c"].index("\n}\n", start) + 3]
+    bulk = []
+    for i in range(copies):
+        copy_i = re.sub(r"\bfn_a0\b", f"fn_bulk{i:04d}", body)
+        bulk.append(re.sub(r'"([^"]*)"', lambda m: f'"{m[1]}_bulk{i}"', copy_i))
+    assert len(set(bulk)) == copies
+    units["bulk.c"] = "\n".join(bulk)
+    tree = SourceTree.from_mapping(units)
+    base_units = tuple(sorted((*case.base_units, "bulk.c")))
+    truth = ConfigAssignment.for_flags(case.config_map, case.hidden_flags, base_units)
+    built = apply_transforms(build_unoptimized(tree, truth, name="bulk"), case.hidden_spec)
+    return case, strip_program(built, name="bulk-crash"), tree, base_units
+
+
+def test_run_case_recovers_a_case_of_a_thousand_functions():
+    case, crash, tree, base_units = _bulk_case(1000)
+    assert len(crash.functions) == 1014
+    report = run_case(crash, tree, case.config_map, name="bulk", base_units=base_units)
+    assert report.decided_options == case.hidden_spec == BuildSpec("gcc", "5", "O0")
+    assert sorted(report.decided_configs) == sorted(case.hidden_flags) == ["with_alpha", "with_bravo"]
+    assert report.verification is Verification.REPRODUCED_STRUCTURALLY
 
 
 def test_run_case_indexes_the_crash_once(corpus21, monkeypatch):

@@ -21,6 +21,8 @@ from binprov.binmodel import (
     Function,
     KeyInstruction,
     KeyKind,
+    ingest_model,
+    serialize_model,
     strip_program,
 )
 from binprov.buildoracle import SimulatedToolchain, all_option_specs
@@ -41,8 +43,10 @@ _KINDS = list(KeyKind)
 _LIB_NAMES = ["puts", "memcpy", "open", "lib_log", "lib_err"]
 
 
-def random_program(rng: random.Random, name: str = "p", max_fns: int = 6) -> BinaryProgram:
-    n_fns = rng.randint(1, max_fns)
+def random_program(
+    rng: random.Random, name: str = "p", max_fns: int = 6, min_fns: int = 1
+) -> BinaryProgram:
+    n_fns = rng.randint(min_fns, max_fns)
     fn_ids = [f"fn{idx}" for idx in range(n_fns)]
     functions = []
     for fid in fn_ids:
@@ -366,6 +370,35 @@ def test_diff_pauses_and_restores_the_collector(collector, monkeypatch):
     assert gc.isenabled() is collector
 
 
+def test_ingest_ingest_diff_run_no_collection():
+    # The pauses make no tracked allocation at their edges, so with the
+    # collector on, back-to-back calls over two large models give it no
+    # allocation to start a collection in.
+    rng = random.Random(11)
+    left_text = serialize_model(random_program(rng, "L", max_fns=400, min_fns=300))
+    right_text = serialize_model(strip_program(random_program(rng, "R", max_fns=400, min_fns=300)))
+    collections: list[int] = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        left = ingest_model(left_text)
+        right = ingest_model(right_text)
+        report = diff_programs(left, right)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert collections == []
+    assert len(left.functions) >= 300 and len(right.functions) >= 300
+    assert report.pairs
+
+
 def test_similarities_sum_each_direction_in_its_own_id_order():
     # Symbols pair L's a, b, c with R's c, b, a at fractions 0.1, 0.2 and
     # 0.3. Float addition is not associative, so the two directions sum to
@@ -600,3 +633,120 @@ def test_pair_fraction_of_two_empty_functions_is_one():
     left = _one_function_index([[KeyKind.CALL], [KeyKind.CALL], []])
     right = _one_function_index([[KeyKind.CALL], [], [KeyKind.CALL]])
     assert simdiff._pair_fraction(left, 0, right, 0) == 1.0
+
+
+# --- the first neighborhood round --------------------------------------------
+
+
+def _parent_match(left: simdiff.ProgramIndex, right: simdiff.ProgramIndex):
+    """``_match`` as it was before its first neighborhood round read the
+    keys straight from the index: every round maps the callees and callers
+    through the pair tokens."""
+    nl, nr = len(left.ids), len(right.ids)
+    lr, rl, matched = simdiff._symbol_pass(left, right)
+    if matched in (nl, nr):
+        return lr, rl
+    ltok = [l if r >= 0 else -1 for l, r in enumerate(lr)]
+
+    def record(pairs):
+        nonlocal matched
+        for l, r in pairs:
+            lr[l] = r
+            rl[r] = ltok[l] = l
+        matched += len(pairs)
+        return bool(pairs)
+
+    def unmatched(side):
+        return [k for k, other in enumerate(side) if other < 0]
+
+    def keyed_pass(keys):
+        return record(simdiff._unique_key_matches(keys(left, lr, ltok), keys(right, rl, rl)))
+
+    def neighborhood(index, side, token):
+        return simdiff._neighborhood_keys(index, unmatched(side), token)
+
+    def signature(index, side, token):
+        return [(k, index.signatures[k]) for k in unmatched(side)]
+
+    def converge():
+        while True:
+            if matched in (nl, nr):
+                return True
+            change = keyed_pass(neighborhood)
+            if matched in (nl, nr):
+                return True
+            change = keyed_pass(signature) or change
+            if not change:
+                return False
+
+    def positional():
+        groups = []
+        for index, side in ((left, lr), (right, rl)):
+            by_sig = {}
+            for k in unmatched(side):
+                by_sig.setdefault(index.signatures[k], []).append(k)
+            groups.append(by_sig)
+        pairs = []
+        for sig, ls in groups[0].items():
+            pairs.extend(zip(ls, groups[1].get(sig, [])))
+        return record(pairs)
+
+    if not converge() and positional():
+        converge()
+    return lr, rl
+
+
+def _call_graph_program(rng: random.Random, n: int) -> BinaryProgram:
+    """Functions of one to four blocks that call each other and, rarely,
+    ``puts``: most share their library callees, so the block count and the
+    matched neighbors decide the neighborhood keys."""
+    ids = [f"fn{k}" for k in range(n)]
+    functions = []
+    for fid in ids:
+        blocks = []
+        for b in range(rng.randint(1, 4)):
+            kinds = [KeyKind.COMPARE, KeyKind.STRING_REF, KeyKind.CONST_REF]
+            keyins = [KeyInstruction(rng.choice(kinds), "x") for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.4:
+                keyins.append(KeyInstruction(KeyKind.CALL, rng.choice([*ids, "puts"])))
+            blocks.append(BasicBlock(f"b{b}", keyins))
+        functions.append(Function(fid, "b0", blocks, fid))
+    return BinaryProgram(name="L", functions=functions)
+
+
+@st.composite
+def _pass_one_pairs(draw):
+    """A random program and a perturbed copy whose symbol table pass 1
+    pairs with none, some or all of the first's functions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    left = _call_graph_program(rng, rng.randint(1, 14))
+    right = copy.deepcopy(left)
+    right.name = "R"
+    # Most signatures change and no block count does, so the neighborhood
+    # passes decide most pairs.
+    for fn in right.functions:
+        if rng.random() < 0.7:
+            rng.choice(fn.blocks).keyins.append(KeyInstruction(KeyKind.CONST_REF, "1"))
+    if rng.random() < 0.5:
+        extra = _call_graph_program(rng, 1).functions[0]
+        right.functions.append(dataclasses.replace(extra, id="extra", symbol="extra"))
+    paired = draw(st.sampled_from(["none", "some", "all"]))
+    if paired == "none":
+        stripped = draw(st.sampled_from(["left", "right", "both"]))
+        if stripped != "right":
+            left = strip_program(left)
+        if stripped != "left":
+            right = strip_program(right)
+    elif paired == "some":
+        for fn in right.functions:
+            if rng.random() < 0.5:
+                fn.symbol = None
+    return left, right
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_pass_one_pairs())
+def test_match_equals_the_match_that_maps_every_round_through_tokens(pair):
+    li, ri = map(index_program, pair)
+    for a, b in ((li, ri), (ri, li)):
+        assert simdiff._match(a, b) == _parent_match(a, b)

@@ -40,6 +40,7 @@ from binprov.solver import (
     Model,
     Unsatisfiable,
     _cnf_clauses,
+    _dpll,
     enumerate_models,
     solve,
 )
@@ -448,3 +449,97 @@ def test_one_walk_encoding_equals_the_nnf_reference(conds):
         assert _cnf_clauses(cond, got_table, got_fresh) == _reference_cnf_clauses(cond, want_table, want_fresh)
     assert next(got_fresh) == next(want_fresh)
     assert got_table.keys() == want_table.keys()
+
+
+# --- backtracking undoes the failed branch ------------------------------------
+
+
+def test_a_failed_branch_leaves_no_assignment_behind():
+    # The first branch (the left disjunct) sets M5 by a unit, then fails on
+    # M4. Nothing in the branch that succeeds settles M5 or M2, so both are
+    # free and disabled.
+    out = solve([parse_expression(
+        "defined(M5) && !defined(M2) && !defined(M4) && defined(M4) && !defined(M6) || "
+        "(defined(M2) || !defined(M5) || defined(M1)) && defined(M3) && !defined(M4)"
+    )])
+    assert isinstance(out, Model)
+    assert out.assignment["M5"] is False
+    assert out.free_atoms == frozenset({"M2", "M5"})
+
+
+def _reference_dpll(clauses):
+    """``_dpll`` by recursion, each decision working on its own copy of the
+    assignment, so a failed value can leave nothing behind: the first unit
+    in list order, then every pure literal, then the smallest open index,
+    False first."""
+
+    def simplify(cls, idx, val):
+        out = []
+        for cl in cls:
+            if (idx, val) in cl:
+                continue
+            if (idx, not val) in cl:
+                if len(cl) == 1:
+                    return None
+                cl = cl - {(idx, not val)}
+            out.append(cl)
+        return out
+
+    def search(cls, assignment):
+        while True:
+            unit = next((cl for cl in cls if len(cl) == 1), None)
+            if unit is None:
+                break
+            (idx, val), = unit
+            assignment[idx] = val
+            cls = simplify(cls, idx, val)
+            if cls is None:
+                return None
+        if not cls:
+            return assignment
+        literals = set().union(*cls)
+        pures = {(idx, val) for idx, val in literals if (idx, not val) not in literals}
+        assignment.update(pures)
+        cls = [cl for cl in cls if cl.isdisjoint(pures)]
+        if not cls:
+            return assignment
+        pick = min(set().union(*cls))[0]
+        for val in (False, True):
+            nxt = simplify(cls, pick, val)
+            if nxt is not None:
+                found = search(nxt, {**assignment, pick: val})
+                if found is not None:
+                    return found
+        return None
+
+    return search(list(clauses), {})
+
+
+def _or_of_ands(rng: random.Random, atoms: list[str]):
+    """An OR of two or three conjunctions of literals, as ``_dpll`` meets
+    them in guard sets: each disjunct it tries first sets its atoms by unit
+    propagation before it can fail."""
+
+    def literal() -> str:
+        text = f"defined({rng.choice(atoms)})"
+        return f"!{text}" if rng.random() < 0.5 else text
+
+    disjuncts = [" && ".join(literal() for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(2, 3))]
+    return parse_expression(" || ".join(f"({d})" for d in disjuncts))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.sampled_from([_random_formula, _or_of_ands]), st.integers(0, 2**32 - 1))
+def test_dpll_equals_the_search_that_copies_its_assignment(formula, seed):
+    rng = random.Random(seed)
+    atoms = [f"M{i}" for i in range(rng.randint(2, 8))]
+    constraints = [formula(rng, atoms) for _ in range(rng.randint(1, 3))]
+    table = AtomTable()
+    fresh = itertools.count(-1, -1)
+    clauses = []
+    for cond in constraints:
+        encoded = _cnf_clauses(cond, table, fresh)
+        if encoded is None:
+            return
+        clauses += encoded
+    assert _dpll(clauses) == _reference_dpll(clauses)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import re
 
@@ -1025,3 +1026,52 @@ def test_nested_condition_text_composes_guards():
     scan = scan_unit("u.c", text)
     inner = [f for f in scan.fragments if f.lines == [3]][0]
     assert to_text(inner.condition) == "defined(A) && defined(B)"
+
+
+def test_scan_unit_pauses_and_restores_the_collector(collector, monkeypatch):
+    seen = []
+    guard_of = varsource._guard_of
+    monkeypatch.setattr(varsource, "_guard_of", lambda *args: seen.append(gc.isenabled()) or guard_of(*args))
+    scan_unit("parser.c", XMLLINT_SNIPPET)
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+    with pytest.raises(SchemaError):
+        scan_unit("u.c", "#endif\n")
+    assert gc.isenabled() is collector
+    with pytest.raises(AttributeError):
+        scan_unit("u.c", None)
+    assert gc.isenabled() is collector
+
+
+# --- ConfigMap.parse on mutated and truncated text ------------------------------
+
+_CONFIG_MAP_PIECES = [
+    "with_cache", "with_net", "bare", " : ", ":", "define", "unit", "frobnicate", " ", "\t",
+    "USE_CACHE", "net.c", ",", ", ", "#", "\n", "\r", "\x0c", "\u2028", "é", "\\",
+]
+
+
+@st.composite
+def _config_map_texts(draw) -> str:
+    how = draw(st.sampled_from(["pieces", "truncated", "mutated"]))
+    if how == "pieces":
+        return "".join(draw(st.lists(st.sampled_from(_CONFIG_MAP_PIECES), max_size=24)))
+    if how == "truncated":
+        return CONFIG_MAP_TEXT[: draw(st.integers(0, len(CONFIG_MAP_TEXT)))]
+    # Keys and values of the map swapped for pieces, one span at a time.
+    text = CONFIG_MAP_TEXT
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.sampled_from(_CONFIG_MAP_PIECES)) + text[end:]
+    return text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_config_map_texts())
+def test_config_map_parse_raises_only_binprov_errors(text):
+    try:
+        cmap = ConfigMap.parse(text)
+    except BinprovError:
+        return
+    assert ConfigMap.parse(cmap.to_text()) == cmap
