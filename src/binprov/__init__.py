@@ -32,7 +32,6 @@ from .pipeline import (
     Verification,
     check_matrix_orderings,
     run_case,
-    run_corpus,
     similarity_matrix,
 )
 from .simdiff import DiffReport, compare_programs, diff_programs
@@ -67,7 +66,6 @@ __all__ = [
     "ingest_model",
     "parse_expression",
     "run_case",
-    "run_corpus",
     "scan_tree",
     "serialize_model",
     "similarity_matrix",

@@ -111,9 +111,6 @@ class Function:
     blocks: list[BasicBlock] = field(default_factory=list)
     symbol: str | None = None
 
-    def block_map(self) -> dict[str, BasicBlock]:
-        return {b.id: b for b in self.blocks}
-
 
 @dataclass(slots=True)
 class BinaryProgram:

@@ -719,11 +719,11 @@ def apply_transforms(
     return out
 
 
-def _fingerprints(part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> list[int]:
-    """The fingerprint of each block of ``_replay(fn, part, spec, pads)``,
-    in order, from the part: the product of its chain's block fingerprints
-    and of a ``STRING_REF`` prime per clang marker, times a ``CONST_REF``
-    prime per constant unless the block folds, then padded (``_padded``)."""
+def _fingerprints(part: _FunctionPlan, spec: BuildSpec) -> list[int]:
+    """The fingerprint of each block of ``_replay(fn, part, spec, {})``, in
+    order, from the part: the product of its chain's block fingerprints and
+    of a ``STRING_REF`` prime per clang marker, times a ``CONST_REF`` prime
+    per constant unless the block folds. ``_padded`` adds pads."""
     layout, folds = _layout(part, spec)
     flavor = part.flavor if spec.compiler == "clang" else ()
     primes, consts = part.primes, part.consts
@@ -736,7 +736,7 @@ def _fingerprints(part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) ->
             if bi in flavor:
                 fp *= _STRING_PRIME
         out.append(fp if pos in folds else fp * _CONST_PRIME**n)
-    return _padded(out, part, spec, pads)
+    return out
 
 
 def _padded(fingerprints, part: _FunctionPlan, spec: BuildSpec, pads: dict[int, int]) -> list[int]:
@@ -756,7 +756,7 @@ def _pieces(part: _FunctionPlan, spec: BuildSpec) -> _Pieces:
     key = (spec.compiler, _LAYOUT_KINDS[spec.level])
     pieces = part.pieces.get(key)
     if pieces is None:
-        fingerprints = tuple(_fingerprints(part, spec, {}))
+        fingerprints = tuple(_fingerprints(part, spec))
         pieces = part.pieces[key] = _Pieces(fingerprints, tuple(sorted(fingerprints)))
     return pieces
 

@@ -1,9 +1,11 @@
 """Feature matching: decide which source fragments are present in the crash
 binary and derive presence-condition constraints from the decisions.
 
-Coarse matching counts payload occurrences (string contents, call symbols,
-constant values) inside a range of the crash binary, either one matched
-function or the whole binary. Fine matching handles branch shapes: it counts
+A feature is a ``(KeyKind, operand)`` payload of a key instruction the build
+compiles (a string's contents, a callee's symbol, a constant's decimal
+value) or a ``BranchShape``. Coarse matching counts a payload's occurrences
+inside a range of the crash binary, either one matched function or the
+whole binary, by the same key. Fine matching handles branch shapes: it counts
 comparison blocks whose payloads cover the branch-condition features, with
 a second successor when the source branch has an else arm. Both read their
 count by one rule: exactly one is a Found, zero is a NotFound, more than one
@@ -25,15 +27,7 @@ from enum import Enum
 from .binmodel import BasicBlock, BinaryProgram, Function, KeyKind
 from .conditions import Condition, neg, to_text
 from .simdiff import DiffReport, FunctionPairDiff
-from .varsource import (
-    BranchShape,
-    CallSig,
-    Feature,
-    Fragment,
-    IntConst,
-    StringLit,
-    UnitVariability,
-)
+from .varsource import BranchShape, Feature, Fragment, UnitVariability
 
 l = logging.getLogger(__name__)
 
@@ -94,23 +88,8 @@ class PayloadIndex:
     def for_program(cls, program: BinaryProgram) -> PayloadIndex:
         return cls([blk for fn in program.functions for blk in fn.blocks])
 
-    def occurrences(self, feature: Feature) -> int:
-        key = _payload_key(feature)
-        if key is None:
-            raise TypeError(f"not a payload feature: {feature!r}")
-        return self.counts[key]
-
-
-def _payload_key(feature: Feature) -> tuple[KeyKind, str] | None:
-    """The (kind, operand) key instruction a feature shows up as, or None
-    for a feature with no payload of its own."""
-    if isinstance(feature, StringLit):
-        return (KeyKind.STRING_REF, feature.value)
-    if isinstance(feature, IntConst):
-        return (KeyKind.CONST_REF, str(feature.value))
-    if isinstance(feature, CallSig):
-        return (KeyKind.CALL, feature.name)
-    return None
+    def occurrences(self, payload: tuple[KeyKind, str]) -> int:
+        return self.counts[payload]
 
 
 def _verdict(n: int) -> MatchVerdict:
@@ -120,8 +99,8 @@ def _verdict(n: int) -> MatchVerdict:
     return MatchVerdict.FOUND if n == 1 else MatchVerdict.NOT_UNIQUE
 
 
-def coarse_match(feature: Feature, index: PayloadIndex) -> MatchVerdict:
-    return _verdict(index.occurrences(feature))
+def coarse_match(payload: tuple[KeyKind, str], index: PayloadIndex) -> MatchVerdict:
+    return _verdict(index.occurrences(payload))
 
 
 def _block_payloads(blk: BasicBlock) -> Counter:
@@ -134,9 +113,7 @@ def _shape_block_matches(shape: BranchShape, blk: BasicBlock) -> bool:
     if not any(ki.kind is KeyKind.COMPARE for ki in blk.keyins):
         return False
     have = _block_payloads(blk)
-    keys = (_payload_key(feat) for feat in shape.condition_features)
-    need = Counter(key for key in keys if key is not None)
-    for key, cnt in need.items():
+    for key, cnt in Counter(shape.condition_features).items():
         if have[key] < cnt:
             return False
     return not shape.has_else or len(blk.succs) >= 2
@@ -148,10 +125,12 @@ def fine_match_shape(shape: BranchShape, index: PayloadIndex) -> MatchVerdict:
 
 def decide_fragment(fragment: Fragment, index: PayloadIndex, scope: str) -> FragmentDecision:
     """Decide fragment presence against one range of the crash binary."""
-    strings = [f for f in fragment.features if isinstance(f, StringLit)]
-    calls = [f for f in fragment.features if isinstance(f, CallSig)]
-    consts = [f for f in fragment.features if isinstance(f, IntConst)]
     shapes = [f for f in fragment.features if isinstance(f, BranchShape)]
+    payloads = [f for f in fragment.features if not isinstance(f, BranchShape)]
+    strings, calls, consts = (
+        [f for f in payloads if f[0] is kind]
+        for kind in (KeyKind.STRING_REF, KeyKind.CALL, KeyKind.CONST_REF)
+    )
 
     checks: list[FeatureCheck] = []
 

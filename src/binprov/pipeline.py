@@ -74,7 +74,6 @@ __all__ = [
     "infer_config",
     "run_case",
     "run_generated_case",
-    "run_corpus",
     "similarity_matrix",
     "OrderingResult",
     "check_matrix_orderings",
@@ -357,10 +356,6 @@ def run_generated_case(case: GeneratedCase, **kwargs) -> CaseReport:
         base_units=case.base_units,
         **kwargs,
     )
-
-
-def run_corpus(cases: list[GeneratedCase], **kwargs) -> list[CaseReport]:
-    return [run_generated_case(case, **kwargs) for case in cases]
 
 
 def similarity_matrix(

@@ -84,10 +84,8 @@ __all__ = [
     "match_functions",
     "similarity",
     "similarities",
-    "pair_blocks",
     "compare_programs",
     "diff_programs",
-    "BlockPair",
     "FunctionPairDiff",
     "DiffReport",
 ]
@@ -478,13 +476,6 @@ def _similarities(
 
 
 @dataclass
-class BlockPair:
-    left: str
-    right: str
-    same_fingerprint: bool
-
-
-@dataclass
 class FunctionPairDiff:
     left: str
     right: str
@@ -500,54 +491,8 @@ class DiffReport:
     right_only: list[str] = field(default_factory=list)
 
 
-# ``pair_blocks`` and ``BlockPair`` have no caller; they stay only because
-# perfbench's tracer rebinds ``simdiff.pair_blocks`` by name.
-def pair_blocks(a: Function, b: Function) -> list[BlockPair]:
-    """Align blocks of a matched function pair.
-
-    Entries pair first; pairs propagate along positionally aligned successor
-    edges when fingerprints agree; remaining blocks pair greedily inside
-    fingerprint classes in sorted-id order.
-    """
-    amap = a.block_map()
-    bmap = b.block_map()
-    fpa = {bid: spp_fingerprint(blk) for bid, blk in amap.items()}
-    fpb = {bid: spp_fingerprint(blk) for bid, blk in bmap.items()}
-    paired_a: dict[str, str] = {}
-    paired_b: dict[str, str] = {}
-    out: list[BlockPair] = []
-
-    def take(x: str, y: str) -> None:
-        paired_a[x] = y
-        paired_b[y] = x
-        out.append(BlockPair(left=x, right=y, same_fingerprint=fpa[x] == fpb[y]))
-
-    take(a.entry, b.entry)
-    queue = [(a.entry, b.entry)]
-    while queue:
-        xa, xb = queue.pop(0)
-        for sa, sb in zip(amap[xa].succs, bmap[xb].succs):
-            if sa in paired_a or sb in paired_b:
-                continue
-            if fpa[sa] == fpb[sb]:
-                take(sa, sb)
-                queue.append((sa, sb))
-
-    rest_a: dict[Fingerprint, list[str]] = {}
-    rest_b: dict[Fingerprint, list[str]] = {}
-    for bid in sorted(amap):
-        if bid not in paired_a:
-            rest_a.setdefault(fpa[bid], []).append(bid)
-    for bid in sorted(bmap):
-        if bid not in paired_b:
-            rest_b.setdefault(fpb[bid], []).append(bid)
-    for fp, aids in rest_a.items():
-        bids = rest_b.get(fp)
-        if not bids:
-            continue
-        for xa, xb in zip(aids, bids):
-            take(xa, xb)
-    return out
+# Bound only for perfbench's tracer, which rebinds it by name; ROADMAP item 5 removes it.
+pair_blocks = None
 
 
 def diff_programs(

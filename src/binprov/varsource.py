@@ -8,8 +8,10 @@ pass, from the tokens of one regex (``_token_re``), the function spans and
 the key instructions of each statement in a body (``_UnitCode``). The build
 walks a body's statements in one flat pass (``_statements``) that keeps its
 open arms on a list, so any nesting depth reads; a fragment's features,
-computed when first read, are the key instructions the same walk compiles
-from its lines, ``has_else`` included.
+computed when first read, are what the same walk compiles from its lines:
+each key instruction as its ``(KeyKind, operand)`` payload, the key the
+matcher counts, and each if as a ``BranchShape`` of its condition's
+payloads and ``has_else``.
 
 Fragment conditions are conjoined down the nesting, and #elif/#else branches
 carry the negations of their earlier siblings, so any two branches of one
@@ -33,14 +35,10 @@ from .conditions import (
     conj,
     neg,
     parse_expression,
-    to_text,
 )
 from .errors import MapGapError, SchemaError
 
 __all__ = [
-    "StringLit",
-    "IntConst",
-    "CallSig",
     "BranchShape",
     "Fragment",
     "FunctionSpan",
@@ -56,30 +54,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StringLit:
-    value: str
-
-
-@dataclass(frozen=True)
-class IntConst:
-    value: int
-
-
-@dataclass(frozen=True)
-class CallSig:
-    name: str
-
-
-@dataclass(frozen=True)
 class BranchShape:
-    """An if-statement: the features inside its condition plus whether an
+    """An if-statement: the payloads inside its condition plus whether an
     else branch exists."""
 
-    condition_features: tuple = ()
+    condition_features: tuple[tuple[KeyKind, str], ...] = ()
     has_else: bool = False
 
 
-Feature = StringLit | IntConst | CallSig | BranchShape
+# A payload is the ``(kind, operand)`` key of a key instruction the build
+# compiles, the key ``matcher.PayloadIndex`` counts.
+Feature = tuple[KeyKind, str] | BranchShape
 
 
 @dataclass(frozen=True)
@@ -125,9 +110,6 @@ class Fragment:
     def is_root(self) -> bool:
         return self.parent is None
 
-    def condition_text(self) -> str:
-        return to_text(self.condition)
-
 
 @dataclass
 class FunctionSpan:
@@ -141,9 +123,6 @@ class UnitVariability:
     fragments: list[Fragment]
     functions: dict[str, FunctionSpan]
     code: _UnitCode
-
-    def fragment_map(self) -> dict[str, Fragment]:
-        return {f.id: f for f in self.fragments}
 
     def conditional_fragments(self) -> list[Fragment]:
         return [f for f in self.fragments if not f.is_root]
@@ -471,7 +450,8 @@ def _statements(code: _UnitCode, lines: tuple[int, ...]) -> Iterator[tuple[str, 
 
 def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
     """The features of the fragment's lines in each body, walked as the build
-    walks them: per if, its branch shape, its condition, then its arms. A
+    walks them: per if, its branch shape, its condition, then its arms, each
+    key instruction as its ``(kind, operand)`` payload. A
     statement begun on an earlier line of the body and still open where the
     fragment's lines begin gives its key instructions on them first."""
     feats: list = []
@@ -491,12 +471,7 @@ def _fragment_features(frag: Fragment, code: _UnitCode) -> tuple[Feature, ...]:
                 i, has_else = shapes.pop()
                 feats[i] = BranchShape(feats[i], has_else)
             else:
-                features = tuple(
-                    StringLit(ki.operand) if ki.kind is _STRING
-                    else CallSig(ki.operand) if ki.kind is _CALL
-                    else IntConst(int(ki.operand))
-                    for ki in keyins
-                )
+                features = tuple((ki.kind, ki.operand) for ki in keyins)
                 if event == "if":
                     shapes.append([len(feats), False])
                     feats.append(features)  # the placeholder holds the condition

@@ -23,7 +23,7 @@ from binprov.binmodel import (
     serialize_model,
 )
 from binprov.buildoracle import SimulatedToolchain, all_option_specs
-from binprov.conditions import atom_keys, evaluate, neg, parse_expression
+from binprov.conditions import atom_keys, evaluate, neg, parse_expression, to_text
 from binprov.corpusgen import generate_case, generate_conditional_unit
 from binprov.matcher import derive_constraints
 from binprov.optinfer import infer_options
@@ -31,7 +31,7 @@ from binprov.pipeline import (
     NO_SIGNAL,
     Verification,
     check_matrix_orderings,
-    run_corpus,
+    run_generated_case,
     similarity_matrix,
 )
 from binprov.simdiff import (
@@ -256,7 +256,7 @@ def _check_unit(name: str, text: str, failures: list[str]) -> tuple[int, int]:
                 ):
                     failures.append(f"{name}: chain arms not exclusive")
                 pairs += 1
-    frag_map = scan.fragment_map()
+    frag_map = {f.id: f for f in scan.fragments}
     for frag in scan.fragments:
         if frag.is_root:
             continue
@@ -273,7 +273,7 @@ def test_criterion_4_variability_scanning(criterion_line):
     failures: list[str] = []
 
     scan = scan_unit("parser.c", XMLLINT_SNIPPET)
-    conds = [f.condition_text() for f in scan.fragments]
+    conds = [to_text(f.condition) for f in scan.fragments]
     if conds != [
         "1",
         "defined(LIBXML_HTML_ENABLED)",
@@ -412,7 +412,7 @@ def test_criterion_5_solver_oracle_equivalence(criterion_line, corpus21):
 
 def test_criterion_6_corpus_reproduction(criterion_line, corpus21):
     t0 = time.perf_counter()
-    reports = run_corpus(corpus21)
+    reports = [run_generated_case(c) for c in corpus21]
     reproduced = 0
     failures: list[str] = []
     for case, report in zip(corpus21, reports):

@@ -73,10 +73,11 @@ def test_export_branchy_shapes_and_kinds():
     check = prog.function_map()["check"]
     assert check.symbol == "do_check"
     assert check.entry == "b0"
-    b0 = check.block_map()["b0"]
+    blocks = {b.id: b for b in check.blocks}
+    b0 = blocks["b0"]
     assert [ki.kind for ki in b0.keyins] == [KeyKind.CONST_REF, KeyKind.COMPARE]
     assert b0.succs == ["b1", "b2"]
-    b1 = check.block_map()["b1"]
+    b1 = blocks["b1"]
     assert [(ki.kind, ki.operand) for ki in b1.keyins] == [
         (KeyKind.STRING_REF, "hello"),
         (KeyKind.CALL, "puts"),
@@ -87,7 +88,7 @@ def test_export_branchy_shapes_and_kinds():
 def test_export_loop_self_edge_survives():
     prog = ingest_disassembly_export(EXPORT_LOOP).program
     spin = prog.function_map()["spin"]
-    assert spin.block_map()["top"].succs == ["top", "out"]
+    assert {b.id: b for b in spin.blocks}["top"].succs == ["top", "out"]
 
 
 def test_export_tallies_uninformative_mnemonics():

@@ -18,7 +18,7 @@ from binprov.matcher import (
     fine_match_shape,
 )
 from binprov.simdiff import diff_programs
-from binprov.varsource import BranchShape, CallSig, IntConst, StringLit, scan_tree, SourceTree
+from binprov.varsource import BranchShape, scan_tree, SourceTree
 
 
 def _block(bid, keyins, succs=()):
@@ -27,6 +27,18 @@ def _block(bid, keyins, succs=()):
 
 def _ki(kind, operand=None):
     return KeyInstruction(kind, operand=operand)
+
+
+def _str(value):
+    return (KeyKind.STRING_REF, value)
+
+
+def _call(name):
+    return (KeyKind.CALL, name)
+
+
+def _const(value):
+    return (KeyKind.CONST_REF, str(value))
 
 
 HAY = [
@@ -44,21 +56,21 @@ HAY = [
 
 def test_coarse_match_counts_occurrences():
     index = PayloadIndex(HAY)
-    assert coarse_match(StringLit("unique-string"), index) is MatchVerdict.FOUND
-    assert coarse_match(StringLit("ghost"), index) is MatchVerdict.NOT_FOUND
-    assert coarse_match(IntConst(42), index) is MatchVerdict.NOT_UNIQUE
+    assert coarse_match(_str("unique-string"), index) is MatchVerdict.FOUND
+    assert coarse_match(_str("ghost"), index) is MatchVerdict.NOT_FOUND
+    assert coarse_match(_const(42), index) is MatchVerdict.NOT_UNIQUE
     # call matching goes by symbol
-    assert coarse_match(CallSig("seen_call"), index) is MatchVerdict.FOUND
+    assert coarse_match(_call("seen_call"), index) is MatchVerdict.FOUND
 
 
 def test_payload_index_scopes():
     fn = Function(id="f", entry="b0", blocks=[HAY[0]])
     per_fn = PayloadIndex(fn.blocks)
-    assert coarse_match(IntConst(42), per_fn) is MatchVerdict.FOUND
+    assert coarse_match(_const(42), per_fn) is MatchVerdict.FOUND
     prog = BinaryProgram(
         name="p", stripped=True, functions=[fn, Function(id="g", entry="b1", blocks=[HAY[1]])]
     )
-    assert coarse_match(IntConst(42), PayloadIndex.for_program(prog)) is MatchVerdict.NOT_UNIQUE
+    assert coarse_match(_const(42), PayloadIndex.for_program(prog)) is MatchVerdict.NOT_UNIQUE
 
 
 def _fragment_with(features):
@@ -75,40 +87,40 @@ def Fragment_clone(frag, features):
 
 def test_decide_found_string_settles_present_without_reading_on():
     frag = _fragment_with(
-        [StringLit("unique-string"), CallSig("never_checked"), IntConst(7)]
+        [_str("unique-string"), _call("never_checked"), _const(7)]
     )
     decision = decide_fragment(frag, PayloadIndex(HAY), "binary")
     assert decision.presence is Presence.PRESENT
     assert decision.confidence == 1.0
     # only the string group ran
-    assert [c.feature for c in decision.checks] == [StringLit("unique-string")]
+    assert [c.feature for c in decision.checks] == [_str("unique-string")]
     assert decision.scope == "binary"
 
 
 def test_decide_missing_strings_are_definitive_absent():
     # the call would match, but the absent string already proves the
     # fragment was compiled out; the call hit belongs to someone else
-    frag = _fragment_with([StringLit("ghost"), CallSig("seen_call")])
+    frag = _fragment_with([_str("ghost"), _call("seen_call")])
     decision = decide_fragment(frag, PayloadIndex(HAY), "binary")
     assert decision.presence is Presence.ABSENT
     assert decision.confidence == 1.0
 
 
 def test_decide_call_and_const_groups_fire_in_order():
-    frag = _fragment_with([CallSig("seen_call")])
+    frag = _fragment_with([_call("seen_call")])
     assert decide_fragment(frag, PayloadIndex(HAY), "f").presence is Presence.PRESENT
     # a missing call falls through to constants rather than settling
-    frag = _fragment_with([CallSig("inlined_away"), IntConst(42)])
+    frag = _fragment_with([_call("inlined_away"), _const(42)])
     decision = decide_fragment(frag, PayloadIndex([HAY[1]]), "f")
     assert decision.presence is Presence.PRESENT
     assert decision.confidence == 0.5  # one miss, one found
 
 
 def test_decide_all_missing_settles_absent_and_ambiguity_unknown():
-    frag = _fragment_with([CallSig("inlined_away"), IntConst(9000)])
+    frag = _fragment_with([_call("inlined_away"), _const(9000)])
     assert decide_fragment(frag, PayloadIndex(HAY), "f").presence is Presence.ABSENT
     # a NOT_UNIQUE-only record supports no conclusion
-    frag = _fragment_with([IntConst(42)])
+    frag = _fragment_with([_const(42)])
     decision = decide_fragment(frag, PayloadIndex(HAY), "f")
     assert decision.presence is Presence.UNKNOWN
     assert decision.confidence == 0.0
@@ -133,10 +145,10 @@ BRANCHY = [
 
 def test_fine_match_shape_requires_compare_payloads_and_else_edge():
     index = PayloadIndex(BRANCHY)
-    shape = BranchShape(condition_features=(IntConst(13),), has_else=True)
+    shape = BranchShape(condition_features=(_const(13),), has_else=True)
     assert fine_match_shape(shape, index) is MatchVerdict.FOUND
     assert (
-        fine_match_shape(BranchShape(condition_features=(IntConst(99),)), index)
+        fine_match_shape(BranchShape(condition_features=(_const(99),)), index)
         is MatchVerdict.NOT_FOUND
     )
     # two compare blocks with the same payload: ambiguous
@@ -151,7 +163,7 @@ def test_fine_match_shape_requires_compare_payloads_and_else_edge():
 
 
 def test_decide_falls_back_to_shape_matching():
-    shape = BranchShape(condition_features=(IntConst(13),), has_else=True)
+    shape = BranchShape(condition_features=(_const(13),), has_else=True)
     frag = _fragment_with([shape])
     decision = decide_fragment(frag, PayloadIndex(BRANCHY), "f")
     assert decision.presence is Presence.PRESENT

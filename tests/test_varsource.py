@@ -24,21 +24,33 @@ from binprov.buildoracle import (
 from binprov.conditions import BoolConst, DefinedAtom, Not, conj, disj, evaluate, neg, parse_expression, to_text
 from binprov.corpusgen import generate_conditional_unit, generate_corpus
 from binprov.errors import BinprovError, MapGapError, SchemaError
-from binprov.matcher import PayloadIndex, Presence, _payload_key, decide_fragment
+from binprov.matcher import PayloadIndex, Presence, decide_fragment
 from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
     BranchShape,
-    CallSig,
     ConfigFlag,
     ConfigMap,
-    IntConst,
     SourceTree,
-    StringLit,
     resolve_flags,
     scan_tree,
     scan_unit,
 )
+
+_CMP = (KeyKind.COMPARE, None)
+
+
+def _str(value: str) -> tuple[KeyKind, str]:
+    return (KeyKind.STRING_REF, value)
+
+
+def _call(name: str) -> tuple[KeyKind, str]:
+    return (KeyKind.CALL, name)
+
+
+def _const(value: int) -> tuple[KeyKind, str]:
+    return (KeyKind.CONST_REF, str(value))
+
 
 # Shaped like libxml2's HTML-gated parser helpers.
 XMLLINT_SNIPPET = """\
@@ -69,10 +81,10 @@ def test_xmllint_snippet_yields_three_fragments():
 def test_xmllint_snippet_fragment_contents():
     scan = scan_unit("parser.c", XMLLINT_SNIPPET)
     root, on, off = scan.fragments
-    assert StringLit("relaxed") in on.features
-    assert CallSig("html_mode") in on.features
-    assert CallSig("note_path") in on.features
-    assert StringLit("strict") in off.features
+    assert _str("relaxed") in on.features
+    assert _call("html_mode") in on.features
+    assert _call("note_path") in on.features
+    assert _str("strict") in off.features
     # directive lines stay with the parent
     lines = XMLLINT_SNIPPET.splitlines()
     for ln in root.lines:
@@ -95,17 +107,44 @@ def test_scan_is_deterministic():
     text = generate_conditional_unit(5, 0)
     a = scan_unit("u.c", text)
     b = scan_unit("u.c", text)
-    assert [f.condition_text() for f in a.fragments] == [
-        f.condition_text() for f in b.fragments
+    assert [to_text(f.condition) for f in a.fragments] == [
+        to_text(f.condition) for f in b.fragments
     ]
     assert [f.lines for f in a.fragments] == [f.lines for f in b.fragments]
+
+
+# The value classes a payload feature was before features became
+# ``(kind, operand)`` pairs; the features digest below was pinned on their reprs.
+@dataclasses.dataclass(frozen=True)
+class StringLit:
+    value: str
+
+
+@dataclasses.dataclass(frozen=True)
+class IntConst:
+    value: int
+
+
+@dataclasses.dataclass(frozen=True)
+class CallSig:
+    name: str
+
+
+def _as_pinned(feat):
+    """``feat`` written with the value classes the digest was pinned on."""
+    if isinstance(feat, BranchShape):
+        return BranchShape(tuple(map(_as_pinned, feat.condition_features)), feat.has_else)
+    kind, operand = feat
+    if kind is KeyKind.STRING_REF:
+        return StringLit(operand)
+    return CallSig(operand) if kind is KeyKind.CALL else IntConst(int(operand))
 
 
 def test_features_read_late_match_the_eager_scan_digest():
     # sha256 over repr((fragment id, features)) of every fragment of every
     # unit of corpus seeds 1-3, computed with the scanner that extracted
     # every fragment's features during the scan, then with the features of
-    # every function-header line dropped (942 CallSigs): a header compiles
+    # every function-header line dropped (942 calls): a header compiles
     # to nothing, and features read only lines inside function bodies.
     digest = hashlib.sha256()
     count = 0
@@ -113,7 +152,8 @@ def test_features_read_late_match_the_eager_scan_digest():
         for case in generate_corpus(seed, 21):
             for unit in case.tree.units:
                 for frag in scan_unit(unit.name, unit.text).fragments:
-                    digest.update(repr((frag.id, frag.features)).encode())
+                    features = tuple(map(_as_pinned, frag.features))
+                    digest.update(repr((frag.id, features)).encode())
                     count += 1
     assert count == 679
     assert digest.hexdigest() == (
@@ -133,7 +173,7 @@ def test_the_scan_structure_of_the_corpus_is_pinned():
             for unit in case.tree.units:
                 scan = scan_unit(unit.name, unit.text)
                 spans = [(span.name, span.start, span.end) for span in scan.functions.values()]
-                frags = [(f.id, f.condition_text(), f.span, f.lines) for f in scan.fragments]
+                frags = [(f.id, to_text(f.condition), f.span, f.lines) for f in scan.fragments]
                 digest.update(repr((unit.name, spans, frags)).encode())
                 count += 1
     assert count == 157
@@ -196,21 +236,21 @@ def _read_both(line: str):
     "line, features",
     [
         # a comment starts only at a // outside a string literal
-        ('lib("http://x"); // h(2)', [StringLit("http://x"), CallSig("lib")]),
+        ('lib("http://x"); // h(2)', [_str("http://x"), _call("lib")]),
         # a string ends at the first unescaped quote
-        (r'lib("x\"y", 3);', [StringLit(r'x\"y'), IntConst(3), CallSig("lib")]),
-        (r'lib("a\\", 4);', [StringLit(r"a\\"), IntConst(4), CallSig("lib")]),
+        (r'lib("x\"y", 3);', [_str(r'x\"y'), _const(3), _call("lib")]),
+        (r'lib("a\\", 4);', [_str(r"a\\"), _const(4), _call("lib")]),
         # a quoted paren does not close the call
-        ('lib(")", 5);', [StringLit(")"), IntConst(5), CallSig("lib")]),
+        ('lib(")", 5);', [_str(")"), _const(5), _call("lib")]),
         # a hex literal is its value
-        ("lib(0x10);", [IntConst(16), CallSig("lib")]),
+        ("lib(0x10);", [_const(16), _call("lib")]),
     ],
     ids=["comment-outside-string", "escaped-quote", "escaped-backslash", "quoted-paren", "hex"],
 )
 def test_features_and_build_read_c_literals_alike(line, features):
     got, built = _read_both(line)
     assert got == features
-    assert built == [_payload_key(f) for f in features]
+    assert built == features
 
 
 def test_only_a_compiled_if_line_carries_a_branch_shape():
@@ -230,9 +270,9 @@ int f(int x) {
     (frag,) = scan_unit("m.c", text).conditional_fragments()
     shapes = [feat for feat in frag.features if isinstance(feat, BranchShape)]
     assert shapes == [
-        BranchShape(condition_features=(IntConst(5),), has_else=False),
-        BranchShape(condition_features=(IntConst(6),), has_else=True),
-        BranchShape(condition_features=(IntConst(5),), has_else=False),
+        BranchShape(condition_features=(_const(5),), has_else=False),
+        BranchShape(condition_features=(_const(6),), has_else=True),
+        BranchShape(condition_features=(_const(5),), has_else=False),
     ]
 
 
@@ -249,10 +289,10 @@ def test_else_if_compiles_its_condition():
     assert sum(ki.kind is KeyKind.COMPARE for ki in keyins) == 2
     assert (KeyKind.CONST_REF, "5") in [(ki.kind, ki.operand) for ki in keyins]
     payloads = [feat for feat in frag.features if not isinstance(feat, BranchShape)]
-    assert [_payload_key(feat) for feat in payloads] == _payloads(program)
+    assert payloads == _payloads(program)
     assert [feat for feat in frag.features if isinstance(feat, BranchShape)] == [
-        BranchShape(condition_features=(IntConst(6),), has_else=True),
-        BranchShape(condition_features=(IntConst(5),), has_else=False),
+        BranchShape(condition_features=(_const(6),), has_else=True),
+        BranchShape(condition_features=(_const(5),), has_else=False),
     ]
 
 
@@ -271,10 +311,9 @@ def test_active_fragment_payloads_occur_in_the_o0_build():
                     if not evaluate(frag.condition, config.macro_env()):
                         continue
                     for feat in frag.features:
-                        key = _payload_key(feat)
-                        if key is None:
+                        if isinstance(feat, BranchShape):
                             continue
-                        assert key in payloads, (seed, case.name, frag.id, feat)
+                        assert feat in payloads, (seed, case.name, frag.id, feat)
                         checked += 1
     assert checked > 400
 
@@ -306,7 +345,7 @@ def test_xmllint_snippet_compiles_its_body():
     (on, _off) = scan_tree(tree)["parser.c"].conditional_fragments()
     program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"LIBXML_HTML_ENABLED"})))
     assert [fn.id for fn in program.functions] == ["lookup_sequence"]
-    assert _payloads(program) == [_payload_key(feat) for feat in on.features]
+    assert _payloads(program) == list(on.features)
     assert (KeyKind.STRING_REF, "relaxed") in _payloads(program)
 
 
@@ -356,17 +395,6 @@ def _blocks(text: str, macros: frozenset[str] = frozenset()) -> list[tuple[str, 
     its key instructions as (kind, operand) and its successors."""
     (fn,) = build_unoptimized(SourceTree.from_mapping({"m.c": text}), ConfigAssignment(macros=macros)).functions
     return [(blk.id, [(ki.kind, ki.operand) for ki in blk.keyins], blk.succs) for blk in fn.blocks]
-
-
-_CMP = (KeyKind.COMPARE, None)
-
-
-def _str(value: str) -> tuple[KeyKind, str]:
-    return (KeyKind.STRING_REF, value)
-
-
-def _call(name: str) -> tuple[KeyKind, str]:
-    return (KeyKind.CALL, name)
 
 
 def test_an_if_condition_over_two_lines_is_one_head():
@@ -420,7 +448,7 @@ def test_a_braceless_if_or_else_takes_the_next_statement_as_its_body(body, arms)
     assert then_succs == [after] and succs[0] == then
     assert succs[1] == (after if arms == 1 else blocks[2][0])
     (frag,) = scan_unit("m.c", text).conditional_fragments()
-    assert frag.features[0] == BranchShape((IntConst(5),), arms == 2)
+    assert frag.features[0] == BranchShape((_const(5),), arms == 2)
 
 
 def test_each_statement_is_one_block():
@@ -441,7 +469,7 @@ def test_a_statement_split_by_an_if_compiles_with_the_line_of_its_first_token():
     assert payloads["A"] == [_str("a"), _str("b"), _str("c"), _call("g")]
     assert payloads["B"] == [_str("a"), _str("c"), _call("g"), _str("d"), _str("e"), _call("h")]
     on_a, on_b = scan_unit("m.c", text).conditional_fragments()
-    assert (on_a.features, on_b.features) == ((StringLit("b"),), (StringLit("d"), CallSig("h")))
+    assert (on_a.features, on_b.features) == ((_str("b"),), (_str("d"), _call("h")))
 
 
 def test_each_branch_of_an_if_chain_reads_on_from_the_state_at_its_if():
@@ -463,7 +491,7 @@ def test_each_branch_of_an_if_chain_reads_on_from_the_state_at_its_if():
         assert (then_keyins, after_keyins) == ([_str("x"), _call("g")], [_str("y"), _call("h")])
         assert (succs, then_succs) == ([then, after], [after])
     assert [frag.features for frag in scan.conditional_fragments()] == [
-        (BranchShape((IntConst(const),), False), IntConst(const)) for const in (1, 2)
+        (BranchShape((_const(const),), False), _const(const)) for const in (1, 2)
     ]
 
 
@@ -553,12 +581,12 @@ def test_a_block_comment_on_a_header_or_if_line_reads_as_a_space():
     tree = SourceTree.from_mapping({"m.c": text})
     (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
     assert frag.features == (
-        BranchShape(condition_features=(IntConst(5),), has_else=False),
-        IntConst(5),
-        IntConst(1),
-        CallSig("g"),
-        IntConst(3),
-        CallSig("h"),
+        BranchShape(condition_features=(_const(5),), has_else=False),
+        _const(5),
+        _const(1),
+        _call("g"),
+        _const(3),
+        _call("h"),
     )
     program = build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))
     keyins = [(ki.kind, ki.operand) for blk in program.functions[0].blocks for ki in blk.keyins]
@@ -612,7 +640,7 @@ def test_every_condition_text_of_the_corpus_parses_back():
         for case in generate_corpus(seed, 21):
             for unit in case.tree.units:
                 for frag in scan_unit(unit.name, unit.text).fragments:
-                    assert parse_expression(frag.condition_text()) == frag.condition
+                    assert parse_expression(to_text(frag.condition)) == frag.condition
                     count += 1
     assert count == 679
 
@@ -632,14 +660,14 @@ def test_a_string_left_open_runs_to_the_end_of_its_line():
     # its last ``)``, gave ``x`` for both.) The if head's paren stays open,
     # so its statement runs on to the end of the unit.
     for line, features in [
-        ('  s = "x;', (StringLit("x;"),)),
-        ('  if (s == "x) {', (BranchShape((StringLit("x) {"),), False), StringLit("x) {"))),
+        ('  s = "x;', (_str("x;"),)),
+        ('  if (s == "x) {', (BranchShape((_str("x) {"),), False), _str("x) {"))),
     ]:
         (frag,) = scan_unit("m.c", f"int f(int s) {{\n#ifdef A\n{line}\n#endif\n}}\n").conditional_fragments()
         assert frag.features == features
     tree = SourceTree.from_mapping({"m.c": 'int f(int s) {\n#ifdef A\n  s = "x;\n#endif\n}\n'})
     (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
-    assert frag.features == (StringLit("x;"),)
+    assert frag.features == (_str("x;"),)
     assert _payloads(build_unoptimized(tree, ConfigAssignment(macros=frozenset({"A"})))) == [(KeyKind.STRING_REF, "x;")]
 
 
@@ -732,7 +760,7 @@ def test_features_of_random_guarded_bodies_are_what_the_build_compiles(body):
     tree = SourceTree.from_mapping({"m.c": text})
     (frag,) = scan_tree(tree)["m.c"].conditional_fragments()
     program = SimulatedToolchain(tree).build(BuildSpec("gcc", "5", "O0"), ConfigAssignment(macros=frozenset({"A"})))
-    payloads = [_payload_key(feat) for feat in frag.features if not isinstance(feat, BranchShape)]
+    payloads = [feat for feat in frag.features if not isinstance(feat, BranchShape)]
     assert payloads == _payloads(program)
     assert [feat.has_else for feat in frag.features if isinstance(feat, BranchShape)] == has_else
 
@@ -745,7 +773,7 @@ def test_features_of_600_nested_ifs_or_else_if_arms_have_no_depth_limit():
     chain = "if (x > 0) {\n" + "".join(f"}} else if (x > {k}) {{\n" for k in range(1, depth)) + "}\n"
     for body, conditions, has_else in (
         (nested, [()] * depth, [False] * depth),
-        (chain, [(IntConst(k),) for k in range(depth)], [True] * (depth - 1) + [False]),
+        (chain, [(_const(k),) for k in range(depth)], [True] * (depth - 1) + [False]),
     ):
         (root,) = scan_unit("deep.c", "int f(int x) {\n" + body + "}\n").fragments
         shapes = [feat for feat in root.features if isinstance(feat, BranchShape)]
@@ -903,13 +931,13 @@ def test_random_conditional_files_partition_exclusivity_implication():
                 for j in range(i + 1, len(arms)):
                     out = solve([arms[i].condition, arms[j].condition])
                     assert isinstance(out, Unsatisfiable), (
-                        f"arms {arms[i].condition_text()} and "
-                        f"{arms[j].condition_text()} are jointly satisfiable"
+                        f"arms {to_text(arms[i].condition)} and "
+                        f"{to_text(arms[j].condition)} are jointly satisfiable"
                     )
                     checked_pairs += 1
 
         # child implies parent: child condition forbids not-parent
-        frag_map = scan.fragment_map()
+        frag_map = {f.id: f for f in scan.fragments}
         for frag in scan.fragments:
             if frag.is_root:
                 continue
@@ -918,7 +946,7 @@ def test_random_conditional_files_partition_exclusivity_implication():
                 continue
             out = solve([frag.condition, neg(parent.condition)])
             assert isinstance(out, Unsatisfiable), (
-                f"{frag.condition_text()} does not imply {parent.condition_text()}"
+                f"{to_text(frag.condition)} does not imply {to_text(parent.condition)}"
             )
             checked_children += 1
     assert checked_pairs > 50
