@@ -30,18 +30,13 @@ same multiset of kinds, so an int stands for the whole multiset.
 Similarity of a matched function pair is the fingerprint-multiset overlap of
 their blocks over the larger block count; program similarity is the sum of
 pair similarities over the larger function count. Both are symmetric, land
-in [0, 1], and hit exactly 1.0 on self-comparison. Every pass of the matcher
-is symmetric under swapping the sides, so ``similarities`` scores both
-directions of a pair from one match. A pair's fraction depends only on the
-two function signatures, and is exactly 1.0 when they are equal; a caller
-that scores many programs built from one source, as ``similarity_matrix``
-does, keeps one memo of fractions per distinct signature pair for the
-length of its call. Pass 1 reads only the two symbol tables
-(``_symbol_table``), and where it leaves a side fully paired the match ends
-there, so such a caller also matches each pair of distinct tables once
-(``_symbol_pairing``). The scores read a match as a ``_Pairing``, its pairs
-in left order and in right order; when the two orders are one list, one
-sum gives both directions with the same bits.
+in [0, 1], and hit exactly 1.0 on self-comparison. ``similarity`` scores one
+ordered pair. ``similarity_grid`` scores every ordered pair of a list of
+programs, as the option grid reads them, with the bits ``similarity`` gives
+each cell. It matches each unordered pair once, since every pass of the
+matcher is symmetric under swapping the sides, and it computes once what
+programs built from one source share: pass 1 of each pair of symbol tables
+(``_symbol_table``) and the fraction of each pair of signatures.
 
 Every per-program fact the matcher and the scores read (symbols, call
 edges and fingerprint signatures, which also give the block counts) comes
@@ -55,7 +50,7 @@ matcher, the scores and the diff work on those numbers and on lists
 indexed by them. Since number order is sorted-id order, every walk and
 every float summation runs in the order the ids would sort in. Ids come
 back only where they leave the module: the ``(left_id, right_id)`` pairs of
-``match_functions`` and ``_match_indexes``, and the ``DiffReport``.
+``match_functions``, and the ``DiffReport``.
 """
 
 from __future__ import annotations
@@ -83,7 +78,7 @@ __all__ = [
     "index_program",
     "match_functions",
     "similarity",
-    "similarities",
+    "similarity_grid",
     "compare_programs",
     "diff_programs",
     "FunctionPairDiff",
@@ -357,17 +352,12 @@ def _match(left: ProgramIndex, right: ProgramIndex) -> tuple[list[int], list[int
     return lr, rl
 
 
-def _match_indexes(left: ProgramIndex, right: ProgramIndex) -> list[tuple[str, str]]:
-    """The four-pass matcher over two program indexes; returns
-    (left_id, right_id) pairs sorted by left id."""
-    lids, rids = left.ids, right.ids
-    return [(lids[l], rids[r]) for l, r in enumerate(_match(left, right)[0]) if r >= 0]
-
-
 def match_functions(left: BinaryProgram, right: BinaryProgram) -> list[tuple[str, str]]:
     """Match functions between two programs; returns (left_id, right_id) pairs
     sorted by left id."""
-    return _match_indexes(index_program(left), index_program(right))
+    lidx, ridx = index_program(left), index_program(right)
+    lids, rids = lidx.ids, ridx.ids
+    return [(lids[l], rids[r]) for l, r in enumerate(_match(lidx, ridx)[0]) if r >= 0]
 
 
 def _pair_fraction(left: ProgramIndex, l: int, right: ProgramIndex, r: int) -> float:
@@ -405,74 +395,70 @@ def similarity(left: ProgramIndex, right: ProgramIndex) -> float:
     return 1.0 if denom == 0 else total / denom
 
 
-def similarities(left: ProgramIndex, right: ProgramIndex) -> tuple[float, float]:
-    """``(similarity(left, right), similarity(right, left))`` from one match.
-
-    Each pass of the matcher pairs the same functions when the sides are
-    swapped, and a pair's fraction is symmetric, so only the order of
-    summation differs: left-id order for the first value, right-id order for
-    the second. The explicit loops keep the float bits of ``similarity``.
-    """
-    pairing = _Pairing.of(*_match(left, right))
-    return _similarities(left, right, pairing, {}, left.signatures, right.signatures)
-
-
-@dataclass(frozen=True, slots=True)
-class _Pairing:
+def _pairing(lr: list[int], rl: list[int]) -> tuple[list[tuple[int, int]], list | None, int]:
     """A match as the scores read it: the matched ``(l, r)`` pairs in left
     order, the same pairs in right order (None when that is the same list)
     and the larger function count."""
-
-    pairs: list[tuple[int, int]]
-    by_right: list[tuple[int, int]] | None
-    denom: int
-
-    @classmethod
-    def of(cls, lr: list[int], rl: list[int]) -> _Pairing:
-        pairs = [(l, r) for l, r in enumerate(lr) if r >= 0]
-        by_right = [(l, r) for r, l in enumerate(rl) if l >= 0]
-        return cls(pairs, None if by_right == pairs else by_right, max(len(lr), len(rl)))
+    pairs = [(l, r) for l, r in enumerate(lr) if r >= 0]
+    by_right = [(l, r) for r, l in enumerate(rl) if l >= 0]
+    return pairs, None if by_right == pairs else by_right, max(len(lr), len(rl))
 
 
-def _symbol_pairing(left: ProgramIndex, right: ProgramIndex) -> _Pairing | None:
-    """The ``_Pairing`` of ``_match(left, right)`` when pass 1 alone leaves a
-    side with no unmatched function, where ``_match`` stops; else None."""
-    lr, rl, matched = _symbol_pass(left, right)
-    return _Pairing.of(lr, rl) if matched in (len(lr), len(rl)) else None
+def similarity_grid(indexes: Sequence[ProgramIndex]) -> list[list[float]]:
+    """Every ordered pair's score: ``grid[i][j]`` is
+    ``similarity(indexes[i], indexes[j])``, bit for bit.
 
+    Each unordered pair is matched once and fills both of its cells, the
+    diagonal like any other cell. Every pass of the matcher pairs the same
+    functions when the sides are swapped, and a pair's fraction is
+    symmetric, so only the order of summation differs between the two
+    cells: left-id order for ``grid[i][j]``, right-id order for
+    ``grid[j][i]``. Programs built from one source share most of their
+    facts, and the grid computes each shared one once:
 
-def _similarities(
-    left: ProgramIndex,
-    right: ProgramIndex,
-    pairing: _Pairing,
-    fractions: dict,
-    left_classes: Sequence,
-    right_classes: Sequence,
-) -> tuple[float, float]:
-    """``similarities`` of a ``pairing`` of ``left`` and ``right``, reading
-    and filling ``fractions``, which maps a (left class, right class) pair to
-    that function pair's fraction. A class sequence gives each function
-    number of its side a key that is equal exactly when the signatures are.
-    A caller that scores many pairs of programs passes one dict and one key
-    space to them all, so each distinct signature pair is scored once. When
-    the pairs in right order are the same list, the right-order sum adds the
-    same values in the same order, so one sum gives both values."""
-    forward = 0.0
-    for l, r in pairing.pairs:
-        key = (left_classes[l], right_classes[r])
-        f = fractions.get(key)
-        if f is None:
-            f = fractions[key] = _pair_fraction(left, l, right, r)
-        forward += f
-    backward = forward
-    if pairing.by_right is not None:
-        backward = 0.0
-        for l, r in pairing.by_right:
-            backward += fractions[left_classes[l], right_classes[r]]
-    denom = pairing.denom
-    if denom == 0:
-        return 1.0, 1.0
-    return forward / denom, backward / denom
+    - Pass 1 of the matcher reads only the two symbol tables, so it runs
+      once per ordered pair of distinct tables. Where it leaves a side fully
+      paired, the match ends there, and every pair with those tables takes
+      that pairing. Any other pair is matched on its own.
+    - A function pair's fraction depends only on the two signatures, so one
+      memo for the whole grid scores each distinct signature pair once.
+    - A pairing whose pairs come in the same order on both sides gives both
+      cells from one sum."""
+    n = len(indexes)
+    grid = [[0.0] * n for _ in range(n)]
+    # Each distinct signature gets a small int, the key of the fraction memo;
+    # ``classes[i][k]`` is the class of function number ``k`` of program ``i``.
+    class_ids: dict[tuple, int] = {}
+    classes = [[class_ids.setdefault(sig, len(class_ids)) for sig in ix.signatures] for ix in indexes]
+    fractions: dict[tuple[int, int], float] = {}
+    # Each distinct symbol table gets a small int; ``symbol_pairings`` maps
+    # an ordered pair of them to pass 1's pairing, None where it is partial.
+    table_ids: dict[tuple, int] = {}
+    tables = [table_ids.setdefault(_symbol_table(ix), len(table_ids)) for ix in indexes]
+    symbol_pairings: dict[tuple[int, int], tuple | None] = {}
+    for i, left in enumerate(indexes):
+        row, lclass = grid[i], classes[i]
+        for j in range(i, n):
+            right, rclass = indexes[j], classes[j]
+            key = (tables[i], tables[j])
+            if key not in symbol_pairings:
+                lr, rl, matched = _symbol_pass(left, right)
+                symbol_pairings[key] = _pairing(lr, rl) if matched in (len(lr), len(rl)) else None
+            pairs, by_right, denom = symbol_pairings[key] or _pairing(*_match(left, right))
+            forward = 0.0
+            for l, r in pairs:
+                memo_key = (lclass[l], rclass[r])
+                f = fractions.get(memo_key)
+                if f is None:
+                    f = fractions[memo_key] = _pair_fraction(left, l, right, r)
+                forward += f
+            backward = forward
+            if by_right is not None:
+                backward = 0.0
+                for l, r in by_right:
+                    backward += fractions[lclass[l], rclass[r]]
+            row[j], grid[j][i] = (forward / denom, backward / denom) if denom else (1.0, 1.0)
+    return grid
 
 
 @dataclass

@@ -10,8 +10,6 @@ import re
 import time
 from collections import Counter
 
-import pytest
-
 from binprov.binmodel import (
     BasicBlock,
     BinaryProgram,
@@ -22,7 +20,7 @@ from binprov.binmodel import (
     ingest_model,
     serialize_model,
 )
-from binprov.buildoracle import SimulatedToolchain, all_option_specs
+from binprov.buildoracle import SimulatedToolchain
 from binprov.conditions import atom_keys, evaluate, neg, parse_expression, to_text
 from binprov.corpusgen import generate_case, generate_conditional_unit
 from binprov.matcher import derive_constraints

@@ -18,7 +18,6 @@ from binprov.corpusgen import (
     conflict_index,
     generate_case,
     generate_conditional_unit,
-    generate_corpus,
     load_case_dir,
     signal_free_indices,
     write_corpus,

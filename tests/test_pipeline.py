@@ -467,7 +467,7 @@ HAND_INDEXES = {
 
 def test_matrix_memo_never_changes_a_cell(specs):
     # Pairings kept per pair of symbol tables and single sums must give the
-    # bits ``similarities`` gives each pair on its own, on every path.
+    # bits ``similarity`` gives each direction on its own, on every path.
     served = dict(zip(specs, HAND_INDEXES.values()))
 
     class HandBackend:
@@ -476,15 +476,19 @@ def test_matrix_memo_never_changes_a_cell(specs):
 
     ix = HAND_INDEXES
     assert simdiff._symbol_table(ix["named"]) == simdiff._symbol_table(ix["renamed"])
-    assert simdiff._symbol_pairing(ix["named"], ix["reversed"]).by_right is not None
-    assert simdiff._symbol_pairing(ix["wider"], ix["named"]) is not None
+    # Pass 1 completes both sides, pairing them in reverse order.
+    assert simdiff._symbol_pass(ix["named"], ix["reversed"]) == ([2, 1, 0], [2, 1, 0], 3)
+    # Pass 1 completes the smaller side only.
+    lr, rl, matched = simdiff._symbol_pass(ix["wider"], ix["named"])
+    assert matched == len(rl) < len(lr)
     for partial in ("stripped", "shared", "partial"):
-        assert simdiff._symbol_pairing(ix[partial], ix["named"]) is None, partial
+        lr, rl, matched = simdiff._symbol_pass(ix[partial], ix["named"])
+        assert matched < min(len(lr), len(rl)), partial
     grid = similarity_matrix(HandBackend(), ConfigAssignment(), list(served))
     names = list(HAND_INDEXES)
     for i, a in enumerate(names):
         for j, b in enumerate(names[i:], i):
-            apart = simdiff.similarities(ix[a], ix[b])
+            apart = (similarity(ix[a], ix[b]), similarity(ix[b], ix[a]))
             assert (grid[i][j].hex(), grid[j][i].hex()) == tuple(map(float.hex, apart)), (a, b)
     n, r = names.index("named"), names.index("reversed")
     assert grid[n][r].hex() != grid[r][n].hex()  # the two summation orders differ in bits

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -34,8 +35,8 @@ from binprov.simdiff import (
     function_signature,
     index_program,
     match_functions,
-    similarities,
     similarity,
+    similarity_grid,
     spp_fingerprint,
 )
 
@@ -419,7 +420,8 @@ def test_similarities_sum_each_direction_in_its_own_id_order():
         fn("a", "s3", 3, string), fn("b", "s2", 2, string), fn("c", "s1", 1, string),
     ])
     li, ri = index_program(left), index_program(right)
-    forward, backward = similarities(li, ri)
+    grid = similarity_grid([li, ri])
+    forward, backward = grid[0][1], grid[1][0]
     assert forward != backward
     assert repr((forward, backward)) == repr((similarity(li, ri), similarity(ri, li)))
 
@@ -448,7 +450,8 @@ def test_library_named_like_a_pair_token_is_not_a_matched_callee():
     assert match_functions(left, right) == [("x", "rx")]
     assert match_functions(right, left) == [("rx", "x")]
     li, ri = index_program(left), index_program(right)
-    assert similarities(li, ri) == (similarity(li, ri), similarity(ri, li)) == (1 / 3, 1 / 3)
+    grid = similarity_grid([li, ri])
+    assert (grid[0][1], grid[1][0]) == (similarity(li, ri), similarity(ri, li)) == (1 / 3, 1 / 3)
 
 
 def _with_twin(program: BinaryProgram) -> BinaryProgram:
@@ -457,13 +460,12 @@ def _with_twin(program: BinaryProgram) -> BinaryProgram:
     return twin
 
 
-@st.composite
-def _program_pairs(draw):
-    """Random programs, optionally stripped, with a duplicate twin function
-    or no functions at all."""
+def _draw_programs(draw, names: list[str]) -> list[BinaryProgram]:
+    """Random programs of these names, each optionally stripped, with a
+    duplicate twin function or no functions at all."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     sides = []
-    for name in ("L", "R"):
+    for name in names:
         shape = draw(st.sampled_from(["plain", "twin", "empty"]))
         if shape == "empty":
             program = BinaryProgram(name=name, stripped=False, functions=[])
@@ -474,20 +476,31 @@ def _program_pairs(draw):
         if draw(st.booleans()):
             program = strip_program(program)
         sides.append(program)
-    return tuple(sides)
+    return sides
+
+
+@st.composite
+def _program_pairs(draw):
+    return tuple(_draw_programs(draw, ["L", "R"]))
+
+
+@st.composite
+def _program_lists(draw):
+    return _draw_programs(draw, [f"P{k}" for k in range(draw(st.integers(1, 4)))])
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_program_pairs())
-def test_similarities_equal_both_directions_computed_apart(pair):
-    # ``similarity_matrix`` fills both cells of a pair from one match; this
-    # holds it to the two directions computed in full.
-    left, right = pair
-    li, ri = index_program(left), index_program(right)
-    both = similarities(li, ri)
-    assert repr(both) == repr((similarity(li, ri), similarity(ri, li)))
-    forward = match_functions(left, right)
-    assert sorted((r, l) for l, r in forward) == match_functions(right, left)
+@given(_program_lists())
+def test_similarities_equal_both_directions_computed_apart(programs):
+    # ``similarity_grid`` fills both cells of a pair from one match and
+    # shares its memos across the whole list; this holds every cell to the
+    # direction computed in full on its own.
+    indexes = [index_program(p) for p in programs]
+    apart = [[similarity(a, b) for b in indexes] for a in indexes]
+    assert repr(similarity_grid(indexes)) == repr(apart)
+    for left, right in itertools.combinations_with_replacement(programs, 2):
+        forward = match_functions(left, right)
+        assert sorted((r, l) for l, r in forward) == match_functions(right, left)
 
 
 def _shuffled(program: BinaryProgram, rng: random.Random) -> BinaryProgram:
@@ -514,7 +527,7 @@ def test_function_order_changes_nothing(pair, seed):
     for shuffled in ((shuffled_left, right), (left, shuffled_right), (shuffled_left, shuffled_right)):
         sl, sr = index_program(shuffled[0]), index_program(shuffled[1])
         assert match_functions(*shuffled) == match_functions(left, right)
-        assert repr(similarities(sl, sr)) == repr(similarities(li, ri))
+        assert repr(similarity_grid([sl, sr])) == repr(similarity_grid([li, ri]))
         assert repr(diff_programs(*shuffled)) == repr(diff_programs(left, right))
 
 
@@ -582,6 +595,11 @@ def _half_symbols(program: BinaryProgram) -> BinaryProgram:
     return BinaryProgram(name=program.name, stripped=False, functions=functions)
 
 
+def _matched_ids(left: simdiff.ProgramIndex, right: simdiff.ProgramIndex) -> list[tuple[str, str]]:
+    """``match_functions`` of two indexes."""
+    return [(left.ids[l], right.ids[r]) for l, r in enumerate(simdiff._match(left, right)[0]) if r >= 0]
+
+
 def test_matching_and_scores_match_golden_digest(case0):
     # Every ordered pair of the 50 hidden-configuration builds of one case,
     # their stripped views and a variant that keeps symbols on every other
@@ -591,11 +609,12 @@ def test_matching_and_scores_match_golden_digest(case0):
     builds = [backend.build(spec, case0.truth_config()) for spec in all_option_specs()]
     programs = builds + [strip_program(b) for b in builds] + [_half_symbols(b) for b in builds]
     indexes = [index_program(p) for p in programs]
+    grid = similarity_grid(indexes)
     digest = hashlib.sha256()
-    for a in indexes:
-        for b in indexes:
-            digest.update(repr(simdiff._match_indexes(a, b)).encode())
-            digest.update(repr(similarities(a, b)).encode())
+    for i, a in enumerate(indexes):
+        for j, b in enumerate(indexes):
+            digest.update(repr(_matched_ids(a, b)).encode())
+            digest.update(repr((grid[i][j], grid[j][i])).encode())
     assert digest.hexdigest() == (
         "efdb5acef4cccf7b0e59a3754b40233e45f546055cffde3107c5c5e172c46d49"
     )
