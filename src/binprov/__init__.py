@@ -35,7 +35,7 @@ from .pipeline import (
     similarity_matrix,
 )
 from .simdiff import DiffReport, compare_programs, diff_programs
-from .solver import Model, Unsatisfiable, enumerate_models, solve
+from .solver import Model, Unsatisfiable, solve
 from .varsource import ConfigMap, SourceTree, scan_tree
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "check_matrix_orderings",
     "compare_programs",
     "diff_programs",
-    "enumerate_models",
     "infer_options",
     "ingest_disassembly_export",
     "ingest_model",

@@ -16,8 +16,10 @@ Subcommands cover each pipeline stage plus the end-to-end run:
                    ordering checks on it
     gen-corpus     emit a deterministic synthetic benchmark corpus
 
-Exit status: 0 when a report was produced (including Failed verdicts),
-1 for usage errors, 2 for internal errors.
+Exit status: 0 when a report was produced (including Failed verdicts);
+1 for a usage error or a missing input path; 2 for every ``BinprovError``
+(malformed input, a parse error, a failed build) and for any other
+exception.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ __all__ = [
     "generate_corpus",
     "signal_free_indices",
     "conflict_index",
-    "generate_conditional_unit",
     "write_corpus",
     "load_case_dir",
     "read_text",
@@ -403,50 +402,6 @@ def generate_corpus(seed: int, size: int) -> list[GeneratedCase]:
         generate_case(seed, i, signal_free=(i in sf), with_conflict=(i == conflict))
         for i in range(size)
     ]
-
-
-def generate_conditional_unit(seed: int, index: int) -> str:
-    """A random balanced nested-directive file for fragment-tree property
-    testing. Only the preprocessor structure matters here."""
-    rng = random.Random(f"cond:{seed}:{index}")
-    macros = ["OPT_A", "OPT_B", "OPT_C", "OPT_D", "OPT_E", "OPT_F"]
-    lines: list[str] = []
-    depth = 0
-    seen_else: list[bool] = []
-
-    for _ in range(rng.randint(5, 60)):
-        roll = rng.random()
-        if roll < 0.28 and depth < 4:
-            m = rng.choice(macros)
-            style = rng.randrange(3)
-            if style == 0:
-                lines.append(f"#ifdef {m}")
-            elif style == 1:
-                lines.append(f"#ifndef {m}")
-            else:
-                other = rng.choice(macros)
-                op = rng.choice(["&&", "||"])
-                lines.append(f"#if defined({m}) {op} !defined({other})")
-            depth += 1
-            seen_else.append(False)
-        elif roll < 0.38 and depth > 0 and not seen_else[-1]:
-            if rng.random() < 0.5:
-                lines.append(f"#elif defined({rng.choice(macros)})")
-            else:
-                lines.append("#else")
-                seen_else[-1] = True
-        elif roll < 0.5 and depth > 0:
-            lines.append("#endif")
-            depth -= 1
-            seen_else.pop()
-        else:
-            k = rng.randrange(1000)
-            lines.append(f"  value_{k} = source_{k % 7} + {k};")
-    while depth > 0:
-        lines.append("#endif")
-        depth -= 1
-        seen_else.pop()
-    return "\n".join(lines) + "\n"
 
 
 def write_corpus(cases: list[GeneratedCase], root: Path) -> None:

@@ -25,10 +25,6 @@ class ParseError(BinprovError):
         self.column = column
 
 
-class AtomLimitError(BinprovError):
-    """Model enumeration refused: too many distinct atoms."""
-
-
 class ConfigError(BinprovError):
     """A configuration assignment references unknown macros or units."""
 

@@ -41,7 +41,6 @@ from .buildoracle import (
     version_theta,
 )
 from .conditions import evaluate, to_text
-from .corpusgen import GeneratedCase
 from .errors import BinprovError, ConfigError, MapGapError
 from .matcher import FragmentDecision, Presence, decide_fragment, derive_constraints
 from .optinfer import InferenceTrace, infer_options
@@ -57,7 +56,6 @@ __all__ = [
     "CaseReport",
     "infer_config",
     "run_case",
-    "run_generated_case",
     "similarity_matrix",
     "OrderingResult",
     "check_matrix_orderings",
@@ -328,17 +326,6 @@ def _run_case(
     report.decided_options = trace.inferred
     return _configure(
         report, crash, crash_index, tree, config_map, backend, base_units, threshold
-    )
-
-
-def run_generated_case(case: GeneratedCase, **kwargs) -> CaseReport:
-    return run_case(
-        case.crash,
-        case.tree,
-        case.config_map,
-        name=case.name,
-        base_units=case.base_units,
-        **kwargs,
     )
 
 

@@ -61,19 +61,11 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 
-from .binmodel import (
-    BasicBlock,
-    BinaryProgram,
-    Function,
-    KeyKind,
-    call_target,
-)
+from .binmodel import BinaryProgram, KeyKind, call_target
 from .errors import SchemaError
 
 __all__ = [
     "KIND_PRIMES",
-    "spp_fingerprint",
-    "function_signature",
     "ProgramIndex",
     "index_program",
     "match_functions",
@@ -100,18 +92,6 @@ KIND_PRIMES: dict[KeyKind, int] = {
 Fingerprint = int
 
 _function_id = attrgetter("id")
-
-
-def spp_fingerprint(block: BasicBlock) -> Fingerprint:
-    fp = 1
-    for ki in block.keyins:
-        fp *= KIND_PRIMES[ki.kind]
-    return fp
-
-
-def function_signature(fn: Function) -> tuple[Fingerprint, ...]:
-    """Multiset of block fingerprints, as a sorted tuple."""
-    return tuple(sorted(spp_fingerprint(b) for b in fn.blocks))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +144,7 @@ def index_program(program: BinaryProgram) -> ProgramIndex:
         lib: list[str] = []
         fingerprints = []
         for blk in fn.blocks:
-            fp = 1  # ``spp_fingerprint``, in the walk that finds the calls
+            fp = 1  # the block's fingerprint, taken in the walk that finds the calls
             for ki in blk.keyins:
                 fp *= primes[ki.kind]
                 if ki.kind is call and ki.operand:

@@ -6,13 +6,10 @@ more than one clause is named by a fresh variable, so clause count grows
 linearly with formula size. A plain DPLL search decides the clauses, trying
 False before True at every decision. Fresh variables are numbered below
 every atom, so the search first decides which disjunct holds and only then
-touches an atom. The point of this module is a precise contract:
-
-* ``solve`` returns either a total ``Model`` over every atom the solver has
-  seen, or an ``Unsatisfiable`` carrying a minimal-by-deletion core. An atom
-  no constraint settles is False: no macro is enabled without evidence.
-* ``enumerate_models`` brute-forces every assignment, used as the ground
-  truth the DPLL answer is checked against in tests.
+touches an atom. The point of this module is a precise contract: ``solve``
+returns either a total ``Model`` over every atom the solver has seen, or an
+``Unsatisfiable`` carrying a minimal-by-deletion core. An atom no constraint
+settles is False: no macro is enabled without evidence.
 """
 
 from __future__ import annotations
@@ -34,18 +31,14 @@ from .conditions import (
     evaluate,
     to_text,
 )
-from .errors import AtomLimitError, InvariantError
+from .errors import InvariantError
 
 __all__ = [
     "AtomTable",
     "Model",
     "Unsatisfiable",
     "solve",
-    "enumerate_models",
-    "ENUMERATION_ATOM_LIMIT",
 ]
-
-ENUMERATION_ATOM_LIMIT = 20
 
 # Literal = (variable index, polarity): a table atom's index, or a negative
 # fresh variable of the encoding. Clause = frozenset of literals.
@@ -77,9 +70,6 @@ class AtomTable:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def keys(self) -> list[str]:
-        return list(self._keys)
 
     def add_condition(self, cond: Condition) -> None:
         for key in atom_keys(cond):
@@ -309,27 +299,3 @@ def solve(constraints, table: AtomTable | None = None):
         if not evaluate(cond, assignment):
             raise InvariantError(f"model violates constraint {to_text(cond)!r}")
     return Model(assignment=assignment, free_atoms=frozenset(free))
-
-
-def enumerate_models(constraints, table: AtomTable | None = None, limit: int | None = None):
-    """All satisfying assignments by brute force, in lexicographic order
-    (False < True, atoms in table order). Guarding oracle for ``solve``."""
-    constraints = list(constraints)
-    if table is None:
-        table = AtomTable()
-    for cond in constraints:
-        table.add_condition(cond)
-    keys = table.keys()
-    if len(keys) > ENUMERATION_ATOM_LIMIT:
-        raise AtomLimitError(
-            f"{len(keys)} atoms exceed the enumeration limit of {ENUMERATION_ATOM_LIMIT}"
-        )
-
-    models = []
-    for bits in itertools.product((False, True), repeat=len(keys)):
-        env = dict(zip(keys, bits))
-        if all(evaluate(c, env) for c in constraints):
-            models.append(Model(assignment=env, free_atoms=frozenset()))
-            if limit is not None and len(models) >= limit:
-                break
-    return models

@@ -36,7 +36,7 @@ from .conditions import (
     neg,
     parse_expression,
 )
-from .errors import MapGapError, SchemaError
+from .errors import MapGapError, ParseError, SchemaError
 
 __all__ = [
     "BranchShape",
@@ -198,7 +198,11 @@ _CHAIN_DIRECTIVES = {"if", "ifdef", "ifndef", "elif", "else", "endif"}
 
 def _guard_of(directive: str, rest: str, where: str) -> Condition:
     if directive == "if":
-        return parse_expression(rest)
+        try:
+            return parse_expression(rest)
+        except ParseError as exc:  # keeps its ``column`` and names where the text is
+            exc.args = (f"{where}: {exc}",)
+            raise
     name = rest.split()[0] if rest else ""
     if not (name.isascii() and name.isidentifier()):  # as ``parse_expression`` reads a name
         raise SchemaError(f"{where}: #{directive} needs a macro name, got {name!r}")

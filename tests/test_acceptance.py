@@ -22,24 +22,24 @@ from binprov.binmodel import (
 )
 from binprov.buildoracle import SimulatedToolchain
 from binprov.conditions import atom_keys, evaluate, neg, parse_expression, to_text
-from binprov.corpusgen import generate_case, generate_conditional_unit
+from binprov.corpusgen import generate_case
 from binprov.matcher import derive_constraints
 from binprov.optinfer import infer_options
 from binprov.pipeline import (
     NO_SIGNAL,
     Verification,
     check_matrix_orderings,
-    run_generated_case,
     similarity_matrix,
 )
 from binprov.simdiff import (
     compare_programs,
     diff_programs,
     match_functions,
-    spp_fingerprint,
 )
-from binprov.solver import Model, Unsatisfiable, enumerate_models, solve
+from binprov.solver import Model, Unsatisfiable, solve
 from binprov.varsource import scan_tree, scan_unit
+
+from oracles import enumerate_models, generate_conditional_unit, run_generated_case, spp_fingerprint
 
 # Five deterministic study programs for the landscape and sweep criteria.
 PROGRAM_SEEDS = [(1, 0), (1, 1), (1, 2), (2, 0), (3, 5)]

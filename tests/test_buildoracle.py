@@ -48,9 +48,11 @@ from binprov.errors import (
     OracleUnavailableError,
     SchemaError,
 )
-from binprov.pipeline import run_generated_case, similarity_matrix
-from binprov.simdiff import index_program, spp_fingerprint
+from binprov.pipeline import similarity_matrix
+from binprov.simdiff import index_program
 from binprov.varsource import SourceTree, scan_tree
+
+from oracles import run_generated_case, spp_fingerprint
 
 EMPTY_CONFIG = ConfigAssignment()
 

@@ -17,7 +17,8 @@ from binprov.buildoracle import COMPILERS, VERSIONS
 from binprov.binmodel import serialize_model
 from binprov.cli import _run_trigger, build_parser, main
 from binprov.corpusgen import generate_corpus, write_corpus
-from binprov.pipeline import run_generated_case
+
+from oracles import run_generated_case
 
 
 @pytest.fixture(scope="module")

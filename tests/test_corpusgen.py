@@ -17,12 +17,13 @@ from binprov.errors import BinprovError, SchemaError
 from binprov.corpusgen import (
     conflict_index,
     generate_case,
-    generate_conditional_unit,
     load_case_dir,
     signal_free_indices,
     write_corpus,
 )
 from binprov.varsource import scan_tree
+
+from oracles import generate_conditional_unit
 
 
 def test_generation_is_deterministic():

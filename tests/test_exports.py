@@ -1,4 +1,5 @@
-"""The public names each module declares, and the names each module imports."""
+"""The public names each module declares, the names each module imports,
+and the readers of each library definition."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import binprov
 MODULES = ["binprov", *(f"binprov.{m.name}" for m in pkgutil.iter_modules(binprov.__path__))]
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "binprov").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+LIBRARY = sorted((ROOT / "src" / "binprov").glob("*.py"))
+SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -61,3 +64,52 @@ def test_an_unread_import_is_found():
         "print(sys.argv)\n"
     )
     assert _unread_imports(source) == ["os", "compile"]
+
+
+def _unread_defs(library: list[str], readers: list[str]) -> list[str]:
+    """Top-level ``def``s and ``class``es of the ``library`` sources whose
+    name nothing reads. A name is read where a library or reader source
+    loads it as a name or an attribute, and where a reader holds it as a
+    string: perfbench's tracer names the attributes it rebinds as strings.
+    A library string does not count, so ``__all__`` keeps no name alive."""
+    library_trees = [ast.parse(source) for source in library]
+    reader_trees = [ast.parse(source) for source in readers]
+    read: set[str] = set()
+    for tree in [*library_trees, *reader_trees]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for tree in reader_trees:
+        read.update(
+            node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return [
+        node.name
+        for tree in library_trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read
+    ]
+
+
+def test_every_library_def_has_a_caller():
+    # Code that only tests reach belongs in the tests (``oracles``), not in
+    # the library.
+    assert _unread_defs([p.read_text() for p in LIBRARY], [p.read_text() for p in BENCH]) == []
+
+
+def test_an_unread_def_is_found():
+    library = (
+        "__all__ = ['exported']\n"
+        "def exported():\n"
+        "    return called(), 'helper'\n"
+        "def helper(): pass\n"
+        "def called(): return Kept\n"
+        "class Kept:\n"
+        "    def method(self): pass\n"
+        "def attribute(): pass\n"
+        "async def constant(): pass\n"
+    )
+    reader = "import lib\nlib.attribute()\nTARGETS = ((lib, 'constant'),)\n"
+    assert _unread_defs([library], [reader]) == ["exported", "helper"]

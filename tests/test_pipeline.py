@@ -32,11 +32,12 @@ from binprov.pipeline import (
     check_matrix_orderings,
     matrix_to_text,
     run_case,
-    run_generated_case,
     similarity_matrix,
 )
 from binprov.simdiff import index_program, similarity
 from binprov.varsource import ConfigMap, SourceTree, scan_tree
+
+from oracles import run_generated_case
 
 
 def test_reproduces_a_generated_case(corpus21):

@@ -32,13 +32,13 @@ from binprov.simdiff import (
     KIND_PRIMES,
     compare_programs,
     diff_programs,
-    function_signature,
     index_program,
     match_functions,
     similarity,
     similarity_grid,
-    spp_fingerprint,
 )
+
+from oracles import function_signature, spp_fingerprint
 
 _KINDS = list(KeyKind)
 _LIB_NAMES = ["puts", "memcpy", "open", "lib_log", "lib_err"]

@@ -32,7 +32,6 @@ from binprov.conditions import (
     parse_expression,
     to_text,
 )
-from binprov.errors import AtomLimitError
 from binprov.matcher import derive_constraints
 from binprov.simdiff import diff_programs
 from binprov.solver import (
@@ -41,10 +40,11 @@ from binprov.solver import (
     Unsatisfiable,
     _cnf_clauses,
     _dpll,
-    enumerate_models,
     solve,
 )
 from binprov.varsource import scan_tree
+
+from oracles import AtomLimitError, enumerate_models, table_keys
 
 # Real libpng guard for floating-point arithmetic (pngpriv.h); eight
 # distinct defined-atoms, sCAL appears in both disjuncts.
@@ -448,7 +448,7 @@ def test_one_walk_encoding_equals_the_nnf_reference(conds):
     for cond in conds:
         assert _cnf_clauses(cond, got_table, got_fresh) == _reference_cnf_clauses(cond, want_table, want_fresh)
     assert next(got_fresh) == next(want_fresh)
-    assert got_table.keys() == want_table.keys()
+    assert table_keys(got_table) == table_keys(want_table)
 
 
 # --- backtracking undoes the failed branch ------------------------------------

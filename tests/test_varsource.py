@@ -22,10 +22,9 @@ from binprov.buildoracle import (
     default_spec,
 )
 from binprov.conditions import BoolConst, DefinedAtom, Not, conj, disj, evaluate, neg, parse_expression, to_text
-from binprov.corpusgen import generate_conditional_unit, generate_corpus
-from binprov.errors import BinprovError, MapGapError, SchemaError
+from binprov.corpusgen import generate_corpus
+from binprov.errors import BinprovError, MapGapError, ParseError, SchemaError
 from binprov.matcher import PayloadIndex, Presence, decide_fragment
-from binprov.pipeline import run_generated_case
 from binprov.solver import Unsatisfiable, solve
 from binprov.varsource import (
     BranchShape,
@@ -36,6 +35,8 @@ from binprov.varsource import (
     scan_tree,
     scan_unit,
 )
+
+from oracles import generate_conditional_unit, run_generated_case
 
 _CMP = (KeyKind.COMPARE, None)
 
@@ -632,6 +633,21 @@ def test_an_ifdef_needs_a_macro_name(line, got):
     directive = line[1:].split()[0]
     with pytest.raises(SchemaError, match=re.escape(f"u.c:1: #{directive} needs a macro name, got {got!r}")):
         scan_unit("u.c", f"{line}\n#endif\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("x;\n#if A +\n#endif\n", "unexpected character '+'", 3),
+        ("#if A\n#elif (B\n#endif\n", "expected rp, found end of input", 3),
+    ],
+    ids=["if", "elif"],
+)
+def test_a_malformed_if_condition_names_its_unit_and_line(text, message, column):
+    # The parser's message once came through bare, with no unit or line.
+    with pytest.raises(ParseError, match=re.escape(f"a.c:2: {message} (column {column})")) as info:
+        scan_unit("a.c", text)
+    assert info.value.column == column
 
 
 def test_every_condition_text_of_the_corpus_parses_back():
